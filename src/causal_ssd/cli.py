@@ -31,6 +31,7 @@ from causal_ssd.graph import (
 )
 from causal_ssd.harness import (
     CsvParseError,
+    TWO_NODE_LABELS,
     TwoNodeStudyConfig,
     atomic_write_text,
     bf_samples_csv,
@@ -227,6 +228,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.intervention()
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    if args.command == "simulate" and cfg.thresholds() != DceThresholds():
+        raise _UsageError(
+            "simulate does not take --k0, --k1 or --zeta: the study sweeps its own "
+            "thresholds k in {3, 6, 10} and its own zeta grid"
+        )
     return cfg
 
 
@@ -350,6 +356,7 @@ def cmd_simulate(config: RunConfig) -> int:
         draws=config.draws,
         n_max=config.n_max,
         intervention=config.intervention(),
+        a_omega=float(len(TWO_NODE_LABELS) - 1) if config.a_omega is None else config.a_omega,
     )
     report = replicate_two_node_study(study, config.stream())
     out_dir = config.out_path if config.out_path is not None else "causal_ssd_simulation"

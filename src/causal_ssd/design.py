@@ -5,6 +5,22 @@ orientation priors, and selection of the best-size optimal sequence.
 Sufficiency here is graph-theoretic: every orientation test at an intervened
 node is assumed to return the truth; statistical error is handled separately
 by the sample-size machinery.
+
+For single-vertex batch interventions on a chordal component, a target set
+is sufficient exactly when it is a vertex cover of the component:
+
+* suppose an edge u - v has no target at either end;
+* two class members start their perfect orderings with u, v and with v, u,
+  and agree everywhere else;
+* every intervened variable sees the same orientations in both, so the
+  orientation rules cannot orient u - v;
+* if every edge touches a target, every edge is oriented directly.
+
+So the optimal sequences are the minimum vertex covers, and
+``optimal_sequences`` searches for those without enumerating the class (He &
+Geng, JMLR 2008; Hauser & Buhlmann, IJAR 2014; Eberhardt, Glymour & Scheines,
+UAI 2005).  ``is_sufficient`` keeps the definition itself, closure under the
+orientation rules against every class member, as the oracle for that search.
 """
 
 from __future__ import annotations
@@ -13,11 +29,14 @@ import itertools
 from dataclasses import dataclass
 
 from causal_ssd.graph import (
+    CapacityError,
     Dag,
     ENUMERATION_CAP,
+    NotDecomposableError,
     PartiallyDirectedGraph,
     UndirectedGraph,
     enumerate_class,
+    is_decomposable,
     meek_closure,
 )
 
@@ -117,21 +136,29 @@ def optimal_sequences(
 ) -> list[InterventionSequence]:
     """All minimum-size sufficient sequences, canonicalized and sorted.
 
-    Subsets are searched by increasing cardinality and the search stops at
-    the first cardinality containing a sufficient set.  A component without
-    edges needs no intervention: the result is the singleton empty sequence.
+    A target set is sufficient exactly when it is a vertex cover of the
+    chordal component (see the module docstring for the proof), so these
+    are the minimum vertex covers.  Subsets are searched by increasing
+    cardinality and the search stops at the first cardinality containing a
+    cover.  A component without edges needs no intervention: the result is
+    the singleton empty sequence.  Components above ``cap`` nodes raise
+    ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
     """
     if g.num_edges() == 0:
         return [InterventionSequence(())]
-    dags = enumerate_class(g, cap=cap)
-    if len(dags) == 1:
-        return [InterventionSequence(())]
+    if g.num_nodes() > cap:
+        raise CapacityError(
+            f"component has {g.num_nodes()} nodes, the sequence search is capped at {cap}"
+        )
+    if not is_decomposable(g):
+        raise NotDecomposableError("graph is not decomposable")
+    edges = g.edges()
     nodes = g.nodes
     for size in range(1, len(nodes) + 1):
         found = [
             InterventionSequence(combo)
             for combo in itertools.combinations(nodes, size)
-            if _sufficient_for_class(g, set(combo), dags)
+            if all(u in combo or v in combo for u, v in edges)
         ]
         if found:
             return sorted(found, key=lambda s: s.targets)

@@ -127,7 +127,17 @@ def combine_dce(
     h1_sample: BfPredictiveSample,
 ) -> DceProbabilities:
     """Assemble the evidence probabilities from an existing H1 sample."""
-    p0_dc, p0_inc, p0_mis = h0_band_probabilities(thresholds, n)
+    return _assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, h1_sample)
+
+
+def _assemble_dce(
+    h0_bands: tuple[float, float, float],
+    thresholds: DceThresholds,
+    prior: EdgeHypothesisPrior,
+    h1_sample: BfPredictiveSample,
+) -> DceProbabilities:
+    """Mix the exact H0 triple with the H1 triple of ``h1_sample``."""
+    p0_dc, p0_inc, p0_mis = h0_bands
     p1_dc, p1_inc, p1_mis = h1_band_probabilities(h1_sample, thresholds)
     draws = h1_sample.count
     overall = prior.p_h0 * p0_dc + prior.p_h1 * p1_dc
@@ -221,11 +231,14 @@ def optimal_n_edge(
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     for n in range(2, n_max + 1):
-        p0_dc, _, _ = h0_band_probabilities(thresholds, n)
-        if prior.p_h0 * p0_dc + prior.p_h1 < thresholds.zeta:
+        h0_bands = h0_band_probabilities(thresholds, n)
+        if prior.p_h0 * h0_bands[0] + prior.p_h1 < thresholds.zeta:
             continue
-        dce = dce_probabilities(
-            u, v, thresholds, n, prior, posterior, f_u, draws, stream.child(n)
+        dce = _assemble_dce(
+            h0_bands,
+            thresholds,
+            prior,
+            sample_bf_h1(posterior, u, v, f_u, n, draws, stream.child(n)),
         )
         if dce.overall_dc >= thresholds.zeta:
             return EdgeSsdResult(

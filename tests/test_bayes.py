@@ -34,15 +34,15 @@ class TestGofN:
         assert g_of_n(2) == pytest.approx(4.0 / math.pi, rel=1e-14)
 
     def test_against_high_precision(self):
-        mpmath.mp.dps = 40
-        for n in [2, 5, 10, 100, 1234, 100000]:
-            expected = float(
-                n * mpmath.gamma(n / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma((n + 1) / 2))
-            )
-            # differencing log-gammas of size ~n log n bounds the achievable
-            # relative accuracy near n * eps
-            rel = 1e-12 if n <= 2000 else 1e-9
-            assert g_of_n(n) == pytest.approx(expected, rel=rel)
+        with mpmath.workdps(40):
+            for n in [2, 5, 10, 100, 1234, 100000]:
+                expected = float(
+                    n * mpmath.gamma(n / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma((n + 1) / 2))
+                )
+                # differencing log-gammas of size ~n log n bounds the achievable
+                # relative accuracy near n * eps
+                rel = 1e-12 if n <= 2000 else 1e-9
+                assert g_of_n(n) == pytest.approx(expected, rel=rel)
 
     def test_monotone_and_asymptotic(self):
         values = [g_of_n(n) for n in range(2, 400)]

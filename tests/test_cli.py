@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import causal_ssd
 from causal_ssd.bayes import g_of_n
 from causal_ssd.cli import (
     EXIT_CAPACITY,
@@ -249,6 +251,40 @@ class TestSimulate:
         h1_2 = [r for r in r2["evidence_grid"] if r["hypothesis"] == "H1"]
         assert any(a["strong_to_extreme"] != b["strong_to_extreme"] for a, b in zip(h1_1, h1_2))
 
+    def test_a_omega_reaches_the_study(self, tmp_path):
+        def run(name, *extra):
+            out = tmp_path / name
+            assert main(["simulate", "--draws", "200", "--n-max", "30", "--out", str(out),
+                         *extra]) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            curves = [l for l in (out / "dce_curves.csv").read_text().splitlines()
+                      if not l.startswith("#")]
+            return report, curves
+
+        default, default_curves = run("default")
+        one, one_curves = run("one", "--a-omega", "1")
+        seven, seven_curves = run("seven", "--a-omega", "7")
+        # unset keeps the study's T - 1 = 1, so only the echoed flag differs
+        assert default["config"]["a_omega"] == one["config"]["a_omega"] == 1.0
+        assert default_curves == one_curves
+        assert seven["config"]["a_omega"] == 7.0
+        assert seven_curves != one_curves
+
+    @pytest.mark.parametrize(
+        "flag", [["--k0", "3"], ["--k1", "10"], ["--zeta", "0.6"]]
+    )
+    def test_threshold_flags_rejected(self, flag, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["simulate", "--draws", "200", "--n-max", "30", "--out", str(out),
+                     *flag]) == EXIT_USAGE
+        assert "k in {3, 6, 10}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_threshold_values_accepted(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["simulate", "--draws", "200", "--n-max", "30", "--out", str(out),
+                     "--k0", "6", "--k1", "6", "--zeta", "0.8"]) == EXIT_OK
+
 
 class TestUsageAndErrors:
     def test_missing_file_is_input_error(self, tmp_path):
@@ -288,11 +324,15 @@ class TestUsageAndErrors:
     def test_console_entry_point(self, two_node_files, tmp_path):
         graph, data = two_node_files
         out = tmp_path / "plan.json"
+        # run the package this test imported, wherever pytest found it
+        src = os.path.dirname(os.path.dirname(causal_ssd.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "causal_ssd.cli", "plan", "--graph", graph,
              "--data", data, "--out", str(out), *FAST],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()

@@ -2,8 +2,10 @@
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causal_ssd.design import (
     EdgeHypothesisPrior,
@@ -14,7 +16,13 @@ from causal_ssd.design import (
     optimal_sequences,
     prior_h0,
 )
-from causal_ssd.graph import UndirectedGraph, enumerate_class
+from causal_ssd.graph import (
+    CapacityError,
+    NotDecomposableError,
+    UndirectedGraph,
+    enumerate_class,
+    is_decomposable,
+)
 
 from helpers import TREE5_EDGES, random_chordal
 
@@ -26,6 +34,38 @@ TRIANGLE = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
 
 def seq(*targets):
     return InterventionSequence(tuple(targets))
+
+
+@st.composite
+def connected_chordal_graphs(draw, max_nodes=7):
+    """Connected chordal graphs grown by adding simplicial vertices, relabelled.
+
+    Every new vertex is joined to a nonempty subset of an earlier maximal
+    clique, which reaches every connected chordal graph; the random labelling
+    keeps the node order from following the elimination order.
+    """
+    n = draw(st.integers(2, max_nodes))
+    labels = draw(st.permutations([str(i) for i in range(n)]))
+    cliques = [{labels[0]}]
+    for i in range(1, n):
+        base = sorted(draw(st.sampled_from(cliques)))
+        attach = draw(st.sets(st.sampled_from(base), min_size=1))
+        cliques.append(attach | {labels[i]})
+    edges = {e for c in cliques for e in itertools.combinations(sorted(c), 2)}
+    return UndirectedGraph(sorted(labels), sorted(edges))
+
+
+def oracle_optimal_sequences(g):
+    """Smallest subsets that pass ``is_sufficient``, scanned in combination order."""
+    for size in range(1, g.num_nodes() + 1):
+        found = [
+            combo
+            for combo in itertools.combinations(g.nodes, size)
+            if is_sufficient(g, seq(*combo))
+        ]
+        if found:
+            return found
+    raise AssertionError("manipulating every node is always sufficient")
 
 
 class TestInterventionSequence:
@@ -106,6 +146,32 @@ class TestOptimalSequences:
                 if is_sufficient(g, seq(*combo))
             ]
             assert [s.targets for s in best] == expected
+
+    def test_non_chordal_rejected(self):
+        c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        with pytest.raises(NotDecomposableError):
+            optimal_sequences(c4)
+
+    def test_capacity_enforced(self):
+        with pytest.raises(CapacityError):
+            optimal_sequences(PATH3, cap=2)
+        assert [s.targets for s in optimal_sequences(PATH3, cap=3)] == [("2",)]
+
+    def test_seven_clique_leaves_out_one_node_each(self):
+        nodes = [str(i) for i in range(7)]
+        g = UndirectedGraph(nodes, itertools.combinations(nodes, 2))
+        expected = [tuple(n for n in nodes if n != left_out) for left_out in reversed(nodes)]
+        assert [s.targets for s in optimal_sequences(g)] == expected
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(connected_chordal_graphs())
+    def test_minimum_vertex_covers_match_closure_oracle(self, g):
+        graph = nx.Graph(g.edges())
+        graph.add_nodes_from(g.nodes)
+        assert nx.is_connected(graph)
+        assert nx.is_chordal(graph)
+        assert is_decomposable(g)
+        assert [s.targets for s in optimal_sequences(g)] == oracle_optimal_sequences(g)
 
 
 class TestPriorH0:

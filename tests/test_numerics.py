@@ -48,14 +48,14 @@ class TestLogGamma:
 
     def test_against_high_precision(self):
         # independent oracle: 50-digit arithmetic
-        mpmath.mp.dps = 50
-        for x in [0.5, 0.75, 1.0, 2.5, 17.0, 123.456, 1e3, 1e6]:
-            expected = float(mpmath.loggamma(x))
-            got = log_gamma(x)
-            if expected == 0.0:
-                assert abs(got) <= 1e-12
-            else:
-                assert abs(got - expected) / abs(expected) <= 1e-12
+        with mpmath.workdps(50):
+            for x in [0.5, 0.75, 1.0, 2.5, 17.0, 123.456, 1e3, 1e6]:
+                expected = float(mpmath.loggamma(x))
+                got = log_gamma(x)
+                if expected == 0.0:
+                    assert abs(got) <= 1e-12
+                else:
+                    assert abs(got - expected) / abs(expected) <= 1e-12
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_domain_errors(self, bad):
@@ -72,23 +72,23 @@ class TestRegularizedIncompleteBeta:
         assert regularized_incomplete_beta(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_against_high_precision(self):
-        mpmath.mp.dps = 50
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            a = float(rng.uniform(0.1, 60.0))
-            b = float(rng.uniform(0.1, 60.0))
-            x = float(rng.uniform(0.0, 1.0))
-            expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
-            assert abs(regularized_incomplete_beta(x, a, b) - expected) <= 1e-10
+        with mpmath.workdps(50):
+            rng = np.random.default_rng(0)
+            for _ in range(40):
+                a = float(rng.uniform(0.1, 60.0))
+                b = float(rng.uniform(0.1, 60.0))
+                x = float(rng.uniform(0.0, 1.0))
+                expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+                assert abs(regularized_incomplete_beta(x, a, b) - expected) <= 1e-10
 
     def test_extreme_shapes_stable(self):
         # shapes used by the evidence-band machinery: (1/2, (n-1)/2), n up to 1e4
-        mpmath.mp.dps = 60
-        for n in [10, 100, 1000, 10000]:
-            a, b = 0.5, (n - 1) / 2.0
-            for x in [1e-6, 1e-3, 0.02, 0.5, 0.999]:
-                expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
-                assert abs(regularized_incomplete_beta(x, a, b) - expected) <= 1e-10
+        with mpmath.workdps(60):
+            for n in [10, 100, 1000, 10000]:
+                a, b = 0.5, (n - 1) / 2.0
+                for x in [1e-6, 1e-3, 0.02, 0.5, 0.999]:
+                    expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+                    assert abs(regularized_incomplete_beta(x, a, b) - expected) <= 1e-10
 
     def test_monotone_in_x(self):
         grid = np.linspace(0.0, 1.0, 101)

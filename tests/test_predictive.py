@@ -133,15 +133,15 @@ class TestProbBfBandH0:
     def test_moderate_band_at_50_and_100(self):
         # high-precision frozen values of the exact law; the commonly quoted
         # grid entries 0.7364 and 0.8439 carry their own simulation noise
-        mpmath.mp.dps = 30
-        for n, quoted, tol in ((50, 0.7364, 0.0025), (100, 0.8439, 0.0075)):
-            t3 = float((3.0 / g_of_n(n)) ** (2.0 / (n - 1)))
-            expected = 1.0 - float(
-                mpmath.betainc((n - 1) / 2.0, 0.5, 0, t3, regularized=True)
-            )
-            got = prob_bf_band_h0(3.0, 10.0, n)
-            assert got == pytest.approx(expected, abs=1e-12)
-            assert got == pytest.approx(quoted, abs=tol)
+        with mpmath.workdps(30):
+            for n, quoted, tol in ((50, 0.7364, 0.0025), (100, 0.8439, 0.0075)):
+                t3 = float((3.0 / g_of_n(n)) ** (2.0 / (n - 1)))
+                expected = 1.0 - float(
+                    mpmath.betainc((n - 1) / 2.0, 0.5, 0, t3, regularized=True)
+                )
+                got = prob_bf_band_h0(3.0, 10.0, n)
+                assert got == pytest.approx(expected, abs=1e-12)
+                assert got == pytest.approx(quoted, abs=tol)
 
     def test_frozen_exact_values(self):
         assert prob_bf_band_h0(3.0, 10.0, 50) == pytest.approx(0.7384091212882506, rel=1e-12)

@@ -138,6 +138,31 @@ class TestOptimalNEdge:
                 break
         assert res.n_star == crossing
 
+    def test_h0_bands_computed_once_per_scanned_n(self, monkeypatch):
+        import causal_ssd.ssd as ssd_mod
+
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        post = two_node_posterior()
+        scanned = []
+        real = ssd_mod.h0_band_probabilities
+
+        def counting(thresholds, n):
+            scanned.append(n)
+            return real(thresholds, n)
+
+        monkeypatch.setattr(ssd_mod, "h0_band_probabilities", counting)
+        res = optimal_n_edge(
+            "u", "v", th, HALF, post, F_U, n_max=60, draws=800, stream=RandomStream(8)
+        )
+        assert res.achieved
+        assert scanned == list(range(2, res.n_star + 1))
+        monkeypatch.undo()
+        # the reused bands give the same floats as a fresh assembly
+        fresh = dce_probabilities(
+            "u", "v", th, res.n_star, HALF, post, F_U, 800, RandomStream(8).child(res.n_star)
+        )
+        assert res.dce_at_n_star.to_dict() == fresh.to_dict()
+
     def test_not_achievable_marker(self):
         th = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
         res = optimal_n_edge(
@@ -328,6 +353,36 @@ class TestPlanCpdag:
         by_size = {len(r.component): r for r in results}
         assert by_size[13].error is not None
         assert by_size[2].error is None
+
+    def test_class_enumerated_once_per_component_without_closure(self, monkeypatch):
+        import causal_ssd.design as design_mod
+        import causal_ssd.graph as graph_mod
+        import causal_ssd.ssd as ssd_mod
+
+        enumerated = []
+        closures = []
+        real_enumerate = graph_mod.enumerate_class
+        real_closure = graph_mod.meek_closure
+
+        def counting_enumerate(g, *args, **kwargs):
+            enumerated.append(g.nodes)
+            return real_enumerate(g, *args, **kwargs)
+
+        def counting_closure(g):
+            closures.append(g)
+            return real_closure(g)
+
+        for module in (graph_mod, design_mod, ssd_mod):
+            monkeypatch.setattr(module, "enumerate_class", counting_enumerate)
+        for module in (graph_mod, design_mod):
+            monkeypatch.setattr(module, "meek_closure", counting_closure)
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        results = plan_cpdag(
+            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(15), n_max=150, draws=400
+        )
+        assert all(r.error is None for r in results)
+        assert sorted(enumerated) == [("1", "2", "3"), ("4", "5")]
+        assert closures == []
 
     def test_workers_do_not_change_results(self):
         data = fig1_dataset()
