@@ -189,8 +189,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise _UsageError("--data is required (or set CAUSAL_SSD_DATA)")
     if args.command in ("dce-curve", "predict-bf") and getattr(args, "edge", None) is None:
         raise _UsageError("--edge is required (or set CAUSAL_SSD_EDGE)")
-    if args.command == "predict-bf" and getattr(args, "n", None) is None:
-        raise _UsageError("--n is required for predict-bf")
+    if args.command == "predict-bf":
+        if getattr(args, "n", None) is None:
+            raise _UsageError("--n is required for predict-bf")
+        if args.n < 2:
+            raise _UsageError("--n must be an integer >= 2")
     edge = None
     if getattr(args, "edge", None) is not None:
         parts = [p.strip() for p in str(args.edge).split(",")]
@@ -291,7 +294,7 @@ def cmd_plan(config: RunConfig) -> int:
 
 
 def _edge_context(config: RunConfig, graph, data):
-    """Resolve the component, posterior, prior and substream of one edge."""
+    """Resolve the component subgraph, posterior and substream of one edge."""
     u, v = config.edge
     if not graph.has_undirected_edge(u, v):
         raise GraphFormatError(f"edge {u}-{v} is not an undirected edge of the graph")
@@ -304,19 +307,18 @@ def _edge_context(config: RunConfig, graph, data):
     restricted = data.restrict(comp)
     a_comp = float(len(comp) - 1) if config.a_omega is None else config.a_omega
     posterior = build_design_posterior_from(restricted, a_comp)
-    dags = enumerate_class(sub)
-    prior = prior_h0(sub, u, v, dags=dags)
     index = {node: i for i, node in enumerate(sub.nodes)}
     edge_stream = config.stream().child(ci, index[u], index[v])
-    return posterior, prior, edge_stream
+    return sub, posterior, edge_stream
 
 
 def cmd_dce_curve(config: RunConfig) -> int:
     graph, data = _load_inputs(config)
-    posterior, prior, edge_stream = _edge_context(config, graph, data)
+    sub, posterior, edge_stream = _edge_context(config, graph, data)
+    u, v = config.edge
+    prior = prior_h0(sub, u, v, dags=enumerate_class(sub))
     thresholds = config.thresholds()
     f_u = config.intervention()
-    u, v = config.edge
     rows = []
     for n in range(2, config.n_max + 1):
         sample = sample_bf_h1(
@@ -337,10 +339,8 @@ def cmd_dce_curve(config: RunConfig) -> int:
 
 
 def cmd_predict_bf(config: RunConfig) -> int:
-    if config.n is None or config.n < 2:
-        raise _UsageError("--n must be an integer >= 2")
     graph, data = _load_inputs(config)
-    posterior, _, edge_stream = _edge_context(config, graph, data)
+    _, posterior, edge_stream = _edge_context(config, graph, data)
     u, v = config.edge
     h1 = sample_bf_h1(
         posterior, u, v, config.intervention(), config.n, config.draws,

@@ -138,33 +138,49 @@ def sample_gaussian(
     return float(draws) if size is None else draws
 
 
-def _bartlett_factor(gen: np.random.Generator, df: float, t: int, size: int) -> np.ndarray:
-    """Lower-triangular Bartlett factors: chi-square diagonal, standard-normal below."""
-    a = np.zeros((size, t, t))
-    for i in range(t):
-        a[:, i, i] = np.sqrt(gen.chisquare(df - i, size=size))
-        if i > 0:
-            a[:, i, :i] = gen.standard_normal(size=(size, i))
-    return a
-
-
 def sample_wishart(stream: RandomStream, params: WishartParams, size: int | None = None):
     """Draw symmetric positive-definite matrices from the Wishart law.
 
-    Uses the Bartlett construction: a lower-triangular factor with
-    chi-square diagonals and standard-normal off-diagonals, pushed through a
-    factor of rate^{-1}.  Expectation of a draw is df * rate^{-1} (rate
+    Uses the Bartlett construction: a lower-triangular factor B with
+    chi-square diagonals and standard-normal off-diagonals, pushed through
+    the upper-triangular factor F = chol(rate)^{-T} of rate^{-1}, so a draw
+    is M M^T with M = F B.  Expectation of a draw is df * rate^{-1} (rate
     parameterization, see :class:`WishartParams`).
+
+    The construction runs element by element: each entry of B is one array
+    over the draws, and each entry of M and of M M^T is a sum of
+    scalar-times-array products over the nonzero terms of the triangles
+    (M[r, c] sums F[r, k] B[k, c] over k >= max(r, c)).  The stream is
+    consumed row by row of B: row i's chi-square(df - i) diagonal for all
+    draws, then row i's i standard normals as one (size, i) block.
     """
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError(f"size must be positive, got {size!r}")
     t = params.dim
-    chol_rate = np.linalg.cholesky(params.rate)
-    # rate^{-1} = F F^T with F = chol(rate)^{-T}; any such factor is valid
-    # for the Wishart push-forward, triangularity of F is not required.
-    factor = np.linalg.inv(chol_rate).T
-    bart = _bartlett_factor(stream.generator(), params.df, t, n)
-    m = factor @ bart
-    draws = m @ m.transpose(0, 2, 1)
+    factor = np.linalg.inv(np.linalg.cholesky(params.rate)).T.tolist()
+    gen = stream.generator()
+    bart = [[None] * t for _ in range(t)]  # bart[k][c] is set for c <= k
+    for i in range(t):
+        bart[i][i] = np.sqrt(gen.chisquare(params.df - i, size=n))
+        if i > 0:
+            normals = gen.standard_normal(size=(n, i))
+            for j in range(i):
+                bart[i][j] = normals[:, j]
+    m = [[None] * t for _ in range(t)]
+    for r in range(t):
+        for c in range(t):
+            k0 = max(r, c)
+            acc = factor[r][k0] * bart[k0][c]
+            for k in range(k0 + 1, t):
+                acc += factor[r][k] * bart[k][c]
+            m[r][c] = acc
+    draws = np.empty((n, t, t))
+    for r in range(t):
+        for s in range(r + 1):
+            acc = m[r][0] * m[s][0]
+            for c in range(1, t):
+                acc += m[r][c] * m[s][c]
+            draws[:, r, s] = acc
+            draws[:, s, r] = acc
     return draws[0] if size is None else draws

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from causal_ssd.graph import Dag, PartiallyDirectedGraph, UndirectedGraph
+from causal_ssd.numerics import RandomStream, WishartParams
 
 # the five-node tree component used throughout: 3 - {1, 2, 5}, 2 - 4
 TREE5_EDGES = [("1", "3"), ("2", "3"), ("2", "4"), ("3", "5")]
@@ -54,3 +55,23 @@ def random_dag(rng: np.random.Generator, n_nodes: int, p: float) -> Dag:
         if rng.uniform() < p:
             edges.append((perm[i], perm[j]))
     return Dag(order, edges)
+
+
+def matmul_sample_wishart(
+    stream: RandomStream, params: WishartParams, size: int | None = None
+) -> np.ndarray:
+    """Oracle: the Bartlett construction as a stacked (size, T, T) factor and
+    batched matmuls, drawing from the stream in the same order as
+    ``numerics.sample_wishart``."""
+    n = 1 if size is None else int(size)
+    t = params.dim
+    factor = np.linalg.inv(np.linalg.cholesky(params.rate)).T
+    gen = stream.generator()
+    bart = np.zeros((n, t, t))
+    for i in range(t):
+        bart[:, i, i] = np.sqrt(gen.chisquare(params.df - i, size=n))
+        if i > 0:
+            bart[:, i, :i] = gen.standard_normal(size=(n, i))
+    m = factor @ bart
+    draws = m @ m.transpose(0, 2, 1)
+    return draws[0] if size is None else draws

@@ -68,6 +68,18 @@ def fig1_files(tmp_path):
     return str(graph), str(csv_path)
 
 
+def run_cli(*argv):
+    """Run the CLI of the package this module imported in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(causal_ssd.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "causal_ssd.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 FAST = ["--draws", "400", "--n-max", "150", "--k0", "3", "--k1", "3", "--zeta", "0.5"]
 
 
@@ -220,6 +232,55 @@ class TestPredictBf:
         h1 = np.array([float(r["bf"]) for r in rows if r["hypothesis"] == "H1"])
         assert np.mean(h1 < 1.0 / 3.0) > 0.05
 
+    def test_n_below_two_is_usage_error_without_traceback(self, two_node_files):
+        graph, data = two_node_files
+        proc = run_cli(
+            "predict-bf", "--graph", graph, "--data", data, "--edge", "u,v",
+            "--n", "1", "--draws", "10",
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "usage error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_component_above_enumeration_cap_accepted(self, tmp_path):
+        # a 13-node path: no orientation prior is needed, so no class is built
+        nodes = [f"n{i}" for i in range(13)]
+        graph = tmp_path / "path.graph"
+        graph.write_text("\n".join(f"{a} -- {b}" for a, b in zip(nodes, nodes[1:])) + "\n")
+        data = tmp_path / "path.csv"
+        write_dataset(data, nodes, np.random.default_rng(43).standard_normal((40, 13)))
+        out = tmp_path / "bf.csv"
+        code = main(
+            ["predict-bf", "--graph", str(graph), "--data", str(data), "--edge", "n5,n6",
+             "--n", "20", "--draws", "50", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2 + 2 * 50
+
+    def test_class_not_enumerated(self, fig1_files, tmp_path, monkeypatch):
+        import causal_ssd.cli as cli_mod
+        import causal_ssd.design as design_mod
+        import causal_ssd.graph as graph_mod
+
+        enumerated = []
+        real_enumerate = graph_mod.enumerate_class
+
+        def counting_enumerate(g, *args, **kwargs):
+            enumerated.append(g.nodes)
+            return real_enumerate(g, *args, **kwargs)
+
+        for module in (graph_mod, design_mod, cli_mod):
+            monkeypatch.setattr(module, "enumerate_class", counting_enumerate, raising=False)
+        graph, data = fig1_files
+        common = ["--graph", graph, "--data", data, "--edge", "1,2", "--draws", "50"]
+        assert main(["predict-bf", *common, "--n", "20",
+                     "--out", str(tmp_path / "bf.csv")]) == EXIT_OK
+        assert enumerated == []
+        # dce-curve still needs the prior and builds the class once
+        assert main(["dce-curve", *common, "--n-max", "5",
+                     "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+        assert enumerated == [("1", "2", "3")]
+
 
 class TestSimulate:
     def test_writes_artifacts_and_reproduces(self, tmp_path):
@@ -324,15 +385,6 @@ class TestUsageAndErrors:
     def test_console_entry_point(self, two_node_files, tmp_path):
         graph, data = two_node_files
         out = tmp_path / "plan.json"
-        # run the package this test imported, wherever pytest found it
-        src = os.path.dirname(os.path.dirname(causal_ssd.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "causal_ssd.cli", "plan", "--graph", graph,
-             "--data", data, "--out", str(out), *FAST],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_cli("plan", "--graph", graph, "--data", data, "--out", str(out), *FAST)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()

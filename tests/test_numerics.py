@@ -17,6 +17,8 @@ from causal_ssd.numerics import (
     sample_wishart,
 )
 
+from helpers import matmul_sample_wishart
+
 
 class TestRandomStream:
     def test_same_seed_and_path_reproduce(self):
@@ -197,6 +199,19 @@ class TestSampleWishart:
         d2 = sample_wishart(RandomStream(35), WishartParams(3.0, u), size=50_000)
         total = (d1 + d2).mean(axis=0)
         np.testing.assert_allclose(total, WishartParams(7.0, u).mean(), rtol=0.02)
+
+    @pytest.mark.parametrize("size", [None, 10_000])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_matches_matmul_oracle(self, t, size):
+        # same stream, same draw order: only the rounding of the sums differs
+        z = np.random.default_rng(40 + t).standard_normal((30, t))
+        params = WishartParams(t + 4.0, z.T @ z)
+        got = sample_wishart(RandomStream(41, (t,)), params, size=size)
+        want = matmul_sample_wishart(RandomStream(41, (t,)), params, size=size)
+        assert got.shape == want.shape == ((t, t) if size is None else (size, t, t))
+        # near-zero off-diagonals cancel; an absolute floor covers them
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+        np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
 
     def test_single_draw_shape_and_determinism(self):
         params = WishartParams(5.0, np.eye(2))

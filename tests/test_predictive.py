@@ -21,6 +21,8 @@ from causal_ssd.predictive import (
     sample_bf_h1,
 )
 
+from helpers import matmul_sample_wishart
+
 
 def observational_data(seed, n_rows=50, beta=0.5):
     rng = np.random.default_rng(seed)
@@ -183,6 +185,16 @@ class TestSampleBfH1:
         assert p[50] == pytest.approx(0.829, abs=0.15)
         assert p[100] == pytest.approx(0.962, abs=0.08)
         assert p[100] > p[50]
+
+    def test_matches_draws_from_matmul_oracle(self, monkeypatch):
+        import causal_ssd.predictive as predictive_mod
+
+        post = two_node_posterior(11)
+        stream = RandomStream(12, (0, 1))
+        got = sample_bf_h1(post, "u", "v", InterventionDensity(), 60, 5000, stream)
+        monkeypatch.setattr(predictive_mod, "sample_wishart", matmul_sample_wishart)
+        want = sample_bf_h1(post, "u", "v", InterventionDensity(), 60, 5000, stream)
+        np.testing.assert_allclose(got.draws, want.draws, rtol=1e-12)
 
     def test_scatter_and_pairs_methods_agree(self):
         posterior = two_node_posterior(4)

@@ -22,7 +22,7 @@ from causal_ssd.ssd import (
     plan_sequence,
 )
 
-from helpers import CHAIN5
+from helpers import CHAIN5, matmul_sample_wishart
 
 F_U = InterventionDensity()
 HALF = EdgeHypothesisPrior(u="u", v="v", p_h0=0.5, p_h1=0.5)
@@ -383,6 +383,17 @@ class TestPlanCpdag:
         assert all(r.error is None for r in results)
         assert sorted(enumerated) == [("1", "2", "3"), ("4", "5")]
         assert closures == []
+
+    def test_plan_unchanged_under_matmul_wishart_oracle(self, monkeypatch):
+        import causal_ssd.predictive as predictive_mod
+
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        kwargs = dict(f_u=F_U, stream=RandomStream(23), n_max=300, draws=2000)
+        fast = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
+        monkeypatch.setattr(predictive_mod, "sample_wishart", matmul_sample_wishart)
+        oracle = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
+        assert all(r.error is None and r.feasible for r in fast)
+        assert [r.to_dict() for r in fast] == [r.to_dict() for r in oracle]
 
     def test_workers_do_not_change_results(self):
         data = fig1_dataset()
