@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -26,11 +27,12 @@ from causal_ssd.graph import (
     InvalidChainGraphError,
     NotDecomposableError,
     chain_components,
-    enumerate_class,
+    enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps cli.enumerate_class)
     parse_edge_list,
 )
 from causal_ssd.harness import (
     CsvParseError,
+    MissingColumnsError,
     TWO_NODE_LABELS,
     TwoNodeStudyConfig,
     atomic_write_text,
@@ -226,6 +228,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         )
     if cfg.draws < 1 or cfg.n_max < 2 or cfg.workers < 1:
         raise _UsageError("--draws, --n-max and --workers must be positive (n-max >= 2)")
+    if cfg.seed < 0:
+        raise _UsageError("--seed must be a nonnegative integer")
+    if cfg.a_omega is not None and not math.isfinite(cfg.a_omega):
+        raise _UsageError("--a-omega must be finite")
     try:
         cfg.thresholds()
         cfg.intervention()
@@ -252,7 +258,11 @@ def _config_comment(config: RunConfig) -> str:
 
 def _load_inputs(config: RunConfig):
     with open(config.graph_path) as fh:
-        graph = parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{config.graph_path}: {exc}") from None
+    graph = parse_edge_list(text)
     data = ingest_csv(config.data_path)
     return graph, data
 
@@ -316,7 +326,7 @@ def cmd_dce_curve(config: RunConfig) -> int:
     graph, data = _load_inputs(config)
     sub, posterior, edge_stream = _edge_context(config, graph, data)
     u, v = config.edge
-    prior = prior_h0(sub, u, v, dags=enumerate_class(sub))
+    prior = prior_h0(sub, u, v)
     thresholds = config.thresholds()
     f_u = config.intervention()
     rows = []
@@ -398,7 +408,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CsvParseError, GraphFormatError, InvalidChainGraphError, KeyError) as exc:
+    except (CsvParseError, GraphFormatError, InvalidChainGraphError, MissingColumnsError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (
@@ -409,9 +419,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"capacity/propriety error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

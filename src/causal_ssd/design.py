@@ -21,12 +21,34 @@ So the optimal sequences are the minimum vertex covers, and
 Geng, JMLR 2008; Hauser & Buhlmann, IJAR 2014; Eberhardt, Glymour & Scheines,
 UAI 2005).  ``is_sufficient`` keeps the definition itself, closure under the
 orientation rules against every class member, as the oracle for that search.
+
+The orientation prior of an edge is a ratio of two class counts, and
+``orientation_counts`` finds both without building the class (He, Jia & Yu,
+JMLR 2015):
+
+* every member of the class of a connected chordal component has exactly one
+  source, so the class splits by its root r;
+* the members rooted at r are described by the closure of r -> N(r) under
+  the orientation rules; its undirected parts are connected chordal
+  components, oriented independently, so their number is the product of the
+  class sizes of those parts;
+* an arrow a -> b belongs to every member rooted at r if the closure directs
+  it so, to none if it directs it the other way, and otherwise to the
+  members of the part holding a - b that contain it, times the sizes of the
+  other parts.
+
+The recursion is memoized on the node sets of the parts, which are induced
+subgraphs of the component, so it scans at most 2^nodes of them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from causal_ssd.graph import (
     CapacityError,
@@ -35,6 +57,7 @@ from causal_ssd.graph import (
     NotDecomposableError,
     PartiallyDirectedGraph,
     UndirectedGraph,
+    chain_components,
     enumerate_class,
     is_decomposable,
     meek_closure,
@@ -148,7 +171,8 @@ def optimal_sequences(
         return [InterventionSequence(())]
     if g.num_nodes() > cap:
         raise CapacityError(
-            f"component has {g.num_nodes()} nodes, the sequence search is capped at {cap}"
+            f"component has {g.num_nodes()} nodes, the vertex-cover search over its "
+            f"2^nodes subsets is capped at {cap}"
         )
     if not is_decomposable(g):
         raise NotDecomposableError("graph is not decomposable")
@@ -165,25 +189,86 @@ def optimal_sequences(
     raise AssertionError("unreachable: manipulating all nodes is always sufficient")
 
 
+_Counts = tuple[int, dict[tuple[str, str], int]]
+
+
+def _product_counts(parts: list[_Counts]) -> _Counts:
+    """Counts for independently oriented disjoint parts."""
+    size = math.prod(part_size for part_size, _ in parts)
+    arrows: dict[tuple[str, str], int] = {}
+    for part_size, part_arrows in parts:
+        others = size // part_size
+        for edge, count in part_arrows.items():
+            arrows[edge] = others * count
+    return size, arrows
+
+
+@functools.lru_cache(maxsize=16)
+def orientation_counts(
+    g: UndirectedGraph, cap: int = ENUMERATION_CAP
+) -> tuple[int, Mapping[tuple[str, str], int]]:
+    """Class size of ``g`` and, per ordered edge (a, b), the members with a -> b.
+
+    Counts are exact integers from the rooted recursion of the module
+    docstring; no class member is built.  The result is cached per graph,
+    because ``prior_h0`` asks for it once per edge.  Components above ``cap``
+    nodes raise ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
+    """
+    if g.num_nodes() > cap:
+        raise CapacityError(
+            f"component has {g.num_nodes()} nodes, the class count over its "
+            f"2^nodes induced subgraphs is capped at {cap}"
+        )
+    if not is_decomposable(g):
+        raise NotDecomposableError("graph is not decomposable")
+    memo: dict[frozenset[str], _Counts] = {}
+
+    def count(nodes: frozenset[str]) -> _Counts:
+        """Counts for the connected chordal subgraph induced by ``nodes``."""
+        if len(nodes) == 1:
+            return 1, {}
+        if nodes in memo:
+            return memo[nodes]
+        edges = [(a, b) for a, b in g.edges() if a in nodes and b in nodes]
+        size = 0
+        arrows: dict[tuple[str, str], int] = {}
+        for root in sorted(nodes):
+            closed = meek_closure(
+                PartiallyDirectedGraph(
+                    nodes,
+                    directed=[(root, w) for w in g.neighbors(root) if w in nodes],
+                    undirected=[e for e in edges if root not in e],
+                )
+            )
+            parts = chain_components(closed).components
+            rooted_size, rooted_arrows = _product_counts([count(frozenset(p)) for p in parts])
+            for edge in closed.directed_edges():
+                rooted_arrows[edge] = rooted_size
+            size += rooted_size
+            for edge, n in rooted_arrows.items():
+                arrows[edge] = arrows.get(edge, 0) + n
+        memo[nodes] = size, arrows
+        return memo[nodes]
+
+    parts = chain_components(PartiallyDirectedGraph.from_undirected(g)).components
+    size, arrows = _product_counts([count(frozenset(p)) for p in parts])
+    return size, MappingProxyType(arrows)
+
+
 def prior_h0(
-    g: UndirectedGraph,
-    u: str,
-    v: str,
-    cap: int = ENUMERATION_CAP,
-    dags: list[Dag] | None = None,
+    g: UndirectedGraph, u: str, v: str, cap: int = ENUMERATION_CAP
 ) -> EdgeHypothesisPrior:
     """Class-count orientation prior for the undirected edge u - v.
 
     ``p_h0`` is the fraction of perfect directed versions of ``g`` containing
-    u <- v.  A precomputed class may be passed to avoid re-enumeration.
+    u <- v: the exact integer ratio of ``orientation_counts``, so it equals
+    the count over an enumerated class to the last bit.
     """
     u, v = str(u), str(v)
     if not g.has_edge(u, v):
         raise ValueError(f"{u}-{v} is not an undirected edge of the component")
-    if dags is None:
-        dags = enumerate_class(g, cap=cap)
-    n_h0 = sum(1 for d in dags if d.has_edge(v, u))
-    p0 = n_h0 / len(dags)
+    size, arrows = orientation_counts(g, cap)
+    p0 = arrows.get((v, u), 0) / size
     return EdgeHypothesisPrior(u=u, v=v, p_h0=p0, p_h1=1.0 - p0)
 
 

@@ -18,7 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 ENUMERATION_CAP = 12
-"""Largest component size for which the orientation class is enumerated exactly."""
+"""Largest component size for the searches that may visit all 2^nodes node
+subsets: the minimum-vertex-cover search and the class count.  A 12-node
+clique takes seconds to count; its class holds 12! members, so the cap is no
+bound on building them, which only the test oracle ``enumerate_class`` does."""
 
 
 class InvalidChainGraphError(ValueError):
@@ -30,7 +33,7 @@ class NotDecomposableError(ValueError):
 
 
 class CapacityError(ValueError):
-    """Component exceeds the exact-enumeration cap."""
+    """Component exceeds the node cap of the subset searches and the class count."""
 
 
 class InconsistentOrientationError(ValueError):
@@ -547,10 +550,15 @@ def enumerate_class(g: UndirectedGraph, cap: int = ENUMERATION_CAP) -> list[Dag]
     whose essential graph restricted to ``g`` is ``g`` itself.  Enumeration is
     by recursive edge orientation with incremental acyclicity and
     v-structure pruning, which produces no duplicates.
+
+    The pipeline does not call it: it is the test oracle of
+    ``design.orientation_counts``.  Its cost grows with the class size, which
+    ``cap`` does not bound (a 12-node clique has 12! members).
     """
     if g.num_nodes() > cap:
         raise CapacityError(
-            f"component has {g.num_nodes()} nodes, exact enumeration capped at {cap}"
+            f"component has {g.num_nodes()} nodes, above the cap of {cap} on the "
+            f"2^nodes subset scans and the class count"
         )
     if not is_decomposable(g):
         raise NotDecomposableError("graph is not decomposable")

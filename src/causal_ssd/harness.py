@@ -43,6 +43,10 @@ class CsvParseError(ValueError):
     """Malformed dataset file; the message carries the offending line number."""
 
 
+class MissingColumnsError(ValueError):
+    """The dataset has no column for some of the requested labels."""
+
+
 @dataclass(frozen=True)
 class DatasetMatrix:
     """Labeled numeric data matrix without missing values."""
@@ -79,7 +83,7 @@ class DatasetMatrix:
         wanted = [str(x) for x in labels]
         missing = sorted(set(wanted) - set(self.labels))
         if missing:
-            raise ValueError(f"dataset is missing columns: {missing}")
+            raise MissingColumnsError(f"dataset is missing columns: {missing}")
         idx = [self.labels.index(x) for x in wanted]
         return DatasetMatrix(labels=tuple(wanted), values=self.values[:, idx])
 
@@ -135,42 +139,50 @@ def ingest_csv(path: str) -> DatasetMatrix:
     """Parse a dataset CSV with a header row of column labels.
 
     Ragged rows, non-numeric cells, and duplicate headers are rejected with
-    the offending line number.
+    the offending line number; undecodable text and malformed CSV quoting
+    with the reader's message.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError("line 1: empty file, expected a header row") from None
-        labels = [h.strip() for h in header]
-        if any(not h for h in labels):
-            raise CsvParseError("line 1: empty column label")
-        if len(set(labels)) != len(labels):
-            dupes = sorted({h for h in labels if labels.count(h) > 1})
-            raise CsvParseError(f"line 1: duplicate column labels {dupes}")
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(labels):
+    try:
+        with open(path, newline="") as fh:
+            return _parse_csv(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CsvParseError(f"{path}: {exc}") from None
+
+
+def _parse_csv(reader) -> DatasetMatrix:
+    """Dataset from the rows of a CSV reader; see ``ingest_csv``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvParseError("line 1: empty file, expected a header row") from None
+    labels = [h.strip() for h in header]
+    if any(not h for h in labels):
+        raise CsvParseError("line 1: empty column label")
+    if len(set(labels)) != len(labels):
+        dupes = sorted({h for h in labels if labels.count(h) > 1})
+        raise CsvParseError(f"line 1: duplicate column labels {dupes}")
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(labels):
+            raise CsvParseError(
+                f"line {lineno}: expected {len(labels)} fields, got {len(row)}"
+            )
+        parsed = []
+        for label, cell in zip(labels, row):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise CsvParseError(
-                    f"line {lineno}: expected {len(labels)} fields, got {len(row)}"
+                    f"line {lineno}: non-numeric value {cell!r} in column {label!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvParseError(
+                    f"line {lineno}: non-finite value {cell!r} in column {label!r}"
                 )
-            parsed = []
-            for label, cell in zip(labels, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"line {lineno}: non-numeric value {cell!r} in column {label!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvParseError(
-                        f"line {lineno}: non-finite value {cell!r} in column {label!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise CsvParseError("line 2: no data rows")
     return DatasetMatrix(labels=tuple(labels), values=np.array(rows, dtype=float))

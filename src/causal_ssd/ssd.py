@@ -32,7 +32,7 @@ from causal_ssd.graph import (
     PartiallyDirectedGraph,
     UndirectedGraph,
     chain_components,
-    enumerate_class,
+    enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps ssd.enumerate_class)
 )
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
@@ -314,6 +314,27 @@ class ComponentPlans:
         }
 
 
+def _assemble_plan(
+    component: tuple[str, ...],
+    sequence: InterventionSequence,
+    edge_results: dict[str, tuple[EdgeSsdResult, ...]],
+) -> InterventionPlan:
+    """Plan of one sequence from the edge results of each of its targets."""
+    node_sizes = {
+        u: (optimal_n_node(u, edge_results[u]) if edge_results[u] else 0)
+        for u in sequence.targets
+    }
+    sizes = [node_sizes[u] for u in sequence.targets]
+    total = None if any(s is None for s in sizes) else int(sum(sizes))
+    return InterventionPlan(
+        component=component,
+        sequence=sequence,
+        edge_results=edge_results,
+        node_sizes=node_sizes,
+        total_n=total,
+    )
+
+
 def plan_sequence(
     component: UndirectedGraph,
     sequence: InterventionSequence,
@@ -323,7 +344,6 @@ def plan_sequence(
     n_max: int = DEFAULT_N_MAX,
     draws: int = DEFAULT_DRAWS,
     stream: RandomStream = RandomStream(0),
-    dags=None,
     edge_cache: dict | None = None,
 ) -> InterventionPlan:
     """Per-target optimal sizes for one sequence of manipulated variables.
@@ -338,42 +358,27 @@ def plan_sequence(
     missing = set(targets) - set(component.nodes)
     if missing:
         raise ValueError(f"targets not in component: {sorted(missing)}")
-    if dags is None:
-        dags = enumerate_class(component)
     if edge_cache is None:
         edge_cache = {}
     index = {node: i for i, node in enumerate(component.nodes)}
 
     edge_results: dict[str, tuple[EdgeSsdResult, ...]] = {}
-    node_sizes: dict[str, int | None] = {}
     for u in targets:
-        results = []
         for v in component.neighbors(u):
             if (u, v) not in edge_cache:
-                prior = prior_h0(component, u, v, dags=dags)
                 edge_cache[(u, v)] = optimal_n_edge(
                     u,
                     v,
                     thresholds,
-                    prior,
+                    prior_h0(component, u, v),
                     posterior,
                     f_u,
                     n_max=n_max,
                     draws=draws,
                     stream=stream.child(index[u], index[v]),
                 )
-            results.append(edge_cache[(u, v)])
-        edge_results[u] = tuple(results)
-        node_sizes[u] = optimal_n_node(u, results) if results else 0
-    sizes = [node_sizes[u] for u in targets]
-    total = None if any(s is None for s in sizes) else int(sum(sizes))
-    return InterventionPlan(
-        component=component.nodes,
-        sequence=sequence,
-        edge_results=edge_results,
-        node_sizes=node_sizes,
-        total_n=total,
-    )
+        edge_results[u] = tuple(edge_cache[(u, v)] for v in component.neighbors(u))
+    return _assemble_plan(component.nodes, sequence, edge_results)
 
 
 @dataclass(frozen=True)
@@ -432,9 +437,9 @@ def plan_cpdag(
     remaining component gets its design posterior from the observational
     columns matching its node labels (``a_omega`` defaults to T - 1 per
     component), all optimal sequences, one plan per sequence, and a flag on
-    the best-size optimal sequence.  Failures (missing data columns,
-    enumeration capacity, improper posterior) are reported per component
-    without aborting the others.
+    the best-size optimal sequence.  Failures (missing data columns, a
+    component above ``cap`` nodes, a non-chordal component, an improper
+    posterior) are reported per component without aborting the others.
 
     ``workers`` > 1 evaluates edges in parallel processes; results are
     independent of the worker count because every edge owns a fixed
@@ -460,9 +465,8 @@ def plan_cpdag(
             restricted = data.restrict(comp)
             a_comp = float(len(comp) - 1) if a_omega is None else float(a_omega)
             posterior = build_design_posterior_from(restricted, a_comp)
-            dags = enumerate_class(sub, cap=cap)
             sequences = optimal_sequences(sub, cap=cap)
-        except (CapacityError, NotDecomposableError, InsufficientDataError, ValueError) as exc:
+        except (CapacityError, NotDecomposableError, InsufficientDataError) as exc:
             prepared.append(ComponentPlans(component=comp, plans=[], error=str(exc)))
             continue
         index = {node: i for i, node in enumerate(sub.nodes)}
@@ -478,7 +482,7 @@ def plan_cpdag(
                             component_index=ci,
                             u=u,
                             v=v,
-                            prior=prior_h0(sub, u, v, dags=dags),
+                            prior=prior_h0(sub, u, v, cap),
                             thresholds=thresholds,
                             posterior=posterior,
                             f_u=f_u,
@@ -504,26 +508,14 @@ def plan_cpdag(
             out.append(entry)
             continue
         ci, comp, sub, sequences = entry
-        plans = []
-        for seq in sequences:
-            edge_results = {
-                u: tuple(cache[(ci, u, v)] for v in sub.neighbors(u)) for u in seq.targets
-            }
-            node_sizes = {
-                u: (optimal_n_node(u, edge_results[u]) if edge_results[u] else 0)
-                for u in seq.targets
-            }
-            sizes = [node_sizes[u] for u in seq.targets]
-            total = None if any(s is None for s in sizes) else int(sum(sizes))
-            plans.append(
-                InterventionPlan(
-                    component=comp,
-                    sequence=seq,
-                    edge_results=edge_results,
-                    node_sizes=node_sizes,
-                    total_n=total,
-                )
+        plans = [
+            _assemble_plan(
+                comp,
+                seq,
+                {u: tuple(cache[(ci, u, v)] for v in sub.neighbors(u)) for u in seq.targets},
             )
+            for seq in sequences
+        ]
         mark_best_sequence(plans)
         out.append(ComponentPlans(component=comp, plans=plans))
     return out

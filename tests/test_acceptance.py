@@ -246,9 +246,8 @@ def test_criterion_09_orientation_prior_oracle():
     worst = 0.0
     for _ in range(20):
         g = random_chordal(rng, int(rng.integers(2, 9)))
-        class_dags = enumerate_class(g)
         for u, v in g.edges():
-            total = prior_h0(g, u, v, dags=class_dags).p_h0 + prior_h0(g, v, u, dags=class_dags).p_h0
+            total = prior_h0(g, u, v).p_h0 + prior_h0(g, v, u).p_h0
             worst = max(worst, abs(total - 1.0))
     ok = ok and worst <= 1e-12
     _report(9, ok, f"path-3 prior {p:.4f} (= 2/3 by brute force); max |sum - 1| = {worst:.1e}")

@@ -276,10 +276,10 @@ class TestPredictBf:
         assert main(["predict-bf", *common, "--n", "20",
                      "--out", str(tmp_path / "bf.csv")]) == EXIT_OK
         assert enumerated == []
-        # dce-curve still needs the prior and builds the class once
+        # dce-curve needs the prior, which is counted without building the class
         assert main(["dce-curve", *common, "--n-max", "5",
                      "--out", str(tmp_path / "c.csv")]) == EXIT_OK
-        assert enumerated == [("1", "2", "3")]
+        assert enumerated == []
 
 
 class TestSimulate:
@@ -359,6 +359,43 @@ class TestUsageAndErrors:
         data = tmp_path / "d.csv"
         data.write_text("a,b\n1,2\n3\n")
         assert main(["plan", "--graph", str(graph), "--data", str(data)]) == EXIT_INPUT
+
+    def test_missing_data_column_is_input_error(self, tmp_path, capsys):
+        graph = tmp_path / "g.graph"
+        graph.write_text("a -- b\nb -- c\n")
+        data = tmp_path / "d.csv"
+        write_dataset(data, ["a", "b"], np.random.default_rng(44).standard_normal((20, 2)))
+        argv = ["--graph", str(graph), "--data", str(data), "--edge", "a,b", "--draws", "10"]
+        assert main(["dce-curve", *argv, "--n-max", "3"]) == EXIT_INPUT
+        assert main(["predict-bf", *argv, "--n", "3"]) == EXIT_INPUT
+        assert "missing columns: ['c']" in capsys.readouterr().err
+
+    def test_undecodable_files_are_input_errors(self, two_node_files, tmp_path):
+        graph, data = two_node_files
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe\x00\x81")
+        assert main(["plan", "--graph", str(binary), "--data", data]) == EXIT_INPUT
+        assert main(["plan", "--graph", graph, "--data", str(binary)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "-1"], ["--a-omega", "nan"], ["--a-omega", "inf"]]
+    )
+    def test_bad_seed_or_a_omega_is_usage_error(self, flag, two_node_files):
+        graph, data = two_node_files
+        assert main(["plan", "--graph", graph, "--data", data, *FAST, *flag]) == EXIT_USAGE
+        assert main(["simulate", "--draws", "10", "--n-max", "12", *flag]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("error", [KeyError("bug"), ValueError("bug")])
+    def test_internal_error_is_not_an_input_error(self, error, two_node_files, monkeypatch):
+        import causal_ssd.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_mod, "plan_cpdag", broken)
+        graph, data = two_node_files
+        with pytest.raises(type(error)):
+            main(["plan", "--graph", graph, "--data", data, *FAST])
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["plan", "--nope"]) == EXIT_USAGE

@@ -14,6 +14,7 @@ from causal_ssd.design import (
     best_size_optimal_sequence,
     is_sufficient,
     optimal_sequences,
+    orientation_counts,
     prior_h0,
 )
 from causal_ssd.graph import (
@@ -198,23 +199,46 @@ class TestPriorH0:
         rng = np.random.default_rng(13)
         for _ in range(20):
             g = random_chordal(rng, int(rng.integers(2, 9)))
-            dags = enumerate_class(g)
             for u, v in g.edges():
-                p_uv = prior_h0(g, u, v, dags=dags).p_h0
-                p_vu = prior_h0(g, v, u, dags=dags).p_h0
+                p_uv = prior_h0(g, u, v).p_h0
+                p_vu = prior_h0(g, v, u).p_h0
                 assert p_uv + p_vu == pytest.approx(1.0)
                 assert 0.0 < p_uv < 1.0
 
     def test_complete_graph_edges_half(self):
         nodes = ["1", "2", "3", "4"]
         g = UndirectedGraph(nodes, itertools.combinations(nodes, 2))
-        dags = enumerate_class(g)
         for u, v in g.edges():
-            assert prior_h0(g, u, v, dags=dags).p_h0 == pytest.approx(0.5)
+            assert prior_h0(g, u, v).p_h0 == pytest.approx(0.5)
 
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
             prior_h0(PATH3, "1", "3")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(connected_chordal_graphs(max_nodes=8))
+    def test_counts_match_enumeration_oracle(self, g):
+        dags = enumerate_class(g)
+        size, _ = orientation_counts(g)
+        assert size == len(dags)
+        for a, b in g.edges():
+            for u, v in ((a, b), (b, a)):
+                n_h0 = sum(1 for d in dags if d.has_edge(v, u))
+                assert prior_h0(g, u, v).p_h0 == n_h0 / len(dags)
+
+    def test_disconnected_class_is_product(self):
+        g = UndirectedGraph("12345", [("1", "2"), ("2", "3"), ("4", "5")])
+        size, arrows = orientation_counts(g)
+        assert size == len(enumerate_class(g)) == 6
+        assert arrows[("2", "1")] == 4
+        assert arrows[("4", "5")] == 3
+
+    def test_count_capacity_and_chordality_enforced(self):
+        with pytest.raises(CapacityError):
+            orientation_counts(PATH3, cap=2)
+        c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        with pytest.raises(NotDecomposableError):
+            prior_h0(c4, "a", "b")
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 """Tests for evidence probabilities, optimal sizes, and plan assembly."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence
-from causal_ssd.graph import Dag, PartiallyDirectedGraph, UndirectedGraph
+from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence, optimal_sequences
+from causal_ssd.graph import Dag, PartiallyDirectedGraph, UndirectedGraph, chain_components
 from causal_ssd.harness import DatasetMatrix, LinearSemSpec, generate_sem_data
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import InterventionDensity, build_design_posterior
@@ -339,8 +340,6 @@ class TestPlanCpdag:
         assert by_comp[("a", "b")].plans
 
     def test_capacity_error_reported_per_component(self):
-        import itertools
-
         big = [f"n{i}" for i in range(13)]
         cp = PartiallyDirectedGraph(
             big + ["x", "y"],
@@ -354,7 +353,7 @@ class TestPlanCpdag:
         assert by_size[13].error is not None
         assert by_size[2].error is None
 
-    def test_class_enumerated_once_per_component_without_closure(self, monkeypatch):
+    def test_class_never_enumerated_and_search_runs_no_closure(self, monkeypatch):
         import causal_ssd.design as design_mod
         import causal_ssd.graph as graph_mod
         import causal_ssd.ssd as ssd_mod
@@ -374,15 +373,45 @@ class TestPlanCpdag:
 
         for module in (graph_mod, design_mod, ssd_mod):
             monkeypatch.setattr(module, "enumerate_class", counting_enumerate)
-        for module in (graph_mod, design_mod):
-            monkeypatch.setattr(module, "meek_closure", counting_closure)
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         results = plan_cpdag(
             CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(15), n_max=150, draws=400
         )
         assert all(r.error is None for r in results)
-        assert sorted(enumerated) == [("1", "2", "3"), ("4", "5")]
+        assert enumerated == []
+        # the class count closes rooted patterns; the vertex-cover search does not
+        for module in (graph_mod, design_mod):
+            monkeypatch.setattr(module, "meek_closure", counting_closure)
+        for sub in chain_components(CHAIN5).subgraphs:
+            optimal_sequences(sub)
         assert closures == []
+
+    def test_ten_clique_prior_counted_without_enumeration(self, monkeypatch):
+        import causal_ssd.design as design_mod
+        import causal_ssd.graph as graph_mod
+        import causal_ssd.ssd as ssd_mod
+
+        def no_enumeration(g, *args, **kwargs):
+            raise AssertionError("the class must not be enumerated")
+
+        for module in (graph_mod, design_mod, ssd_mod):
+            monkeypatch.setattr(module, "enumerate_class", no_enumeration)
+        # the class has 10! = 3,628,800 members
+        nodes = [f"n{i}" for i in range(10)]
+        cp = PartiallyDirectedGraph(nodes, undirected=itertools.combinations(nodes, 2))
+        rng = np.random.default_rng(24)
+        data = DatasetMatrix(labels=tuple(nodes), values=rng.standard_normal((60, 10)))
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        (result,) = plan_cpdag(cp, data, th, stream=RandomStream(25), n_max=20, draws=200)
+        assert result.error is None
+        priors = {
+            r.edge: r.p_h0
+            for plan in result.plans
+            for edge_results in plan.edge_results.values()
+            for r in edge_results
+        }
+        assert len(priors) == 90
+        assert set(priors.values()) == {0.5}
 
     def test_plan_unchanged_under_matmul_wishart_oracle(self, monkeypatch):
         import causal_ssd.predictive as predictive_mod
