@@ -46,9 +46,7 @@ from causal_ssd.predictive import (
     DesignPosterior,
     InterventionDensity,
     BfPredictiveSample,
-    CholeskyPair,
     build_design_posterior,
-    derive_cholesky_pair,
     sample_bf_h0,
     prob_bf_band_h0,
     sample_bf_h1,

@@ -405,7 +405,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config)
         raise AssertionError(f"unknown command {args.command!r}")
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, FileExistsError, NotADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CsvParseError, GraphFormatError, InvalidChainGraphError, MissingColumnsError) as exc:

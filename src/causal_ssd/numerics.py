@@ -57,10 +57,13 @@ class WishartParams:
     has density proportional to |Q|^((a-T-1)/2) * exp(-tr(U Q)/2) and
     expectation a * U^{-1}.  Many references use the scale convention
     (expectation a * V); the rate U here corresponds to scale V = U^{-1}.
+    ``upper_factor`` is F = chol(U)^{-T}, upper triangular with F F^T =
+    U^{-1}, built from the Cholesky factor that validation computes.
     """
 
     df: float
     rate: np.ndarray
+    upper_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rate = np.array(self.rate, dtype=float)
@@ -72,16 +75,19 @@ class WishartParams:
             raise ValueError("rate must be symmetric")
         rate = 0.5 * (rate + rate.T)
         try:
-            np.linalg.cholesky(rate)
+            chol = np.linalg.cholesky(rate)
         except np.linalg.LinAlgError:
             raise ValueError("rate must be positive definite") from None
         df = float(self.df)
         t = rate.shape[0]
         if not math.isfinite(df) or df <= t - 1:
             raise ValueError(f"df must exceed T - 1 = {t - 1} for a proper law, got {df}")
+        factor = np.linalg.inv(chol).T
         rate.setflags(write=False)
+        factor.setflags(write=False)
         object.__setattr__(self, "df", df)
         object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "upper_factor", factor)
 
     @property
     def dim(self) -> int:
@@ -114,30 +120,6 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return float(_betainc(a, b, x))
 
 
-def sample_beta(stream: RandomStream, a: float, b: float, size: int | None = None):
-    """Draw from a Beta(a, b) law; returns a scalar or an array of ``size`` draws."""
-    a = _require_finite_positive("a", a)
-    b = _require_finite_positive("b", b)
-    draws = stream.generator().beta(a, b, size=size)
-    return float(draws) if size is None else draws
-
-
-def sample_gaussian(
-    stream: RandomStream, mean: float, sd: float, size: int | None = None
-):
-    """Draw from a normal law with the given mean and standard deviation.
-
-    A nonpositive ``sd`` is rejected: a degenerate interventional density
-    makes downstream correlation statistics undefined.
-    """
-    mean = float(mean)
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean!r}")
-    sd = _require_finite_positive("sd", sd)
-    draws = mean + sd * stream.generator().standard_normal(size=size)
-    return float(draws) if size is None else draws
-
-
 def sample_wishart(stream: RandomStream, params: WishartParams, size: int | None = None):
     """Draw symmetric positive-definite matrices from the Wishart law.
 
@@ -158,7 +140,7 @@ def sample_wishart(stream: RandomStream, params: WishartParams, size: int | None
     if n < 1:
         raise ValueError(f"size must be positive, got {size!r}")
     t = params.dim
-    factor = np.linalg.inv(np.linalg.cholesky(params.rate)).T.tolist()
+    factor = params.upper_factor.tolist()
     gen = stream.generator()
     bart = [[None] * t for _ in range(t)]  # bart[k][c] is set for c <= k
     for i in range(t):

@@ -12,7 +12,7 @@ interventional pairs are generated per draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -22,11 +22,10 @@ from causal_ssd.numerics import (
     RandomStream,
     WishartParams,
     regularized_incomplete_beta,
-    sample_wishart,
+    sample_wishart,  # noqa: F401  (no caller; bench/tracing.py wraps predictive.sample_wishart)
 )
 
 _ONE_BELOW_ONE = float(np.nextafter(1.0, 0.0))
-_PAIRS_BLOCK_VALUES = 4_000_000  # draws per block are capped to bound memory
 
 
 class InsufficientDataError(ValueError):
@@ -46,6 +45,7 @@ class DesignPosterior:
     df: float
     scatter: np.ndarray
     labels: tuple[str, ...]
+    _pair_params: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         scatter = np.array(self.scatter, dtype=float)
@@ -82,19 +82,23 @@ class DesignPosterior:
 
         Degrees of freedom drop by T - 2 (the conditioned-out coordinates);
         the rate is the (u, v) scatter block.  Ordering matters: v is the
-        regressed coordinate.
+        regressed coordinate.  Built once per ordered pair and kept.
         """
-        iu, iv = self.column_index(u), self.column_index(v)
-        if iu == iv:
-            raise ValueError("u and v must be distinct columns")
-        block = self.scatter[np.ix_((iu, iv), (iu, iv))]
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            raise InsufficientDataError(
-                f"scatter submatrix for ({u}, {v}) is singular"
-            ) from None
-        return WishartParams(self.df - (self.dim - 2), block)
+        key = (str(u), str(v))
+        params = self._pair_params.get(key)
+        if params is None:
+            iu, iv = self.column_index(u), self.column_index(v)
+            if iu == iv:
+                raise ValueError("u and v must be distinct columns")
+            block = self.scatter[np.ix_((iu, iv), (iu, iv))]
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                raise InsufficientDataError(
+                    f"scatter submatrix for ({u}, {v}) is singular"
+                ) from None
+            params = self._pair_params[key] = WishartParams(self.df - (self.dim - 2), block)
+        return params
 
 
 def build_design_posterior(
@@ -141,45 +145,6 @@ class InterventionDensity:
 
 
 @dataclass(frozen=True)
-class CholeskyPair:
-    """Regression reparameterization of a 2x2 covariance block.
-
-    ``l_uv`` is the (negated) regression coefficient of v on u under the
-    node-wise Cholesky convention, ``d_vv`` the positive conditional
-    variance; the sampling mean of X_v given X_u = x is -l_uv * x.
-    """
-
-    l_uv: float
-    d_vv: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.l_uv) and math.isfinite(self.d_vv)):
-            raise ValueError("Cholesky parameters must be finite")
-        if self.d_vv <= 0.0:
-            raise ValueError("conditional variance must be positive")
-
-
-def derive_cholesky_pair(sigma_2x2: np.ndarray) -> CholeskyPair:
-    """Cholesky parameters (L_uv, D_vv) of a 2x2 covariance matrix.
-
-    L_uv = -Sigma_uv / Sigma_uu and D_vv = Sigma_vv - Sigma_uv^2 / Sigma_uu,
-    the conditional variance of v given u.
-    """
-    sigma = np.asarray(sigma_2x2, dtype=float)
-    if sigma.shape != (2, 2):
-        raise ValueError("expected a 2x2 covariance matrix")
-    if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance must be positive definite") from None
-    l_uv = -sigma[0, 1] / sigma[0, 0]
-    d_vv = sigma[1, 1] - sigma[0, 1] ** 2 / sigma[0, 0]
-    return CholeskyPair(l_uv=float(l_uv), d_vv=float(d_vv))
-
-
-@dataclass(frozen=True)
 class BfPredictiveSample:
     """Tagged Bayes-factor draws under one hypothesis for one (edge, n)."""
 
@@ -206,11 +171,6 @@ class BfPredictiveSample:
         return float(np.mean((self.draws >= lo) & (self.draws <= hi)))
 
 
-def _bf_from_r2(r2: np.ndarray, n: int) -> np.ndarray:
-    r2 = np.clip(r2, 0.0, _ONE_BELOW_ONE)
-    return np.exp(log_g_of_n(n) + 0.5 * (n - 1) * np.log1p(-r2))
-
-
 def sample_bf_h0(n: int, draws: int, stream: RandomStream) -> BfPredictiveSample:
     """Exact predictive draws of the Bayes factor under H0.
 
@@ -233,10 +193,10 @@ def _h0_cdf_cut(c: float, n: int) -> float:
     """P(BF <= c | H0), exact."""
     if c <= 0.0:
         return 0.0
-    if math.isinf(c):
+    g = math.exp(log_g_of_n(n))
+    if c >= g:  # BF <= g(n) always; also keeps the power below from overflowing
         return 1.0
-    t = (c / math.exp(log_g_of_n(n))) ** (2.0 / (n - 1))
-    t = min(max(t, 0.0), 1.0)
+    t = (c / g) ** (2.0 / (n - 1))
     return regularized_incomplete_beta(t, (n - 1) / 2.0, 0.5)
 
 
@@ -256,22 +216,6 @@ def prob_bf_band_h0(lo: float, hi: float, n: int) -> float:
     return _h0_cdf_cut(hi, n) - _h0_cdf_cut(lo, n)
 
 
-def _pair_regression_draws(
-    posterior: DesignPosterior, u: str, v: str, draws: int, stream: RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw regression slope of v on u and conditional sd, from the posterior.
-
-    Draw the 2x2 conditional precision Q, invert, and reparameterize: the
-    slope is -L_uv = Sigma_uv / Sigma_uu = -Q_uv / Q_vv and the conditional
-    variance D_vv = 1 / Q_vv.
-    """
-    params = posterior.pair_precision_params(u, v)
-    q = sample_wishart(stream, params, size=int(draws))
-    slope = -q[:, 0, 1] / q[:, 1, 1]
-    sd = np.sqrt(1.0 / q[:, 1, 1])
-    return slope, sd
-
-
 def sample_bf_h1(
     posterior: DesignPosterior,
     u: str,
@@ -280,22 +224,25 @@ def sample_bf_h1(
     n: int,
     draws: int,
     stream: RandomStream,
-    method: str = "scatter",
 ) -> BfPredictiveSample:
     """Monte Carlo predictive draws of the Bayes factor under H1.
 
-    Per draw: sample the 2x2 conditional precision from the design posterior,
-    derive the regression slope and conditional variance, generate n
-    interventional pairs (x_u from ``f_u``, x_v Gaussian around slope * x_u),
-    and evaluate r^2 and the closed-form Bayes factor.
+    Per draw: sample the 2x2 conditional precision Q from the design
+    posterior, derive the regression slope -Q_uv / Q_vv of v on u and the
+    conditional sd sqrt(1 / Q_vv), then draw the trivariate sufficient
+    statistic of the n interventional pairs directly (sum x_u^2 is a scaled
+    (noncentral) chi-square, the cross term is conditionally Gaussian, the
+    residual sum of squares a chi-square with n-1 degrees of freedom) and
+    evaluate r^2 and the closed-form Bayes factor.  This is exact in
+    distribution for the Gaussian interventional family and costs O(1) per
+    draw instead of O(n).
 
-    ``method='pairs'`` simulates the n pairs explicitly.  The default
-    ``method='scatter'`` draws the trivariate sufficient statistic of the
-    pair scatter directly (sum x_u^2 is a scaled (noncentral) chi-square, the
-    cross term is conditionally Gaussian, the residual sum of squares a
-    chi-square with n-1 degrees of freedom), which is exact in distribution
-    for the Gaussian interventional family and costs O(1) per draw instead
-    of O(n).  The two methods consume different substreams.
+    The precision is drawn as ``numerics.sample_wishart`` draws it, from
+    ``stream.child(0)`` in the same order (the Bartlett entries b00, b11,
+    b10), and the scatter from ``stream.child(1)``; Q_uu is never formed.
+    All arithmetic runs in place in a few arrays of ``draws`` entries, and
+    a chi-square(k) draw is taken as twice a standard gamma(k / 2) draw,
+    which is how numpy computes it.
     """
     n = int(n)
     if n < 2:
@@ -303,40 +250,73 @@ def sample_bf_h1(
     draws = int(draws)
     if draws < 1:
         raise ValueError("draws must be positive")
-    if method not in ("scatter", "pairs"):
-        raise ValueError(f"unknown method {method!r}")
+    params = posterior.pair_precision_params(u, v)
+    (f00, f01), (_, f11) = params.upper_factor.tolist()
+    a, b, c, d, e, f = np.empty((6, draws))
+    bf = np.empty(draws)
 
-    slope, cond_sd = _pair_regression_draws(posterior, u, v, draws, stream.child(0))
+    # Bartlett entries of the precision draw, then M = F B entry by entry
+    gen = stream.child(0).generator()
+    np.sqrt(_chisquare(gen, params.df, a), out=a)  # b00
+    np.sqrt(_chisquare(gen, params.df - 1.0, b), out=b)  # b11
+    gen.standard_normal(out=c)  # b10
+    a *= f00
+    np.multiply(c, f01, out=d)
+    a += d  # m00
+    np.multiply(b, f01, out=d)  # m01
+    c *= f11  # m10
+    b *= f11  # m11
+    # q_uv = m10 m00 + m11 m01 and q_vv = m10^2 + m11^2
+    a *= c
+    d *= b
+    a += d
+    c *= c
+    b *= b
+    c += b
+    slope = np.negative(np.divide(a, c, out=a), out=a)
+    cond_sd = np.sqrt(np.divide(1.0, c, out=c), out=c)
 
-    if method == "scatter":
-        gen = stream.child(1).generator()
-        if f_u.mean == 0.0:
-            uu = f_u.sd**2 * gen.chisquare(n, size=draws)
-        else:
-            nonc = n * (f_u.mean / f_u.sd) ** 2
-            uu = f_u.sd**2 * gen.noncentral_chisquare(n, nonc, size=draws)
-        z = gen.standard_normal(size=draws)
-        resid = gen.chisquare(n - 1, size=draws)
-        ue = np.sqrt(uu) * z
-        ee = z * z + resid
-        uv = slope * uu + cond_sd * ue
-        vv = slope**2 * uu + 2.0 * slope * cond_sd * ue + cond_sd**2 * ee
-        r2 = uv * uv / (uu * vv)
-        bf = _bf_from_r2(r2, n)
+    # sufficient statistic of the n interventional pairs
+    gen = stream.child(1).generator()
+    uu = b
+    if f_u.mean == 0.0:
+        _chisquare(gen, n, uu)
     else:
-        gen = stream.child(2).generator()
-        block = max(1, _PAIRS_BLOCK_VALUES // n)
-        parts = []
-        for start in range(0, draws, block):
-            stop = min(start + block, draws)
-            m = slope[start:stop, None]
-            s = cond_sd[start:stop, None]
-            x_u = f_u.mean + f_u.sd * gen.standard_normal(size=(stop - start, n))
-            x_v = m * x_u + s * gen.standard_normal(size=(stop - start, n))
-            uu = np.einsum("ij,ij->i", x_u, x_u)
-            uv = np.einsum("ij,ij->i", x_u, x_v)
-            vv = np.einsum("ij,ij->i", x_v, x_v)
-            parts.append(_bf_from_r2(uv * uv / (uu * vv), n))
-        bf = np.concatenate(parts)
-
+        nonc = n * (f_u.mean / f_u.sd) ** 2
+        uu[:] = gen.noncentral_chisquare(n, nonc, size=draws)
+    uu *= f_u.sd**2
+    z = gen.standard_normal(out=d)
+    resid = _chisquare(gen, n - 1, bf)
+    ue = np.sqrt(uu, out=e)
+    ue *= z
+    ee = np.multiply(z, z, out=d)
+    ee += resid
+    uv = np.multiply(slope, uu, out=bf)
+    uv += np.multiply(cond_sd, ue, out=f)
+    # vv = slope^2 uu + 2 slope sd ue + sd^2 ee, summed left to right
+    cross = np.multiply(2.0, slope, out=f)
+    cross *= cond_sd
+    cross *= ue
+    vv = np.square(slope, out=e)
+    vv *= uu
+    vv += cross
+    sd2_ee = np.square(cond_sd, out=c)
+    sd2_ee *= ee
+    vv += sd2_ee
+    # r^2 = uv^2 / (uu vv), then the Bayes factor
+    r2 = np.multiply(uv, uv, out=bf)
+    r2 /= np.multiply(uu, vv, out=b)
+    np.clip(r2, 0.0, _ONE_BELOW_ONE, out=r2)
+    np.negative(r2, out=r2)
+    np.log1p(r2, out=r2)
+    r2 *= 0.5 * (n - 1)
+    r2 += log_g_of_n(n)
+    np.exp(r2, out=bf)
     return BfPredictiveSample(hypothesis="H1", n=n, draws=bf, stream=stream)
+
+
+def _chisquare(gen: np.random.Generator, df: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with chi-square(df) draws, bitwise as ``gen.chisquare(df)``."""
+    gen.standard_gamma(df / 2.0, out=out)
+    out *= 2.0
+    return out

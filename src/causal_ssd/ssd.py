@@ -19,6 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from causal_ssd.design import (
     EdgeHypothesisPrior,
     InterventionSequence,
@@ -110,8 +112,8 @@ def h1_band_probabilities(
 ) -> tuple[float, float, float]:
     """Empirical (decisive, inconclusive, misleading) probabilities under H1."""
     draws = sample.draws
-    p1_dc = float((draws <= 1.0 / thresholds.k1).mean())
-    p1_mis = float((draws >= thresholds.k0).mean())
+    p1_dc = float(np.count_nonzero(draws <= 1.0 / thresholds.k1) / draws.size)
+    p1_mis = float(np.count_nonzero(draws >= thresholds.k0) / draws.size)
     p1_inc = 1.0 - p1_dc - p1_mis
     return p1_dc, p1_inc, p1_mis
 

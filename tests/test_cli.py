@@ -397,6 +397,30 @@ class TestUsageAndErrors:
         with pytest.raises(type(error)):
             main(["plan", "--graph", graph, "--data", data, *FAST])
 
+    def test_out_path_under_a_file_is_input_error(self, two_node_files, tmp_path):
+        graph, data = two_node_files
+        for out in (os.path.join(data, "plan.json"), os.path.join(data, "sub", "plan.json")):
+            proc = run_cli("plan", "--graph", graph, "--data", data, "--out", out, *FAST)
+            assert proc.returncode == EXIT_INPUT, proc.stderr
+            assert "input error:" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_simulate_out_on_a_file_is_input_error(self, two_node_files):
+        _, data = two_node_files
+        proc = run_cli("simulate", "--draws", "10", "--n-max", "12", "--out", data)
+        assert proc.returncode == EXIT_INPUT, proc.stderr
+        assert "input error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_thresholds_are_not_achievable_without_traceback(self, two_node_files, tmp_path):
+        graph, data = two_node_files
+        proc = run_cli(
+            "plan", "--graph", graph, "--data", data, "--out", str(tmp_path / "plan.json"),
+            *FAST, "--k0", "1e308", "--k1", "1e308",
+        )
+        assert proc.returncode == EXIT_NOT_ACHIEVABLE, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["plan", "--nope"]) == EXIT_USAGE
 
@@ -425,3 +449,39 @@ class TestUsageAndErrors:
         proc = run_cli("plan", "--graph", graph, "--data", data, "--out", str(out), *FAST)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()
+
+
+def third_party_packages_loaded_by(statement):
+    """Top-level packages from outside the standard library that a fresh
+    interpreter loads to run ``statement``."""
+    code = (
+        "import os, sys, sysconfig\n"
+        "stdlib = [os.path.realpath(sysconfig.get_paths()[k]) for k in ('stdlib', 'platstdlib')]\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "def third_party(name):\n"
+        "    path = getattr(sys.modules.get(name), '__file__', None)\n"
+        "    if not path or name in sys.stdlib_module_names:\n"
+        "        return False\n"
+        "    path = os.path.realpath(path)\n"
+        "    return 'site-packages' in path.split(os.sep) or not any(\n"
+        "        path.startswith(d + os.sep) for d in stdlib)\n"
+        "print(' '.join(sorted(t for t in tops if third_party(t))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(causal_ssd.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_third_party_package_beyond_numpy_and_scipy():
+    # guards the set-up time of every command against new heavy imports;
+    # what numpy and scipy.special load on their own is theirs
+    dependencies = third_party_packages_loaded_by("import numpy, scipy.special")
+    assert {"numpy", "scipy"} <= dependencies
+    loaded = third_party_packages_loaded_by("import causal_ssd.cli")
+    assert loaded - dependencies == {"causal_ssd"}, sorted(loaded - dependencies)

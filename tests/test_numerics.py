@@ -5,15 +5,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
 
 from causal_ssd.numerics import (
     RandomStream,
     WishartParams,
     log_gamma,
     regularized_incomplete_beta,
-    sample_beta,
-    sample_gaussian,
     sample_wishart,
 )
 
@@ -106,54 +103,15 @@ class TestRegularizedIncompleteBeta:
             regularized_incomplete_beta(0.5, 1.0, -2.0)
 
 
-class TestSampleBeta:
-    def test_mean_matches_beta_identity(self):
-        # Beta(1/2, 24.5) has mean 1/50
-        draws = sample_beta(RandomStream(11), 0.5, 24.5, size=100_000)
-        assert np.mean(draws) == pytest.approx(0.02, abs=0.002)
-
-    def test_uniform_case_ks(self):
-        draws = sample_beta(RandomStream(12), 1.0, 1.0, size=20_000)
-        assert stats.kstest(draws, "uniform").pvalue > 0.01
-
-    def test_cdf_matches_incomplete_beta(self):
-        # n = 10 evidence-band shape, CDF callback is the function under test
-        draws = sample_beta(RandomStream(13), 0.5, 4.5, size=20_000)
-        res = stats.kstest(draws, lambda q: np.vectorize(regularized_incomplete_beta)(q, 0.5, 4.5))
-        assert res.pvalue > 0.01
-
-    def test_agrees_with_cdf_inversion(self):
-        # two-gamma style sampler vs inversion of the regularized beta CDF
-        from scipy.special import betaincinv
-
-        a, b = 2.5, 7.0
-        direct = sample_beta(RandomStream(16), a, b, size=10_000)
-        u = RandomStream(17).generator().uniform(size=10_000)
-        inverted = betaincinv(a, b, u)
-        assert stats.ks_2samp(direct, inverted).pvalue > 0.01
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            sample_beta(RandomStream(1), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            sample_beta(RandomStream(1), 1.0, -1.0)
-
-
-class TestSampleGaussian:
-    def test_moments(self):
-        draws = sample_gaussian(RandomStream(21), 0.0, 1.0, size=100_000)
-        assert np.mean(draws) == pytest.approx(0.0, abs=0.01)
-        assert np.var(draws) == pytest.approx(1.0, abs=0.02)
-        shifted = sample_gaussian(RandomStream(22), 3.0, 2.0, size=100_000)
-        assert np.mean(shifted) == pytest.approx(3.0, abs=0.02)
-
-    @pytest.mark.parametrize("bad_sd", [0.0, -1.0, math.nan])
-    def test_degenerate_sd_rejected(self, bad_sd):
-        with pytest.raises(ValueError):
-            sample_gaussian(RandomStream(1), 0.0, bad_sd)
-
-
 class TestWishartParams:
+    def test_keeps_the_bartlett_factor(self):
+        u = np.array([[2.0, 0.6], [0.6, 1.5]])
+        f = WishartParams(7.0, u).upper_factor
+        np.testing.assert_array_equal(f, np.linalg.inv(np.linalg.cholesky(u)).T)
+        np.testing.assert_allclose(f @ f.T, np.linalg.inv(u), rtol=1e-12)
+        assert abs(f[1, 0]) <= 1e-15 * abs(f).max()
+        assert not f.flags.writeable
+
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError):
             WishartParams(5.0, np.array([[1.0, 2.0], [2.0, 1.0]]))

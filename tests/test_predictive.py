@@ -8,20 +8,24 @@ import pytest
 from scipy import stats
 
 from causal_ssd.bayes import g_of_n
-from causal_ssd.numerics import RandomStream, regularized_incomplete_beta
+from causal_ssd.numerics import RandomStream, regularized_incomplete_beta, sample_wishart
 from causal_ssd.predictive import (
     BfPredictiveSample,
-    CholeskyPair,
     InsufficientDataError,
     InterventionDensity,
     build_design_posterior,
-    derive_cholesky_pair,
     prob_bf_band_h0,
     sample_bf_h0,
     sample_bf_h1,
 )
 
-from helpers import matmul_sample_wishart
+from helpers import (
+    CholeskyPair,
+    derive_cholesky_pair,
+    matmul_sample_wishart,
+    pairs_sample_bf_h1,
+    reference_sample_bf_h1,
+)
 
 
 def observational_data(seed, n_rows=50, beta=0.5):
@@ -66,6 +70,17 @@ class TestBuildDesignPosterior:
             build_design_posterior(z, 0.0)
 
 
+class TestInterventionDensity:
+    @pytest.mark.parametrize("bad_sd", [0.0, -1.0, math.nan, math.inf])
+    def test_degenerate_sd_rejected(self, bad_sd):
+        with pytest.raises(ValueError):
+            InterventionDensity(mean=0.0, sd=bad_sd)
+
+    def test_non_finite_mean_rejected(self):
+        with pytest.raises(ValueError):
+            InterventionDensity(mean=math.nan)
+
+
 class TestDeriveCholeskyPair:
     def test_identity(self):
         pair = derive_cholesky_pair(np.eye(2))
@@ -100,6 +115,18 @@ class TestDeriveCholeskyPair:
             derive_cholesky_pair(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError):
             CholeskyPair(l_uv=0.0, d_vv=0.0)
+
+    def test_sampler_slope_and_sd_match_the_oracle(self):
+        # the sampler reads the slope as -Q_uv / Q_vv and the conditional sd
+        # as sqrt(1 / Q_vv) off a precision draw Q; the oracle derives them
+        # from the covariance Q^{-1}
+        post = two_node_posterior(2)
+        params = post.pair_precision_params("u", "v")
+        for q in sample_wishart(RandomStream(4), params, size=20):
+            slope, sd = -q[0, 1] / q[1, 1], math.sqrt(1.0 / q[1, 1])
+            pair = derive_cholesky_pair(np.linalg.inv(q))
+            assert slope == pytest.approx(-pair.l_uv, rel=1e-12)
+            assert sd**2 == pytest.approx(pair.d_vv, rel=1e-12)
 
 
 class TestSampleBfH0:
@@ -165,6 +192,12 @@ class TestProbBfBandH0:
             se = math.sqrt(exact * (1 - exact) / draws)
             assert abs(emp - exact) <= 3 * se
 
+    def test_threshold_above_ceiling_does_not_overflow(self):
+        # (c / g(n))^(2 / (n - 1)) overflows for c near the float maximum
+        for n in (2, 10, 1000):
+            assert prob_bf_band_h0(1e308, math.inf, n) == 0.0
+            assert prob_bf_band_h0(0.0, 1e308, n) == 1.0
+
     def test_bad_band_rejected(self):
         with pytest.raises(ValueError):
             prob_bf_band_h0(3.0, 3.0, 10)
@@ -186,22 +219,49 @@ class TestSampleBfH1:
         assert p[100] == pytest.approx(0.962, abs=0.08)
         assert p[100] > p[50]
 
-    def test_matches_draws_from_matmul_oracle(self, monkeypatch):
-        import causal_ssd.predictive as predictive_mod
+    @pytest.mark.parametrize("draws", [1, 7, 10_000])
+    def test_bit_identical_to_reference(self, draws):
+        # the in-place kernel repeats the reference's floating-point
+        # operations in the same order on the same variates
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((40, 3))
+        z[:, 1] += 0.7 * z[:, 0]
+        post = build_design_posterior(z, 1.0, labels=("a", "b", "c"))
+        densities = [InterventionDensity(0.0, 1.0), InterventionDensity(0.0, 2.3),
+                     InterventionDensity(0.7, 1.3)]
+        for u, v in (("a", "b"), ("b", "a")):
+            for n in (2, 3, 57, 660, 1000):
+                for f_u in densities:
+                    stream = RandomStream(14, (n, 1))
+                    got = sample_bf_h1(post, u, v, f_u, n, draws, stream)
+                    want = reference_sample_bf_h1(post, u, v, f_u, n, draws, stream)
+                    assert np.array_equal(got.draws, want), (u, v, n, f_u)
 
+    def test_chisquare_is_twice_standard_gamma(self):
+        # the kernel draws chi-square(k) as 2 * standard_gamma(k / 2) with out=
+        for df in (1.0, 2.0, 2.5, 50.0, 51.0, 999.0, 1000.0, 1e4 + 1.0):
+            want = RandomStream(15).generator().chisquare(df, size=5000)
+            got = np.empty(5000)
+            RandomStream(15).generator().standard_gamma(df / 2.0, out=got)
+            got *= 2.0
+            assert np.array_equal(got, want), df
+
+    def test_matches_draws_from_matmul_oracle(self):
         post = two_node_posterior(11)
         stream = RandomStream(12, (0, 1))
-        got = sample_bf_h1(post, "u", "v", InterventionDensity(), 60, 5000, stream)
-        monkeypatch.setattr(predictive_mod, "sample_wishart", matmul_sample_wishart)
-        want = sample_bf_h1(post, "u", "v", InterventionDensity(), 60, 5000, stream)
-        np.testing.assert_allclose(got.draws, want.draws, rtol=1e-12)
+        f_u = InterventionDensity()
+        got = sample_bf_h1(post, "u", "v", f_u, 60, 5000, stream)
+        want = reference_sample_bf_h1(
+            post, "u", "v", f_u, 60, 5000, stream, wishart=matmul_sample_wishart
+        )
+        np.testing.assert_allclose(got.draws, want, rtol=1e-12)
 
     def test_scatter_and_pairs_methods_agree(self):
         posterior = two_node_posterior(4)
         for f_u in (InterventionDensity(), InterventionDensity(mean=3.0, sd=2.0)):
-            a = sample_bf_h1(posterior, "u", "v", f_u, 20, 8000, RandomStream(21), method="scatter")
-            b = sample_bf_h1(posterior, "u", "v", f_u, 20, 8000, RandomStream(22), method="pairs")
-            assert stats.ks_2samp(a.draws, b.draws).pvalue > 0.01
+            a = sample_bf_h1(posterior, "u", "v", f_u, 20, 8000, RandomStream(21))
+            b = pairs_sample_bf_h1(posterior, "u", "v", f_u, 20, 8000, RandomStream(22))
+            assert stats.ks_2samp(a.draws, b).pvalue > 0.01
 
     def test_limiting_case_approaches_h0_law(self):
         # independent columns and a huge observational sample concentrate the

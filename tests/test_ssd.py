@@ -10,7 +10,7 @@ from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence, optimal
 from causal_ssd.graph import Dag, PartiallyDirectedGraph, UndirectedGraph, chain_components
 from causal_ssd.harness import DatasetMatrix, LinearSemSpec, generate_sem_data
 from causal_ssd.numerics import RandomStream
-from causal_ssd.predictive import InterventionDensity, build_design_posterior
+from causal_ssd.predictive import BfPredictiveSample, InterventionDensity, build_design_posterior
 from causal_ssd.ssd import (
     DceThresholds,
     EdgeSsdResult,
@@ -23,7 +23,7 @@ from causal_ssd.ssd import (
     plan_sequence,
 )
 
-from helpers import CHAIN5, matmul_sample_wishart
+from helpers import CHAIN5, matmul_sample_wishart, reference_sample_bf_h1
 
 F_U = InterventionDensity()
 HALF = EdgeHypothesisPrior(u="u", v="v", p_h0=0.5, p_h1=0.5)
@@ -163,6 +163,31 @@ class TestOptimalNEdge:
             "u", "v", th, res.n_star, HALF, post, F_U, 800, RandomStream(8).child(res.n_star)
         )
         assert res.dce_at_n_star.to_dict() == fresh.to_dict()
+
+    def test_pair_parameters_built_once_per_scan(self, monkeypatch):
+        import causal_ssd.predictive as predictive_mod
+        import causal_ssd.ssd as ssd_mod
+
+        built, evaluated = [], []
+        real_params, real_sample = predictive_mod.WishartParams, ssd_mod.sample_bf_h1
+
+        def counting_params(df, rate):
+            built.append(df)
+            return real_params(df, rate)
+
+        def counting_sample(*args):
+            evaluated.append(args[4])
+            return real_sample(*args)
+
+        monkeypatch.setattr(predictive_mod, "WishartParams", counting_params)
+        monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        res = optimal_n_edge(
+            "u", "v", th, HALF, two_node_posterior(), F_U, n_max=60, draws=200,
+            stream=RandomStream(8),
+        )
+        assert res.achieved and len(evaluated) > 5
+        assert len(built) == 1
 
     def test_not_achievable_marker(self):
         th = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
@@ -414,12 +439,18 @@ class TestPlanCpdag:
         assert set(priors.values()) == {0.5}
 
     def test_plan_unchanged_under_matmul_wishart_oracle(self, monkeypatch):
-        import causal_ssd.predictive as predictive_mod
+        import causal_ssd.ssd as ssd_mod
+
+        def oracle_sample_bf_h1(posterior, u, v, f_u, n, draws, stream):
+            bf = reference_sample_bf_h1(
+                posterior, u, v, f_u, n, draws, stream, wishart=matmul_sample_wishart
+            )
+            return BfPredictiveSample(hypothesis="H1", n=n, draws=bf, stream=stream)
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         kwargs = dict(f_u=F_U, stream=RandomStream(23), n_max=300, draws=2000)
         fast = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
-        monkeypatch.setattr(predictive_mod, "sample_wishart", matmul_sample_wishart)
+        monkeypatch.setattr(ssd_mod, "sample_bf_h1", oracle_sample_bf_h1)
         oracle = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
         assert all(r.error is None and r.feasible for r in fast)
         assert [r.to_dict() for r in fast] == [r.to_dict() for r in oracle]
