@@ -14,10 +14,8 @@ from causal_ssd.graph import (
     Dag,
     PartiallyDirectedGraph,
     ChainComponentDecomposition,
-    CliqueSequence,
     chain_components,
     is_decomposable,
-    perfect_clique_sequence,
     enumerate_class,
     meek_closure,
     dag_to_cpdag,
@@ -60,7 +58,6 @@ from causal_ssd.ssd import (
     dce_probabilities,
     optimal_n_edge,
     optimal_n_node,
-    plan_sequence,
     plan_cpdag,
 )
 from causal_ssd.harness import (

@@ -53,8 +53,9 @@ from causal_ssd.predictive import (
 )
 from causal_ssd.ssd import (
     DceThresholds,
-    build_design_posterior_from,
-    combine_dce,
+    component_posterior,
+    dce_probabilities,
+    edge_stream,
     plan_cpdag,
 )
 
@@ -303,38 +304,32 @@ def cmd_plan(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _edge_context(config: RunConfig, graph, data):
-    """Resolve the component subgraph, posterior and substream of one edge."""
-    u, v = config.edge
+def _edge_component(graph, u: str, v: str):
+    """Index, nodes and subgraph of the chain component holding the edge u - v."""
     if not graph.has_undirected_edge(u, v):
         raise GraphFormatError(f"edge {u}-{v} is not an undirected edge of the graph")
     decomposition = chain_components(graph)
-    ci, comp, sub = next(
+    return next(
         (ci, comp, sub)
         for ci, (comp, sub) in enumerate(zip(decomposition.components, decomposition.subgraphs))
         if u in comp
     )
-    restricted = data.restrict(comp)
-    a_comp = float(len(comp) - 1) if config.a_omega is None else config.a_omega
-    posterior = build_design_posterior_from(restricted, a_comp)
-    index = {node: i for i, node in enumerate(sub.nodes)}
-    edge_stream = config.stream().child(ci, index[u], index[v])
-    return sub, posterior, edge_stream
 
 
 def cmd_dce_curve(config: RunConfig) -> int:
     graph, data = _load_inputs(config)
-    sub, posterior, edge_stream = _edge_context(config, graph, data)
     u, v = config.edge
+    ci, comp, sub = _edge_component(graph, u, v)
+    posterior = component_posterior(data, comp, config.a_omega)
+    stream = edge_stream(config.stream(), ci, comp, u, v)
     prior = prior_h0(sub, u, v)
     thresholds = config.thresholds()
     f_u = config.intervention()
     rows = []
     for n in range(2, config.n_max + 1):
-        sample = sample_bf_h1(
-            posterior, u, v, f_u, n, config.draws, edge_stream.child(n)
+        dce = dce_probabilities(
+            u, v, thresholds, n, prior, posterior, f_u, config.draws, stream.child(n)
         )
-        dce = combine_dce(thresholds, n, prior, sample)
         rows.append(
             {
                 "n": n,
@@ -350,13 +345,14 @@ def cmd_dce_curve(config: RunConfig) -> int:
 
 def cmd_predict_bf(config: RunConfig) -> int:
     graph, data = _load_inputs(config)
-    _, posterior, edge_stream = _edge_context(config, graph, data)
     u, v = config.edge
+    ci, comp, _ = _edge_component(graph, u, v)
+    posterior = component_posterior(data, comp, config.a_omega)
+    stream = edge_stream(config.stream(), ci, comp, u, v)
     h1 = sample_bf_h1(
-        posterior, u, v, config.intervention(), config.n, config.draws,
-        edge_stream.child(config.n),
+        posterior, u, v, config.intervention(), config.n, config.draws, stream.child(config.n)
     )
-    h0 = sample_bf_h0(config.n, config.draws, edge_stream.child(config.n, 3))
+    h0 = sample_bf_h0(config.n, config.draws, stream.child(config.n, 3))
     _emit(_config_comment(config) + bf_samples_csv([h0, h1]), config.out_path)
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Graph structures and algorithms for chain graphs and equivalence classes.
 
 Provides chain-component decomposition of partially directed graphs,
-decomposability (chordality) testing, perfect clique sequences, enumeration
-of the acyclic v-structure-free orientations of a decomposable graph,
-orientation closure under the four standard propagation rules, and the
-DAG-to-essential-graph conversion.
+decomposability (chordality) testing, enumeration of the acyclic
+v-structure-free orientations of a decomposable graph, orientation closure
+under the four standard propagation rules, and the DAG-to-essential-graph
+conversion.
 
 Node labels are strings; every structure stores them sorted, so iteration
 order (and therefore file output) is deterministic.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 ENUMERATION_CAP = 12
@@ -108,19 +108,6 @@ class UndirectedGraph:
         return UndirectedGraph(
             keep, [e for e in self._edges if e[0] in keep and e[1] in keep]
         )
-
-    def is_connected(self) -> bool:
-        if not self._nodes:
-            return True
-        seen = {self._nodes[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self._nodes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
@@ -340,29 +327,6 @@ class ChainComponentDecomposition:
     components: tuple[tuple[str, ...], ...]
     subgraphs: tuple[UndirectedGraph, ...]
 
-    def component_of(self, node) -> tuple[str, ...]:
-        n = str(node)
-        for comp in self.components:
-            if n in comp:
-                return comp
-        raise KeyError(n)
-
-
-@dataclass(frozen=True)
-class CliqueSequence:
-    """Perfect clique sequence with histories, separators and residuals.
-
-    Invariants: H_k is the union of the first k cliques, S_k = C_k intersect
-    H_{k-1}, R_k = C_k minus H_{k-1}; residuals are pairwise disjoint and,
-    together with C_1, cover the vertex set; each separator is contained in
-    some earlier clique (running intersection property).
-    """
-
-    cliques: tuple[frozenset[str], ...]
-    histories: tuple[frozenset[str], ...] = field(repr=False)
-    separators: tuple[frozenset[str], ...]
-    residuals: tuple[frozenset[str], ...]
-
 
 def chain_components(g: PartiallyDirectedGraph) -> ChainComponentDecomposition:
     """Decompose a chain graph into the connected components of its undirected part.
@@ -459,87 +423,6 @@ def is_decomposable(g: UndirectedGraph) -> bool:
             if w != pivot and not g.has_edge(w, pivot):
                 return False
     return True
-
-
-def _maximal_cliques(g: UndirectedGraph) -> list[frozenset[str]]:
-    """Maximal cliques of a chordal graph, from the MCS elimination structure."""
-    order = _mcs_order(g)
-    rank = {n: i for i, n in enumerate(order)}
-    candidates = []
-    for v in order:
-        earlier = frozenset(w for w in g.neighbors(v) if rank[w] < rank[v])
-        candidates.append(frozenset({v}) | earlier)
-    maximal = [c for c in candidates if not any(c < other for other in candidates)]
-    out: list[frozenset[str]] = []
-    for c in maximal:
-        if c not in out:
-            out.append(c)
-    return out
-
-
-def perfect_clique_sequence(
-    g: UndirectedGraph, first_edge: tuple[str, str] | None = None
-) -> CliqueSequence:
-    """Perfect sequence of the maximal cliques of a connected decomposable graph.
-
-    When ``first_edge`` is given, the sequence starts at a clique containing
-    that edge (one always exists for an edge of the graph).  The sequence is
-    an order of a clique tree, so the running intersection property holds.
-    """
-    if g.num_nodes() == 0:
-        raise ValueError("empty graph has no clique sequence")
-    if not g.is_connected():
-        raise ValueError("perfect clique sequence requires a connected graph")
-    if not is_decomposable(g):
-        raise NotDecomposableError("graph is not decomposable")
-    cliques = _maximal_cliques(g)
-
-    root_idx = 0
-    if first_edge is not None:
-        u, v = str(first_edge[0]), str(first_edge[1])
-        if not g.has_edge(u, v):
-            raise ValueError(f"designated edge {u}-{v} is not an edge of the graph")
-        root_idx = next(i for i, c in enumerate(cliques) if u in c and v in c)
-
-    # maximum-weight spanning tree over clique intersections (Prim), then a
-    # root-first traversal; for chordal graphs this realizes a clique tree.
-    n = len(cliques)
-    in_tree = {root_idx}
-    sequence = [cliques[root_idx]]
-    while len(in_tree) < n:
-        best_w, best_j = -1, -1
-        for j in range(n):
-            if j in in_tree:
-                continue
-            w = max(len(cliques[j] & cliques[i]) for i in in_tree)
-            if w > best_w:
-                best_w, best_j = w, j
-        in_tree.add(best_j)
-        sequence.append(cliques[best_j])
-
-    histories: list[frozenset[str]] = []
-    separators: list[frozenset[str]] = []
-    residuals: list[frozenset[str]] = []
-    running: frozenset[str] = frozenset()
-    for k, c in enumerate(sequence):
-        if k == 0:
-            separators.append(frozenset())
-            residuals.append(c)
-            running = c
-        else:
-            sep = c & running
-            if not any(sep <= earlier for earlier in sequence[:k]):
-                raise NotDecomposableError("running intersection property violated")
-            separators.append(sep)
-            residuals.append(c - running)
-            running = running | c
-        histories.append(running)
-    return CliqueSequence(
-        cliques=tuple(sequence),
-        histories=tuple(histories),
-        separators=tuple(separators),
-        residuals=tuple(residuals),
-    )
 
 
 def enumerate_class(g: UndirectedGraph, cap: int = ENUMERATION_CAP) -> list[Dag]:

@@ -15,6 +15,7 @@ therefore the returned optimal n, is reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -24,6 +25,8 @@ import numpy as np
 from causal_ssd.design import (
     EdgeHypothesisPrior,
     InterventionSequence,
+    NoFeasibleSequenceError,
+    best_size_optimal_sequence,
     optimal_sequences,
     prior_h0,
 )
@@ -32,7 +35,6 @@ from causal_ssd.graph import (
     ENUMERATION_CAP,
     NotDecomposableError,
     PartiallyDirectedGraph,
-    UndirectedGraph,
     chain_components,
     enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps ssd.enumerate_class)
 )
@@ -42,6 +44,7 @@ from causal_ssd.predictive import (
     DesignPosterior,
     InsufficientDataError,
     InterventionDensity,
+    build_design_posterior,
     prob_bf_band_h0,
     sample_bf_h1,
 )
@@ -122,16 +125,6 @@ def _binomial_se(p: float, draws: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / draws)
 
 
-def combine_dce(
-    thresholds: DceThresholds,
-    n: int,
-    prior: EdgeHypothesisPrior,
-    h1_sample: BfPredictiveSample,
-) -> DceProbabilities:
-    """Assemble the evidence probabilities from an existing H1 sample."""
-    return _assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, h1_sample)
-
-
 def _assemble_dce(
     h0_bands: tuple[float, float, float],
     thresholds: DceThresholds,
@@ -175,7 +168,7 @@ def dce_probabilities(
 ) -> DceProbabilities:
     """Evidence probabilities for manipulating u and testing the edge u - v."""
     sample = sample_bf_h1(posterior, u, v, f_u, n, draws, stream)
-    return combine_dce(thresholds, n, prior, sample)
+    return _assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
 
 
 @dataclass(frozen=True)
@@ -322,10 +315,7 @@ def _assemble_plan(
     edge_results: dict[str, tuple[EdgeSsdResult, ...]],
 ) -> InterventionPlan:
     """Plan of one sequence from the edge results of each of its targets."""
-    node_sizes = {
-        u: (optimal_n_node(u, edge_results[u]) if edge_results[u] else 0)
-        for u in sequence.targets
-    }
+    node_sizes = {u: optimal_n_node(u, edge_results[u]) for u in sequence.targets}
     sizes = [node_sizes[u] for u in sequence.targets]
     total = None if any(s is None for s in sizes) else int(sum(sizes))
     return InterventionPlan(
@@ -335,52 +325,6 @@ def _assemble_plan(
         node_sizes=node_sizes,
         total_n=total,
     )
-
-
-def plan_sequence(
-    component: UndirectedGraph,
-    sequence: InterventionSequence,
-    thresholds: DceThresholds,
-    posterior: DesignPosterior,
-    f_u: InterventionDensity,
-    n_max: int = DEFAULT_N_MAX,
-    draws: int = DEFAULT_DRAWS,
-    stream: RandomStream = RandomStream(0),
-    edge_cache: dict | None = None,
-) -> InterventionPlan:
-    """Per-target optimal sizes for one sequence of manipulated variables.
-
-    For each target u the full neighbor set of u in the component graph is
-    used (batch semantics: neighbor sets are not reduced by orientations
-    implied by earlier targets).  ``edge_cache`` may be shared across the
-    candidate sequences of one component so a (target, neighbor) pair is
-    evaluated once.
-    """
-    targets = sequence.targets
-    missing = set(targets) - set(component.nodes)
-    if missing:
-        raise ValueError(f"targets not in component: {sorted(missing)}")
-    if edge_cache is None:
-        edge_cache = {}
-    index = {node: i for i, node in enumerate(component.nodes)}
-
-    edge_results: dict[str, tuple[EdgeSsdResult, ...]] = {}
-    for u in targets:
-        for v in component.neighbors(u):
-            if (u, v) not in edge_cache:
-                edge_cache[(u, v)] = optimal_n_edge(
-                    u,
-                    v,
-                    thresholds,
-                    prior_h0(component, u, v),
-                    posterior,
-                    f_u,
-                    n_max=n_max,
-                    draws=draws,
-                    stream=stream.child(index[u], index[v]),
-                )
-        edge_results[u] = tuple(edge_cache[(u, v)] for v in component.neighbors(u))
-    return _assemble_plan(component.nodes, sequence, edge_results)
 
 
 @dataclass(frozen=True)
@@ -411,14 +355,24 @@ def _evaluate_edge_task(task: _EdgeTask) -> EdgeSsdResult:
     )
 
 
-def mark_best_sequence(plans: list[InterventionPlan]) -> InterventionPlan | None:
-    """Flag the achieved plan with the smallest total size (ties: lexicographic)."""
-    feasible = [p for p in plans if p.achieved]
-    if not feasible:
-        return None
-    best = min(feasible, key=lambda p: (p.total_n, p.sequence.canonical().targets))
-    best.bos = True
-    return best
+def component_posterior(
+    data, component: tuple[str, ...], a_omega: float | None = None
+) -> DesignPosterior:
+    """Design posterior of one chain component from its nodes' data columns.
+
+    ``a_omega`` defaults to T - 1 for a component of T nodes.  ``data`` is a
+    ``DatasetMatrix``; a missing column raises its ``MissingColumnsError``.
+    """
+    restricted = data.restrict(component)
+    a_comp = float(len(component) - 1) if a_omega is None else float(a_omega)
+    return build_design_posterior(restricted.values, a_comp, labels=restricted.labels)
+
+
+def edge_stream(
+    stream: RandomStream, component_index: int, component: tuple[str, ...], u: str, v: str
+) -> RandomStream:
+    """The fixed substream of the edge u - v of the chain component at ``component_index``."""
+    return stream.child(component_index, component.index(u), component.index(v))
 
 
 def plan_cpdag(
@@ -443,9 +397,9 @@ def plan_cpdag(
     component above ``cap`` nodes, a non-chordal component, an improper
     posterior) are reported per component without aborting the others.
 
-    ``workers`` > 1 evaluates edges in parallel processes; results are
-    independent of the worker count because every edge owns a fixed
-    substream.
+    ``workers`` > 1 evaluates edges in parallel processes, at most one per
+    edge task and per CPU; results are independent of the worker count
+    because every edge owns a fixed substream (``edge_stream``).
     """
     from causal_ssd.harness import DatasetMatrix  # local import to avoid a cycle
 
@@ -464,14 +418,11 @@ def plan_cpdag(
                 raise InsufficientDataError(
                     f"data has no columns for component nodes: {missing}"
                 )
-            restricted = data.restrict(comp)
-            a_comp = float(len(comp) - 1) if a_omega is None else float(a_omega)
-            posterior = build_design_posterior_from(restricted, a_comp)
+            posterior = component_posterior(data, comp, a_omega)
             sequences = optimal_sequences(sub, cap=cap)
         except (CapacityError, NotDecomposableError, InsufficientDataError) as exc:
             prepared.append(ComponentPlans(component=comp, plans=[], error=str(exc)))
             continue
-        index = {node: i for i, node in enumerate(sub.nodes)}
         seen: set[tuple[str, str]] = set()
         for seq in sequences:
             for u in seq.targets:
@@ -490,13 +441,15 @@ def plan_cpdag(
                             f_u=f_u,
                             n_max=n_max,
                             draws=draws,
-                            stream=stream.child(ci, index[u], index[v]),
+                            stream=edge_stream(stream, ci, comp, u, v),
                         )
                     )
         prepared.append((ci, comp, sub, sequences))
 
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at the first submit
+        pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             evaluated = list(pool.map(_evaluate_edge_task, tasks))
     else:
         evaluated = [_evaluate_edge_task(t) for t in tasks]
@@ -518,13 +471,13 @@ def plan_cpdag(
             )
             for seq in sequences
         ]
-        mark_best_sequence(plans)
+        try:
+            best = best_size_optimal_sequence(
+                [(p.sequence, [p.node_sizes[u] for u in p.sequence.targets]) for p in plans]
+            )
+        except NoFeasibleSequenceError:
+            pass
+        else:
+            plans[sequences.index(best)].bos = True
         out.append(ComponentPlans(component=comp, plans=plans))
     return out
-
-
-def build_design_posterior_from(dataset, a_omega: float) -> DesignPosterior:
-    """Design posterior from a DatasetMatrix (labels preserved)."""
-    from causal_ssd.predictive import build_design_posterior
-
-    return build_design_posterior(dataset.values, a_omega, labels=dataset.labels)

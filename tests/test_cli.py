@@ -282,6 +282,41 @@ class TestPredictBf:
         assert enumerated == []
 
 
+def read_csv_rows(path):
+    return list(csv.DictReader(l for l in path.read_text().splitlines() if not l.startswith("#")))
+
+
+class TestEdgeCommandsReproducePlan:
+    def test_dce_curve_and_predict_bf_match_plan(self, fig1_files, tmp_path):
+        graph, data = fig1_files
+        zeta, k1 = (float(FAST[FAST.index(flag) + 1]) for flag in ("--zeta", "--k1"))
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--graph", graph, "--data", data, "--out", str(out), *FAST]) == 0
+        edges = {
+            (e["u"], e["v"]): e
+            for comp in json.loads(out.read_text())["components"]
+            for plan in comp["plans"]
+            for target in plan["targets"].values()
+            for e in target["edges"]
+        }
+        assert len(edges) == 8
+        for (u, v), planned in edges.items():
+            assert planned["achieved"]
+            n_star, dce = planned["n_star"], planned["dce_at_n_star"]
+            common = ["--graph", graph, "--data", data, "--edge", f"{u},{v}", *FAST]
+            curve = tmp_path / f"curve_{u}{v}.csv"
+            assert main(["dce-curve", *common, "--out", str(curve)]) == EXIT_OK
+            crossing = next(r for r in read_csv_rows(curve) if float(r["overall_dc"]) >= zeta)
+            assert int(crossing["n"]) == n_star
+            assert float(crossing["overall_dc"]) == dce["overall_dc"]
+            samples = tmp_path / f"bf_{u}{v}.csv"
+            assert main(["predict-bf", *common, "--n", str(n_star),
+                         "--out", str(samples)]) == EXIT_OK
+            h1 = np.array([float(r["bf"]) for r in read_csv_rows(samples)
+                           if r["hypothesis"] == "H1"])
+            assert np.count_nonzero(h1 <= 1.0 / k1) / h1.size == dce["p1_dc"]
+
+
 class TestSimulate:
     def test_writes_artifacts_and_reproduces(self, tmp_path):
         out1 = tmp_path / "s1"
@@ -485,3 +520,27 @@ def test_cli_import_loads_no_third_party_package_beyond_numpy_and_scipy():
     assert {"numpy", "scipy"} <= dependencies
     loaded = third_party_packages_loaded_by("import causal_ssd.cli")
     assert loaded - dependencies == {"causal_ssd"}, sorted(loaded - dependencies)
+
+
+def test_every_traced_name_is_bound():
+    # bench/tracing.py wraps each (module, attribute) of TRACED with no
+    # default, so a deleted or renamed name would break `--trace 1`
+    import ast
+    import importlib
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "tracing.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    assert traced
+    unbound = [
+        f"{module}.{attr}"
+        for module, attr, *_ in traced
+        if not hasattr(importlib.import_module(f"causal_ssd.{module}"), attr)
+    ]
+    assert unbound == []

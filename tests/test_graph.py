@@ -21,7 +21,6 @@ from causal_ssd.graph import (
     is_decomposable,
     meek_closure,
     parse_edge_list,
-    perfect_clique_sequence,
 )
 
 from helpers import CHAIN5, TREE5_EDGES, brute_force_class, random_chordal, random_dag
@@ -157,67 +156,6 @@ class TestIsDecomposable:
         rng = np.random.default_rng(1)
         for _ in range(20):
             assert is_decomposable(random_chordal(rng, int(rng.integers(2, 9))))
-
-
-class TestPerfectCliqueSequence:
-    def test_path(self):
-        g = UndirectedGraph("123", [("1", "2"), ("2", "3")])
-        seq = perfect_clique_sequence(g)
-        assert set(seq.cliques) == {frozenset("12"), frozenset("23")}
-        assert seq.separators[0] == frozenset()
-        assert seq.separators[1] == frozenset("2")
-
-    def test_triangle_single_clique(self):
-        g = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
-        seq = perfect_clique_sequence(g)
-        assert seq.cliques == (frozenset("123"),)
-        assert seq.separators == (frozenset(),)
-        assert seq.residuals == (frozenset("123"),)
-
-    def test_designated_edge_in_first_clique(self):
-        g = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
-        seq = perfect_clique_sequence(g, first_edge=("1", "2"))
-        assert seq.cliques[0] == frozenset("123")
-        g2 = UndirectedGraph("1234", [("1", "2"), ("2", "3"), ("3", "4")])
-        seq2 = perfect_clique_sequence(g2, first_edge=("3", "4"))
-        assert seq2.cliques[0] == frozenset("34")
-
-    def test_missing_designated_edge_rejected(self):
-        g = UndirectedGraph("123", [("1", "2"), ("2", "3")])
-        with pytest.raises(ValueError):
-            perfect_clique_sequence(g, first_edge=("1", "3"))
-
-    def test_non_decomposable_rejected(self):
-        c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-        with pytest.raises(NotDecomposableError):
-            perfect_clique_sequence(c4)
-
-    def test_invariants_on_random_chordal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            g = random_chordal(rng, int(rng.integers(2, 9)))
-            edges = g.edges()
-            edge = edges[rng.integers(len(edges))] if edges else None
-            seq = perfect_clique_sequence(g, first_edge=edge)
-            cliques = seq.cliques
-            if edge is not None:
-                assert set(edge) <= cliques[0]
-            running = frozenset()
-            seen_residuals = set()
-            for k, c in enumerate(cliques):
-                assert seq.separators[k] == c & running
-                assert seq.residuals[k] == c - running
-                assert not (seq.residuals[k] & seen_residuals)
-                seen_residuals |= seq.residuals[k]
-                if k > 0:
-                    # running intersection property, checked by brute force
-                    assert any(seq.separators[k] <= earlier for earlier in cliques[:k])
-                running |= c
-                assert seq.histories[k] == running
-            assert running == frozenset(g.nodes)
-            for c in cliques:
-                for a, b in itertools.combinations(sorted(c), 2):
-                    assert g.has_edge(a, b)
 
 
 class TestEnumerateClass:

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence, optimal_sequences
-from causal_ssd.graph import Dag, PartiallyDirectedGraph, UndirectedGraph, chain_components
+from causal_ssd.design import EdgeHypothesisPrior, optimal_sequences
+from causal_ssd.graph import Dag, PartiallyDirectedGraph, chain_components
 from causal_ssd.harness import DatasetMatrix, LinearSemSpec, generate_sem_data
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import BfPredictiveSample, InterventionDensity, build_design_posterior
@@ -16,11 +17,9 @@ from causal_ssd.ssd import (
     EdgeSsdResult,
     dce_probabilities,
     h0_band_probabilities,
-    mark_best_sequence,
     optimal_n_edge,
     optimal_n_node,
     plan_cpdag,
-    plan_sequence,
 )
 
 from helpers import CHAIN5, matmul_sample_wishart, reference_sample_bf_h1
@@ -29,11 +28,16 @@ F_U = InterventionDensity()
 HALF = EdgeHypothesisPrior(u="u", v="v", p_h0=0.5, p_h1=0.5)
 
 
-def two_node_posterior(seed=3, n_rows=50, beta=0.5):
+def two_node_dataset(seed=3, n_rows=50, beta=0.5):
     rng = np.random.default_rng(seed)
     zu = rng.standard_normal(n_rows)
     zv = beta * zu + rng.standard_normal(n_rows)
-    return build_design_posterior(np.column_stack([zu, zv]), 1.0, labels=("u", "v"))
+    return DatasetMatrix(labels=("u", "v"), values=np.column_stack([zu, zv]))
+
+
+def two_node_posterior(seed=3, n_rows=50, beta=0.5):
+    data = two_node_dataset(seed, n_rows, beta)
+    return build_design_posterior(data.values, 1.0, labels=data.labels)
 
 
 def fig1_dataset(seed=0, n_rows=80):
@@ -229,94 +233,6 @@ class TestOptimalNNode:
             optimal_n_node("u", [])
 
 
-class TestPlanSequence:
-    def test_two_node_single_target(self):
-        g = UndirectedGraph("uv", [("u", "v")])
-        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        plan = plan_sequence(
-            g, InterventionSequence(("u",)), th, two_node_posterior(), F_U,
-            n_max=150, draws=1500, stream=RandomStream(11),
-        )
-        assert plan.sequence.targets == ("u",)
-        (edge_result,) = plan.edge_results["u"]
-        assert edge_result.edge == ("u", "v")
-        assert plan.node_sizes["u"] == edge_result.n_star
-        assert plan.total_n == edge_result.n_star
-        assert plan.achieved
-
-    def test_empty_sequence_on_edgeless_component(self):
-        g = UndirectedGraph("ab", [])
-        th = DceThresholds()
-        post = two_node_posterior()
-        plan = plan_sequence(g, InterventionSequence(()), th, post, F_U, stream=RandomStream(12))
-        assert plan.total_n == 0
-        assert plan.node_sizes == {}
-        assert plan.achieved
-
-    def test_node_size_is_max_and_total_is_sum(self):
-        data = fig1_dataset()
-        tri = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
-        post = build_design_posterior(data.restrict(("1", "2", "3")).values, 2.0, ("1", "2", "3"))
-        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        plan = plan_sequence(
-            g := tri,
-            InterventionSequence(("1", "2")),
-            th,
-            post,
-            F_U,
-            n_max=250,
-            draws=1200,
-            stream=RandomStream(13),
-        )
-        for u in ("1", "2"):
-            results = plan.edge_results[u]
-            assert [r.edge[1] for r in results] == list(g.neighbors(u))
-            if all(r.achieved for r in results):
-                assert plan.node_sizes[u] == max(r.n_star for r in results)
-        if plan.achieved:
-            assert plan.total_n == sum(plan.node_sizes.values())
-
-    def test_determinism(self):
-        g = UndirectedGraph("uv", [("u", "v")])
-        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        kwargs = dict(n_max=100, draws=800, stream=RandomStream(14))
-        a = plan_sequence(g, InterventionSequence(("u",)), th, two_node_posterior(), F_U, **kwargs)
-        b = plan_sequence(g, InterventionSequence(("u",)), th, two_node_posterior(), F_U, **kwargs)
-        assert a.total_n == b.total_n
-        assert a.node_sizes == b.node_sizes
-
-
-class TestMarkBestSequence:
-    def _plan(self, targets, total):
-        return type(
-            "P",
-            (),
-            {
-                "achieved": total is not None,
-                "total_n": total,
-                "sequence": InterventionSequence(targets),
-                "bos": False,
-            },
-        )()
-
-    def test_min_total_flagged(self):
-        import causal_ssd.ssd as ssd_mod
-
-        plans = [
-            ssd_mod.InterventionPlan(("1",), InterventionSequence(("1",)), {}, {}, 116),
-            ssd_mod.InterventionPlan(("1",), InterventionSequence(("2",)), {}, {}, 90),
-        ]
-        best = mark_best_sequence(plans)
-        assert best is plans[1]
-        assert plans[1].bos and not plans[0].bos
-
-    def test_all_unachieved_returns_none(self):
-        import causal_ssd.ssd as ssd_mod
-
-        plans = [ssd_mod.InterventionPlan(("1",), InterventionSequence(("1",)), {}, {}, None)]
-        assert mark_best_sequence(plans) is None
-
-
 class TestPlanCpdag:
     def test_fig1_two_components_planned(self):
         data = fig1_dataset()
@@ -341,6 +257,62 @@ class TestPlanCpdag:
                 assert all(
                     best.total_n <= p.total_n for p in r.plans if p.achieved
                 )
+
+    def test_two_node_single_target(self):
+        cp = PartiallyDirectedGraph("uv", undirected=[("u", "v")])
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        (result,) = plan_cpdag(cp, two_node_dataset(), th, stream=RandomStream(11), n_max=150, draws=1500)
+        assert [p.sequence.targets for p in result.plans] == [("u",), ("v",)]
+        for plan, (u, v) in zip(result.plans, [("u", "v"), ("v", "u")]):
+            (edge_result,) = plan.edge_results[u]
+            assert edge_result.edge == (u, v)
+            assert plan.achieved
+            assert plan.node_sizes[u] == edge_result.n_star
+            assert plan.total_n == edge_result.n_star
+
+    def test_node_size_is_max_and_total_is_sum(self):
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        results = plan_cpdag(
+            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(13), n_max=250, draws=1200
+        )
+        decomposition = chain_components(CHAIN5)
+        subgraphs = dict(zip(decomposition.components, decomposition.subgraphs))
+        checked = 0
+        for r in results:
+            sub = subgraphs[r.component]
+            for plan in r.plans:
+                for u in plan.sequence.targets:
+                    edge_results = plan.edge_results[u]
+                    assert [e.edge for e in edge_results] == [(u, v) for v in sub.neighbors(u)]
+                    if all(e.achieved for e in edge_results):
+                        assert plan.node_sizes[u] == max(e.n_star for e in edge_results)
+                        checked += 1
+                    else:
+                        assert plan.node_sizes[u] is None
+                if plan.achieved:
+                    assert plan.total_n == sum(plan.node_sizes.values())
+        assert checked > 0
+
+    def test_min_total_flagged(self):
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        results = plan_cpdag(
+            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(13), n_max=250, draws=1200
+        )
+        for r in results:
+            assert r.feasible
+            achieved = [p for p in r.plans if p.achieved]
+            best = min(achieved, key=lambda p: (p.total_n, p.sequence.canonical().targets))
+            assert [p.bos for p in r.plans] == [p is best for p in r.plans]
+
+    def test_no_plan_flagged_when_no_sequence_achieved(self):
+        th = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
+        results = plan_cpdag(
+            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(13), n_max=30, draws=200
+        )
+        assert results and all(r.error is None and r.plans for r in results)
+        for r in results:
+            assert not r.feasible
+            assert not any(p.achieved or p.bos for p in r.plans)
 
     def test_all_singletons_empty(self):
         cp = PartiallyDirectedGraph("abc", directed=[("a", "b"), ("b", "c")])
@@ -454,6 +426,35 @@ class TestPlanCpdag:
         oracle = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
         assert all(r.error is None and r.feasible for r in fast)
         assert [r.to_dict() for r in fast] == [r.to_dict() for r in oracle]
+
+    def test_pool_capped_by_tasks_and_cpus(self, monkeypatch):
+        import causal_ssd.ssd as ssd_mod
+
+        pool_sizes = []
+
+        class SerialPool:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=100, draws=200)
+        serial = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=1, **kwargs)
+        monkeypatch.setattr(ssd_mod, "ProcessPoolExecutor", SerialPool)
+        capped = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=10**6, **kwargs)
+        # every ordered edge of the triangle and of the pair is one task
+        assert pool_sizes == [min(8, os.cpu_count() or 1)]
+        assert [r.to_dict() for r in capped] == [r.to_dict() for r in serial]
 
     def test_workers_do_not_change_results(self):
         data = fig1_dataset()
