@@ -38,6 +38,7 @@ from causal_ssd.harness import (
     atomic_write_text,
     bf_samples_csv,
     dce_curve_csv,
+    dce_curve_row,
     threshold_curves_csv,
     nstar_curve_csv,
     ingest_csv,
@@ -330,15 +331,7 @@ def cmd_dce_curve(config: RunConfig) -> int:
         dce = dce_probabilities(
             u, v, thresholds, n, prior, posterior, f_u, config.draws, stream.child(n)
         )
-        rows.append(
-            {
-                "n": n,
-                "p0_dc": dce.p0_dc,
-                "p1_dc": dce.p1_dc,
-                "overall_dc": dce.overall_dc,
-                "se_overall": dce.mc_se["overall_dc"],
-            }
-        )
+        rows.append(dce_curve_row(n, dce))
     _emit(_config_comment(config) + dce_curve_csv(rows), config.out_path)
     return EXIT_OK
 

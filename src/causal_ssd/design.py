@@ -138,9 +138,7 @@ def _sufficient_for_class(g: UndirectedGraph, targets: set[str], dags: list[Dag]
     return True
 
 
-def is_sufficient(
-    g: UndirectedGraph, s: InterventionSequence, cap: int = ENUMERATION_CAP
-) -> bool:
+def is_sufficient(g: UndirectedGraph, s: InterventionSequence) -> bool:
     """True iff manipulating the targets of ``s`` identifies every class member.
 
     For each perfect directed version of ``g``, orienting the edges incident
@@ -151,12 +149,10 @@ def is_sufficient(
     missing = targets - set(g.nodes)
     if missing:
         raise ValueError(f"targets not in component: {sorted(missing)}")
-    return _sufficient_for_class(g, targets, enumerate_class(g, cap=cap))
+    return _sufficient_for_class(g, targets, enumerate_class(g))
 
 
-def optimal_sequences(
-    g: UndirectedGraph, cap: int = ENUMERATION_CAP
-) -> list[InterventionSequence]:
+def optimal_sequences(g: UndirectedGraph) -> list[InterventionSequence]:
     """All minimum-size sufficient sequences, canonicalized and sorted.
 
     A target set is sufficient exactly when it is a vertex cover of the
@@ -164,15 +160,15 @@ def optimal_sequences(
     are the minimum vertex covers.  Subsets are searched by increasing
     cardinality and the search stops at the first cardinality containing a
     cover.  A component without edges needs no intervention: the result is
-    the singleton empty sequence.  Components above ``cap`` nodes raise
-    ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
+    the singleton empty sequence.  Components above ``ENUMERATION_CAP`` nodes
+    raise ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
     """
     if g.num_edges() == 0:
         return [InterventionSequence(())]
-    if g.num_nodes() > cap:
+    if g.num_nodes() > ENUMERATION_CAP:
         raise CapacityError(
             f"component has {g.num_nodes()} nodes, the vertex-cover search over its "
-            f"2^nodes subsets is capped at {cap}"
+            f"2^nodes subsets is capped at {ENUMERATION_CAP}"
         )
     if not is_decomposable(g):
         raise NotDecomposableError("graph is not decomposable")
@@ -204,20 +200,19 @@ def _product_counts(parts: list[_Counts]) -> _Counts:
 
 
 @functools.lru_cache(maxsize=16)
-def orientation_counts(
-    g: UndirectedGraph, cap: int = ENUMERATION_CAP
-) -> tuple[int, Mapping[tuple[str, str], int]]:
+def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str], int]]:
     """Class size of ``g`` and, per ordered edge (a, b), the members with a -> b.
 
     Counts are exact integers from the rooted recursion of the module
     docstring; no class member is built.  The result is cached per graph,
-    because ``prior_h0`` asks for it once per edge.  Components above ``cap``
-    nodes raise ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
+    because ``prior_h0`` asks for it once per edge.  Components above
+    ``ENUMERATION_CAP`` nodes raise ``CapacityError`` and non-chordal ones
+    ``NotDecomposableError``.
     """
-    if g.num_nodes() > cap:
+    if g.num_nodes() > ENUMERATION_CAP:
         raise CapacityError(
             f"component has {g.num_nodes()} nodes, the class count over its "
-            f"2^nodes induced subgraphs is capped at {cap}"
+            f"2^nodes induced subgraphs is capped at {ENUMERATION_CAP}"
         )
     if not is_decomposable(g):
         raise NotDecomposableError("graph is not decomposable")
@@ -255,9 +250,7 @@ def orientation_counts(
     return size, MappingProxyType(arrows)
 
 
-def prior_h0(
-    g: UndirectedGraph, u: str, v: str, cap: int = ENUMERATION_CAP
-) -> EdgeHypothesisPrior:
+def prior_h0(g: UndirectedGraph, u: str, v: str) -> EdgeHypothesisPrior:
     """Class-count orientation prior for the undirected edge u - v.
 
     ``p_h0`` is the fraction of perfect directed versions of ``g`` containing
@@ -267,7 +260,7 @@ def prior_h0(
     u, v = str(u), str(v)
     if not g.has_edge(u, v):
         raise ValueError(f"{u}-{v} is not an undirected edge of the component")
-    size, arrows = orientation_counts(g, cap)
+    size, arrows = orientation_counts(g)
     p0 = arrows.get((v, u), 0) / size
     return EdgeHypothesisPrior(u=u, v=v, p_h0=p0, p_h1=1.0 - p0)
 

@@ -88,26 +88,11 @@ class UndirectedGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def has_node(self, u) -> bool:
-        return str(u) in self._adj
-
     def has_edge(self, u, v) -> bool:
         return _canonical_pair(str(u), str(v)) in self._edges
 
     def neighbors(self, u) -> tuple[str, ...]:
         return tuple(sorted(self._adj[str(u)]))
-
-    def degree(self, u) -> int:
-        return len(self._adj[str(u)])
-
-    def subgraph(self, nodes: Iterable) -> "UndirectedGraph":
-        keep = {str(n) for n in nodes}
-        missing = keep - set(self._nodes)
-        if missing:
-            raise KeyError(f"nodes not in graph: {sorted(missing)}")
-        return UndirectedGraph(
-            keep, [e for e in self._edges if e[0] in keep and e[1] in keep]
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
@@ -246,10 +231,6 @@ class PartiallyDirectedGraph:
         for a, b in dir_set:
             self._parents[b].add(a)
             self._children[a].add(b)
-
-    @classmethod
-    def from_dag(cls, d: Dag) -> "PartiallyDirectedGraph":
-        return cls(d.nodes, directed=d.edges())
 
     @classmethod
     def from_undirected(cls, g: UndirectedGraph) -> "PartiallyDirectedGraph":
@@ -425,7 +406,7 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     return True
 
 
-def enumerate_class(g: UndirectedGraph, cap: int = ENUMERATION_CAP) -> list[Dag]:
+def enumerate_class(g: UndirectedGraph) -> list[Dag]:
     """All acyclic, v-structure-free orientations of a decomposable graph.
 
     These are exactly the perfect directed versions of ``g`` (orientations by
@@ -436,11 +417,11 @@ def enumerate_class(g: UndirectedGraph, cap: int = ENUMERATION_CAP) -> list[Dag]
 
     The pipeline does not call it: it is the test oracle of
     ``design.orientation_counts``.  Its cost grows with the class size, which
-    ``cap`` does not bound (a 12-node clique has 12! members).
+    ``ENUMERATION_CAP`` does not bound (a 12-node clique has 12! members).
     """
-    if g.num_nodes() > cap:
+    if g.num_nodes() > ENUMERATION_CAP:
         raise CapacityError(
-            f"component has {g.num_nodes()} nodes, above the cap of {cap} on the "
+            f"component has {g.num_nodes()} nodes, above the cap of {ENUMERATION_CAP} on the "
             f"2^nodes subset scans and the class count"
         )
     if not is_decomposable(g):

@@ -36,7 +36,13 @@ from causal_ssd.predictive import (
     sample_bf_h0,
     sample_bf_h1,
 )
-from causal_ssd.ssd import DceThresholds, h0_band_probabilities, h1_band_probabilities
+from causal_ssd.ssd import (
+    DceProbabilities,
+    DceThresholds,
+    assemble_dce,
+    binomial_se,
+    h0_band_probabilities,
+)
 
 
 class CsvParseError(ValueError):
@@ -70,10 +76,6 @@ class DatasetMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
 
     def column(self, label: str) -> np.ndarray:
         return self.values[:, self.labels.index(str(label))]
@@ -238,7 +240,7 @@ class TwoNodeStudyReport:
     bf_samples: list[BfPredictiveSample]
     evidence_grid: list[dict]
     evidence_note: str
-    dce_curves: dict[float, dict[str, list]]
+    dce_curves: dict[float, list[tuple]]  # dce_curve_row tuples per threshold k
     nstar_curves: dict[float, list[dict]]
 
     def to_json_dict(self) -> dict:
@@ -293,23 +295,19 @@ def replicate_two_node_study(
     }
     prior = EdgeHypothesisPrior(u=u, v=v, p_h0=0.5, p_h1=0.5)
 
-    h0_samples: dict[int, BfPredictiveSample] = {}
-    h1_samples: dict[int, BfPredictiveSample] = {}
-
-    def h0_at(n: int) -> BfPredictiveSample:
-        if n not in h0_samples:
-            h0_samples[n] = sample_bf_h0(n, config.draws, stream.child(1, n))
-        return h0_samples[n]
-
-    def h1_at(n: int) -> BfPredictiveSample:
-        if n not in h1_samples:
-            h1_samples[n] = sample_bf_h1(
-                posterior, u, v, config.intervention, n, config.draws, stream.child(2, n)
-            )
-        return h1_samples[n]
+    # the few fixed sizes of the exported samples and the evidence grid are
+    # drawn once; the curves reuse them
+    fixed_sizes = sorted(set(config.export_sizes) | set(config.grid_sizes))
+    h0_samples = {n: sample_bf_h0(n, config.draws, stream.child(1, n)) for n in fixed_sizes}
+    h1_samples = {
+        n: sample_bf_h1(posterior, u, v, config.intervention, n, config.draws, stream.child(2, n))
+        for n in fixed_sizes
+    }
 
     # (a) predictive samples for external histogramming
-    bf_samples = [h0_at(n) for n in config.export_sizes] + [h1_at(n) for n in config.export_sizes]
+    bf_samples = [h0_samples[n] for n in config.export_sizes] + [
+        h1_samples[n] for n in config.export_sizes
+    ]
 
     # (b) evidence-category grid; moderate is (3, 10) for H0 and (1/10, 1/3)
     # for H1, strong-to-extreme the decisive tail beyond 10 (or 1/10)
@@ -317,7 +315,7 @@ def replicate_two_node_study(
     for n in config.grid_sizes:
         exact_moderate = prob_bf_band_h0(3.0, 10.0, n)
         exact_strong = prob_bf_band_h0(10.0, math.inf, n)
-        mc = h0_at(n)
+        mc = h0_samples[n]
         evidence_grid.append(
             {
                 "hypothesis": "H0",
@@ -327,11 +325,11 @@ def replicate_two_node_study(
                 "method": "exact",
                 "moderate_mc": mc.fraction_in(3.0, 10.0),
                 "strong_to_extreme_mc": mc.fraction_in(10.0, math.inf),
-                "mc_se_moderate": math.sqrt(exact_moderate * (1 - exact_moderate) / config.draws),
+                "mc_se_moderate": binomial_se(exact_moderate, config.draws),
             }
         )
     for n in config.grid_sizes:
-        sample = h1_at(n)
+        sample = h1_samples[n]
         moderate = sample.fraction_in(1.0 / 10.0, 1.0 / 3.0)
         strong = sample.fraction_in(0.0, 1.0 / 10.0)
         evidence_grid.append(
@@ -341,44 +339,32 @@ def replicate_two_node_study(
                 "moderate": moderate,
                 "strong_to_extreme": strong,
                 "method": "monte_carlo",
-                "mc_se_moderate": math.sqrt(moderate * (1 - moderate) / config.draws),
-                "mc_se_strong": math.sqrt(strong * (1 - strong) / config.draws),
+                "mc_se_moderate": binomial_se(moderate, config.draws),
+                "mc_se_strong": binomial_se(strong, config.draws),
             }
         )
 
     # (c) decisive-and-correct curves over the n grid, one per threshold;
     # the H1 predictive sample at each n is shared by all thresholds
-    grid = list(range(2, config.n_max + 1))
-    curves_by_k: dict[float, dict[str, list]] = {
-        k: {"n": grid, "p0_dc": [], "p1_dc": [], "overall_dc": [], "se_overall": []}
-        for k in config.k_values
-    }
     thresholds_by_k = {k: DceThresholds(k0=k, k1=k, zeta=0.5) for k in config.k_values}
-    for n in grid:
-        sample = h1_at(n)
-        for k in config.k_values:
-            th = thresholds_by_k[k]
-            p0_dc, _, _ = h0_band_probabilities(th, n)
-            p1_dc, _, _ = h1_band_probabilities(sample, th)
-            overall = prior.p_h0 * p0_dc + prior.p_h1 * p1_dc
-            se = prior.p_h1 * math.sqrt(p1_dc * (1 - p1_dc) / config.draws)
-            curves_by_k[k]["p0_dc"].append(p0_dc)
-            curves_by_k[k]["p1_dc"].append(p1_dc)
-            curves_by_k[k]["overall_dc"].append(overall)
-            curves_by_k[k]["se_overall"].append(se)
-        if n not in config.export_sizes:  # keep memory flat on the long grid
-            h1_samples.pop(n, None)
+    curves_by_k: dict[float, list[tuple]] = {k: [] for k in config.k_values}
+    for n in range(2, config.n_max + 1):
+        sample = h1_samples[n] if n in h1_samples else sample_bf_h1(
+            posterior, u, v, config.intervention, n, config.draws, stream.child(2, n)
+        )
+        for k, th in thresholds_by_k.items():
+            dce = assemble_dce(h0_band_probabilities(th, n), th, prior, sample)
+            curves_by_k[k].append(dce_curve_row(n, dce))
 
     # (d) optimal n as a function of the target probability: first crossing
     # of each zeta on the reproducible overall curve
-    nstar_by_k: dict[float, list[dict]] = {}
-    for k in config.k_values:
-        overall = curves_by_k[k]["overall_dc"]
-        points = []
-        for zeta in config.zeta_grid:
-            n_star = next((n for n, val in zip(grid, overall) if val >= zeta), None)
-            points.append({"zeta": zeta, "n_star": n_star})
-        nstar_by_k[k] = points
+    nstar_by_k = {
+        k: [
+            {"zeta": zeta, "n_star": next((n for n, _, _, dc, _ in rows if dc >= zeta), None)}
+            for zeta in config.zeta_grid
+        ]
+        for k, rows in curves_by_k.items()
+    }
 
     return TwoNodeStudyReport(
         config=config.to_dict(),
@@ -436,57 +422,39 @@ def bf_samples_csv(samples: Iterable[BfPredictiveSample]) -> str:
     return buf.getvalue()
 
 
-def dce_curve_csv(rows: Iterable[dict]) -> str:
-    """CSV of (n, p0_dc, p1_dc, overall_dc, se_overall) rows."""
+DCE_CURVE_COLUMNS = ("n", "p0_dc", "p1_dc", "overall_dc", "se_overall")
+
+
+def dce_curve_row(n: int, dce: DceProbabilities) -> tuple:
+    """The ``DCE_CURVE_COLUMNS`` of the evidence probabilities at n."""
+    return (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
+
+
+def _numbers_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV with every cell written by ``format_float``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "p0_dc", "p1_dc", "overall_dc", "se_overall"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["n"],
-                format_float(row["p0_dc"]),
-                format_float(row["p1_dc"]),
-                format_float(row["overall_dc"]),
-                format_float(row["se_overall"]),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows([format_float(x) for x in row] for row in rows)
     return buf.getvalue()
 
 
-def threshold_curves_csv(curves_by_k: dict[float, dict[str, list]]) -> str:
-    """Long-format CSV of the threshold curves: k, n, p0_dc, p1_dc, overall_dc, se."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "n", "p0_dc", "p1_dc", "overall_dc", "se_overall"])
-    for k in sorted(curves_by_k):
-        curves = curves_by_k[k]
-        for i, n in enumerate(curves["n"]):
-            writer.writerow(
-                [
-                    format_float(k),
-                    n,
-                    format_float(curves["p0_dc"][i]),
-                    format_float(curves["p1_dc"][i]),
-                    format_float(curves["overall_dc"][i]),
-                    format_float(curves["se_overall"][i]),
-                ]
-            )
-    return buf.getvalue()
+def dce_curve_csv(rows: Iterable[tuple]) -> str:
+    """CSV of ``dce_curve_row`` rows: n, p0_dc, p1_dc, overall_dc, se_overall."""
+    return _numbers_csv(DCE_CURVE_COLUMNS, rows)
+
+
+def threshold_curves_csv(curves_by_k: dict[float, list[tuple]]) -> str:
+    """Long-format CSV of the threshold curves: k, then the ``dce_curve_row`` columns."""
+    return _numbers_csv(
+        ("k",) + DCE_CURVE_COLUMNS,
+        ((k,) + row for k in sorted(curves_by_k) for row in curves_by_k[k]),
+    )
 
 
 def nstar_curve_csv(nstar_by_k: dict[float, list[dict]]) -> str:
     """CSV of optimal n against the target probability: k, zeta, n_star."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "zeta", "n_star"])
-    for k in sorted(nstar_by_k):
-        for point in nstar_by_k[k]:
-            writer.writerow(
-                [
-                    format_float(k),
-                    format_float(point["zeta"]),
-                    "" if point["n_star"] is None else point["n_star"],
-                ]
-            )
-    return buf.getvalue()
+    return _numbers_csv(
+        ("k", "zeta", "n_star"),
+        ((k, p["zeta"], p["n_star"]) for k in sorted(nstar_by_k) for p in nstar_by_k[k]),
+    )

@@ -32,7 +32,6 @@ from causal_ssd.design import (
 )
 from causal_ssd.graph import (
     CapacityError,
-    ENUMERATION_CAP,
     NotDecomposableError,
     PartiallyDirectedGraph,
     chain_components,
@@ -121,11 +120,12 @@ def h1_band_probabilities(
     return p1_dc, p1_inc, p1_mis
 
 
-def _binomial_se(p: float, draws: int) -> float:
+def binomial_se(p: float, draws: int) -> float:
+    """Standard error of a proportion ``p`` estimated from ``draws`` draws."""
     return math.sqrt(max(p * (1.0 - p), 0.0) / draws)
 
 
-def _assemble_dce(
+def assemble_dce(
     h0_bands: tuple[float, float, float],
     thresholds: DceThresholds,
     prior: EdgeHypothesisPrior,
@@ -136,11 +136,11 @@ def _assemble_dce(
     p1_dc, p1_inc, p1_mis = h1_band_probabilities(h1_sample, thresholds)
     draws = h1_sample.count
     overall = prior.p_h0 * p0_dc + prior.p_h1 * p1_dc
-    se_dc = _binomial_se(p1_dc, draws)
+    se_dc = binomial_se(p1_dc, draws)
     mc_se = {
         "p1_dc": se_dc,
-        "p1_inc": _binomial_se(p1_inc, draws),
-        "p1_mis": _binomial_se(p1_mis, draws),
+        "p1_inc": binomial_se(p1_inc, draws),
+        "p1_mis": binomial_se(p1_mis, draws),
         "overall_dc": prior.p_h1 * se_dc,
     }
     return DceProbabilities(
@@ -168,7 +168,7 @@ def dce_probabilities(
 ) -> DceProbabilities:
     """Evidence probabilities for manipulating u and testing the edge u - v."""
     sample = sample_bf_h1(posterior, u, v, f_u, n, draws, stream)
-    return _assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
+    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def optimal_n_edge(
         h0_bands = h0_band_probabilities(thresholds, n)
         if prior.p_h0 * h0_bands[0] + prior.p_h1 < thresholds.zeta:
             continue
-        dce = _assemble_dce(
+        dce = assemble_dce(
             h0_bands,
             thresholds,
             prior,
@@ -327,34 +327,6 @@ def _assemble_plan(
     )
 
 
-@dataclass(frozen=True)
-class _EdgeTask:
-    component_index: int
-    u: str
-    v: str
-    prior: EdgeHypothesisPrior
-    thresholds: DceThresholds
-    posterior: DesignPosterior
-    f_u: InterventionDensity
-    n_max: int
-    draws: int
-    stream: RandomStream
-
-
-def _evaluate_edge_task(task: _EdgeTask) -> EdgeSsdResult:
-    return optimal_n_edge(
-        task.u,
-        task.v,
-        task.thresholds,
-        task.prior,
-        task.posterior,
-        task.f_u,
-        n_max=task.n_max,
-        draws=task.draws,
-        stream=task.stream,
-    )
-
-
 def component_posterior(
     data, component: tuple[str, ...], a_omega: float | None = None
 ) -> DesignPosterior:
@@ -384,7 +356,6 @@ def plan_cpdag(
     a_omega: float | None = None,
     n_max: int = DEFAULT_N_MAX,
     draws: int = DEFAULT_DRAWS,
-    cap: int = ENUMERATION_CAP,
     workers: int = 1,
 ) -> list[ComponentPlans]:
     """Plans for every multi-node chain component of a CPDAG.
@@ -394,8 +365,9 @@ def plan_cpdag(
     columns matching its node labels (``a_omega`` defaults to T - 1 per
     component), all optimal sequences, one plan per sequence, and a flag on
     the best-size optimal sequence.  Failures (missing data columns, a
-    component above ``cap`` nodes, a non-chordal component, an improper
-    posterior) are reported per component without aborting the others.
+    component above ``ENUMERATION_CAP`` nodes, a non-chordal component, an
+    improper posterior) are reported per component without aborting the
+    others.
 
     ``workers`` > 1 evaluates edges in parallel processes, at most one per
     edge task and per CPU; results are independent of the worker count
@@ -408,7 +380,7 @@ def plan_cpdag(
     decomposition = chain_components(cpdag)
 
     prepared = []  # ComponentPlans for failures, else (ci, comp, sub, sequences)
-    tasks: list[_EdgeTask] = []
+    tasks: dict[tuple[int, str, str], tuple] = {}  # optimal_n_edge arguments per edge
     for ci, (comp, sub) in enumerate(zip(decomposition.components, decomposition.subgraphs)):
         if len(comp) < 2:
             continue
@@ -419,43 +391,30 @@ def plan_cpdag(
                     f"data has no columns for component nodes: {missing}"
                 )
             posterior = component_posterior(data, comp, a_omega)
-            sequences = optimal_sequences(sub, cap=cap)
+            sequences = optimal_sequences(sub)
         except (CapacityError, NotDecomposableError, InsufficientDataError) as exc:
             prepared.append(ComponentPlans(component=comp, plans=[], error=str(exc)))
             continue
-        seen: set[tuple[str, str]] = set()
         for seq in sequences:
             for u in seq.targets:
                 for v in sub.neighbors(u):
-                    if (u, v) in seen:
-                        continue
-                    seen.add((u, v))
-                    tasks.append(
-                        _EdgeTask(
-                            component_index=ci,
-                            u=u,
-                            v=v,
-                            prior=prior_h0(sub, u, v, cap),
-                            thresholds=thresholds,
-                            posterior=posterior,
-                            f_u=f_u,
-                            n_max=n_max,
-                            draws=draws,
-                            stream=edge_stream(stream, ci, comp, u, v),
+                    if (ci, u, v) not in tasks:
+                        tasks[(ci, u, v)] = (
+                            u, v, thresholds, prior_h0(sub, u, v), posterior, f_u,
+                            n_max, draws, edge_stream(stream, ci, comp, u, v),
                         )
-                    )
         prepared.append((ci, comp, sub, sequences))
 
+    # optimal_n_edge is looked up at call time, so a wrapper bound to the
+    # module attribute also sees the calls made in pool workers
     if workers > 1 and len(tasks) > 1:
         # a fork pool starts every worker at the first submit
         pool_size = min(workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            evaluated = list(pool.map(_evaluate_edge_task, tasks))
+            evaluated = list(pool.map(optimal_n_edge, *zip(*tasks.values())))
     else:
-        evaluated = [_evaluate_edge_task(t) for t in tasks]
-    cache: dict[tuple[int, str, str], EdgeSsdResult] = {
-        (t.component_index, t.u, t.v): r for t, r in zip(tasks, evaluated)
-    }
+        evaluated = [optimal_n_edge(*args) for args in tasks.values()]
+    results = dict(zip(tasks, evaluated))
 
     out: list[ComponentPlans] = []
     for entry in prepared:
@@ -467,7 +426,7 @@ def plan_cpdag(
             _assemble_plan(
                 comp,
                 seq,
-                {u: tuple(cache[(ci, u, v)] for v in sub.neighbors(u)) for u in seq.targets},
+                {u: tuple(results[(ci, u, v)] for v in sub.neighbors(u)) for u in seq.targets},
             )
             for seq in sequences
         ]

@@ -19,6 +19,7 @@ from causal_ssd.design import (
 )
 from causal_ssd.graph import (
     CapacityError,
+    ENUMERATION_CAP,
     NotDecomposableError,
     UndirectedGraph,
     enumerate_class,
@@ -31,6 +32,11 @@ G1 = UndirectedGraph("12345", TREE5_EDGES)
 PATH3 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
 PAIR = UndirectedGraph("uv", [("u", "v")])
 TRIANGLE = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
+
+
+def path_graph(n_nodes):
+    nodes = [f"{i:02d}" for i in range(n_nodes)]
+    return UndirectedGraph(nodes, zip(nodes, nodes[1:]))
 
 
 def seq(*targets):
@@ -154,9 +160,12 @@ class TestOptimalSequences:
             optimal_sequences(c4)
 
     def test_capacity_enforced(self):
+        assert ENUMERATION_CAP == 12
         with pytest.raises(CapacityError):
-            optimal_sequences(PATH3, cap=2)
-        assert [s.targets for s in optimal_sequences(PATH3, cap=3)] == [("2",)]
+            optimal_sequences(path_graph(13))
+        # a path of 2m nodes has m + 1 minimum vertex covers, each of m nodes
+        covers = optimal_sequences(path_graph(12))
+        assert len(covers) == 7 and all(len(s) == 6 for s in covers)
 
     def test_seven_clique_leaves_out_one_node_each(self):
         nodes = [str(i) for i in range(7)]
@@ -235,7 +244,7 @@ class TestPriorH0:
 
     def test_count_capacity_and_chordality_enforced(self):
         with pytest.raises(CapacityError):
-            orientation_counts(PATH3, cap=2)
+            orientation_counts(path_graph(13))
         c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
         with pytest.raises(NotDecomposableError):
             prior_h0(c4, "a", "b")

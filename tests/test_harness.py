@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from causal_ssd.design import EdgeHypothesisPrior
 from causal_ssd.graph import Dag
 from causal_ssd.harness import (
     CsvParseError,
@@ -22,7 +23,8 @@ from causal_ssd.harness import (
     replicate_two_node_study,
 )
 from causal_ssd.numerics import RandomStream
-from causal_ssd.predictive import prob_bf_band_h0
+from causal_ssd.predictive import build_design_posterior, prob_bf_band_h0
+from causal_ssd.ssd import DceThresholds, dce_probabilities
 
 
 def two_node_spec(beta=0.5):
@@ -155,22 +157,40 @@ class TestTwoNodeStudy:
         assert "g(n)" in note and "exactly 0" in note and "156" in note
 
     def test_k10_curve_elbow(self, small_report):
-        curve = small_report.dce_curves[10.0]
-        by_n = dict(zip(curve["n"], curve["p0_dc"]))
+        by_n = {row[0]: row[1] for row in small_report.dce_curves[10.0]}
         assert all(by_n[n] == 0.0 for n in range(2, 151))
         assert all(by_n[n] > 0.0 for n in range(157, 201))
 
     def test_nstar_nondecreasing_and_consistent_with_curve(self, small_report):
         for k, points in small_report.nstar_curves.items():
-            curve = small_report.dce_curves[k]
+            rows = small_report.dce_curves[k]
             reachable = [p["n_star"] for p in points if p["n_star"] is not None]
             assert reachable == sorted(reachable)
             for p in points:
                 expected = next(
-                    (n for n, val in zip(curve["n"], curve["overall_dc"]) if val >= p["zeta"]),
+                    (n for n, _, _, val, _ in rows if val >= p["zeta"]),
                     None,
                 )
                 assert p["n_star"] == expected
+
+    def test_curves_are_the_planner_evidence(self, small_report):
+        # the study's curve row at (k, n) is dce_probabilities on the study's
+        # posterior with the H1 substream child(2, n), to the last bit
+        data = generate_sem_data(
+            two_node_spec(SMALL_STUDY.beta), SMALL_STUDY.n_obs, RandomStream(8).child(0)
+        )
+        posterior = build_design_posterior(data.values, SMALL_STUDY.a_omega, labels=data.labels)
+        assert small_report.observational["scatter"] == posterior.scatter.tolist()
+        prior = EdgeHypothesisPrior(u="u", v="v", p_h0=0.5, p_h1=0.5)
+        f_u, draws = SMALL_STUDY.intervention, SMALL_STUDY.draws
+        for k in (3.0, 6.0, 10.0):
+            th = DceThresholds(k0=k, k1=k)
+            rows = {row[0]: row for row in small_report.dce_curves[k]}
+            for n in (2, 50, 57, 157, 200):
+                stream = RandomStream(8).child(2, n)
+                dce = dce_probabilities("u", "v", th, n, prior, posterior, f_u, draws, stream)
+                expected = (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
+                assert rows[n] == expected
 
     def test_exported_samples_shape(self, small_report):
         tags = [(s.hypothesis, s.n) for s in small_report.bf_samples]
@@ -213,7 +233,7 @@ class TestSerialization:
         assert first[0] == "H0" and first[1] == "10" and first[2] == "0"
 
     def test_dce_curve_csv_layout(self):
-        rows = [{"n": 2, "p0_dc": 0.0, "p1_dc": 0.5, "overall_dc": 0.25, "se_overall": 0.01}]
+        rows = [(2, 0.0, 0.5, 0.25, 0.01)]
         lines = dce_curve_csv(rows).strip().split("\n")
         assert lines[0] == "n,p0_dc,p1_dc,overall_dc,se_overall"
         assert lines[1].startswith("2,0,0.5,")

@@ -444,8 +444,8 @@ class TestPlanCpdag:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=100, draws=200)
