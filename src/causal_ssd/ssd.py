@@ -14,6 +14,7 @@ therefore the returned optimal n, is reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -101,8 +102,14 @@ class DceProbabilities:
         }
 
 
+@functools.lru_cache(maxsize=4096)
 def h0_band_probabilities(thresholds: DceThresholds, n: int) -> tuple[float, float, float]:
-    """Exact (decisive, inconclusive, misleading) probabilities under H0."""
+    """Exact (decisive, inconclusive, misleading) probabilities under H0.
+
+    They depend on the thresholds and n alone, so the result is cached:
+    every edge of a plan scans the same n and reuses the bands.  The bound
+    keeps a huge ``n_max`` from growing the cache without limit.
+    """
     p0_dc = prob_bf_band_h0(thresholds.k0, math.inf, n)
     p0_mis = prob_bf_band_h0(0.0, 1.0 / thresholds.k1, n)
     p0_inc = 1.0 - p0_dc - p0_mis

@@ -5,7 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
 
+from causal_ssd.bayes import log_g_of_n
 from causal_ssd.numerics import (
     RandomStream,
     WishartParams,
@@ -13,8 +16,24 @@ from causal_ssd.numerics import (
     regularized_incomplete_beta,
     sample_wishart,
 )
+from causal_ssd.ssd import DceThresholds, h0_band_probabilities
 
 from helpers import matmul_sample_wishart
+
+# Bayes-factor thresholds whose r^2 cuts the H0 bands evaluate
+BF_CUTS = (3.0, 6.0, 10.0, 1 / 3, 1 / 6, 1 / 10)
+
+
+def pipeline_points(n):
+    """(x, a, b) at which the H0 bands call I_x((n-1)/2, 1/2) for sample size n:
+    the r^2 cut (k / g(n))^(2/(n-1)) of each reachable threshold k < g(n)."""
+    g = math.exp(log_g_of_n(n))
+    return [((k / g) ** (2.0 / (n - 1)), (n - 1) / 2.0, 0.5) for k in BF_CUTS if k < g]
+
+
+def mp_betainc(x, a, b):
+    with mpmath.workdps(40):
+        return float(mpmath.betainc(a, b, 0, x, regularized=True))
 
 
 class TestRandomStream:
@@ -88,6 +107,41 @@ class TestRegularizedIncompleteBeta:
                 for x in [1e-6, 1e-3, 0.02, 0.5, 0.999]:
                     expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
                     assert abs(regularized_incomplete_beta(x, a, b) - expected) <= 1e-10
+
+    def test_pipeline_shapes_against_mpmath(self):
+        sizes = sorted({*np.geomspace(2, 10**6, 40).round().astype(int).tolist(), 157, 10**6})
+        checked = 0
+        for n in sizes:
+            for x, a, b in pipeline_points(n):
+                got = regularized_incomplete_beta(x, a, b)
+                assert abs(got - mp_betainc(x, a, b)) <= 1e-14, (n, x)
+                checked += 1
+        assert checked > 5 * len(sizes)
+
+    def test_pipeline_shapes_against_scipy(self):
+        # scipy is a test-only oracle; the package computes I_x itself
+        for n in range(2, 1001):
+            for x, a, b in pipeline_points(n):
+                got = regularized_incomplete_beta(x, a, b)
+                assert abs(got - scipy.special.betainc(a, b, x)) <= 1e-13, (n, x)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.floats(0.05, 1e3), st.floats(0.05, 1e3), st.floats(0.0, 1.0))
+    def test_sweep_against_mpmath_and_symmetry(self, a, b, x):
+        got = regularized_incomplete_beta(x, a, b)
+        assert abs(got - mp_betainc(x, a, b)) <= 1e-12
+        # 1 - x rounds for x < 1/2; then 1 - (1 - x) and 1 - x sum to 1 exactly
+        y = 1.0 - x
+        x = 1.0 - y
+        mirrored = 1.0 - regularized_incomplete_beta(y, b, a)
+        assert abs(regularized_incomplete_beta(x, a, b) - mirrored) <= 1e-12
+
+    def test_h0_triple_is_a_distribution(self):
+        th = DceThresholds()
+        for n in sorted({*np.geomspace(2, 10**6, 60).round().astype(int).tolist(), 10**6}):
+            triple = h0_band_probabilities(th, n)
+            assert all(0.0 <= p <= 1.0 for p in triple), (n, triple)
+            assert abs(sum(triple) - 1.0) <= 1e-15, (n, triple)
 
     def test_monotone_in_x(self):
         grid = np.linspace(0.0, 1.0, 101)

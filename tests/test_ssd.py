@@ -456,6 +456,39 @@ class TestPlanCpdag:
         assert pool_sizes == [min(8, os.cpu_count() or 1)]
         assert [r.to_dict() for r in capped] == [r.to_dict() for r in serial]
 
+    def test_h0_bands_memoized_across_edges(self, monkeypatch):
+        import causal_ssd.ssd as ssd_mod
+
+        data = fig1_dataset()
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=200, draws=600)
+        calls = []
+        real = ssd_mod.prob_bf_band_h0
+
+        def counting(lo, hi, n):
+            calls.append(n)
+            return real(lo, hi, n)
+
+        ssd_mod.h0_band_probabilities.cache_clear()
+        monkeypatch.setattr(ssd_mod, "prob_bf_band_h0", counting)
+        memoized = plan_cpdag(CHAIN5, data, th, **kwargs)
+        edges = [
+            r
+            for comp in memoized
+            for plan in comp.plans
+            for results in plan.edge_results.values()
+            for r in results
+        ]
+        assert len({r.edge for r in edges}) > 1
+        # every edge scans n = 2, 3, ... up to its crossing (or n_max)
+        last = max(r.n_star if r.achieved else r.n_max for r in edges)
+        assert sorted(calls) == sorted(2 * list(range(2, last + 1)))
+        unmemoized = ssd_mod.h0_band_probabilities.__wrapped__
+        monkeypatch.setattr(ssd_mod, "h0_band_probabilities", unmemoized)
+        bypassed = plan_cpdag(CHAIN5, data, th, **kwargs)
+        assert len(calls) > 2 * (last - 1)
+        assert [c.to_dict() for c in memoized] == [c.to_dict() for c in bypassed]
+
     def test_workers_do_not_change_results(self):
         data = fig1_dataset()
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
