@@ -44,9 +44,11 @@ from causal_ssd.predictive import (
     DesignPosterior,
     InterventionDensity,
     BfPredictiveSample,
+    H1EdgeDraw,
     build_design_posterior,
     sample_bf_h0,
     prob_bf_band_h0,
+    draw_h1_edge,
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
@@ -70,4 +72,4 @@ from causal_ssd.harness import (
     ingest_csv,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

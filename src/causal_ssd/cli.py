@@ -47,16 +47,19 @@ from causal_ssd.harness import (
 )
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
+    H1_BYTES_PER_DRAW,
     InsufficientDataError,
     InterventionDensity,
+    draw_h1_edge,
     sample_bf_h0,
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
     DceThresholds,
+    assemble_dce,
     component_posterior,
-    dce_probabilities,
     edge_stream,
+    h0_band_probabilities,
     plan_cpdag,
 )
 
@@ -67,6 +70,10 @@ EXIT_CAPACITY = 3
 EXIT_NOT_ACHIEVABLE = 4
 
 _ENV_PREFIX = "CAUSAL_SSD_"
+
+# memory an H1 evaluation may hold, per process: the edge draw and one n step
+H1_BUDGET_BYTES = 2**28
+MAX_DRAWS = H1_BUDGET_BYTES // H1_BYTES_PER_DRAW
 
 
 class _UsageError(Exception):
@@ -230,6 +237,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         )
     if cfg.draws < 1 or cfg.n_max < 2 or cfg.workers < 1:
         raise _UsageError("--draws, --n-max and --workers must be positive (n-max >= 2)")
+    if cfg.draws > MAX_DRAWS:
+        raise _UsageError(
+            f"--draws {cfg.draws} exceeds {MAX_DRAWS}: the H1 sampler holds "
+            f"{H1_BYTES_PER_DRAW} bytes a draw, and its budget is {H1_BUDGET_BYTES} bytes"
+        )
     if cfg.seed < 0:
         raise _UsageError("--seed must be a nonnegative integer")
     if cfg.a_omega is not None and not math.isfinite(cfg.a_omega):
@@ -325,12 +337,11 @@ def cmd_dce_curve(config: RunConfig) -> int:
     stream = edge_stream(config.stream(), ci, comp, u, v)
     prior = prior_h0(sub, u, v)
     thresholds = config.thresholds()
-    f_u = config.intervention()
+    h1 = draw_h1_edge(posterior, u, v, config.intervention(), config.draws, stream)
     rows = []
     for n in range(2, config.n_max + 1):
-        dce = dce_probabilities(
-            u, v, thresholds, n, prior, posterior, f_u, config.draws, stream.child(n)
-        )
+        sample = sample_bf_h1(h1, n)
+        dce = assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
         rows.append(dce_curve_row(n, dce))
     _emit(_config_comment(config) + dce_curve_csv(rows), config.out_path)
     return EXIT_OK
@@ -343,7 +354,7 @@ def cmd_predict_bf(config: RunConfig) -> int:
     posterior = component_posterior(data, comp, config.a_omega)
     stream = edge_stream(config.stream(), ci, comp, u, v)
     h1 = sample_bf_h1(
-        posterior, u, v, config.intervention(), config.n, config.draws, stream.child(config.n)
+        draw_h1_edge(posterior, u, v, config.intervention(), config.draws, stream), config.n
     )
     h0 = sample_bf_h0(config.n, config.draws, stream.child(config.n, 3))
     _emit(_config_comment(config) + bf_samples_csv([h0, h1]), config.out_path)

@@ -32,6 +32,7 @@ from causal_ssd.predictive import (
     BfPredictiveSample,
     InterventionDensity,
     build_design_posterior,
+    draw_h1_edge,
     prob_bf_band_h0,
     sample_bf_h0,
     sample_bf_h1,
@@ -296,13 +297,12 @@ def replicate_two_node_study(
     prior = EdgeHypothesisPrior(u=u, v=v, p_h0=0.5, p_h1=0.5)
 
     # the few fixed sizes of the exported samples and the evidence grid are
-    # drawn once; the curves reuse them
+    # drawn once; the curves reuse them.  Every H1 sample comes from the one
+    # edge draw on the H1 stream child(2)
     fixed_sizes = sorted(set(config.export_sizes) | set(config.grid_sizes))
     h0_samples = {n: sample_bf_h0(n, config.draws, stream.child(1, n)) for n in fixed_sizes}
-    h1_samples = {
-        n: sample_bf_h1(posterior, u, v, config.intervention, n, config.draws, stream.child(2, n))
-        for n in fixed_sizes
-    }
+    h1 = draw_h1_edge(posterior, u, v, config.intervention, config.draws, stream.child(2))
+    h1_samples = {n: sample_bf_h1(h1, n) for n in fixed_sizes}
 
     # (a) predictive samples for external histogramming
     bf_samples = [h0_samples[n] for n in config.export_sizes] + [
@@ -349,9 +349,7 @@ def replicate_two_node_study(
     thresholds_by_k = {k: DceThresholds(k0=k, k1=k, zeta=0.5) for k in config.k_values}
     curves_by_k: dict[float, list[tuple]] = {k: [] for k in config.k_values}
     for n in range(2, config.n_max + 1):
-        sample = h1_samples[n] if n in h1_samples else sample_bf_h1(
-            posterior, u, v, config.intervention, n, config.draws, stream.child(2, n)
-        )
+        sample = h1_samples[n] if n in h1_samples else sample_bf_h1(h1, n)
         for k, th in thresholds_by_k.items():
             dce = assemble_dce(h0_band_probabilities(th, n), th, prior, sample)
             curves_by_k[k].append(dce_curve_row(n, dce))

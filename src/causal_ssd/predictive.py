@@ -6,7 +6,9 @@ of the interventional density, so band probabilities are exact.  Under H1
 (u -> v) the predictive is simulated: a design posterior built from the
 observational data supplies Wishart draws of the 2x2 conditional precision,
 each draw fixes a regression coefficient and conditional variance, and n
-interventional pairs are generated per draw.
+interventional pairs are generated per draw.  The draws of the precision are
+made once per edge and shared by every n (``draw_h1_edge``); each n draws
+only the sums that depend on it (``sample_bf_h1``).
 """
 
 from __future__ import annotations
@@ -216,50 +218,68 @@ def prob_bf_band_h0(lo: float, hi: float, n: int) -> float:
     return _h0_cdf_cut(hi, n) - _h0_cdf_cut(lo, n)
 
 
-def sample_bf_h1(
+# float64 arrays of ``draws`` entries that one H1 evaluation holds at its
+# peak: the three of the edge draw, and the four work arrays and the output of
+# the n step (one more with a nonzero intervention mean)
+H1_BYTES_PER_DRAW = 9 * 8
+
+
+@dataclass(frozen=True)
+class H1EdgeDraw:
+    """The variates of one edge's H1 predictive whose law does not depend on n.
+
+    Per draw: the regression slope -Q_uv / Q_vv of v on u and the conditional
+    sd sqrt(1 / Q_vv) of a 2x2 conditional precision Q from the design
+    posterior, and the standard normal ``z`` of the cross term.  Every n of
+    the edge reuses them (common random numbers across n); ``sample_bf_h1``
+    adds the two chi-square sums of each n from ``stream.child(n)``.
+    """
+
+    f_u: InterventionDensity
+    slope: np.ndarray
+    cond_sd: np.ndarray
+    z: np.ndarray
+    stream: RandomStream
+
+    def __post_init__(self) -> None:
+        for values in (self.slope, self.cond_sd, self.z):
+            values.setflags(write=False)
+
+    @property
+    def draws(self) -> int:
+        return self.z.size
+
+
+def draw_h1_edge(
     posterior: DesignPosterior,
     u: str,
     v: str,
     f_u: InterventionDensity,
-    n: int,
     draws: int,
     stream: RandomStream,
-) -> BfPredictiveSample:
-    """Monte Carlo predictive draws of the Bayes factor under H1.
+) -> H1EdgeDraw:
+    """Draw the n-free H1 variates of the edge u - v, u manipulated.
 
-    Per draw: sample the 2x2 conditional precision Q from the design
-    posterior, derive the regression slope -Q_uv / Q_vv of v on u and the
-    conditional sd sqrt(1 / Q_vv), then draw the trivariate sufficient
-    statistic of the n interventional pairs directly (sum x_u^2 is a scaled
-    (noncentral) chi-square, the cross term is conditionally Gaussian, the
-    residual sum of squares a chi-square with n-1 degrees of freedom) and
-    evaluate r^2 and the closed-form Bayes factor.  This is exact in
-    distribution for the Gaussian interventional family and costs O(1) per
-    draw instead of O(n).
-
-    The precision is drawn as ``numerics.sample_wishart`` draws it, from
-    ``stream.child(0)`` in the same order (the Bartlett entries b00, b11,
-    b10), and the scatter from ``stream.child(1)``; Q_uu is never formed.
-    All arithmetic runs in place in a few arrays of ``draws`` entries, and
-    a chi-square(k) draw is taken as twice a standard gamma(k / 2) draw,
-    which is how numpy computes it.
+    ``stream`` is the edge task's substream; the draw comes from
+    ``stream.child(0)``.  The precision is drawn as ``numerics.sample_wishart``
+    draws it, in the same order (the Bartlett entries b00, b11, b10), then
+    ``z``; Q_uu is never formed.  A chi-square(k) draw is taken as twice a
+    standard gamma(k / 2) draw, which is how numpy computes it.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     draws = int(draws)
     if draws < 1:
         raise ValueError("draws must be positive")
     params = posterior.pair_precision_params(u, v)
     (f00, f01), (_, f11) = params.upper_factor.tolist()
-    a, b, c, d, e, f = np.empty((6, draws))
-    bf = np.empty(draws)
+    a, c, z = np.empty((3, draws))
+    b, d = np.empty((2, draws))
 
     # Bartlett entries of the precision draw, then M = F B entry by entry
     gen = stream.child(0).generator()
     np.sqrt(_chisquare(gen, params.df, a), out=a)  # b00
     np.sqrt(_chisquare(gen, params.df - 1.0, b), out=b)  # b11
     gen.standard_normal(out=c)  # b10
+    gen.standard_normal(out=z)
     a *= f00
     np.multiply(c, f01, out=d)
     a += d  # m00
@@ -275,37 +295,57 @@ def sample_bf_h1(
     c += b
     slope = np.negative(np.divide(a, c, out=a), out=a)
     cond_sd = np.sqrt(np.divide(1.0, c, out=c), out=c)
+    return H1EdgeDraw(f_u=f_u, slope=slope, cond_sd=cond_sd, z=z, stream=stream)
 
-    # sufficient statistic of the n interventional pairs
-    gen = stream.child(1).generator()
-    uu = b
+
+def sample_bf_h1(edge: H1EdgeDraw, n: int) -> BfPredictiveSample:
+    """Monte Carlo predictive draws of the Bayes factor under H1 at n.
+
+    Per draw of ``edge``, the trivariate sufficient statistic of the n
+    interventional pairs is drawn directly: sum x_u^2 is a scaled
+    (noncentral) chi-square(n), the cross term is sqrt(uu) times the
+    conditional sd times the edge's ``z``, and the residual sum of squares a
+    chi-square with n-1 degrees of freedom.  Then r^2 and the closed-form
+    Bayes factor follow.  This is exact in distribution for the Gaussian
+    interventional family at every n and costs O(1) per draw instead of
+    O(n).  Only uu and the residual depend on n; both come from
+    ``edge.stream.child(n)``, in that order.  All arithmetic runs in place
+    in a few arrays of ``draws`` entries.
+    """
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    stream = edge.stream.child(n)
+    gen = stream.generator()
+    f_u, slope, cond_sd, z = edge.f_u, edge.slope, edge.cond_sd, edge.z
+    uu, ee, ue, e = np.empty((4, edge.draws))
+    bf = np.empty(edge.draws)
+
     if f_u.mean == 0.0:
         _chisquare(gen, n, uu)
     else:
         nonc = n * (f_u.mean / f_u.sd) ** 2
-        uu[:] = gen.noncentral_chisquare(n, nonc, size=draws)
+        uu[:] = gen.noncentral_chisquare(n, nonc, size=edge.draws)
     uu *= f_u.sd**2
-    z = gen.standard_normal(out=d)
-    resid = _chisquare(gen, n - 1, bf)
-    ue = np.sqrt(uu, out=e)
+    _chisquare(gen, n - 1, ee)  # the residual, then ee = z^2 + residual
+    ee += np.multiply(z, z, out=bf)
+    np.sqrt(uu, out=ue)
     ue *= z
-    ee = np.multiply(z, z, out=d)
-    ee += resid
     uv = np.multiply(slope, uu, out=bf)
-    uv += np.multiply(cond_sd, ue, out=f)
+    uv += np.multiply(cond_sd, ue, out=e)
     # vv = slope^2 uu + 2 slope sd ue + sd^2 ee, summed left to right
-    cross = np.multiply(2.0, slope, out=f)
+    cross = np.multiply(2.0, slope, out=e)
     cross *= cond_sd
     cross *= ue
-    vv = np.square(slope, out=e)
+    vv = np.square(slope, out=ue)
     vv *= uu
     vv += cross
-    sd2_ee = np.square(cond_sd, out=c)
+    sd2_ee = np.square(cond_sd, out=e)
     sd2_ee *= ee
     vv += sd2_ee
     # r^2 = uv^2 / (uu vv), then the Bayes factor
     r2 = np.multiply(uv, uv, out=bf)
-    r2 /= np.multiply(uu, vv, out=b)
+    r2 /= np.multiply(uu, vv, out=e)
     np.clip(r2, 0.0, _ONE_BELOW_ONE, out=r2)
     np.negative(r2, out=r2)
     np.log1p(r2, out=r2)

@@ -8,8 +8,9 @@ probabilities with the class-count orientation prior; the optimal n is the
 first point of the sample-size grid where it reaches the target zeta.
 
 H0-side probabilities are exact (closed-form bands); H1-side ones are Monte
-Carlo with per-n substreams, so for a fixed master seed the whole curve, and
-therefore the returned optimal n, is reproducible bit for bit.
+Carlo from one substream per edge (the n-free variates) and one per (edge,
+n), so for a fixed master seed the whole curve, and therefore the returned
+optimal n, is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from causal_ssd.predictive import (
     InsufficientDataError,
     InterventionDensity,
     build_design_posterior,
+    draw_h1_edge,
     prob_bf_band_h0,
     sample_bf_h1,
 )
@@ -173,8 +175,13 @@ def dce_probabilities(
     draws: int = DEFAULT_DRAWS,
     stream: RandomStream = RandomStream(0),
 ) -> DceProbabilities:
-    """Evidence probabilities for manipulating u and testing the edge u - v."""
-    sample = sample_bf_h1(posterior, u, v, f_u, n, draws, stream)
+    """Evidence probabilities at n for manipulating u and testing the edge u - v.
+
+    ``stream`` is the edge task's substream, so the result is, bit for bit,
+    what ``optimal_n_edge`` and ``dce-curve`` compute at n from it; it costs
+    one edge draw and one n step.
+    """
+    sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
     return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
 
 
@@ -224,24 +231,25 @@ def optimal_n_edge(
 ) -> EdgeSsdResult:
     """Smallest n on {2, ..., n_max} whose overall DCE probability reaches zeta.
 
-    The grid is scanned in increasing order with per-n substreams, so the
-    result is the first crossing of the reproducible per-seed curve.  Monte
-    Carlo draws are skipped at grid points where even a perfect H1 side
-    could not reach zeta (the exact H0 side caps the mixture); this cannot
-    change the crossing because the skipped points cannot qualify.
+    The grid is scanned in increasing order, every n from the edge's one
+    draw of n-free variates and its own substream, so the result is the
+    first crossing of the reproducible per-seed curve.  Monte Carlo draws
+    are skipped at grid points where even a perfect H1 side could not reach
+    zeta (the exact H0 side caps the mixture); this cannot change the
+    crossing because the skipped points cannot qualify.  The edge draw is
+    made at the first point the bound lets through, in the process that
+    runs the scan.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    h1 = None
     for n in range(2, n_max + 1):
         h0_bands = h0_band_probabilities(thresholds, n)
         if prior.p_h0 * h0_bands[0] + prior.p_h1 < thresholds.zeta:
             continue
-        dce = assemble_dce(
-            h0_bands,
-            thresholds,
-            prior,
-            sample_bf_h1(posterior, u, v, f_u, n, draws, stream.child(n)),
-        )
+        if h1 is None:
+            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
+        dce = assemble_dce(h0_bands, thresholds, prior, sample_bf_h1(h1, n))
         if dce.overall_dc >= thresholds.zeta:
             return EdgeSsdResult(
                 edge=(u, v), p_h0=prior.p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max

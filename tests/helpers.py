@@ -107,18 +107,29 @@ def reference_sample_bf_h1(
     stream: RandomStream,
     wishart=sample_wishart,
 ) -> np.ndarray:
-    """Oracle: the H1 Bayes-factor draws of ``predictive.sample_bf_h1`` built
-    from full Wishart draws (``numerics.sample_wishart`` by default) and
-    whole-array expressions, drawing from the same substreams in the same
-    order."""
-    slope, cond_sd = _regression_draws(posterior, u, v, draws, stream.child(0), wishart)
-    gen = stream.child(1).generator()
+    """Oracle: the H1 Bayes-factor draws of ``predictive.sample_bf_h1`` at n
+    for the edge whose substream is ``stream``, built from full Wishart draws
+    (``numerics.sample_wishart`` by default) and whole-array expressions.
+
+    It draws from the same substreams in the same order: the precision and
+    then ``z`` from ``stream.child(0)``, and uu and the residual from
+    ``stream.child(n)``.  ``z`` follows the Bartlett entries b00, b11, b10 on
+    one generator, so a replay of those three draws positions it.
+    """
+    edge = stream.child(0)
+    slope, cond_sd = _regression_draws(posterior, u, v, draws, edge, wishart)
+    df = posterior.pair_precision_params(u, v).df
+    gen = edge.generator()
+    gen.chisquare(df, size=draws)
+    gen.chisquare(df - 1.0, size=draws)
+    gen.standard_normal(size=draws)
+    z = gen.standard_normal(size=draws)
+    gen = stream.child(n).generator()
     if f_u.mean == 0.0:
         uu = f_u.sd**2 * gen.chisquare(n, size=draws)
     else:
         nonc = n * (f_u.mean / f_u.sd) ** 2
         uu = f_u.sd**2 * gen.noncentral_chisquare(n, nonc, size=draws)
-    z = gen.standard_normal(size=draws)
     resid = gen.chisquare(n - 1, size=draws)
     ue = np.sqrt(uu) * z
     ee = z * z + resid

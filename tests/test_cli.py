@@ -420,6 +420,26 @@ class TestUsageAndErrors:
         assert main(["plan", "--graph", graph, "--data", data, *FAST, *flag]) == EXIT_USAGE
         assert main(["simulate", "--draws", "10", "--n-max", "12", *flag]) == EXIT_USAGE
 
+    def test_draws_above_memory_budget_is_usage_error(self, two_node_files, capsys, monkeypatch):
+        import causal_ssd.cli as cli_mod
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the usage check")
+
+        monkeypatch.setattr(cli_mod, "draw_h1_edge", no_sampling)
+        monkeypatch.setattr(cli_mod, "plan_cpdag", no_sampling)
+        monkeypatch.setattr(cli_mod, "replicate_two_node_study", no_sampling)
+        graph, data = two_node_files
+        inputs = ["--graph", graph, "--data", data]
+        assert cli_mod.MAX_DRAWS * cli_mod.H1_BYTES_PER_DRAW <= cli_mod.H1_BUDGET_BYTES
+        for draws in (10**12, cli_mod.MAX_DRAWS + 1):
+            flag = ["--draws", str(draws)]
+            assert main(["plan", *inputs, *flag]) == EXIT_USAGE
+            assert main(["simulate", *flag]) == EXIT_USAGE
+            assert main(["predict-bf", *inputs, "--edge", "u,v", "--n", "10", *flag]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.count("usage error: --draws") == 3, err
+
     @pytest.mark.parametrize("error", [KeyError("bug"), ValueError("bug")])
     def test_internal_error_is_not_an_input_error(self, error, two_node_files, monkeypatch):
         import causal_ssd.cli as cli_mod

@@ -175,7 +175,7 @@ class TestTwoNodeStudy:
 
     def test_curves_are_the_planner_evidence(self, small_report):
         # the study's curve row at (k, n) is dce_probabilities on the study's
-        # posterior with the H1 substream child(2, n), to the last bit
+        # posterior with the H1 edge substream child(2), to the last bit
         data = generate_sem_data(
             two_node_spec(SMALL_STUDY.beta), SMALL_STUDY.n_obs, RandomStream(8).child(0)
         )
@@ -187,7 +187,7 @@ class TestTwoNodeStudy:
             th = DceThresholds(k0=k, k1=k)
             rows = {row[0]: row for row in small_report.dce_curves[k]}
             for n in (2, 50, 57, 157, 200):
-                stream = RandomStream(8).child(2, n)
+                stream = RandomStream(8).child(2)
                 dce = dce_probabilities("u", "v", th, n, prior, posterior, f_u, draws, stream)
                 expected = (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
                 assert rows[n] == expected

@@ -14,6 +14,7 @@ from causal_ssd.predictive import (
     InsufficientDataError,
     InterventionDensity,
     build_design_posterior,
+    draw_h1_edge,
     prob_bf_band_h0,
     sample_bf_h0,
     sample_bf_h1,
@@ -210,11 +211,10 @@ class TestSampleBfH1:
         # frozen representative observational draw; the cells move a lot
         # across regenerated datasets, hence the wide bands
         posterior = two_node_posterior(3)
-        f_u = InterventionDensity()
+        edge = draw_h1_edge(posterior, "u", "v", InterventionDensity(), 20_000, RandomStream(20))
         p = {}
         for n in (50, 100):
-            sample = sample_bf_h1(posterior, "u", "v", f_u, n, 20_000, RandomStream(20).child(n))
-            p[n] = sample.fraction_in(0.0, 1.0 / 10.0)
+            p[n] = sample_bf_h1(edge, n).fraction_in(0.0, 1.0 / 10.0)
         assert p[50] == pytest.approx(0.829, abs=0.15)
         assert p[100] == pytest.approx(0.962, abs=0.08)
         assert p[100] > p[50]
@@ -229,11 +229,12 @@ class TestSampleBfH1:
         post = build_design_posterior(z, 1.0, labels=("a", "b", "c"))
         densities = [InterventionDensity(0.0, 1.0), InterventionDensity(0.0, 2.3),
                      InterventionDensity(0.7, 1.3)]
+        stream = RandomStream(14, (2, 1))
         for u, v in (("a", "b"), ("b", "a")):
-            for n in (2, 3, 57, 660, 1000):
-                for f_u in densities:
-                    stream = RandomStream(14, (n, 1))
-                    got = sample_bf_h1(post, u, v, f_u, n, draws, stream)
+            for f_u in densities:
+                edge = draw_h1_edge(post, u, v, f_u, draws, stream)
+                for n in (2, 3, 57, 660, 1000):
+                    got = sample_bf_h1(edge, n)
                     want = reference_sample_bf_h1(post, u, v, f_u, n, draws, stream)
                     assert np.array_equal(got.draws, want), (u, v, n, f_u)
 
@@ -250,18 +251,22 @@ class TestSampleBfH1:
         post = two_node_posterior(11)
         stream = RandomStream(12, (0, 1))
         f_u = InterventionDensity()
-        got = sample_bf_h1(post, "u", "v", f_u, 60, 5000, stream)
+        got = sample_bf_h1(draw_h1_edge(post, "u", "v", f_u, 5000, stream), 60)
         want = reference_sample_bf_h1(
             post, "u", "v", f_u, 60, 5000, stream, wishart=matmul_sample_wishart
         )
         np.testing.assert_allclose(got.draws, want, rtol=1e-12)
 
     def test_scatter_and_pairs_methods_agree(self):
+        # every n drawn from one shared edge draw keeps the law of n
+        # explicitly simulated pairs
         posterior = two_node_posterior(4)
         for f_u in (InterventionDensity(), InterventionDensity(mean=3.0, sd=2.0)):
-            a = sample_bf_h1(posterior, "u", "v", f_u, 20, 8000, RandomStream(21))
-            b = pairs_sample_bf_h1(posterior, "u", "v", f_u, 20, 8000, RandomStream(22))
-            assert stats.ks_2samp(a.draws, b).pvalue > 0.01
+            edge = draw_h1_edge(posterior, "u", "v", f_u, 8000, RandomStream(21))
+            for n in (2, 20, 150):
+                a = sample_bf_h1(edge, n)
+                b = pairs_sample_bf_h1(posterior, "u", "v", f_u, n, 8000, RandomStream(22, (n,)))
+                assert stats.ks_2samp(a.draws, b).pvalue > 0.01, (f_u, n)
 
     def test_limiting_case_approaches_h0_law(self):
         # independent columns and a huge observational sample concentrate the
@@ -272,9 +277,8 @@ class TestSampleBfH1:
             rng = np.random.default_rng(5)
             z = rng.standard_normal((n_rows, 2))
             posterior = build_design_posterior(z, 1.0, labels=("u", "v"))
-            sample = sample_bf_h1(
-                posterior, "u", "v", InterventionDensity(), n, 20_000, RandomStream(23)
-            )
+            edge = draw_h1_edge(posterior, "u", "v", InterventionDensity(), 20_000, RandomStream(23))
+            sample = sample_bf_h1(edge, n)
             r2 = 1.0 - (sample.draws / g_of_n(n)) ** (2.0 / (n - 1))
             res = stats.kstest(
                 r2, lambda q: np.vectorize(regularized_incomplete_beta)(q, 0.5, (n - 1) / 2.0)
@@ -300,16 +304,18 @@ class TestSampleBfH1:
 
     def test_draws_within_bounds(self):
         posterior = two_node_posterior(7)
-        sample = sample_bf_h1(posterior, "u", "v", InterventionDensity(), 30, 5000, RandomStream(24))
+        edge = draw_h1_edge(posterior, "u", "v", InterventionDensity(), 5000, RandomStream(24))
+        sample = sample_bf_h1(edge, 30)
         assert np.all(sample.draws > 0.0)
         assert np.all(sample.draws <= g_of_n(30))
 
     def test_determinism_and_substream_independence(self):
         posterior = two_node_posterior(8)
         f_u = InterventionDensity()
-        a = sample_bf_h1(posterior, "u", "v", f_u, 15, 2000, RandomStream(25))
-        b = sample_bf_h1(posterior, "u", "v", f_u, 15, 2000, RandomStream(25))
-        c = sample_bf_h1(posterior, "u", "v", f_u, 15, 2000, RandomStream(26))
+        a, b, c = (
+            sample_bf_h1(draw_h1_edge(posterior, "u", "v", f_u, 2000, RandomStream(seed)), 15)
+            for seed in (25, 25, 26)
+        )
         np.testing.assert_array_equal(a.draws, b.draws)
         assert not np.array_equal(a.draws, c.draws)
 
@@ -333,8 +339,8 @@ class TestSampleBfH1:
         # conditioning direction matters: (u, v) regresses v on u
         posterior = two_node_posterior(10)
         f_u = InterventionDensity()
-        uv = sample_bf_h1(posterior, "u", "v", f_u, 25, 4000, RandomStream(27))
-        vu = sample_bf_h1(posterior, "v", "u", f_u, 25, 4000, RandomStream(27))
+        uv = sample_bf_h1(draw_h1_edge(posterior, "u", "v", f_u, 4000, RandomStream(27)), 25)
+        vu = sample_bf_h1(draw_h1_edge(posterior, "v", "u", f_u, 4000, RandomStream(27)), 25)
         assert not np.array_equal(uv.draws, vu.draws)
 
 

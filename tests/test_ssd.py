@@ -137,7 +137,7 @@ class TestOptimalNEdge:
         res = optimal_n_edge("u", "v", th, HALF, post, F_U, n_max=60, draws=800, stream=stream)
         crossing = None
         for n in range(2, 61):
-            dce = dce_probabilities("u", "v", th, n, HALF, post, F_U, 800, stream.child(n))
+            dce = dce_probabilities("u", "v", th, n, HALF, post, F_U, 800, stream)
             if dce.overall_dc >= th.zeta:
                 crossing = n
                 break
@@ -163,9 +163,7 @@ class TestOptimalNEdge:
         assert scanned == list(range(2, res.n_star + 1))
         monkeypatch.undo()
         # the reused bands give the same floats as a fresh assembly
-        fresh = dce_probabilities(
-            "u", "v", th, res.n_star, HALF, post, F_U, 800, RandomStream(8).child(res.n_star)
-        )
+        fresh = dce_probabilities("u", "v", th, res.n_star, HALF, post, F_U, 800, RandomStream(8))
         assert res.dce_at_n_star.to_dict() == fresh.to_dict()
 
     def test_pair_parameters_built_once_per_scan(self, monkeypatch):
@@ -179,9 +177,9 @@ class TestOptimalNEdge:
             built.append(df)
             return real_params(df, rate)
 
-        def counting_sample(*args):
-            evaluated.append(args[4])
-            return real_sample(*args)
+        def counting_sample(edge, n):
+            evaluated.append(n)
+            return real_sample(edge, n)
 
         monkeypatch.setattr(predictive_mod, "WishartParams", counting_params)
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
@@ -192,6 +190,47 @@ class TestOptimalNEdge:
         )
         assert res.achieved and len(evaluated) > 5
         assert len(built) == 1
+
+    def test_edge_draw_made_once_per_edge_task(self, monkeypatch):
+        import causal_ssd.ssd as ssd_mod
+
+        drawn, evaluated = [], []
+        real_draw, real_sample = ssd_mod.draw_h1_edge, ssd_mod.sample_bf_h1
+
+        def counting_draw(posterior, u, v, f_u, draws, stream):
+            drawn.append((u, v))
+            return real_draw(posterior, u, v, f_u, draws, stream)
+
+        def counting_sample(edge, n):
+            evaluated.append(n)
+            return real_sample(edge, n)
+
+        monkeypatch.setattr(ssd_mod, "draw_h1_edge", counting_draw)
+        monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        res = optimal_n_edge(
+            "u", "v", th, HALF, two_node_posterior(), F_U, n_max=60, draws=200,
+            stream=RandomStream(8),
+        )
+        assert res.achieved and len(evaluated) > 5
+        assert drawn == [("u", "v")]
+        # no draw when the exact H0 bound lets no n through
+        drawn.clear()
+        capped = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
+        res = optimal_n_edge(
+            "u", "v", capped, HALF, two_node_posterior(), F_U, n_max=30, draws=200,
+            stream=RandomStream(8),
+        )
+        assert not res.achieved and drawn == []
+        # a plan draws once per edge task: every ordered edge of the triangle
+        # {1, 2, 3} and of the pair {4, 5} of CHAIN5
+        drawn.clear()
+        plans = plan_cpdag(CHAIN5, fig1_dataset(), th, F_U, RandomStream(22), n_max=100, draws=200)
+        assert all(c.feasible for c in plans)
+        assert sorted(drawn) == sorted(
+            (u, v) for u, v in itertools.permutations("12345", 2)
+            if {u, v} <= set("123") or {u, v} == set("45")
+        )
 
     def test_not_achievable_marker(self):
         th = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
@@ -413,15 +452,20 @@ class TestPlanCpdag:
     def test_plan_unchanged_under_matmul_wishart_oracle(self, monkeypatch):
         import causal_ssd.ssd as ssd_mod
 
-        def oracle_sample_bf_h1(posterior, u, v, f_u, n, draws, stream):
+        def oracle_draw_h1_edge(*args):
+            return args  # the oracle draws everything again at each n
+
+        def oracle_sample_bf_h1(edge_args, n):
+            posterior, u, v, f_u, draws, stream = edge_args
             bf = reference_sample_bf_h1(
                 posterior, u, v, f_u, n, draws, stream, wishart=matmul_sample_wishart
             )
-            return BfPredictiveSample(hypothesis="H1", n=n, draws=bf, stream=stream)
+            return BfPredictiveSample(hypothesis="H1", n=n, draws=bf, stream=stream.child(n))
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         kwargs = dict(f_u=F_U, stream=RandomStream(23), n_max=300, draws=2000)
         fast = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
+        monkeypatch.setattr(ssd_mod, "draw_h1_edge", oracle_draw_h1_edge)
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", oracle_sample_bf_h1)
         oracle = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
         assert all(r.error is None and r.feasible for r in fast)
