@@ -6,70 +6,46 @@ DAG within each chain component, and determines for every intervention the
 minimal interventional sample size guaranteeing a pre-experimental
 probability of decisive-and-correct Bayes-factor evidence above a user
 threshold.
+
+``__all__`` is the library's contract: the inputs and entry point of a
+plan (``parse_edge_list``, ``ingest_csv``, ``DceThresholds``,
+``InterventionDensity``, ``RandomStream``, ``plan_cpdag``) and the pipeline
+pieces under it.  Everything else is reachable through its module but may
+change without notice.
 """
 
-from causal_ssd.numerics import RandomStream, WishartParams
-from causal_ssd.graph import (
-    UndirectedGraph,
-    Dag,
-    PartiallyDirectedGraph,
-    ChainComponentDecomposition,
-    chain_components,
-    is_decomposable,
-    enumerate_class,
-    meek_closure,
-    dag_to_cpdag,
-    parse_edge_list,
-    format_edge_list,
-)
-from causal_ssd.design import (
-    InterventionSequence,
-    EdgeHypothesisPrior,
-    is_sufficient,
-    optimal_sequences,
-    prior_h0,
-    best_size_optimal_sequence,
-)
-from causal_ssd.bayes import (
-    FbfConfig,
-    PairedSample,
-    g_of_n,
-    uncentered_correlation_sq,
-    bf01,
-    marginal_likelihood_subset,
-    bf01_subjective,
-    fbf_objective_bf,
-)
+from causal_ssd.numerics import RandomStream
+from causal_ssd.graph import meek_closure, parse_edge_list
+from causal_ssd.design import optimal_sequences, prior_h0
 from causal_ssd.predictive import (
-    DesignPosterior,
     InterventionDensity,
-    BfPredictiveSample,
-    H1EdgeDraw,
-    build_design_posterior,
-    sample_bf_h0,
-    prob_bf_band_h0,
     draw_h1_edge,
+    prob_bf_band_h0,
+    sample_bf_h0,
     sample_bf_h1,
 )
-from causal_ssd.ssd import (
-    DceThresholds,
-    DceProbabilities,
-    EdgeSsdResult,
-    InterventionPlan,
-    ComponentPlans,
-    dce_probabilities,
-    optimal_n_edge,
-    optimal_n_node,
-    plan_cpdag,
-)
-from causal_ssd.harness import (
-    DatasetMatrix,
-    LinearSemSpec,
-    TwoNodeStudyConfig,
-    TwoNodeStudyReport,
-    generate_sem_data,
-    replicate_two_node_study,
-    ingest_csv,
-)
+from causal_ssd.ssd import DceThresholds, optimal_n_edge, plan_cpdag
+from causal_ssd.harness import TwoNodeStudyConfig, ingest_csv, replicate_two_node_study
+
+__all__ = [
+    # a plan end to end
+    "DceThresholds",
+    "InterventionDensity",
+    "RandomStream",
+    "ingest_csv",
+    "parse_edge_list",
+    "plan_cpdag",
+    # the pipeline pieces
+    "draw_h1_edge",
+    "meek_closure",
+    "optimal_n_edge",
+    "optimal_sequences",
+    "prior_h0",
+    "prob_bf_band_h0",
+    "replicate_two_node_study",
+    "sample_bf_h0",
+    "sample_bf_h1",
+    "TwoNodeStudyConfig",
+]
 
 __version__ = "0.2.0"

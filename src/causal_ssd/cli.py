@@ -231,9 +231,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     if cfg.n0 != 1:
         raise _UsageError(
-            "the planning pipeline evaluates the closed-form factor of the unit "
-            "training sample; --n0 must be 1 (other values are available through "
-            "the library's fractional-factor API)"
+            "the pipeline evaluates the closed-form factor of the unit training "
+            "sample, so --n0 must be 1"
         )
     if cfg.draws < 1 or cfg.n_max < 2 or cfg.workers < 1:
         raise _UsageError("--draws, --n-max and --workers must be positive (n-max >= 2)")

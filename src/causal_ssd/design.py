@@ -19,8 +19,9 @@ is sufficient exactly when it is a vertex cover of the component:
 So the optimal sequences are the minimum vertex covers, and
 ``optimal_sequences`` searches for those without enumerating the class (He &
 Geng, JMLR 2008; Hauser & Buhlmann, IJAR 2014; Eberhardt, Glymour & Scheines,
-UAI 2005).  ``is_sufficient`` keeps the definition itself, closure under the
-orientation rules against every class member, as the oracle for that search.
+UAI 2005).  ``is_sufficient`` in ``tests/helpers.py`` keeps the definition
+itself, closure under the orientation rules against every class member, as
+the oracle for that search.
 
 The orientation prior of an edge is a ratio of two class counts, and
 ``orientation_counts`` finds both without building the class (He, Jia & Yu,
@@ -52,13 +53,12 @@ from typing import Mapping
 
 from causal_ssd.graph import (
     CapacityError,
-    Dag,
     ENUMERATION_CAP,
     NotDecomposableError,
     PartiallyDirectedGraph,
     UndirectedGraph,
     chain_components,
-    enumerate_class,
+    enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps design.enumerate_class)
     is_decomposable,
     meek_closure,
 )
@@ -87,12 +87,6 @@ class InterventionSequence:
     def canonical(self) -> "InterventionSequence":
         return InterventionSequence(tuple(sorted(self.targets)))
 
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def __iter__(self):
-        return iter(self.targets)
-
 
 @dataclass(frozen=True)
 class EdgeHypothesisPrior:
@@ -113,43 +107,6 @@ class EdgeHypothesisPrior:
             raise ValueError("prior probabilities must lie in [0, 1]")
         if abs(self.p_h0 + self.p_h1 - 1.0) > 1e-12:
             raise ValueError("p_h0 + p_h1 must equal 1")
-
-
-def _oriented_pattern(
-    g: UndirectedGraph, targets: set[str], member: Dag
-) -> PartiallyDirectedGraph:
-    """Pattern with every edge incident to a target oriented as in ``member``."""
-    directed, undirected = [], []
-    for u, v in g.edges():
-        if u in targets or v in targets:
-            directed.append((u, v) if member.has_edge(u, v) else (v, u))
-        else:
-            undirected.append((u, v))
-    return PartiallyDirectedGraph(g.nodes, directed=directed, undirected=undirected)
-
-
-def _sufficient_for_class(g: UndirectedGraph, targets: set[str], dags: list[Dag]) -> bool:
-    for member in dags:
-        closed = meek_closure(_oriented_pattern(g, targets, member))
-        if not closed.is_fully_directed():
-            return False
-        if closed.to_dag() != member:  # sound closure cannot disagree; guard anyway
-            return False
-    return True
-
-
-def is_sufficient(g: UndirectedGraph, s: InterventionSequence) -> bool:
-    """True iff manipulating the targets of ``s`` identifies every class member.
-
-    For each perfect directed version of ``g``, orienting the edges incident
-    to the targets accordingly and closing under the orientation rules must
-    recover the full DAG.
-    """
-    targets = set(s.targets)
-    missing = targets - set(g.nodes)
-    if missing:
-        raise ValueError(f"targets not in component: {sorted(missing)}")
-    return _sufficient_for_class(g, targets, enumerate_class(g))
 
 
 def optimal_sequences(g: UndirectedGraph) -> list[InterventionSequence]:

@@ -3,8 +3,7 @@
 Provides chain-component decomposition of partially directed graphs,
 decomposability (chordality) testing, enumeration of the acyclic
 v-structure-free orientations of a decomposable graph, orientation closure
-under the four standard propagation rules, and the DAG-to-essential-graph
-conversion.
+under the four standard propagation rules, and the edge-list text format.
 
 Node labels are strings; every structure stores them sorted, so iteration
 order (and therefore file output) is deterministic.
@@ -159,24 +158,8 @@ class Dag:
     def parents(self, v) -> tuple[str, ...]:
         return tuple(sorted(self._parents[str(v)]))
 
-    def children(self, v) -> tuple[str, ...]:
-        return tuple(sorted(self._children[str(v)]))
-
     def topological_order(self) -> tuple[str, ...]:
         return self._topo
-
-    def skeleton(self) -> UndirectedGraph:
-        return UndirectedGraph(self._nodes, self._edges)
-
-    def v_structures(self) -> set[tuple[str, str, str]]:
-        """Triples (a, b, c), a < c, with a -> b <- c and a, c nonadjacent."""
-        out: set[tuple[str, str, str]] = set()
-        for b in self._nodes:
-            pars = sorted(self._parents[b])
-            for a, c in itertools.combinations(pars, 2):
-                if (a, c) not in self._edges and (c, a) not in self._edges:
-                    out.add((a, b, c))
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dag):
@@ -246,19 +229,8 @@ class PartiallyDirectedGraph:
     def undirected_edges(self) -> list[tuple[str, str]]:
         return sorted(self._undirected)
 
-    def has_directed_edge(self, u, v) -> bool:
-        return (str(u), str(v)) in self._directed
-
     def has_undirected_edge(self, u, v) -> bool:
         return _canonical_pair(str(u), str(v)) in self._undirected
-
-    def adjacent(self, u, v) -> bool:
-        u, v = str(u), str(v)
-        return (
-            _canonical_pair(u, v) in self._undirected
-            or (u, v) in self._directed
-            or (v, u) in self._directed
-        )
 
     def undirected_neighbors(self, u) -> tuple[str, ...]:
         return tuple(sorted(self._und_adj[str(u)]))
@@ -268,19 +240,6 @@ class PartiallyDirectedGraph:
 
     def children(self, v) -> tuple[str, ...]:
         return tuple(sorted(self._children[str(v)]))
-
-    def skeleton(self) -> UndirectedGraph:
-        return UndirectedGraph(
-            self._nodes, list(self._undirected) + list(self._directed)
-        )
-
-    def is_fully_directed(self) -> bool:
-        return not self._undirected
-
-    def to_dag(self) -> Dag:
-        if self._undirected:
-            raise ValueError("graph still has undirected edges")
-        return Dag(self._nodes, self._directed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartiallyDirectedGraph):
@@ -546,26 +505,6 @@ def meek_closure(g: PartiallyDirectedGraph) -> PartiallyDirectedGraph:
     return PartiallyDirectedGraph(nodes, directed=directed, undirected=undirected)
 
 
-def dag_to_cpdag(d: Dag) -> PartiallyDirectedGraph:
-    """Essential graph of the Markov equivalence class of ``d``.
-
-    Edges taking the same orientation in every equivalent DAG stay directed;
-    reversible edges become undirected.  Computed by keeping the v-structure
-    arrows and closing under the orientation rules.
-    """
-    vstruct_arrows: set[tuple[str, str]] = set()
-    for a, b, c in d.v_structures():
-        vstruct_arrows.add((a, b))
-        vstruct_arrows.add((c, b))
-    undirected = [
-        (u, v) for u, v in d.edges() if (u, v) not in vstruct_arrows
-    ]
-    pattern = PartiallyDirectedGraph(
-        d.nodes, directed=sorted(vstruct_arrows), undirected=undirected
-    )
-    return meek_closure(pattern)
-
-
 def parse_edge_list(text: str) -> PartiallyDirectedGraph:
     """Parse the shared edge-list text format.
 
@@ -600,11 +539,3 @@ def parse_edge_list(text: str) -> PartiallyDirectedGraph:
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
 
-
-def format_edge_list(g: PartiallyDirectedGraph) -> str:
-    """Serialize a graph to the edge-list text format (round-trips with parse)."""
-    lines = [f"{u} -- {v}" for u, v in g.undirected_edges()]
-    lines += [f"{u} -> {v}" for u, v in g.directed_edges()]
-    covered = {n for e in g.undirected_edges() + g.directed_edges() for n in e}
-    lines += [n for n in g.nodes if n not in covered]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -78,9 +78,6 @@ class DatasetMatrix:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
 
-    def column(self, label: str) -> np.ndarray:
-        return self.values[:, self.labels.index(str(label))]
-
     def restrict(self, labels: Sequence[str]) -> "DatasetMatrix":
         """Columns for the given labels, in the given order."""
         wanted = [str(x) for x in labels]
@@ -196,34 +193,41 @@ def _parse_csv(reader) -> DatasetMatrix:
 # ---------------------------------------------------------------------------
 
 TWO_NODE_LABELS = ("u", "v")
+# the generating model u -> v of the observational data: rows, coefficient,
+# and the noise sd of both nodes
+STUDY_N_OBS = 50
+STUDY_BETA = 0.5
+STUDY_NOISE_SD = 1.0
+# sizes whose draws are exported to bf_samples.csv, and the evidence-grid sizes
+EXPORT_SIZES = (10, 50)
+GRID_SIZES = (10, 50, 100)
 
 
 @dataclass(frozen=True)
 class TwoNodeStudyConfig:
-    """Configuration of the two-node chain-component study."""
+    """Configuration of the two-node chain-component study.
 
-    n_obs: int = 50
-    beta: float = 0.5
-    noise_sd: float = 1.0
+    The generating model and the exported and grid sizes are the module
+    constants above; ``to_dict`` records them with the settable fields.
+    """
+
     draws: int = 10_000
     n_max: int = 1000
     k_values: tuple[float, ...] = (3.0, 6.0, 10.0)
-    export_sizes: tuple[int, ...] = (10, 50)
-    grid_sizes: tuple[int, ...] = (10, 50, 100)
     zeta_grid: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
     intervention: InterventionDensity = InterventionDensity()
     a_omega: float = 1.0  # T - 1 for the two-node component
 
     def to_dict(self) -> dict:
         return {
-            "n_obs": self.n_obs,
-            "beta": self.beta,
-            "noise_sd": self.noise_sd,
+            "n_obs": STUDY_N_OBS,
+            "beta": STUDY_BETA,
+            "noise_sd": STUDY_NOISE_SD,
             "draws": self.draws,
             "n_max": self.n_max,
             "k_values": list(self.k_values),
-            "export_sizes": list(self.export_sizes),
-            "grid_sizes": list(self.grid_sizes),
+            "export_sizes": list(EXPORT_SIZES),
+            "grid_sizes": list(GRID_SIZES),
             "zeta_grid": list(self.zeta_grid),
             "intervention_mean": self.intervention.mean,
             "intervention_sd": self.intervention.sd,
@@ -282,14 +286,14 @@ def replicate_two_node_study(
     dag = Dag((u, v), [(u, v)])
     sem = LinearSemSpec(
         dag=dag,
-        coefficients={(u, v): config.beta},
-        noise_sd={u: config.noise_sd, v: config.noise_sd},
+        coefficients={(u, v): STUDY_BETA},
+        noise_sd={u: STUDY_NOISE_SD, v: STUDY_NOISE_SD},
     )
-    data = generate_sem_data(sem, config.n_obs, stream.child(0))
+    data = generate_sem_data(sem, STUDY_N_OBS, stream.child(0))
     posterior = build_design_posterior(data.values, config.a_omega, labels=data.labels)
     scatter = posterior.scatter
     observational = {
-        "n_rows": config.n_obs,
+        "n_rows": STUDY_N_OBS,
         "labels": list(data.labels),
         "scatter": [[scatter[0, 0], scatter[0, 1]], [scatter[1, 0], scatter[1, 1]]],
         "sample_slope": scatter[0, 1] / scatter[0, 0],
@@ -299,20 +303,18 @@ def replicate_two_node_study(
     # the few fixed sizes of the exported samples and the evidence grid are
     # drawn once; the curves reuse them.  Every H1 sample comes from the one
     # edge draw on the H1 stream child(2)
-    fixed_sizes = sorted(set(config.export_sizes) | set(config.grid_sizes))
+    fixed_sizes = sorted(set(EXPORT_SIZES) | set(GRID_SIZES))
     h0_samples = {n: sample_bf_h0(n, config.draws, stream.child(1, n)) for n in fixed_sizes}
     h1 = draw_h1_edge(posterior, u, v, config.intervention, config.draws, stream.child(2))
     h1_samples = {n: sample_bf_h1(h1, n) for n in fixed_sizes}
 
     # (a) predictive samples for external histogramming
-    bf_samples = [h0_samples[n] for n in config.export_sizes] + [
-        h1_samples[n] for n in config.export_sizes
-    ]
+    bf_samples = [h0_samples[n] for n in EXPORT_SIZES] + [h1_samples[n] for n in EXPORT_SIZES]
 
     # (b) evidence-category grid; moderate is (3, 10) for H0 and (1/10, 1/3)
     # for H1, strong-to-extreme the decisive tail beyond 10 (or 1/10)
     evidence_grid: list[dict] = []
-    for n in config.grid_sizes:
+    for n in GRID_SIZES:
         exact_moderate = prob_bf_band_h0(3.0, 10.0, n)
         exact_strong = prob_bf_band_h0(10.0, math.inf, n)
         mc = h0_samples[n]
@@ -328,7 +330,7 @@ def replicate_two_node_study(
                 "mc_se_moderate": binomial_se(exact_moderate, config.draws),
             }
         )
-    for n in config.grid_sizes:
+    for n in GRID_SIZES:
         sample = h1_samples[n]
         moderate = sample.fraction_in(1.0 / 10.0, 1.0 / 3.0)
         strong = sample.fraction_in(0.0, 1.0 / 10.0)

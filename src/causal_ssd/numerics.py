@@ -105,10 +105,6 @@ class WishartParams:
     def dim(self) -> int:
         return self.rate.shape[0]
 
-    def mean(self) -> np.ndarray:
-        """Expectation a * U^{-1} of a draw."""
-        return self.df * np.linalg.inv(self.rate)
-
 
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for positive real ``x``."""

@@ -19,15 +19,28 @@ from typing import Sequence
 
 import numpy as np
 
-from causal_ssd.bayes import log_g_of_n
 from causal_ssd.numerics import (
     RandomStream,
     WishartParams,
+    log_gamma,
     regularized_incomplete_beta,
     sample_wishart,  # noqa: F401  (no caller; bench/tracing.py wraps predictive.sample_wishart)
 )
 
 _ONE_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def log_g_of_n(n: int) -> float:
+    """log of the Bayes-factor ceiling g(n) = n Gamma(n/2) / (sqrt(pi) Gamma((n+1)/2)).
+
+    The closed-form objective Bayes factor of the unit training sample is
+    BF01(n) = g(n) (1 - r^2)^((n-1)/2), so g(n), strictly increasing and
+    asymptotically sqrt(2 n / pi), is its value at r^2 = 0.
+    """
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"g(n) requires n >= 2, got {n}")
+    return math.log(n) + log_gamma(n / 2.0) - log_gamma((n + 1) / 2.0) - 0.5 * math.log(math.pi)
 
 
 class InsufficientDataError(ValueError):

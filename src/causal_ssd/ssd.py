@@ -164,27 +164,6 @@ def assemble_dce(
     )
 
 
-def dce_probabilities(
-    u: str,
-    v: str,
-    thresholds: DceThresholds,
-    n: int,
-    prior: EdgeHypothesisPrior,
-    posterior: DesignPosterior,
-    f_u: InterventionDensity,
-    draws: int = DEFAULT_DRAWS,
-    stream: RandomStream = RandomStream(0),
-) -> DceProbabilities:
-    """Evidence probabilities at n for manipulating u and testing the edge u - v.
-
-    ``stream`` is the edge task's substream, so the result is, bit for bit,
-    what ``optimal_n_edge`` and ``dce-curve`` compute at n from it; it costs
-    one edge draw and one n step.
-    """
-    sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
-    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
-
-
 @dataclass(frozen=True)
 class EdgeSsdResult:
     """Optimal sample size for one (target, neighbor) pair.

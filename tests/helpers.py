@@ -1,4 +1,10 @@
-"""Shared fixtures and brute-force oracles used across test modules."""
+"""Shared fixtures and brute-force oracles used across test modules.
+
+The reference implementations that only tests use live here: the Bayes
+factors and marginal likelihoods behind the closed form, the DAG-to-CPDAG
+conversion, the definition of a sufficient sequence, and the evidence
+probabilities at one n.
+"""
 
 import itertools
 import math
@@ -6,10 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from causal_ssd.bayes import log_g_of_n
-from causal_ssd.graph import Dag, PartiallyDirectedGraph, UndirectedGraph
-from causal_ssd.numerics import RandomStream, WishartParams, sample_wishart
-from causal_ssd.predictive import DesignPosterior, InterventionDensity
+from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence
+from causal_ssd.graph import (
+    Dag,
+    PartiallyDirectedGraph,
+    UndirectedGraph,
+    enumerate_class,
+    meek_closure,
+)
+from causal_ssd.numerics import RandomStream, WishartParams, log_gamma, sample_wishart
+from causal_ssd.predictive import (
+    DesignPosterior,
+    InterventionDensity,
+    draw_h1_edge,
+    log_g_of_n,
+    sample_bf_h1,
+)
+from causal_ssd.ssd import (
+    DEFAULT_DRAWS,
+    DceProbabilities,
+    DceThresholds,
+    assemble_dce,
+    h0_band_probabilities,
+)
 
 _ONE_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -34,7 +59,7 @@ def brute_force_class(g: UndirectedGraph) -> list[Dag]:
             d = Dag(g.nodes, oriented)
         except ValueError:
             continue
-        if not d.v_structures():
+        if not v_structures(d):
             out.append(d)
     return out
 
@@ -197,3 +222,319 @@ def derive_cholesky_pair(sigma_2x2: np.ndarray) -> CholeskyPair:
     l_uv = -sigma[0, 1] / sigma[0, 0]
     d_vv = sigma[1, 1] - sigma[0, 1] ** 2 / sigma[0, 0]
     return CholeskyPair(l_uv=float(l_uv), d_vv=float(d_vv))
+
+
+# ---------------------------------------------------------------------------
+# graph oracles
+# ---------------------------------------------------------------------------
+
+
+def v_structures(d: Dag) -> set[tuple[str, str, str]]:
+    """Triples (a, b, c), a < c, with a -> b <- c and a, c nonadjacent."""
+    out: set[tuple[str, str, str]] = set()
+    for b in d.nodes:
+        for a, c in itertools.combinations(d.parents(b), 2):
+            if not d.has_edge(a, c) and not d.has_edge(c, a):
+                out.add((a, b, c))
+    return out
+
+
+def dag_to_cpdag(d: Dag) -> PartiallyDirectedGraph:
+    """Essential graph of the Markov equivalence class of ``d``.
+
+    Edges taking the same orientation in every equivalent DAG stay directed;
+    reversible edges become undirected.  Computed by keeping the v-structure
+    arrows and closing under the orientation rules.
+    """
+    vstruct_arrows: set[tuple[str, str]] = set()
+    for a, b, c in v_structures(d):
+        vstruct_arrows.add((a, b))
+        vstruct_arrows.add((c, b))
+    undirected = [
+        (u, v) for u, v in d.edges() if (u, v) not in vstruct_arrows
+    ]
+    pattern = PartiallyDirectedGraph(
+        d.nodes, directed=sorted(vstruct_arrows), undirected=undirected
+    )
+    return meek_closure(pattern)
+
+
+def format_edge_list(g: PartiallyDirectedGraph) -> str:
+    """Serialize a graph to the edge-list text format (round-trips with parse)."""
+    lines = [f"{u} -- {v}" for u, v in g.undirected_edges()]
+    lines += [f"{u} -> {v}" for u, v in g.directed_edges()]
+    covered = {n for e in g.undirected_edges() + g.directed_edges() for n in e}
+    lines += [n for n in g.nodes if n not in covered]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# the definition of a sufficient sequence, oracle of design.optimal_sequences
+# ---------------------------------------------------------------------------
+
+
+def _oriented_pattern(
+    g: UndirectedGraph, targets: set[str], member: Dag
+) -> PartiallyDirectedGraph:
+    """Pattern with every edge incident to a target oriented as in ``member``."""
+    directed, undirected = [], []
+    for u, v in g.edges():
+        if u in targets or v in targets:
+            directed.append((u, v) if member.has_edge(u, v) else (v, u))
+        else:
+            undirected.append((u, v))
+    return PartiallyDirectedGraph(g.nodes, directed=directed, undirected=undirected)
+
+
+def _sufficient_for_class(g: UndirectedGraph, targets: set[str], dags: list[Dag]) -> bool:
+    for member in dags:
+        closed = meek_closure(_oriented_pattern(g, targets, member))
+        if closed.undirected_edges():
+            return False
+        # sound closure cannot disagree; guard anyway
+        if Dag(closed.nodes, closed.directed_edges()) != member:
+            return False
+    return True
+
+
+def is_sufficient(g: UndirectedGraph, s: InterventionSequence) -> bool:
+    """True iff manipulating the targets of ``s`` identifies every class member.
+
+    For each perfect directed version of ``g``, orienting the edges incident
+    to the targets accordingly and closing under the orientation rules must
+    recover the full DAG.
+    """
+    targets = set(s.targets)
+    missing = targets - set(g.nodes)
+    if missing:
+        raise ValueError(f"targets not in component: {sorted(missing)}")
+    return _sufficient_for_class(g, targets, enumerate_class(g))
+
+
+# ---------------------------------------------------------------------------
+# evidence probabilities at one n
+# ---------------------------------------------------------------------------
+
+
+def dce_probabilities(
+    u: str,
+    v: str,
+    thresholds: DceThresholds,
+    n: int,
+    prior: EdgeHypothesisPrior,
+    posterior: DesignPosterior,
+    f_u: InterventionDensity,
+    draws: int = DEFAULT_DRAWS,
+    stream: RandomStream = RandomStream(0),
+) -> DceProbabilities:
+    """Evidence probabilities at n for manipulating u and testing the edge u - v.
+
+    ``stream`` is the edge task's substream, so the result is, bit for bit,
+    what ``ssd.optimal_n_edge`` and ``dce-curve`` compute at n from it; it
+    costs one edge draw and one n step.
+    """
+    sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
+    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
+
+
+# ---------------------------------------------------------------------------
+# Bayes factors and marginal likelihoods behind the closed form
+# ---------------------------------------------------------------------------
+#
+# The pipeline evaluates the objective Bayes factor of the unit training
+# sample in closed form,
+#
+#     BF01(n) = g(n) * (1 - r^2)^((n-1)/2),
+#     g(n)    = n * Gamma(n/2) / (sqrt(pi) * Gamma((n+1)/2)),
+#
+# with r^2 the uncentered squared sample correlation.  The subjective-prior
+# formula and its fractional reduction below are its oracles; all marginal
+# likelihoods are computed on the log scale (gamma ratios overflow for n of
+# a few hundred otherwise).
+
+
+@dataclass(frozen=True)
+class FbfConfig:
+    """Fractional-prior configuration: degrees parameter and training size.
+
+    ``a_omega=None`` resolves to T - 1 at evaluation time, the smallest
+    choice keeping the fractional prior proper with a single training
+    observation.
+    """
+
+    a_omega: float | None = None
+    n0: int = 1
+
+    def __post_init__(self) -> None:
+        if self.n0 < 1:
+            raise ValueError(f"n0 must be a positive integer, got {self.n0!r}")
+
+    def resolve_a_omega(self, t: int) -> float:
+        a = float(t - 1) if self.a_omega is None else float(self.a_omega)
+        if a + self.n0 <= t - 1:
+            raise ValueError(
+                f"fractional prior improper: a_omega + n0 = {a + self.n0} <= T - 1 = {t - 1}"
+            )
+        return a
+
+
+@dataclass(frozen=True)
+class PairedSample:
+    """Two equal-length interventional data columns with nondegenerate scale."""
+
+    x_u: np.ndarray
+    x_v: np.ndarray
+
+    def __post_init__(self) -> None:
+        xu = np.asarray(self.x_u, dtype=float)
+        xv = np.asarray(self.x_v, dtype=float)
+        if xu.ndim != 1 or xv.ndim != 1 or xu.shape != xv.shape:
+            raise ValueError("x_u and x_v must be one-dimensional and equally long")
+        if xu.size < 2:
+            raise ValueError(
+                "need n >= 2: the uncentered correlation of a single pair is always 1"
+            )
+        if not (np.all(np.isfinite(xu)) and np.all(np.isfinite(xv))):
+            raise ValueError("sample values must be finite")
+        if not (np.dot(xu, xu) > 0.0 and np.dot(xv, xv) > 0.0):
+            raise ValueError("degenerate sample: a column has zero sum of squares")
+        xu.setflags(write=False)
+        xv.setflags(write=False)
+        object.__setattr__(self, "x_u", xu)
+        object.__setattr__(self, "x_v", xv)
+
+    @property
+    def n(self) -> int:
+        return self.x_u.size
+
+    def scatter(self) -> np.ndarray:
+        """2x2 cross-product matrix of (x_u, x_v)."""
+        xu, xv = self.x_u, self.x_v
+        return np.array(
+            [[xu @ xu, xu @ xv], [xu @ xv, xv @ xv]], dtype=float
+        )
+
+
+def g_of_n(n: int) -> float:
+    """The factor g(n) = n Gamma(n/2) / (sqrt(pi) Gamma((n+1)/2)).
+
+    Strictly increasing in n, asymptotically sqrt(2 n / pi); it is the
+    supremum of the Bayes factor at sample size n, attained at r^2 = 0.
+    """
+    return math.exp(log_g_of_n(n))
+
+
+def uncentered_correlation_sq(s: PairedSample) -> float:
+    """Squared sample correlation without mean subtraction (zero-mean model)."""
+    xu, xv = s.x_u, s.x_v
+    return float((xu @ xv) ** 2 / ((xu @ xu) * (xv @ xv)))
+
+
+def bf01(s: PairedSample) -> float:
+    """Closed-form objective Bayes factor of independence vs dependence.
+
+    Lies in (0, g(n)], equal to g(n) exactly when the columns are orthogonal;
+    proportional columns give 0 (total evidence for dependence).
+    """
+    r2 = uncentered_correlation_sq(s)
+    if r2 >= 1.0:
+        return 0.0
+    return math.exp(log_g_of_n(s.n) + 0.5 * (s.n - 1) * math.log1p(-r2))
+
+
+def _log_marginal_from_scatter(
+    s_aa: np.ndarray, n: float, u_aa: np.ndarray, a: float, t: int
+) -> float:
+    """Log marginal data distribution of a variable subset, from its scatter.
+
+    ``s_aa`` and ``u_aa`` are the scatter and prior-rate blocks of the subset
+    A; ``a`` the prior degrees of freedom of the T-dimensional Wishart.  With
+    alpha = a - (T - |A|), the value is
+
+      sum_j [ lG((alpha+n+1-j)/2) - lG((alpha+1-j)/2) ]
+      + (alpha/2) log|U_AA| - ((alpha+n)/2) log|U_AA + S_AA|
+      - (n |A| / 2) log pi.
+
+    The pi term is the normalizing constant of the Gaussian integrals; it is
+    kept so the value matches the actual integral (it cancels in every
+    Bayes-factor ratio).
+    """
+    u_aa = np.atleast_2d(np.asarray(u_aa, dtype=float))
+    s_aa = np.atleast_2d(np.asarray(s_aa, dtype=float))
+    size = u_aa.shape[0]
+    alpha = a - (t - size)
+    if alpha - size + 1 <= 0:
+        raise ValueError(f"improper prior for subset of size {size}: need a > T - 1")
+    total = 0.0
+    for j in range(1, size + 1):
+        total += log_gamma((alpha + n + 1 - j) / 2.0) - log_gamma((alpha + 1 - j) / 2.0)
+    sign_u, logdet_u = np.linalg.slogdet(u_aa)
+    sign_post, logdet_post = np.linalg.slogdet(u_aa + s_aa)
+    if sign_u <= 0 or sign_post <= 0:
+        raise ValueError("singular prior-rate or posterior-rate block")
+    total += 0.5 * alpha * logdet_u - 0.5 * (alpha + n) * logdet_post
+    total -= 0.5 * n * size * math.log(math.pi)
+    return total
+
+
+def marginal_likelihood_subset(
+    data: np.ndarray, subset: tuple[int, ...], prior: WishartParams
+) -> float:
+    """Log marginal likelihood of the data restricted to the given columns.
+
+    ``data`` is an n x T matrix (n = 0 gives log 1 = 0); ``subset`` holds
+    column indices.  The prior is the T-dimensional Wishart on the precision
+    matrix, rate parameterization.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValueError("data must be a 2-D matrix")
+    t = prior.dim
+    if data.shape[1] != t:
+        raise ValueError(f"data has {data.shape[1]} columns but prior dimension is {t}")
+    cols = tuple(int(c) for c in subset)
+    if not cols or len(set(cols)) != len(cols) or not all(0 <= c < t for c in cols):
+        raise ValueError(f"subset must be distinct column indices in range, got {subset!r}")
+    n = data.shape[0]
+    sub = data[:, cols]
+    s_aa = sub.T @ sub
+    u_aa = prior.rate[np.ix_(cols, cols)]
+    return _log_marginal_from_scatter(s_aa, n, u_aa, prior.df, t)
+
+
+def bf01_subjective(data: np.ndarray, u: int, v: int, prior: WishartParams) -> float:
+    """Subjective-prior Bayes factor m(X_u) m(X_v) / m(X_{u,v})."""
+    log_bf = (
+        marginal_likelihood_subset(data, (u,), prior)
+        + marginal_likelihood_subset(data, (v,), prior)
+        - marginal_likelihood_subset(data, (u, v), prior)
+    )
+    return math.exp(log_bf)
+
+
+def fbf_objective_bf(s: PairedSample, cfg: FbfConfig, t: int) -> float:
+    """Fractional Bayes factor for the pair, under a T-variable component.
+
+    Specializes the subjective formula with a -> a_omega + n0, n -> n - n0,
+    U -> (n0/n) S and S -> ((n-n0)/n) S.  With the defaults a_omega = T - 1
+    and n0 = 1 this reduces exactly to :func:`bf01`.
+    """
+    t = int(t)
+    if t < 1:
+        raise ValueError(f"component dimension must be positive, got {t}")
+    n = s.n
+    n0 = cfg.n0
+    if n <= n0:
+        raise ValueError(f"need n > n0, got n = {n}, n0 = {n0}")
+    a_omega = cfg.resolve_a_omega(t)
+    scatter = s.scatter()
+    a_sub = a_omega + n0
+    n_sub = n - n0
+    u_sub = (n0 / n) * scatter
+    s_sub = ((n - n0) / n) * scatter
+    log_bf = (
+        _log_marginal_from_scatter(s_sub[:1, :1], n_sub, u_sub[:1, :1], a_sub, t)
+        + _log_marginal_from_scatter(s_sub[1:, 1:], n_sub, u_sub[1:, 1:], a_sub, t)
+        - _log_marginal_from_scatter(s_sub, n_sub, u_sub, a_sub, t)
+    )
+    return math.exp(log_bf)

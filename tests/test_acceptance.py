@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from causal_ssd.bayes import FbfConfig, PairedSample, bf01, fbf_objective_bf
 from causal_ssd.cli import EXIT_OK, main
 from causal_ssd.design import best_size_optimal_sequence, optimal_sequences, prior_h0
 from causal_ssd.graph import UndirectedGraph, enumerate_class
@@ -32,7 +31,15 @@ from causal_ssd.harness import TwoNodeStudyConfig, replicate_two_node_study
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta
 from causal_ssd.predictive import prob_bf_band_h0
 
-from helpers import TREE5_EDGES, brute_force_class, random_chordal
+from helpers import (
+    TREE5_EDGES,
+    FbfConfig,
+    PairedSample,
+    bf01,
+    brute_force_class,
+    fbf_objective_bf,
+    random_chordal,
+)
 
 # frozen observational draw for the Z-dependent criteria: a representative
 # dataset whose sample slope (0.584) sits near the generating value 0.5

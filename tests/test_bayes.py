@@ -9,7 +9,9 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from causal_ssd.bayes import (
+from causal_ssd.numerics import WishartParams
+
+from helpers import (
     FbfConfig,
     PairedSample,
     bf01,
@@ -19,7 +21,6 @@ from causal_ssd.bayes import (
     marginal_likelihood_subset,
     uncentered_correlation_sq,
 )
-from causal_ssd.numerics import WishartParams
 
 
 def random_pair(rng, n, scale_u=1.0, scale_v=1.0):

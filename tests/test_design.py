@@ -12,7 +12,6 @@ from causal_ssd.design import (
     InterventionSequence,
     NoFeasibleSequenceError,
     best_size_optimal_sequence,
-    is_sufficient,
     optimal_sequences,
     orientation_counts,
     prior_h0,
@@ -26,7 +25,7 @@ from causal_ssd.graph import (
     is_decomposable,
 )
 
-from helpers import TREE5_EDGES, random_chordal
+from helpers import TREE5_EDGES, is_sufficient, random_chordal
 
 G1 = UndirectedGraph("12345", TREE5_EDGES)
 PATH3 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
@@ -140,7 +139,7 @@ class TestOptimalSequences:
         for _ in range(10):
             g = random_chordal(rng, int(rng.integers(2, 7)))
             best = optimal_sequences(g)
-            k = len(best[0])
+            k = len(best[0].targets)
             for s in best:
                 assert is_sufficient(g, s)
             for smaller in range(1, k):
@@ -165,7 +164,7 @@ class TestOptimalSequences:
             optimal_sequences(path_graph(13))
         # a path of 2m nodes has m + 1 minimum vertex covers, each of m nodes
         covers = optimal_sequences(path_graph(12))
-        assert len(covers) == 7 and all(len(s) == 6 for s in covers)
+        assert len(covers) == 7 and all(len(s.targets) == 6 for s in covers)
 
     def test_seven_clique_leaves_out_one_node_each(self):
         nodes = [str(i) for i in range(7)]

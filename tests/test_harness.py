@@ -9,6 +9,8 @@ import pytest
 from causal_ssd.design import EdgeHypothesisPrior
 from causal_ssd.graph import Dag
 from causal_ssd.harness import (
+    STUDY_BETA,
+    STUDY_N_OBS,
     CsvParseError,
     DatasetMatrix,
     LinearSemSpec,
@@ -24,7 +26,9 @@ from causal_ssd.harness import (
 )
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import build_design_posterior, prob_bf_band_h0
-from causal_ssd.ssd import DceThresholds, dce_probabilities
+from causal_ssd.ssd import DceThresholds
+
+from helpers import dce_probabilities
 
 
 def two_node_spec(beta=0.5):
@@ -35,8 +39,6 @@ def two_node_spec(beta=0.5):
 SMALL_STUDY = TwoNodeStudyConfig(
     draws=2000,
     n_max=200,
-    export_sizes=(10, 50),
-    grid_sizes=(10, 50, 100),
     zeta_grid=(0.5, 0.6, 0.7, 0.8),
 )
 
@@ -94,7 +96,8 @@ class TestGenerateSemData:
     def test_two_node_correlation(self):
         # X_v = 0.5 X_u + noise has correlation 0.5 / sqrt(1.25)
         data = generate_sem_data(two_node_spec(), 100_000, RandomStream(32))
-        r = np.corrcoef(data.column("u"), data.column("v"))[0, 1]
+        u, v = (data.values[:, data.labels.index(x)] for x in "uv")
+        r = np.corrcoef(u, v)[0, 1]
         assert r == pytest.approx(0.5 / math.sqrt(1.25), abs=0.01)
 
     def test_deterministic(self):
@@ -177,7 +180,7 @@ class TestTwoNodeStudy:
         # the study's curve row at (k, n) is dce_probabilities on the study's
         # posterior with the H1 edge substream child(2), to the last bit
         data = generate_sem_data(
-            two_node_spec(SMALL_STUDY.beta), SMALL_STUDY.n_obs, RandomStream(8).child(0)
+            two_node_spec(STUDY_BETA), STUDY_N_OBS, RandomStream(8).child(0)
         )
         posterior = build_design_posterior(data.values, SMALL_STUDY.a_omega, labels=data.labels)
         assert small_report.observational["scatter"] == posterior.scatter.tolist()

@@ -8,7 +8,6 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from causal_ssd.bayes import log_g_of_n
 from causal_ssd.numerics import (
     RandomStream,
     WishartParams,
@@ -16,6 +15,7 @@ from causal_ssd.numerics import (
     regularized_incomplete_beta,
     sample_wishart,
 )
+from causal_ssd.predictive import log_g_of_n
 from causal_ssd.ssd import DceThresholds, h0_band_probabilities
 
 from helpers import matmul_sample_wishart
@@ -181,7 +181,9 @@ class TestWishartParams:
     def test_mean_is_df_times_rate_inverse(self):
         u = np.array([[2.0, 0.3], [0.3, 1.0]])
         p = WishartParams(7.0, u)
-        np.testing.assert_allclose(p.mean(), 7.0 * np.linalg.inv(u))
+        # the expectation df * F F^T, from the stored factor F of rate^-1
+        mean = p.df * p.upper_factor @ p.upper_factor.T
+        np.testing.assert_allclose(mean, 7.0 * np.linalg.inv(u))
 
 
 class TestSampleWishart:
@@ -195,7 +197,7 @@ class TestSampleWishart:
         u = np.array([[2.0, 0.6], [0.6, 1.5]])
         params = WishartParams(8.0, u)
         draws = sample_wishart(RandomStream(32), params, size=100_000)
-        np.testing.assert_allclose(draws.mean(axis=0), params.mean(), rtol=0.02)
+        np.testing.assert_allclose(draws.mean(axis=0), 8.0 * np.linalg.inv(u), rtol=0.02)
 
     def test_draws_are_symmetric_positive_definite(self):
         params = WishartParams(5.0, np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 1.0]]))
@@ -210,7 +212,7 @@ class TestSampleWishart:
         d1 = sample_wishart(RandomStream(34), WishartParams(4.0, u), size=50_000)
         d2 = sample_wishart(RandomStream(35), WishartParams(3.0, u), size=50_000)
         total = (d1 + d2).mean(axis=0)
-        np.testing.assert_allclose(total, WishartParams(7.0, u).mean(), rtol=0.02)
+        np.testing.assert_allclose(total, 7.0 * np.linalg.inv(u), rtol=0.02)
 
     @pytest.mark.parametrize("size", [None, 10_000])
     @pytest.mark.parametrize("t", [1, 2, 3, 4])

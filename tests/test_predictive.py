@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from causal_ssd.bayes import g_of_n
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta, sample_wishart
 from causal_ssd.predictive import (
     BfPredictiveSample,
@@ -23,6 +22,7 @@ from causal_ssd.predictive import (
 from helpers import (
     CholeskyPair,
     derive_cholesky_pair,
+    g_of_n,
     matmul_sample_wishart,
     pairs_sample_bf_h1,
     reference_sample_bf_h1,

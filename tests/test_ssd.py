@@ -15,14 +15,13 @@ from causal_ssd.predictive import BfPredictiveSample, InterventionDensity, build
 from causal_ssd.ssd import (
     DceThresholds,
     EdgeSsdResult,
-    dce_probabilities,
     h0_band_probabilities,
     optimal_n_edge,
     optimal_n_node,
     plan_cpdag,
 )
 
-from helpers import CHAIN5, matmul_sample_wishart, reference_sample_bf_h1
+from helpers import CHAIN5, dce_probabilities, matmul_sample_wishart, reference_sample_bf_h1
 
 F_U = InterventionDensity()
 HALF = EdgeHypothesisPrior(u="u", v="v", p_h0=0.5, p_h1=0.5)
