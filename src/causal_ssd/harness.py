@@ -38,6 +38,8 @@ from causal_ssd.predictive import (
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
+    DEFAULT_DRAWS,
+    DEFAULT_N_MAX,
     DceProbabilities,
     DceThresholds,
     assemble_dce,
@@ -201,20 +203,22 @@ STUDY_NOISE_SD = 1.0
 # sizes whose draws are exported to bf_samples.csv, and the evidence-grid sizes
 EXPORT_SIZES = (10, 50)
 GRID_SIZES = (10, 50, 100)
+# the thresholds k0 = k1 = k of the curves, and the target probabilities of n*
+K_VALUES = (3.0, 6.0, 10.0)
+ZETA_GRID = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
 @dataclass(frozen=True)
 class TwoNodeStudyConfig:
     """Configuration of the two-node chain-component study.
 
-    The generating model and the exported and grid sizes are the module
-    constants above; ``to_dict`` records them with the settable fields.
+    The generating model, the exported and grid sizes, the thresholds and
+    the zeta grid are the module constants above; ``to_dict`` records them
+    with the settable fields.
     """
 
-    draws: int = 10_000
-    n_max: int = 1000
-    k_values: tuple[float, ...] = (3.0, 6.0, 10.0)
-    zeta_grid: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
+    draws: int = DEFAULT_DRAWS
+    n_max: int = DEFAULT_N_MAX
     intervention: InterventionDensity = InterventionDensity()
     a_omega: float = 1.0  # T - 1 for the two-node component
 
@@ -225,10 +229,10 @@ class TwoNodeStudyConfig:
             "noise_sd": STUDY_NOISE_SD,
             "draws": self.draws,
             "n_max": self.n_max,
-            "k_values": list(self.k_values),
+            "k_values": list(K_VALUES),
             "export_sizes": list(EXPORT_SIZES),
             "grid_sizes": list(GRID_SIZES),
-            "zeta_grid": list(self.zeta_grid),
+            "zeta_grid": list(ZETA_GRID),
             "intervention_mean": self.intervention.mean,
             "intervention_sd": self.intervention.sd,
             "a_omega": self.a_omega,
@@ -348,8 +352,8 @@ def replicate_two_node_study(
 
     # (c) decisive-and-correct curves over the n grid, one per threshold;
     # the H1 predictive sample at each n is shared by all thresholds
-    thresholds_by_k = {k: DceThresholds(k0=k, k1=k, zeta=0.5) for k in config.k_values}
-    curves_by_k: dict[float, list[tuple]] = {k: [] for k in config.k_values}
+    thresholds_by_k = {k: DceThresholds(k0=k, k1=k, zeta=0.5) for k in K_VALUES}
+    curves_by_k: dict[float, list[tuple]] = {k: [] for k in K_VALUES}
     for n in range(2, config.n_max + 1):
         sample = h1_samples[n] if n in h1_samples else sample_bf_h1(h1, n)
         for k, th in thresholds_by_k.items():
@@ -361,7 +365,7 @@ def replicate_two_node_study(
     nstar_by_k = {
         k: [
             {"zeta": zeta, "n_star": next((n for n, _, _, dc, _ in rows if dc >= zeta), None)}
-            for zeta in config.zeta_grid
+            for zeta in ZETA_GRID
         ]
         for k, rows in curves_by_k.items()
     }

@@ -14,7 +14,7 @@ only the sums that depend on it (``sample_bf_h1``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ class DesignPosterior:
     df: float
     scatter: np.ndarray
     labels: tuple[str, ...]
-    _pair_params: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         scatter = np.array(self.scatter, dtype=float)
@@ -97,23 +96,17 @@ class DesignPosterior:
 
         Degrees of freedom drop by T - 2 (the conditioned-out coordinates);
         the rate is the (u, v) scatter block.  Ordering matters: v is the
-        regressed coordinate.  Built once per ordered pair and kept.
+        regressed coordinate.
         """
-        key = (str(u), str(v))
-        params = self._pair_params.get(key)
-        if params is None:
-            iu, iv = self.column_index(u), self.column_index(v)
-            if iu == iv:
-                raise ValueError("u and v must be distinct columns")
-            block = self.scatter[np.ix_((iu, iv), (iu, iv))]
-            try:
-                np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:
-                raise InsufficientDataError(
-                    f"scatter submatrix for ({u}, {v}) is singular"
-                ) from None
-            params = self._pair_params[key] = WishartParams(self.df - (self.dim - 2), block)
-        return params
+        iu, iv = self.column_index(u), self.column_index(v)
+        if iu == iv:
+            raise ValueError("u and v must be distinct columns")
+        block = self.scatter[np.ix_((iu, iv), (iu, iv))]
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            raise InsufficientDataError(f"scatter submatrix for ({u}, {v}) is singular") from None
+        return WishartParams(self.df - (self.dim - 2), block)
 
 
 def build_design_posterior(
@@ -166,7 +159,6 @@ class BfPredictiveSample:
     hypothesis: str
     n: int
     draws: np.ndarray
-    stream: RandomStream
 
     def __post_init__(self) -> None:
         if self.hypothesis not in ("H0", "H1"):
@@ -201,7 +193,7 @@ def sample_bf_h0(n: int, draws: int, stream: RandomStream) -> BfPredictiveSample
     b = stream.generator().beta((n - 1) / 2.0, 0.5, size=int(draws))
     b = np.clip(b, np.nextafter(0.0, 1.0), 1.0)
     bf = np.exp(log_g_of_n(n) + 0.5 * (n - 1) * np.log(b))
-    return BfPredictiveSample(hypothesis="H0", n=n, draws=bf, stream=stream)
+    return BfPredictiveSample(hypothesis="H0", n=n, draws=bf)
 
 
 def _h0_cdf_cut(c: float, n: int) -> float:
@@ -328,8 +320,7 @@ def sample_bf_h1(edge: H1EdgeDraw, n: int) -> BfPredictiveSample:
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    stream = edge.stream.child(n)
-    gen = stream.generator()
+    gen = edge.stream.child(n).generator()
     f_u, slope, cond_sd, z = edge.f_u, edge.slope, edge.cond_sd, edge.z
     uu, ee, ue, e = np.empty((4, edge.draws))
     bf = np.empty(edge.draws)
@@ -365,7 +356,7 @@ def sample_bf_h1(edge: H1EdgeDraw, n: int) -> BfPredictiveSample:
     r2 *= 0.5 * (n - 1)
     r2 += log_g_of_n(n)
     np.exp(r2, out=bf)
-    return BfPredictiveSample(hypothesis="H1", n=n, draws=bf, stream=stream)
+    return BfPredictiveSample(hypothesis="H1", n=n, draws=bf)
 
 
 def _chisquare(gen: np.random.Generator, df: float, out: np.ndarray) -> np.ndarray:

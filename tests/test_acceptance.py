@@ -48,7 +48,7 @@ STUDY_SEED = 8
 
 @pytest.fixture(scope="module")
 def study_report():
-    config = TwoNodeStudyConfig(k_values=(3.0, 10.0), n_max=450)
+    config = TwoNodeStudyConfig(n_max=450)
     return replicate_two_node_study(config, RandomStream(STUDY_SEED))
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import causal_ssd
 from causal_ssd.cli import (
+    COMMON_FLAGS,
     EXIT_CAPACITY,
     EXIT_INPUT,
     EXIT_NOT_ACHIEVABLE,
@@ -468,6 +470,24 @@ class TestUsageAndErrors:
         assert "input error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "target, flags", [("ingest_csv", []), ("atomic_write_text", ["--out", "p.json"])]
+    )
+    def test_permission_denied_is_input_error(
+        self, target, flags, two_node_files, monkeypatch, capsys
+    ):
+        # an unreadable --data or an unwritable --out; chmod cannot deny root
+        # a read, so the denial is patched in
+        import causal_ssd.cli as cli_mod
+
+        def denied(path, *args):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(cli_mod, target, denied)
+        graph, data = two_node_files
+        assert main(["plan", "--graph", graph, "--data", data, *FAST, *flags]) == EXIT_INPUT
+        assert "input error: [Errno 13] Permission denied" in capsys.readouterr().err
+
     def test_huge_thresholds_are_not_achievable_without_traceback(self, two_node_files, tmp_path):
         graph, data = two_node_files
         proc = run_cli(
@@ -498,6 +518,62 @@ class TestUsageAndErrors:
         out = tmp_path / "plan.json"
         assert main(["plan", "--graph", graph, "--data", data, "--out", str(out), *FAST]) == EXIT_OK
         assert json.loads(out.read_text())["config"]["seed"] == 7
+
+    # per common flag, a preset and an explicit value, both other than the
+    # default; the usage check rejects the presets of --n0 and --workers,
+    # which the echo cannot show apart from their defaults
+    ENV_PRESETS = {
+        "k0": ("2.5", "3"),
+        "k1": ("2.5", "3"),
+        "zeta": ("0.55", "0.5"),
+        "a_omega": ("2", "3"),
+        "n0": ("2", "1"),
+        "n_max": ("120", "150"),
+        "draws": ("300", "400"),
+        "seed": ("7", "8"),
+        "intervention_mean": ("0.5", "0.25"),
+        "intervention_sd": ("2", "1.5"),
+        "workers": ("0", "1"),
+        "out": ("preset.json", "explicit.json"),
+    }
+
+    @pytest.mark.parametrize("name, type_", [(name, type_) for name, type_, _ in COMMON_FLAGS])
+    def test_env_preset_reaches_plan_and_a_flag_beats_it(
+        self, name, type_, two_node_files, tmp_path, monkeypatch, capsys
+    ):
+        graph, data = two_node_files
+        preset, explicit = self.ENV_PRESETS[name]
+        flag = "--" + name.replace("_", "-")
+        fast = [x for pair in zip(FAST[::2], FAST[1::2]) if pair[0] != flag for x in pair]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CAUSAL_SSD_" + name.upper(), preset)
+
+        def plan(*extra):
+            code = main(["plan", "--graph", graph, "--data", data, *fast, *extra])
+            stdout = capsys.readouterr().out
+            if code == EXIT_USAGE:
+                return code, None
+            # only --out moves the document off stdout
+            text = stdout or (tmp_path / (extra[1] if extra else preset)).read_text()
+            return code, json.loads(text)["config"]
+
+        code, config = plan()
+        if name in ("n0", "workers"):
+            assert code == EXIT_USAGE
+        else:
+            assert code in (EXIT_OK, EXIT_NOT_ACHIEVABLE)
+            assert config[name] == type_(preset)
+        code, config = plan(flag, explicit)
+        assert code in (EXIT_OK, EXIT_NOT_ACHIEVABLE)
+        assert name == "workers" or config[name] == type_(explicit)
+
+    @pytest.mark.parametrize("name", [name for name, type_, _ in COMMON_FLAGS if type_ is not str])
+    def test_malformed_env_preset_is_usage_error(self, name, two_node_files, monkeypatch, capsys):
+        graph, data = two_node_files
+        monkeypatch.setenv("CAUSAL_SSD_" + name.upper(), "many")
+        assert main(["plan", "--graph", graph, "--data", data]) == EXIT_USAGE
+        flag = "--" + name.replace("_", "-")
+        assert f"usage error: argument {flag}: invalid" in capsys.readouterr().err
 
     def test_console_entry_point(self, two_node_files, tmp_path):
         graph, data = two_node_files

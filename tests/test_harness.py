@@ -36,11 +36,7 @@ def two_node_spec(beta=0.5):
     return LinearSemSpec(dag=dag, coefficients={("u", "v"): beta}, noise_sd={"u": 1.0, "v": 1.0})
 
 
-SMALL_STUDY = TwoNodeStudyConfig(
-    draws=2000,
-    n_max=200,
-    zeta_grid=(0.5, 0.6, 0.7, 0.8),
-)
+SMALL_STUDY = TwoNodeStudyConfig(draws=2000, n_max=200)
 
 
 @pytest.fixture(scope="module")

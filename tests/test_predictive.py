@@ -347,13 +347,11 @@ class TestSampleBfH1:
 class TestBfPredictiveSample:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BfPredictiveSample(hypothesis="H2", n=10, draws=np.ones(3), stream=RandomStream(0))
+            BfPredictiveSample(hypothesis="H2", n=10, draws=np.ones(3))
         with pytest.raises(ValueError):
-            BfPredictiveSample(hypothesis="H0", n=10, draws=np.ones((2, 2)), stream=RandomStream(0))
+            BfPredictiveSample(hypothesis="H0", n=10, draws=np.ones((2, 2)))
 
     def test_fraction_in(self):
-        s = BfPredictiveSample(
-            hypothesis="H0", n=10, draws=np.array([0.5, 1.5, 2.5]), stream=RandomStream(0)
-        )
+        s = BfPredictiveSample(hypothesis="H0", n=10, draws=np.array([0.5, 1.5, 2.5]))
         assert s.fraction_in(1.0, math.inf) == pytest.approx(2.0 / 3.0)
         assert s.count == 3

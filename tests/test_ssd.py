@@ -459,7 +459,7 @@ class TestPlanCpdag:
             bf = reference_sample_bf_h1(
                 posterior, u, v, f_u, n, draws, stream, wishart=matmul_sample_wishart
             )
-            return BfPredictiveSample(hypothesis="H1", n=n, draws=bf, stream=stream.child(n))
+            return BfPredictiveSample(hypothesis="H1", n=n, draws=bf)
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         kwargs = dict(f_u=F_U, stream=RandomStream(23), n_max=300, draws=2000)
