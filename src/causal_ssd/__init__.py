@@ -48,4 +48,4 @@ __all__ = [
     "TwoNodeStudyConfig",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

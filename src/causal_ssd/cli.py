@@ -30,6 +30,8 @@ from causal_ssd.graph import (
     parse_edge_list,
 )
 from causal_ssd.harness import (
+    EXPORT_SIZES,
+    GRID_SIZES,
     CsvParseError,
     MissingColumnsError,
     TwoNodeStudyConfig,
@@ -176,6 +178,19 @@ def _check_args(args: argparse.Namespace) -> None:
         args.f_u = InterventionDensity(mean=args.intervention_mean, sd=args.intervention_sd)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    # the noncentrality of sum x_u^2 at the largest n the command draws at
+    n_top = args.n if "n" in given else args.n_max
+    if args.command == "simulate":
+        n_top = max(n_top, *EXPORT_SIZES, *GRID_SIZES)
+    try:
+        nonc = n_top * (args.f_u.mean / args.f_u.sd) ** 2
+    except OverflowError:
+        nonc = math.inf
+    if not math.isfinite(nonc):
+        raise _UsageError(
+            f"--intervention-mean {args.f_u.mean} and --intervention-sd {args.f_u.sd}: "
+            f"the noncentrality n (mean / sd)^2 at n = {n_top} is not a finite float"
+        )
     if args.command == "simulate" and args.thresholds != DceThresholds():
         raise _UsageError(
             "simulate does not take --k0, --k1 or --zeta: the study sweeps its own "

@@ -4,11 +4,12 @@ Under H0 (u <- v, post-intervention independence) the squared correlation is
 ancillary: r^2 ~ Beta(1/2, (n-1)/2) regardless of the observational data and
 of the interventional density, so band probabilities are exact.  Under H1
 (u -> v) the predictive is simulated: a design posterior built from the
-observational data supplies Wishart draws of the 2x2 conditional precision,
-each draw fixes a regression coefficient and conditional variance, and n
-interventional pairs are generated per draw.  The draws of the precision are
-made once per edge and shared by every n (``draw_h1_edge``); each n draws
-only the sums that depend on it (``sample_bf_h1``).
+observational data supplies Wishart draws of the 2x2 conditional precision
+Q, and r^2 depends on a draw only through lam = -Q_uv / sqrt(Q_vv), the
+regression slope in units of the conditional sd.  lam and the normal of the
+cross term are drawn once per edge and shared by every n (``draw_h1_edge``);
+each n draws only the two chi-square sums of its n interventional pairs
+(``sample_bf_h1``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from causal_ssd.numerics import (
     sample_wishart,  # noqa: F401  (no caller; bench/tracing.py wraps predictive.sample_wishart)
 )
 
-_ONE_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# the floor of 1 - r^2: its value at the largest r^2 below 1
+_RATIO_FLOOR = 2.0**-53
 
 
 def log_g_of_n(n: int) -> float:
@@ -224,30 +226,29 @@ def prob_bf_band_h0(lo: float, hi: float, n: int) -> float:
 
 
 # float64 arrays of ``draws`` entries that one H1 evaluation holds at its
-# peak: the three of the edge draw, and the four work arrays and the output of
-# the n step (one more with a nonzero intervention mean)
-H1_BYTES_PER_DRAW = 9 * 8
+# peak: the edge draw's two (three while it is drawn), and the n step's two
+H1_BYTES_PER_DRAW = 4 * 8
 
 
 @dataclass(frozen=True)
 class H1EdgeDraw:
     """The variates of one edge's H1 predictive whose law does not depend on n.
 
-    Per draw: the regression slope -Q_uv / Q_vv of v on u and the conditional
-    sd sqrt(1 / Q_vv) of a 2x2 conditional precision Q from the design
-    posterior, and the standard normal ``z`` of the cross term.  Every n of
-    the edge reuses them (common random numbers across n); ``sample_bf_h1``
-    adds the two chi-square sums of each n from ``stream.child(n)``.
+    Per draw of the 2x2 conditional precision Q from the design posterior,
+    ``lam`` = -Q_uv / sqrt(Q_vv): the slope of v on u over the conditional
+    sd, the one function of Q that r^2 depends on.  ``z`` is the standard
+    normal of the cross term.  Every n of the edge reuses them (common
+    random numbers across n); ``sample_bf_h1`` adds the two chi-square sums
+    of each n from ``stream.child(n)``.
     """
 
     f_u: InterventionDensity
-    slope: np.ndarray
-    cond_sd: np.ndarray
+    lam: np.ndarray
     z: np.ndarray
     stream: RandomStream
 
     def __post_init__(self) -> None:
-        for values in (self.slope, self.cond_sd, self.z):
+        for values in (self.lam, self.z):
             values.setflags(write=False)
 
     @property
@@ -267,96 +268,73 @@ def draw_h1_edge(
 
     ``stream`` is the edge task's substream; the draw comes from
     ``stream.child(0)``.  The precision is drawn as ``numerics.sample_wishart``
-    draws it, in the same order (the Bartlett entries b00, b11, b10), then
-    ``z``; Q_uu is never formed.  A chi-square(k) draw is taken as twice a
-    standard gamma(k / 2) draw, which is how numpy computes it.
+    draws it, in the same order (the Bartlett entries b00, b11^2, b10), then
+    ``z``.  With F the upper factor of the rate, Q = F B B^T F^T gives
+    lam = -(f00 b00 b10 / sqrt(s) + f01 sqrt(s)) with s = b11^2 + b10^2; f11
+    cancels.  A chi-square(k) draw is taken as twice a standard gamma(k / 2)
+    draw, which is how numpy computes it.
     """
     draws = int(draws)
     if draws < 1:
         raise ValueError("draws must be positive")
     params = posterior.pair_precision_params(u, v)
-    (f00, f01), (_, f11) = params.upper_factor.tolist()
-    a, c, z = np.empty((3, draws))
-    b, d = np.empty((2, draws))
+    (f00, f01), _ = params.upper_factor.tolist()
+    # three separate arrays, so that s is freed and only lam and z stay
+    lam, s, z = np.empty(draws), np.empty(draws), np.empty(draws)
 
-    # Bartlett entries of the precision draw, then M = F B entry by entry
     gen = stream.child(0).generator()
-    np.sqrt(_chisquare(gen, params.df, a), out=a)  # b00
-    np.sqrt(_chisquare(gen, params.df - 1.0, b), out=b)  # b11
-    gen.standard_normal(out=c)  # b10
+    np.sqrt(_chisquare(gen, params.df, lam), out=lam)  # b00
+    _chisquare(gen, params.df - 1.0, s)  # b11^2
+    gen.standard_normal(out=z)  # b10
+    lam *= z
+    s += np.square(z, out=z)
     gen.standard_normal(out=z)
-    a *= f00
-    np.multiply(c, f01, out=d)
-    a += d  # m00
-    np.multiply(b, f01, out=d)  # m01
-    c *= f11  # m10
-    b *= f11  # m11
-    # q_uv = m10 m00 + m11 m01 and q_vv = m10^2 + m11^2
-    a *= c
-    d *= b
-    a += d
-    c *= c
-    b *= b
-    c += b
-    slope = np.negative(np.divide(a, c, out=a), out=a)
-    cond_sd = np.sqrt(np.divide(1.0, c, out=c), out=c)
-    return H1EdgeDraw(f_u=f_u, slope=slope, cond_sd=cond_sd, z=z, stream=stream)
+    np.sqrt(s, out=s)
+    lam /= s
+    lam *= -f00
+    lam -= np.multiply(s, f01, out=s)
+    return H1EdgeDraw(f_u=f_u, lam=lam, z=z, stream=stream)
 
 
 def sample_bf_h1(edge: H1EdgeDraw, n: int) -> BfPredictiveSample:
     """Monte Carlo predictive draws of the Bayes factor under H1 at n.
 
-    Per draw of ``edge``, the trivariate sufficient statistic of the n
-    interventional pairs is drawn directly: sum x_u^2 is a scaled
-    (noncentral) chi-square(n), the cross term is sqrt(uu) times the
-    conditional sd times the edge's ``z``, and the residual sum of squares a
-    chi-square with n-1 degrees of freedom.  Then r^2 and the closed-form
-    Bayes factor follow.  This is exact in distribution for the Gaussian
-    interventional family at every n and costs O(1) per draw instead of
-    O(n).  Only uu and the residual depend on n; both come from
-    ``edge.stream.child(n)``, in that order.  All arithmetic runs in place
-    in a few arrays of ``draws`` entries.
+    Per draw of ``edge``, the sufficient statistic of the n interventional
+    pairs is drawn directly: uu = sum x_u^2 is a scaled (noncentral)
+    chi-square(n), and the residual sum of squares of v on u a chi-square
+    with n-1 degrees of freedom.  In units of the conditional sd, the
+    projection of x_v on x_u is w = z + lam sqrt(uu), so
+    1 - r^2 = resid / (w^2 + resid) without cancellation, and the closed-form
+    Bayes factor g(n) (1 - r^2)^((n-1)/2) follows.  This is exact in
+    distribution for the Gaussian interventional family at every n and costs
+    O(1) per draw instead of O(n).  Only uu and the residual depend on n;
+    both come from ``edge.stream.child(n)``, in that order.  1 - r^2 is
+    clipped to [2^-53, 1], so the factor lies in [0, g(n)].
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     gen = edge.stream.child(n).generator()
-    f_u, slope, cond_sd, z = edge.f_u, edge.slope, edge.cond_sd, edge.z
-    uu, ee, ue, e = np.empty((4, edge.draws))
-    bf = np.empty(edge.draws)
-
+    f_u = edge.f_u
     if f_u.mean == 0.0:
-        _chisquare(gen, n, uu)
+        w = _chisquare(gen, n, np.empty(edge.draws))
     else:
-        nonc = n * (f_u.mean / f_u.sd) ** 2
-        uu[:] = gen.noncentral_chisquare(n, nonc, size=edge.draws)
-    uu *= f_u.sd**2
-    _chisquare(gen, n - 1, ee)  # the residual, then ee = z^2 + residual
-    ee += np.multiply(z, z, out=bf)
-    np.sqrt(uu, out=ue)
-    ue *= z
-    uv = np.multiply(slope, uu, out=bf)
-    uv += np.multiply(cond_sd, ue, out=e)
-    # vv = slope^2 uu + 2 slope sd ue + sd^2 ee, summed left to right
-    cross = np.multiply(2.0, slope, out=e)
-    cross *= cond_sd
-    cross *= ue
-    vv = np.square(slope, out=ue)
-    vv *= uu
-    vv += cross
-    sd2_ee = np.square(cond_sd, out=e)
-    sd2_ee *= ee
-    vv += sd2_ee
-    # r^2 = uv^2 / (uu vv), then the Bayes factor
-    r2 = np.multiply(uv, uv, out=bf)
-    r2 /= np.multiply(uu, vv, out=e)
-    np.clip(r2, 0.0, _ONE_BELOW_ONE, out=r2)
-    np.negative(r2, out=r2)
-    np.log1p(r2, out=r2)
-    r2 *= 0.5 * (n - 1)
-    r2 += log_g_of_n(n)
-    np.exp(r2, out=bf)
-    return BfPredictiveSample(hypothesis="H1", n=n, draws=bf)
+        w = gen.noncentral_chisquare(n, n * (f_u.mean / f_u.sd) ** 2, size=edge.draws)
+    resid = _chisquare(gen, n - 1, np.empty(edge.draws))
+    np.sqrt(w, out=w)
+    with np.errstate(over="ignore"):  # an infinite w^2 is 1 - r^2 = 0, floored below
+        w *= f_u.sd  # sqrt(uu)
+        w *= edge.lam
+        w += edge.z
+        w *= w
+    w += resid
+    np.divide(resid, w, out=w)  # 1 - r^2
+    np.clip(w, _RATIO_FLOOR, 1.0, out=w)
+    np.log(w, out=w)
+    w *= 0.5 * (n - 1)
+    w += log_g_of_n(n)
+    np.exp(w, out=w)
+    return BfPredictiveSample(hypothesis="H1", n=n, draws=w)
 
 
 def _chisquare(gen: np.random.Generator, df: float, out: np.ndarray) -> np.ndarray:

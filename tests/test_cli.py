@@ -443,6 +443,27 @@ class TestUsageAndErrors:
             err = capsys.readouterr().err
             assert err.count("usage error: --draws") == 3, err
 
+    @pytest.mark.parametrize("mean, sd", [("1e100", "1e-100"), ("1e200", "1e-200")])
+    def test_overflowing_noncentrality_is_usage_error(
+        self, mean, sd, two_node_files, capsys, monkeypatch
+    ):
+        # n (mean / sd)^2 is not a finite float: predict-bf ended in an
+        # OverflowError traceback for the first and wrote nan rows for the second
+        import causal_ssd.cli as cli_mod
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("read or sampled before the usage check")
+
+        monkeypatch.setattr(cli_mod, "_load_inputs", no_reading)
+        monkeypatch.setattr(cli_mod, "replicate_two_node_study", no_reading)
+        graph, data = two_node_files
+        inputs = ["--graph", graph, "--data", data]
+        density = ["--intervention-mean", mean, "--intervention-sd", sd]
+        assert main(["predict-bf", *inputs, "--edge", "u,v", "--n", "20", *density]) == EXIT_USAGE
+        assert main(["plan", *inputs, *density]) == EXIT_USAGE
+        assert main(["simulate", *density]) == EXIT_USAGE
+        assert capsys.readouterr().err.count("is not a finite float") == 3
+
     @pytest.mark.parametrize("error", [KeyError("bug"), ValueError("bug")])
     def test_internal_error_is_not_an_input_error(self, error, two_node_files, monkeypatch):
         import causal_ssd.cli as cli_mod

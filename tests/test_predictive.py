@@ -1,6 +1,7 @@
 """Tests for the predictive Bayes-factor machinery."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta, sample_wishart
 from causal_ssd.predictive import (
+    H1_BYTES_PER_DRAW,
     BfPredictiveSample,
     InsufficientDataError,
     InterventionDensity,
@@ -38,6 +40,50 @@ def observational_data(seed, n_rows=50, beta=0.5):
 
 def two_node_posterior(seed, n_rows=50, beta=0.5):
     return build_design_posterior(observational_data(seed, n_rows, beta), 1.0, labels=("u", "v"))
+
+
+def exact_lam_and_z(posterior, u, v, draws, stream):
+    """lam = -Q_uv / sqrt(Q_vv) in 40 digits, with Q = M M^T and M = F B the
+    product of the rate's upper factor and the Bartlett matrix, from the raw
+    draws of ``stream.child(0)``: b00^2, b11^2, b10, then the cross-term
+    normal ``z``."""
+    params = posterior.pair_precision_params(u, v)
+    gen = stream.child(0).generator()
+    b00_sq = gen.chisquare(params.df, size=draws)
+    b11_sq = gen.chisquare(params.df - 1.0, size=draws)
+    b10 = gen.standard_normal(size=draws)
+    z = gen.standard_normal(size=draws)
+    lam = []
+    with mpmath.workdps(40):
+        f = mpmath.matrix(params.upper_factor.tolist())
+        for i in range(draws):
+            b = mpmath.matrix([[mpmath.sqrt(b00_sq[i]), 0], [b10[i], mpmath.sqrt(b11_sq[i])]])
+            m = f * b
+            q = m * m.T
+            lam.append(-q[0, 1] / mpmath.sqrt(q[1, 1]))
+    return lam, z
+
+
+def exact_log_bf_h1(lam, z, f_u, n, stream):
+    """log BF at n in 40 digits, from ``exact_lam_and_z`` and the raw draws of
+    ``stream.child(n)``: the chi-square of sum x_u^2, then the residual."""
+    gen = stream.child(n).generator()
+    draws = len(z)
+    if f_u.mean == 0.0:
+        chi = gen.chisquare(n, size=draws)
+    else:
+        chi = gen.noncentral_chisquare(n, n * (f_u.mean / f_u.sd) ** 2, size=draws)
+    resid = gen.chisquare(n - 1, size=draws)
+    out = np.empty(draws)
+    with mpmath.workdps(40):
+        log_g = (mpmath.log(n) + mpmath.loggamma(mpmath.mpf(n) / 2)
+                 - mpmath.loggamma(mpmath.mpf(n + 1) / 2) - mpmath.log(mpmath.pi) / 2)
+        floor = mpmath.mpf(2) ** -53
+        for i in range(draws):
+            w = z[i] + lam[i] * f_u.sd * mpmath.sqrt(chi[i])
+            ratio = max(resid[i] / (w * w + resid[i]), floor)
+            out[i] = float(log_g + mpmath.mpf(n - 1) / 2 * mpmath.log(ratio))
+    return out
 
 
 def h0_cdf(c, n):
@@ -219,24 +265,27 @@ class TestSampleBfH1:
         assert p[100] == pytest.approx(0.962, abs=0.08)
         assert p[100] > p[50]
 
-    @pytest.mark.parametrize("draws", [1, 7, 10_000])
-    def test_bit_identical_to_reference(self, draws):
-        # the in-place kernel repeats the reference's floating-point
-        # operations in the same order on the same variates
+    @pytest.mark.parametrize("u, v", [("a", "b"), ("b", "a")])
+    def test_log_bf_matches_40_digit_oracle(self, u, v):
+        # the kernel against exact arithmetic on the raw generator draws it
+        # consumes, so this also pins the substream layout; at n = 2 forming
+        # 1 - r^2 from the scatter sums lost up to 6e-9 here to cancellation
         rng = np.random.default_rng(13)
-        z = rng.standard_normal((40, 3))
-        z[:, 1] += 0.7 * z[:, 0]
-        post = build_design_posterior(z, 1.0, labels=("a", "b", "c"))
-        densities = [InterventionDensity(0.0, 1.0), InterventionDensity(0.0, 2.3),
-                     InterventionDensity(0.7, 1.3)]
-        stream = RandomStream(14, (2, 1))
-        for u, v in (("a", "b"), ("b", "a")):
-            for f_u in densities:
-                edge = draw_h1_edge(post, u, v, f_u, draws, stream)
-                for n in (2, 3, 57, 660, 1000):
-                    got = sample_bf_h1(edge, n)
-                    want = reference_sample_bf_h1(post, u, v, f_u, n, draws, stream)
-                    assert np.array_equal(got.draws, want), (u, v, n, f_u)
+        data = rng.standard_normal((40, 3))
+        data[:, 1] += 0.7 * data[:, 0]
+        post = build_design_posterior(data, 1.0, labels=("a", "b", "c"))
+        stream, draws = RandomStream(14, (2, 1)), 1500
+        lam, z = exact_lam_and_z(post, u, v, draws, stream)
+        for f_u in (InterventionDensity(0.0, 1.0), InterventionDensity(0.0, 2.3),
+                    InterventionDensity(0.7, 1.3)):
+            edge = draw_h1_edge(post, u, v, f_u, draws, stream)
+            for n in (2, 3, 57, 660, 1000):
+                got = sample_bf_h1(edge, n).draws
+                want = exact_log_bf_h1(lam, z, f_u, n, stream)
+                normal = want > -700.0  # below, exp(log BF) leaves the normal floats
+                assert np.all(got[~normal] < 1e-300), (f_u, n)
+                err = np.abs(np.log(got[normal]) - want[normal])
+                assert err.max() <= 1e-12, (f_u, n)
 
     def test_chisquare_is_twice_standard_gamma(self):
         # the kernel draws chi-square(k) as 2 * standard_gamma(k / 2) with out=
@@ -301,6 +350,43 @@ class TestSampleBfH1:
                 r2, lambda q, n=n: np.vectorize(regularized_incomplete_beta)(q, 0.5, (n - 1) / 2.0)
             )
             assert res.pvalue > 0.01
+
+    def test_vanishing_intervention_sd_is_the_no_power_limit(self):
+        # sd^2 underflows to 0, so uu = 0; from the scatter sums r^2 was 0 / 0
+        # and every draw nan.  With uu = 0, w = z and r^2 = z^2 / (z^2 + resid)
+        # follows the H0 law Beta(1/2, (n-1)/2)
+        n = 20
+        edge = draw_h1_edge(two_node_posterior(7), "u", "v", InterventionDensity(sd=1e-200),
+                            5000, RandomStream(27))
+        sample = sample_bf_h1(edge, n)
+        assert np.all(np.isfinite(sample.draws))
+        r2 = 1.0 - (sample.draws / g_of_n(n)) ** (2.0 / (n - 1))
+        res = stats.kstest(
+            r2, lambda q: np.vectorize(regularized_incomplete_beta)(q, 0.5, (n - 1) / 2.0)
+        )
+        assert res.pvalue > 0.01
+
+    def test_huge_intervention_sd_is_the_full_power_limit(self):
+        # sd^2 overflowed (an OverflowError); sqrt(uu) = sd sqrt(chi^2) is
+        # finite, w^2 is not, and 1 - r^2 sits at its floor in every draw
+        edge = draw_h1_edge(two_node_posterior(7), "u", "v", InterventionDensity(sd=1e200),
+                            5000, RandomStream(27))
+        floor = g_of_n(20) * 2.0 ** (-53 * 9.5)
+        np.testing.assert_allclose(sample_bf_h1(edge, 20).draws, floor, rtol=1e-12)
+
+    @pytest.mark.parametrize("mean", [0.0, 1.5])
+    def test_peak_memory_within_budget(self, mean):
+        # the --draws limit of the CLI is H1_BUDGET_BYTES // H1_BYTES_PER_DRAW
+        posterior, draws = two_node_posterior(7), 200_000
+        tracemalloc.start()
+        try:
+            edge = draw_h1_edge(posterior, "u", "v", InterventionDensity(mean=mean, sd=2.0),
+                                draws, RandomStream(28))
+            sample_bf_h1(edge, 57)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= H1_BYTES_PER_DRAW * draws + 64 * 1024
 
     def test_draws_within_bounds(self):
         posterior = two_node_posterior(7)
