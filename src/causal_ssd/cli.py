@@ -217,7 +217,7 @@ def _config_comment(args: argparse.Namespace) -> str:
 
 
 def _load_inputs(args: argparse.Namespace):
-    with open(args.graph) as fh:
+    with open(args.graph, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -270,14 +270,9 @@ def _edge_inputs(args: argparse.Namespace):
     u, v = args.edge
     if not graph.has_undirected_edge(u, v):
         raise GraphFormatError(f"edge {u}-{v} is not an undirected edge of the graph")
-    decomposition = chain_components(graph)
-    ci, comp, sub = next(
-        (ci, comp, sub)
-        for ci, (comp, sub) in enumerate(zip(decomposition.components, decomposition.subgraphs))
-        if u in comp
-    )
-    posterior = component_posterior(data, comp, args.a_omega)
-    return sub, posterior, edge_stream(RandomStream(args.seed), ci, comp, u, v)
+    ci, sub = next((ci, sub) for ci, sub in enumerate(chain_components(graph)) if u in sub.nodes)
+    posterior = component_posterior(data, sub.nodes, args.a_omega)
+    return sub, posterior, edge_stream(RandomStream(args.seed), ci, sub.nodes, u, v)
 
 
 def cmd_dce_curve(args: argparse.Namespace) -> int:

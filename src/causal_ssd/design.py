@@ -64,10 +64,6 @@ from causal_ssd.graph import (
 )
 
 
-class NoFeasibleSequenceError(ValueError):
-    """Every candidate sequence has an unachievable target sample size."""
-
-
 @dataclass(frozen=True)
 class InterventionSequence:
     """Ordered distinct intervention targets within one chain component.
@@ -192,8 +188,10 @@ def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str]
                     undirected=[e for e in edges if root not in e],
                 )
             )
-            parts = chain_components(closed).components
-            rooted_size, rooted_arrows = _product_counts([count(frozenset(p)) for p in parts])
+            parts = chain_components(closed)
+            rooted_size, rooted_arrows = _product_counts(
+                [count(frozenset(p.nodes)) for p in parts]
+            )
             for edge in closed.directed_edges():
                 rooted_arrows[edge] = rooted_size
             size += rooted_size
@@ -202,8 +200,8 @@ def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str]
         memo[nodes] = size, arrows
         return memo[nodes]
 
-    parts = chain_components(PartiallyDirectedGraph.from_undirected(g)).components
-    size, arrows = _product_counts([count(frozenset(p)) for p in parts])
+    parts = chain_components(PartiallyDirectedGraph.from_undirected(g))
+    size, arrows = _product_counts([count(frozenset(p.nodes)) for p in parts])
     return size, MappingProxyType(arrows)
 
 
@@ -224,26 +222,16 @@ def prior_h0(g: UndirectedGraph, u: str, v: str) -> EdgeHypothesisPrior:
 
 def best_size_optimal_sequence(
     candidates: list[tuple[InterventionSequence, list[int | None]]],
-) -> InterventionSequence:
-    """Candidate sequence minimizing the total sample size.
+) -> InterventionSequence | None:
+    """Candidate sequence minimizing the total sample size, or None if none is feasible.
 
     Each candidate pairs a sequence with its per-target optimal sizes, where
     ``None`` marks an unachievable target; such candidates are excluded.
     Ties break toward the lexicographically smallest canonical sequence.
     """
-    if not candidates:
-        raise ValueError("no candidate sequences given")
-    feasible = []
-    for seq, sizes in candidates:
-        if len(sizes) != len(seq.targets):
-            raise ValueError(
-                f"sequence {seq.targets!r} has {len(seq.targets)} targets "
-                f"but {len(sizes)} sizes"
-            )
-        if any(s is None for s in sizes):
-            continue
-        feasible.append((sum(sizes), seq.canonical().targets, seq))
-    if not feasible:
-        raise NoFeasibleSequenceError("every candidate has an unachievable target size")
-    feasible.sort(key=lambda item: (item[0], item[1]))
-    return feasible[0][2]
+    feasible = [
+        (sum(sizes), seq.canonical().targets, seq)
+        for seq, sizes in candidates
+        if None not in sizes
+    ]
+    return min(feasible, key=lambda item: item[:2])[2] if feasible else None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 ENUMERATION_CAP = 12
@@ -260,16 +259,12 @@ class PartiallyDirectedGraph:
         )
 
 
-@dataclass(frozen=True)
-class ChainComponentDecomposition:
-    """Partition of the vertex set into chain components with induced subgraphs."""
+def chain_components(g: PartiallyDirectedGraph) -> tuple[UndirectedGraph, ...]:
+    """The chain components of a chain graph, as undirected subgraphs.
 
-    components: tuple[tuple[str, ...], ...]
-    subgraphs: tuple[UndirectedGraph, ...]
-
-
-def chain_components(g: PartiallyDirectedGraph) -> ChainComponentDecomposition:
-    """Decompose a chain graph into the connected components of its undirected part.
+    Each subgraph holds the nodes of one connected component of the
+    undirected part and the undirected edges among them.  The subgraphs are
+    ordered by their sorted ``.nodes``, so a component's index is stable.
 
     Raises :class:`InvalidChainGraphError` if the graph has a partially
     directed cycle, i.e. a directed edge inside an undirected component or a
@@ -291,7 +286,7 @@ def chain_components(g: PartiallyDirectedGraph) -> ChainComponentDecomposition:
                     comp_id[w] = idx
                     group.append(w)
                     queue.append(w)
-        components.append(sorted(group))
+        components.append(group)
 
     quotient: dict[int, set[int]] = {i: set() for i in range(len(components))}
     for a, b in g.directed_edges():
@@ -318,15 +313,14 @@ def chain_components(g: PartiallyDirectedGraph) -> ChainComponentDecomposition:
         if state.get(i, 0) == 0:
             visit(i)
 
-    ordered = sorted(components)
-    subgraphs = tuple(
-        UndirectedGraph(
-            c, [e for e in g.undirected_edges() if e[0] in set(c) and e[1] in set(c)]
+    edges: list[list[tuple[str, str]]] = [[] for _ in components]
+    for a, b in g.undirected_edges():
+        edges[comp_id[a]].append((a, b))
+    return tuple(
+        sorted(
+            (UndirectedGraph(c, e) for c, e in zip(components, edges)),
+            key=lambda sub: sub.nodes,
         )
-        for c in ordered
-    )
-    return ChainComponentDecomposition(
-        components=tuple(tuple(c) for c in ordered), subgraphs=subgraphs
     )
 
 

@@ -138,14 +138,14 @@ def generate_sem_data(spec: LinearSemSpec, n_rows: int, stream: RandomStream) ->
 
 
 def ingest_csv(path: str) -> DatasetMatrix:
-    """Parse a dataset CSV with a header row of column labels.
+    """Parse a UTF-8 dataset CSV with a header row of column labels.
 
-    Ragged rows, non-numeric cells, and duplicate headers are rejected with
-    the offending line number; undecodable text and malformed CSV quoting
-    with the reader's message.
+    A leading byte-order mark is ignored.  Ragged rows, non-numeric cells,
+    and duplicate headers are rejected with the offending line number;
+    undecodable text and malformed CSV quoting with the reader's message.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return _parse_csv(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise CsvParseError(f"{path}: {exc}") from None

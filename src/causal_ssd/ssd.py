@@ -20,14 +20,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from causal_ssd.design import (
     EdgeHypothesisPrior,
     InterventionSequence,
-    NoFeasibleSequenceError,
     best_size_optimal_sequence,
     optimal_sequences,
     prior_h0,
@@ -236,42 +234,44 @@ def optimal_n_edge(
     return EdgeSsdResult(edge=(u, v), p_h0=prior.p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 
 
-def optimal_n_node(u: str, neighbor_results: Iterable[EdgeSsdResult]) -> int | None:
-    """Sample size for an intervention on u: the maximum over its edges.
-
-    None (not achievable) as soon as any incident edge is not achievable.
-    """
-    results = list(neighbor_results)
-    if not results:
-        raise ValueError(f"node {u!r} has no neighbor results")
-    sizes = [r.n_star for r in results]
-    if any(s is None for s in sizes):
-        return None
-    return max(sizes)
-
-
 @dataclass
 class InterventionPlan:
-    """Per-edge and per-node optimal sizes for one candidate sequence."""
+    """One candidate sequence and the edge results of each of its targets.
 
-    component: tuple[str, ...]
+    The sizes are derived from ``edge_results``: a target's size is the
+    largest n* of its edges, and ``total_n`` is the sum over the targets.
+    Either is None (not achievable) as soon as one n* it depends on is None.
+    """
+
     sequence: InterventionSequence
     edge_results: dict[str, tuple[EdgeSsdResult, ...]]
-    node_sizes: dict[str, int | None]
-    total_n: int | None
     bos: bool = False
+
+    @property
+    def node_sizes(self) -> dict[str, int | None]:
+        sizes = {}
+        for u in self.sequence.targets:
+            stars = [r.n_star for r in self.edge_results[u]]
+            sizes[u] = None if None in stars else max(stars)
+        return sizes
+
+    @property
+    def total_n(self) -> int | None:
+        sizes = self.node_sizes.values()
+        return None if None in sizes else sum(sizes)
 
     @property
     def achieved(self) -> bool:
         return self.total_n is not None
 
     def to_dict(self) -> dict:
+        sizes = self.node_sizes
         return {
             "sequence": list(self.sequence.targets),
             "targets": {
                 u: {
                     "edges": [r.to_dict() for r in self.edge_results[u]],
-                    "n_star_node": self.node_sizes[u],
+                    "n_star_node": sizes[u],
                 }
                 for u in self.sequence.targets
             },
@@ -301,24 +301,6 @@ class ComponentPlans:
             "feasible": self.feasible,
             "error": self.error,
         }
-
-
-def _assemble_plan(
-    component: tuple[str, ...],
-    sequence: InterventionSequence,
-    edge_results: dict[str, tuple[EdgeSsdResult, ...]],
-) -> InterventionPlan:
-    """Plan of one sequence from the edge results of each of its targets."""
-    node_sizes = {u: optimal_n_node(u, edge_results[u]) for u in sequence.targets}
-    sizes = [node_sizes[u] for u in sequence.targets]
-    total = None if any(s is None for s in sizes) else int(sum(sizes))
-    return InterventionPlan(
-        component=component,
-        sequence=sequence,
-        edge_results=edge_results,
-        node_sizes=node_sizes,
-        total_n=total,
-    )
 
 
 def component_posterior(
@@ -354,14 +336,16 @@ def plan_cpdag(
 ) -> list[ComponentPlans]:
     """Plans for every multi-node chain component of a CPDAG.
 
-    Singleton components have no edges to orient and are skipped.  Each
-    remaining component gets its design posterior from the observational
-    columns matching its node labels (``a_omega`` defaults to T - 1 per
-    component), all optimal sequences, one plan per sequence, and a flag on
-    the best-size optimal sequence.  Failures (missing data columns, a
-    component above ``ENUMERATION_CAP`` nodes, a non-chordal component, an
-    improper posterior) are reported per component without aborting the
-    others.
+    The result holds one ``ComponentPlans`` per component of two or more
+    nodes, in the order of ``chain_components``; singleton components have
+    no edges to orient and are skipped.  Each component gets its design
+    posterior from the observational columns matching its node labels
+    (``a_omega`` defaults to T - 1 per component) and all optimal sequences.
+    Once every edge task has run, it gets one plan per sequence, and the
+    best-size optimal sequence is flagged ``bos`` if any sequence is
+    achieved.  Failures (missing data columns, a component above
+    ``ENUMERATION_CAP`` nodes, a non-chordal component, an improper
+    posterior) are reported per component without aborting the others.
 
     ``workers`` > 1 evaluates edges in parallel processes, at most one per
     edge task and per CPU; results are independent of the worker count
@@ -371,13 +355,15 @@ def plan_cpdag(
 
     if not isinstance(data, DatasetMatrix):
         raise TypeError("data must be a DatasetMatrix")
-    decomposition = chain_components(cpdag)
-
-    prepared = []  # ComponentPlans for failures, else (ci, comp, sub, sequences)
+    out: list[ComponentPlans] = []
+    searched = []  # (entry of out, index, subgraph, sequences) of the error-free components
     tasks: dict[tuple[int, str, str], tuple] = {}  # optimal_n_edge arguments per edge
-    for ci, (comp, sub) in enumerate(zip(decomposition.components, decomposition.subgraphs)):
+    for ci, sub in enumerate(chain_components(cpdag)):
+        comp = sub.nodes
         if len(comp) < 2:
             continue
+        entry = ComponentPlans(component=comp, plans=[])
+        out.append(entry)
         try:
             missing = sorted(set(comp) - set(data.labels))
             if missing:
@@ -387,7 +373,7 @@ def plan_cpdag(
             posterior = component_posterior(data, comp, a_omega)
             sequences = optimal_sequences(sub)
         except (CapacityError, NotDecomposableError, InsufficientDataError) as exc:
-            prepared.append(ComponentPlans(component=comp, plans=[], error=str(exc)))
+            entry.error = str(exc)
             continue
         for seq in sequences:
             for u in seq.targets:
@@ -397,7 +383,7 @@ def plan_cpdag(
                             u, v, thresholds, prior_h0(sub, u, v), posterior, f_u,
                             n_max, draws, edge_stream(stream, ci, comp, u, v),
                         )
-        prepared.append((ci, comp, sub, sequences))
+        searched.append((entry, ci, sub, sequences))
 
     # optimal_n_edge is looked up at call time, so a wrapper bound to the
     # module attribute also sees the calls made in pool workers
@@ -410,27 +396,17 @@ def plan_cpdag(
         evaluated = [optimal_n_edge(*args) for args in tasks.values()]
     results = dict(zip(tasks, evaluated))
 
-    out: list[ComponentPlans] = []
-    for entry in prepared:
-        if isinstance(entry, ComponentPlans):
-            out.append(entry)
-            continue
-        ci, comp, sub, sequences = entry
-        plans = [
-            _assemble_plan(
-                comp,
+    for entry, ci, sub, sequences in searched:
+        entry.plans = [
+            InterventionPlan(
                 seq,
                 {u: tuple(results[(ci, u, v)] for v in sub.neighbors(u)) for u in seq.targets},
             )
             for seq in sequences
         ]
-        try:
-            best = best_size_optimal_sequence(
-                [(p.sequence, [p.node_sizes[u] for u in p.sequence.targets]) for p in plans]
-            )
-        except NoFeasibleSequenceError:
-            pass
-        else:
-            plans[sequences.index(best)].bos = True
-        out.append(ComponentPlans(component=comp, plans=plans))
+        best = best_size_optimal_sequence(
+            [(p.sequence, list(p.node_sizes.values())) for p in entry.plans]
+        )
+        if best is not None:
+            entry.plans[sequences.index(best)].bos = True
     return out

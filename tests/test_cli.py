@@ -415,6 +415,28 @@ class TestUsageAndErrors:
         assert main(["plan", "--graph", str(binary), "--data", data]) == EXIT_INPUT
         assert main(["plan", "--graph", graph, "--data", str(binary)]) == EXIT_INPUT
 
+    def test_byte_order_mark_is_ignored(self, two_node_files, tmp_path, monkeypatch, capsys):
+        # a spreadsheet's "CSV UTF-8" export starts the file with a byte-order mark;
+        # each run reads same-named files, so the echoed paths agree too
+        graph, data = two_node_files
+        argv = ["--graph", "pair.graph", "--data", "pair.csv", *FAST]
+        outputs = []
+        for prefix in (b"", "\ufeff".encode()):
+            folder = tmp_path / f"prefix{len(prefix)}"
+            folder.mkdir()
+            for name, source in (("pair.graph", graph), ("pair.csv", data)):
+                with open(source, "rb") as fh:
+                    (folder / name).write_bytes(prefix + fh.read())
+            monkeypatch.chdir(folder)
+            codes = [
+                main(["plan", *argv]),
+                main(["dce-curve", *argv, "--edge", "u,v"]),
+                main(["predict-bf", *argv, "--edge", "u,v", "--n", "10"]),
+            ]
+            outputs.append((codes, capsys.readouterr()))
+        assert outputs[0][0] == [EXIT_OK] * 3
+        assert outputs[1] == outputs[0]
+
     @pytest.mark.parametrize(
         "flag", [["--seed", "-1"], ["--a-omega", "nan"], ["--a-omega", "inf"]]
     )

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from causal_ssd.design import (
     EdgeHypothesisPrior,
     InterventionSequence,
-    NoFeasibleSequenceError,
     best_size_optimal_sequence,
     optimal_sequences,
     orientation_counts,
@@ -272,10 +271,5 @@ class TestBestSizeOptimalSequence:
         candidates = [(seq("a"), [None]), (seq("b"), [7])]
         assert best_size_optimal_sequence(candidates).targets == ("b",)
 
-    def test_all_unachievable_raises(self):
-        with pytest.raises(NoFeasibleSequenceError):
-            best_size_optimal_sequence([(seq("a"), [None]), (seq("b", "c"), [3, None])])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            best_size_optimal_sequence([])
+    def test_all_unachievable_gives_none(self):
+        assert best_size_optimal_sequence([(seq("a"), [None]), (seq("b", "c"), [3, None])]) is None

@@ -98,20 +98,22 @@ class TestStructures:
 
 class TestChainComponents:
     def test_two_component_example(self):
-        dec = chain_components(CHAIN5)
-        assert dec.components == (("1", "2", "3"), ("4", "5"))
-        assert dec.subgraphs[0].edges() == [("1", "2"), ("1", "3"), ("2", "3")]
-        assert dec.subgraphs[1].edges() == [("4", "5")]
+        subs = chain_components(CHAIN5)
+        assert [sub.nodes for sub in subs] == [("1", "2", "3"), ("4", "5")]
+        assert subs[0].edges() == [("1", "2"), ("1", "3"), ("2", "3")]
+        assert subs[1].edges() == [("4", "5")]
 
     def test_fully_directed_gives_singletons(self):
         d = PartiallyDirectedGraph("abc", directed=[("a", "b"), ("b", "c")])
-        dec = chain_components(d)
-        assert dec.components == (("a",), ("b",), ("c",))
+        subs = chain_components(d)
+        assert [sub.nodes for sub in subs] == [("a",), ("b",), ("c",)]
+        assert all(sub.num_edges() == 0 for sub in subs)
 
     def test_fully_undirected_connected_is_one_component(self):
         g = PartiallyDirectedGraph("abc", undirected=[("a", "b"), ("b", "c")])
-        dec = chain_components(g)
-        assert dec.components == (("a", "b", "c"),)
+        (sub,) = chain_components(g)
+        assert sub.nodes == ("a", "b", "c")
+        assert sub.edges() == [("a", "b"), ("b", "c")]
 
     def test_directed_edge_within_component_rejected(self):
         bad = PartiallyDirectedGraph(
@@ -134,13 +136,20 @@ class TestChainComponents:
         for _ in range(20):
             d = random_dag(rng, 7, 0.4)
             cp = dag_to_cpdag(d)
-            dec = chain_components(cp)
-            all_nodes = [n for comp in dec.components for n in comp]
+            subs = chain_components(cp)
+            assert [sub.nodes for sub in subs] == sorted(sub.nodes for sub in subs)
+            all_nodes = [n for sub in subs for n in sub.nodes]
             assert sorted(all_nodes) == sorted(cp.nodes)
             assert len(all_nodes) == len(set(all_nodes))
-            comp_of = {n: i for i, comp in enumerate(dec.components) for n in comp}
+            comp_of = {n: i for i, sub in enumerate(subs) for n in sub.nodes}
             for u, v in cp.undirected_edges():
                 assert comp_of[u] == comp_of[v]
+            # each subgraph holds exactly the undirected edges among its nodes
+            for sub in subs:
+                inside = set(sub.nodes)
+                assert sub.edges() == [
+                    e for e in cp.undirected_edges() if e[0] in inside and e[1] in inside
+                ]
 
 
 

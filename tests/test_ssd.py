@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from causal_ssd.design import EdgeHypothesisPrior, optimal_sequences
+from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence, optimal_sequences
 from causal_ssd.graph import Dag, PartiallyDirectedGraph, chain_components
 from causal_ssd.harness import DatasetMatrix, LinearSemSpec, generate_sem_data
 from causal_ssd.numerics import RandomStream
@@ -15,9 +15,9 @@ from causal_ssd.predictive import BfPredictiveSample, InterventionDensity, build
 from causal_ssd.ssd import (
     DceThresholds,
     EdgeSsdResult,
+    InterventionPlan,
     h0_band_probabilities,
     optimal_n_edge,
-    optimal_n_node,
     plan_cpdag,
 )
 
@@ -254,21 +254,36 @@ class TestOptimalNEdge:
 
 
 class TestOptimalNNode:
-    def _result(self, n_star):
-        return EdgeSsdResult(edge=("u", "v"), p_h0=0.5, n_star=n_star, dce_at_n_star=None, n_max=100)
+    """A target's size is the largest n* of its edges; the total sums the targets."""
+
+    @staticmethod
+    def _plan(**edge_stars):
+        edge_results = {
+            u: tuple(
+                EdgeSsdResult(
+                    edge=(u, f"w{i}"), p_h0=0.5, n_star=n_star, dce_at_n_star=None, n_max=100
+                )
+                for i, n_star in enumerate(stars)
+            )
+            for u, stars in edge_stars.items()
+        }
+        return InterventionPlan(InterventionSequence(tuple(edge_stars)), edge_results)
 
     def test_single_neighbor(self):
-        assert optimal_n_node("u", [self._result(17)]) == 17
+        assert self._plan(u=[17]).node_sizes == {"u": 17}
 
     def test_max_over_neighbors(self):
-        assert optimal_n_node("u", [self._result(28), self._result(88)]) == 88
+        assert self._plan(u=[28, 88]).node_sizes == {"u": 88}
 
     def test_not_achievable_propagates(self):
-        assert optimal_n_node("u", [self._result(28), self._result(None)]) is None
+        assert self._plan(u=[28, None]).node_sizes == {"u": None}
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_n_node("u", [])
+    def test_total_not_achievable_when_one_target_is_not(self):
+        assert self._plan(u=[28, 88], v=[5, 4]).total_n == 93
+        plan = self._plan(u=[28, 88], v=[5, None])
+        assert plan.node_sizes == {"u": 88, "v": None}
+        assert plan.total_n is None
+        assert not plan.achieved
 
 
 class TestPlanCpdag:
@@ -313,8 +328,7 @@ class TestPlanCpdag:
         results = plan_cpdag(
             CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(13), n_max=250, draws=1200
         )
-        decomposition = chain_components(CHAIN5)
-        subgraphs = dict(zip(decomposition.components, decomposition.subgraphs))
+        subgraphs = {sub.nodes: sub for sub in chain_components(CHAIN5)}
         checked = 0
         for r in results:
             sub = subgraphs[r.component]
@@ -417,7 +431,7 @@ class TestPlanCpdag:
         # the class count closes rooted patterns; the vertex-cover search does not
         for module in (graph_mod, design_mod):
             monkeypatch.setattr(module, "meek_closure", counting_closure)
-        for sub in chain_components(CHAIN5).subgraphs:
+        for sub in chain_components(CHAIN5):
             optimal_sequences(sub)
         assert closures == []
 
