@@ -1,10 +1,10 @@
 """Intervention-target selection within one chain component.
 
-Sufficiency and optimality of manipulation sequences, class-count edge
-orientation priors, and selection of the best-size optimal sequence.
-Sufficiency here is graph-theoretic: every orientation test at an intervened
-node is assumed to return the truth; statistical error is handled separately
-by the sample-size machinery.
+Sufficiency and optimality of manipulation sequences, and class-count edge
+orientation priors.  A sequence is a sorted tuple of target labels and a
+prior is the one number p(H0).  Sufficiency here is graph-theoretic: every
+orientation test at an intervened node is assumed to return the truth;
+statistical error is handled separately by the sample-size machinery.
 
 For single-vertex batch interventions on a chordal component, a target set
 is sufficient exactly when it is a vertex cover of the component:
@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -64,60 +63,22 @@ from causal_ssd.graph import (
 )
 
 
-@dataclass(frozen=True)
-class InterventionSequence:
-    """Ordered distinct intervention targets within one chain component.
-
-    Order does not affect identifiability (targets act as a batch); sequences
-    are reported in sorted order.
-    """
-
-    targets: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        targets = tuple(str(t) for t in self.targets)
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"targets must be distinct, got {targets!r}")
-        object.__setattr__(self, "targets", targets)
-
-    def canonical(self) -> "InterventionSequence":
-        return InterventionSequence(tuple(sorted(self.targets)))
-
-
-@dataclass(frozen=True)
-class EdgeHypothesisPrior:
-    """Orientation prior for one undirected edge, in target/neighbor roles.
-
-    ``p_h0`` is the probability of u <- v (post-intervention independence when
-    u is manipulated); ``p_h1`` of u -> v.  Probabilities have denominator
-    equal to the class size: every class member orients the edge one way.
-    """
-
-    u: str
-    v: str
-    p_h0: float
-    p_h1: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p_h0 <= 1.0 and 0.0 <= self.p_h1 <= 1.0):
-            raise ValueError("prior probabilities must lie in [0, 1]")
-        if abs(self.p_h0 + self.p_h1 - 1.0) > 1e-12:
-            raise ValueError("p_h0 + p_h1 must equal 1")
-
-
-def optimal_sequences(g: UndirectedGraph) -> list[InterventionSequence]:
-    """All minimum-size sufficient sequences, canonicalized and sorted.
+def optimal_sequences(g: UndirectedGraph) -> list[tuple[str, ...]]:
+    """All minimum-size sufficient target sets, as sorted tuples in lexicographic order.
 
     A target set is sufficient exactly when it is a vertex cover of the
     chordal component (see the module docstring for the proof), so these
     are the minimum vertex covers.  Subsets are searched by increasing
     cardinality and the search stops at the first cardinality containing a
-    cover.  A component without edges needs no intervention: the result is
-    the singleton empty sequence.  Components above ``ENUMERATION_CAP`` nodes
-    raise ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
+    cover; combinations of the sorted nodes come out sorted and in
+    lexicographic order.  Targets act as a batch, so their order does not
+    affect identifiability.  A component without edges needs no
+    intervention: the result is ``[()]``.  Components above
+    ``ENUMERATION_CAP`` nodes raise ``CapacityError`` and non-chordal ones
+    ``NotDecomposableError``.
     """
     if g.num_edges() == 0:
-        return [InterventionSequence(())]
+        return [()]
     if g.num_nodes() > ENUMERATION_CAP:
         raise CapacityError(
             f"component has {g.num_nodes()} nodes, the vertex-cover search over its "
@@ -129,12 +90,12 @@ def optimal_sequences(g: UndirectedGraph) -> list[InterventionSequence]:
     nodes = g.nodes
     for size in range(1, len(nodes) + 1):
         found = [
-            InterventionSequence(combo)
+            combo
             for combo in itertools.combinations(nodes, size)
             if all(u in combo or v in combo for u, v in edges)
         ]
         if found:
-            return sorted(found, key=lambda s: s.targets)
+            return found
     raise AssertionError("unreachable: manipulating all nodes is always sufficient")
 
 
@@ -205,33 +166,16 @@ def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str]
     return size, MappingProxyType(arrows)
 
 
-def prior_h0(g: UndirectedGraph, u: str, v: str) -> EdgeHypothesisPrior:
-    """Class-count orientation prior for the undirected edge u - v.
+def prior_h0(g: UndirectedGraph, u: str, v: str) -> float:
+    """Class-count prior p(H0) of the undirected edge u - v, with u the target.
 
-    ``p_h0`` is the fraction of perfect directed versions of ``g`` containing
-    u <- v: the exact integer ratio of ``orientation_counts``, so it equals
-    the count over an enumerated class to the last bit.
+    p(H0) is the fraction of perfect directed versions of ``g`` containing
+    u <- v, and p(H1) = 1 - p(H0) that of u -> v: every member orients the
+    edge one way.  It is the exact integer ratio of ``orientation_counts``,
+    so it equals the count over an enumerated class to the last bit.
     """
     u, v = str(u), str(v)
     if not g.has_edge(u, v):
         raise ValueError(f"{u}-{v} is not an undirected edge of the component")
     size, arrows = orientation_counts(g)
-    p0 = arrows.get((v, u), 0) / size
-    return EdgeHypothesisPrior(u=u, v=v, p_h0=p0, p_h1=1.0 - p0)
-
-
-def best_size_optimal_sequence(
-    candidates: list[tuple[InterventionSequence, list[int | None]]],
-) -> InterventionSequence | None:
-    """Candidate sequence minimizing the total sample size, or None if none is feasible.
-
-    Each candidate pairs a sequence with its per-target optimal sizes, where
-    ``None`` marks an unachievable target; such candidates are excluded.
-    Ties break toward the lexicographically smallest canonical sequence.
-    """
-    feasible = [
-        (sum(sizes), seq.canonical().targets, seq)
-        for seq, sizes in candidates
-        if None not in sizes
-    ]
-    return min(feasible, key=lambda item: item[:2])[2] if feasible else None
+    return arrows.get((v, u), 0) / size

@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from causal_ssd.design import EdgeHypothesisPrior
 from causal_ssd.graph import Dag
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
@@ -302,7 +301,6 @@ def replicate_two_node_study(
         "scatter": [[scatter[0, 0], scatter[0, 1]], [scatter[1, 0], scatter[1, 1]]],
         "sample_slope": scatter[0, 1] / scatter[0, 0],
     }
-    prior = EdgeHypothesisPrior(u=u, v=v, p_h0=0.5, p_h1=0.5)
 
     # the few fixed sizes of the exported samples and the evidence grid are
     # drawn once; the curves reuse them.  Every H1 sample comes from the one
@@ -357,7 +355,7 @@ def replicate_two_node_study(
     for n in range(2, config.n_max + 1):
         sample = h1_samples[n] if n in h1_samples else sample_bf_h1(h1, n)
         for k, th in thresholds_by_k.items():
-            dce = assemble_dce(h0_band_probabilities(th, n), th, prior, sample)
+            dce = assemble_dce(h0_band_probabilities(th, n), th, 0.5, sample)
             curves_by_k[k].append(dce_curve_row(n, dce))
 
     # (d) optimal n as a function of the target probability: first crossing

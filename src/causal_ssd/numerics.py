@@ -106,14 +106,6 @@ class WishartParams:
         return self.rate.shape[0]
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for positive real ``x``."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires a finite positive argument, got {x!r}")
-    return math.lgamma(x)
-
-
 def _stirling_tail(z: float) -> float:
     """ln Gamma(z) - [(z - 1/2) ln z - z + ln sqrt(2 pi)], the remainder of Stirling's formula."""
     if z < _STIRLING_MIN:

@@ -23,7 +23,6 @@ import numpy as np
 from causal_ssd.numerics import (
     RandomStream,
     WishartParams,
-    log_gamma,
     regularized_incomplete_beta,
     sample_wishart,  # noqa: F401  (no caller; bench/tracing.py wraps predictive.sample_wishart)
 )
@@ -42,7 +41,7 @@ def log_g_of_n(n: int) -> float:
     n = int(n)
     if n < 2:
         raise ValueError(f"g(n) requires n >= 2, got {n}")
-    return math.log(n) + log_gamma(n / 2.0) - log_gamma((n + 1) / 2.0) - 0.5 * math.log(math.pi)
+    return math.log(n) + math.lgamma(n / 2.0) - math.lgamma((n + 1) / 2.0) - 0.5 * math.log(math.pi)
 
 
 class InsufficientDataError(ValueError):

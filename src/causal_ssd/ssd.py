@@ -5,7 +5,9 @@ for H0 when BF >= k0, decisive for H1 when BF <= 1/k1, inconclusive in
 between, and misleading when decisive for the false hypothesis.  The overall
 probability of decisive-and-correct evidence mixes the conditional
 probabilities with the class-count orientation prior; the optimal n is the
-first point of the sample-size grid where it reaches the target zeta.
+first point of the sample-size grid where it reaches the target zeta.  The
+best-size optimal sequence of a component is its achieved plan with the
+smallest total n.
 
 H0-side probabilities are exact (closed-form bands); H1-side ones are Monte
 Carlo from one substream per edge (the n-free variates) and one per (edge,
@@ -23,13 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from causal_ssd.design import (
-    EdgeHypothesisPrior,
-    InterventionSequence,
-    best_size_optimal_sequence,
-    optimal_sequences,
-    prior_h0,
-)
+from causal_ssd.design import optimal_sequences, prior_h0
 from causal_ssd.graph import (
     CapacityError,
     NotDecomposableError,
@@ -135,20 +131,24 @@ def binomial_se(p: float, draws: int) -> float:
 def assemble_dce(
     h0_bands: tuple[float, float, float],
     thresholds: DceThresholds,
-    prior: EdgeHypothesisPrior,
+    p_h0: float,
     h1_sample: BfPredictiveSample,
 ) -> DceProbabilities:
-    """Mix the exact H0 triple with the H1 triple of ``h1_sample``."""
+    """Mix the exact H0 triple with the H1 triple of ``h1_sample``.
+
+    ``p_h0`` is the edge's prior p(H0) and p(H1) = 1 - p_h0.
+    """
     p0_dc, p0_inc, p0_mis = h0_bands
     p1_dc, p1_inc, p1_mis = h1_band_probabilities(h1_sample, thresholds)
     draws = h1_sample.count
-    overall = prior.p_h0 * p0_dc + prior.p_h1 * p1_dc
+    p_h1 = 1.0 - p_h0
+    overall = p_h0 * p0_dc + p_h1 * p1_dc
     se_dc = binomial_se(p1_dc, draws)
     mc_se = {
         "p1_dc": se_dc,
         "p1_inc": binomial_se(p1_inc, draws),
         "p1_mis": binomial_se(p1_mis, draws),
-        "overall_dc": prior.p_h1 * se_dc,
+        "overall_dc": p_h1 * se_dc,
     }
     return DceProbabilities(
         p0_dc=p0_dc,
@@ -199,7 +199,7 @@ def optimal_n_edge(
     u: str,
     v: str,
     thresholds: DceThresholds,
-    prior: EdgeHypothesisPrior,
+    p_h0: float,
     posterior: DesignPosterior,
     f_u: InterventionDensity,
     n_max: int = DEFAULT_N_MAX,
@@ -207,6 +207,9 @@ def optimal_n_edge(
     stream: RandomStream = RandomStream(0),
 ) -> EdgeSsdResult:
     """Smallest n on {2, ..., n_max} whose overall DCE probability reaches zeta.
+
+    ``p_h0`` is the prior p(H0) of u <- v (``prior_h0``) and must lie in
+    [0, 1]; p(H1) = 1 - p_h0.
 
     The grid is scanned in increasing order, every n from the edge's one
     draw of n-free variates and its own substream, so the result is the
@@ -219,38 +222,40 @@ def optimal_n_edge(
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if not 0.0 <= p_h0 <= 1.0:
+        raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
     h1 = None
     for n in range(2, n_max + 1):
         h0_bands = h0_band_probabilities(thresholds, n)
-        if prior.p_h0 * h0_bands[0] + prior.p_h1 < thresholds.zeta:
+        if p_h0 * h0_bands[0] + (1.0 - p_h0) < thresholds.zeta:
             continue
         if h1 is None:
             h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
-        dce = assemble_dce(h0_bands, thresholds, prior, sample_bf_h1(h1, n))
+        dce = assemble_dce(h0_bands, thresholds, p_h0, sample_bf_h1(h1, n))
         if dce.overall_dc >= thresholds.zeta:
-            return EdgeSsdResult(
-                edge=(u, v), p_h0=prior.p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max
-            )
-    return EdgeSsdResult(edge=(u, v), p_h0=prior.p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
+            return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
+    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 
 
 @dataclass
 class InterventionPlan:
     """One candidate sequence and the edge results of each of its targets.
 
-    The sizes are derived from ``edge_results``: a target's size is the
-    largest n* of its edges, and ``total_n`` is the sum over the targets.
-    Either is None (not achievable) as soon as one n* it depends on is None.
+    ``sequence`` is the sorted tuple of target labels from
+    ``optimal_sequences``.  The sizes are derived from ``edge_results``: a
+    target's size is the largest n* of its edges, and ``total_n`` is the sum
+    over the targets.  Either is None (not achievable) as soon as one n* it
+    depends on is None.  ``bos`` flags the plan ``best_size_plan`` picks.
     """
 
-    sequence: InterventionSequence
+    sequence: tuple[str, ...]
     edge_results: dict[str, tuple[EdgeSsdResult, ...]]
     bos: bool = False
 
     @property
     def node_sizes(self) -> dict[str, int | None]:
         sizes = {}
-        for u in self.sequence.targets:
+        for u in self.sequence:
             stars = [r.n_star for r in self.edge_results[u]]
             sizes[u] = None if None in stars else max(stars)
         return sizes
@@ -267,18 +272,28 @@ class InterventionPlan:
     def to_dict(self) -> dict:
         sizes = self.node_sizes
         return {
-            "sequence": list(self.sequence.targets),
+            "sequence": list(self.sequence),
             "targets": {
                 u: {
                     "edges": [r.to_dict() for r in self.edge_results[u]],
                     "n_star_node": sizes[u],
                 }
-                for u in self.sequence.targets
+                for u in self.sequence
             },
             "total_n": self.total_n,
             "achieved": self.achieved,
             "bos": self.bos,
         }
+
+
+def best_size_plan(plans: list[InterventionPlan]) -> InterventionPlan | None:
+    """The achieved plan with the smallest ``(total_n, sequence)``, or None if none is achieved.
+
+    This is the best-size optimal sequence; ties in the total sample size
+    break toward the lexicographically smallest sequence.
+    """
+    achieved = [p for p in plans if p.achieved]
+    return min(achieved, key=lambda p: (p.total_n, p.sequence), default=None)
 
 
 @dataclass
@@ -342,10 +357,10 @@ def plan_cpdag(
     posterior from the observational columns matching its node labels
     (``a_omega`` defaults to T - 1 per component) and all optimal sequences.
     Once every edge task has run, it gets one plan per sequence, and the
-    best-size optimal sequence is flagged ``bos`` if any sequence is
-    achieved.  Failures (missing data columns, a component above
-    ``ENUMERATION_CAP`` nodes, a non-chordal component, an improper
-    posterior) are reported per component without aborting the others.
+    plan ``best_size_plan`` picks is flagged ``bos``.  Failures (missing
+    data columns, a component above ``ENUMERATION_CAP`` nodes, a non-chordal
+    component, an improper posterior) are reported per component without
+    aborting the others.
 
     ``workers`` > 1 evaluates edges in parallel processes, at most one per
     edge task and per CPU; results are independent of the worker count
@@ -376,7 +391,7 @@ def plan_cpdag(
             entry.error = str(exc)
             continue
         for seq in sequences:
-            for u in seq.targets:
+            for u in seq:
                 for v in sub.neighbors(u):
                     if (ci, u, v) not in tasks:
                         tasks[(ci, u, v)] = (
@@ -400,13 +415,11 @@ def plan_cpdag(
         entry.plans = [
             InterventionPlan(
                 seq,
-                {u: tuple(results[(ci, u, v)] for v in sub.neighbors(u)) for u in seq.targets},
+                {u: tuple(results[(ci, u, v)] for v in sub.neighbors(u)) for u in seq},
             )
             for seq in sequences
         ]
-        best = best_size_optimal_sequence(
-            [(p.sequence, list(p.node_sizes.values())) for p in entry.plans]
-        )
+        best = best_size_plan(entry.plans)
         if best is not None:
-            entry.plans[sequences.index(best)].bos = True
+            best.bos = True
     return out

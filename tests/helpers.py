@@ -2,8 +2,8 @@
 
 The reference implementations that only tests use live here: the Bayes
 factors and marginal likelihoods behind the closed form, the DAG-to-CPDAG
-conversion, the definition of a sufficient sequence, and the evidence
-probabilities at one n.
+conversion, the definition of a sufficient sequence, the evidence
+probabilities at one n, and plans built from given edge sizes.
 """
 
 import itertools
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence
 from causal_ssd.graph import (
     Dag,
     PartiallyDirectedGraph,
@@ -20,7 +19,7 @@ from causal_ssd.graph import (
     enumerate_class,
     meek_closure,
 )
-from causal_ssd.numerics import RandomStream, WishartParams, log_gamma, sample_wishart
+from causal_ssd.numerics import RandomStream, WishartParams, sample_wishart
 from causal_ssd.predictive import (
     DesignPosterior,
     InterventionDensity,
@@ -32,6 +31,8 @@ from causal_ssd.ssd import (
     DEFAULT_DRAWS,
     DceProbabilities,
     DceThresholds,
+    EdgeSsdResult,
+    InterventionPlan,
     assemble_dce,
     h0_band_probabilities,
 )
@@ -297,14 +298,14 @@ def _sufficient_for_class(g: UndirectedGraph, targets: set[str], dags: list[Dag]
     return True
 
 
-def is_sufficient(g: UndirectedGraph, s: InterventionSequence) -> bool:
-    """True iff manipulating the targets of ``s`` identifies every class member.
+def is_sufficient(g: UndirectedGraph, targets: tuple[str, ...]) -> bool:
+    """True iff manipulating ``targets`` identifies every class member.
 
     For each perfect directed version of ``g``, orienting the edges incident
     to the targets accordingly and closing under the orientation rules must
     recover the full DAG.
     """
-    targets = set(s.targets)
+    targets = set(targets)
     missing = targets - set(g.nodes)
     if missing:
         raise ValueError(f"targets not in component: {sorted(missing)}")
@@ -321,7 +322,7 @@ def dce_probabilities(
     v: str,
     thresholds: DceThresholds,
     n: int,
-    prior: EdgeHypothesisPrior,
+    p_h0: float,
     posterior: DesignPosterior,
     f_u: InterventionDensity,
     draws: int = DEFAULT_DRAWS,
@@ -334,7 +335,23 @@ def dce_probabilities(
     costs one edge draw and one n step.
     """
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
-    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, prior, sample)
+    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, sample)
+
+
+def plan_from_stars(edge_stars: dict[str, list[int | None]]) -> InterventionPlan:
+    """A plan whose target u has one edge result per n* listed under u.
+
+    The sequence is the keys of ``edge_stars`` in their order; None marks an
+    edge whose n* was not achieved.
+    """
+    edge_results = {
+        u: tuple(
+            EdgeSsdResult(edge=(u, f"w{i}"), p_h0=0.5, n_star=n_star, dce_at_n_star=None, n_max=100)
+            for i, n_star in enumerate(stars)
+        )
+        for u, stars in edge_stars.items()
+    }
+    return InterventionPlan(tuple(edge_stars), edge_results)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +484,7 @@ def _log_marginal_from_scatter(
         raise ValueError(f"improper prior for subset of size {size}: need a > T - 1")
     total = 0.0
     for j in range(1, size + 1):
-        total += log_gamma((alpha + n + 1 - j) / 2.0) - log_gamma((alpha + 1 - j) / 2.0)
+        total += math.lgamma((alpha + n + 1 - j) / 2.0) - math.lgamma((alpha + 1 - j) / 2.0)
     sign_u, logdet_u = np.linalg.slogdet(u_aa)
     sign_post, logdet_post = np.linalg.slogdet(u_aa + s_aa)
     if sign_u <= 0 or sign_post <= 0:

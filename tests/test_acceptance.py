@@ -25,11 +25,12 @@ import pytest
 from scipy import stats
 
 from causal_ssd.cli import EXIT_OK, main
-from causal_ssd.design import best_size_optimal_sequence, optimal_sequences, prior_h0
+from causal_ssd.design import optimal_sequences, prior_h0
 from causal_ssd.graph import UndirectedGraph, enumerate_class
 from causal_ssd.harness import TwoNodeStudyConfig, replicate_two_node_study
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta
 from causal_ssd.predictive import prob_bf_band_h0
+from causal_ssd.ssd import best_size_plan
 
 from helpers import (
     TREE5_EDGES,
@@ -38,6 +39,7 @@ from helpers import (
     bf01,
     brute_force_class,
     fbf_objective_bf,
+    plan_from_stars,
     random_chordal,
 )
 
@@ -232,10 +234,14 @@ def test_criterion_07_graph_oracles():
 def test_criterion_08_optimal_sequence_structure():
     g1 = UndirectedGraph("12345", TREE5_EDGES)
     g2 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
-    seqs_g1 = [s.targets for s in optimal_sequences(g1)]
-    seqs_g2 = [s.targets for s in optimal_sequences(g2)]
-    candidates = list(zip(optimal_sequences(g1), [[28, 88], [4, 86]]))
-    bos = best_size_optimal_sequence(candidates).targets
+    seqs_g1 = optimal_sequences(g1)
+    seqs_g2 = optimal_sequences(g2)
+    # the paper's per-target sizes of the two sequences of G1
+    plans = [
+        plan_from_stars({u: [n] for u, n in zip(seq, sizes)})
+        for seq, sizes in zip(seqs_g1, [[28, 88], [4, 86]])
+    ]
+    bos = best_size_plan(plans).sequence
     ok = seqs_g1 == [("2", "3"), ("3", "4")] and seqs_g2 == [("2",)] and bos == ("3", "4")
     _report(8, ok, f"optimal sequences {seqs_g1} / {seqs_g2}, best-size sequence {bos}")
     assert seqs_g1 == [("2", "3"), ("3", "4")]
@@ -247,14 +253,14 @@ def test_criterion_09_orientation_prior_oracle():
     path3 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
     dags = enumerate_class(path3)
     count = sum(1 for d in dags if d.has_edge("2", "1"))
-    p = prior_h0(path3, "1", "2").p_h0
+    p = prior_h0(path3, "1", "2")
     ok = p == count / len(dags) == pytest.approx(2.0 / 3.0)
     rng = np.random.default_rng(109)
     worst = 0.0
     for _ in range(20):
         g = random_chordal(rng, int(rng.integers(2, 9)))
         for u, v in g.edges():
-            total = prior_h0(g, u, v).p_h0 + prior_h0(g, v, u).p_h0
+            total = prior_h0(g, u, v) + prior_h0(g, v, u)
             worst = max(worst, abs(total - 1.0))
     ok = ok and worst <= 1e-12
     _report(9, ok, f"path-3 prior {p:.4f} (= 2/3 by brute force); max |sum - 1| = {worst:.1e}")

@@ -775,3 +775,19 @@ def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys):
     assert codes == [code for _, code in runs]
     not_run = {name for key, name in defined.items() if key not in ran}
     assert not_run == set(NOT_RUN_BY_A_COMMAND)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the Python block under "## Library" in README.md, on a two-node input
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    (tmp_path / "g.graph").write_text("u -- v\n")
+    dag = Dag("uv", [("u", "v")])
+    spec = LinearSemSpec(dag=dag, coefficients={("u", "v"): 0.5}, noise_sd={"u": 1.0, "v": 1.0})
+    data = generate_sem_data(spec, 50, RandomStream(8))
+    write_dataset(tmp_path / "z.csv", data.labels, data.values)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "('u', 'v') ('u',)\n"

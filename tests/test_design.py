@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causal_ssd.design import (
-    EdgeHypothesisPrior,
-    InterventionSequence,
-    best_size_optimal_sequence,
-    optimal_sequences,
-    orientation_counts,
-    prior_h0,
-)
+from causal_ssd.design import optimal_sequences, orientation_counts, prior_h0
 from causal_ssd.graph import (
     CapacityError,
     ENUMERATION_CAP,
@@ -23,8 +16,9 @@ from causal_ssd.graph import (
     enumerate_class,
     is_decomposable,
 )
+from causal_ssd.ssd import best_size_plan
 
-from helpers import TREE5_EDGES, is_sufficient, random_chordal
+from helpers import TREE5_EDGES, is_sufficient, plan_from_stars, random_chordal
 
 G1 = UndirectedGraph("12345", TREE5_EDGES)
 PATH3 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
@@ -35,10 +29,6 @@ TRIANGLE = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
 def path_graph(n_nodes):
     nodes = [f"{i:02d}" for i in range(n_nodes)]
     return UndirectedGraph(nodes, zip(nodes, nodes[1:]))
-
-
-def seq(*targets):
-    return InterventionSequence(tuple(targets))
 
 
 @st.composite
@@ -66,45 +56,36 @@ def oracle_optimal_sequences(g):
         found = [
             combo
             for combo in itertools.combinations(g.nodes, size)
-            if is_sufficient(g, seq(*combo))
+            if is_sufficient(g, combo)
         ]
         if found:
             return found
     raise AssertionError("manipulating every node is always sufficient")
 
 
-class TestInterventionSequence:
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            seq("a", "a")
-
-    def test_canonical_sorts(self):
-        assert seq("3", "2").canonical().targets == ("2", "3")
-
-
 class TestIsSufficient:
     def test_single_edge_either_endpoint(self):
-        assert is_sufficient(PAIR, seq("u"))
-        assert is_sufficient(PAIR, seq("v"))
+        assert is_sufficient(PAIR, ("u",))
+        assert is_sufficient(PAIR, ("v",))
 
     def test_path_midpoint_yes_endpoint_no(self):
-        assert is_sufficient(PATH3, seq("2"))
+        assert is_sufficient(PATH3, ("2",))
         # after manipulating 1, the classes rooted at 2 and at 3 agree on
         # every edge incident to 1
-        assert not is_sufficient(PATH3, seq("1"))
+        assert not is_sufficient(PATH3, ("1",))
 
     def test_g1_center_alone_insufficient(self):
-        assert not is_sufficient(G1, seq("3"))
+        assert not is_sufficient(G1, ("3",))
 
     def test_g1_pairs(self):
-        assert is_sufficient(G1, seq("2", "3"))
-        assert is_sufficient(G1, seq("3", "4"))
-        assert not is_sufficient(G1, seq("2", "4"))
-        assert not is_sufficient(G1, seq("1", "5"))
+        assert is_sufficient(G1, ("2", "3"))
+        assert is_sufficient(G1, ("3", "4"))
+        assert not is_sufficient(G1, ("2", "4"))
+        assert not is_sufficient(G1, ("1", "5"))
 
     def test_target_outside_component_rejected(self):
         with pytest.raises(ValueError):
-            is_sufficient(PAIR, seq("w"))
+            is_sufficient(PAIR, ("w",))
 
     def test_monotone_in_target_set(self):
         rng = np.random.default_rng(11)
@@ -113,44 +94,44 @@ class TestIsSufficient:
             nodes = g.nodes
             for size in range(1, len(nodes)):
                 for combo in itertools.combinations(nodes, size):
-                    if is_sufficient(g, seq(*combo)):
+                    if is_sufficient(g, combo):
                         extra = next(n for n in nodes if n not in combo)
-                        assert is_sufficient(g, seq(*(combo + (extra,))))
+                        assert is_sufficient(g, combo + (extra,))
                         break
 
 
 class TestOptimalSequences:
     def test_single_edge(self):
-        assert [s.targets for s in optimal_sequences(PAIR)] == [("u",), ("v",)]
+        assert optimal_sequences(PAIR) == [("u",), ("v",)]
 
     def test_path_center(self):
-        assert [s.targets for s in optimal_sequences(PATH3)] == [("2",)]
+        assert optimal_sequences(PATH3) == [("2",)]
 
     def test_g1_two_pairs(self):
-        assert [s.targets for s in optimal_sequences(G1)] == [("2", "3"), ("3", "4")]
+        assert optimal_sequences(G1) == [("2", "3"), ("3", "4")]
 
     def test_edgeless_component_is_empty_sequence(self):
         g = UndirectedGraph("ab", [])
-        assert [s.targets for s in optimal_sequences(g)] == [()]
+        assert optimal_sequences(g) == [()]
 
     def test_minimality_by_exhaustion(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             g = random_chordal(rng, int(rng.integers(2, 7)))
             best = optimal_sequences(g)
-            k = len(best[0].targets)
+            k = len(best[0])
             for s in best:
                 assert is_sufficient(g, s)
             for smaller in range(1, k):
                 for combo in itertools.combinations(g.nodes, smaller):
-                    assert not is_sufficient(g, seq(*combo))
+                    assert not is_sufficient(g, combo)
             # every sufficient set of the optimal size is present
             expected = [
                 combo
                 for combo in itertools.combinations(g.nodes, k)
-                if is_sufficient(g, seq(*combo))
+                if is_sufficient(g, combo)
             ]
-            assert [s.targets for s in best] == expected
+            assert best == expected
 
     def test_non_chordal_rejected(self):
         c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
@@ -163,13 +144,13 @@ class TestOptimalSequences:
             optimal_sequences(path_graph(13))
         # a path of 2m nodes has m + 1 minimum vertex covers, each of m nodes
         covers = optimal_sequences(path_graph(12))
-        assert len(covers) == 7 and all(len(s.targets) == 6 for s in covers)
+        assert len(covers) == 7 and all(len(s) == 6 for s in covers)
 
     def test_seven_clique_leaves_out_one_node_each(self):
         nodes = [str(i) for i in range(7)]
         g = UndirectedGraph(nodes, itertools.combinations(nodes, 2))
         expected = [tuple(n for n in nodes if n != left_out) for left_out in reversed(nodes)]
-        assert [s.targets for s in optimal_sequences(g)] == expected
+        assert optimal_sequences(g) == expected
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(connected_chordal_graphs())
@@ -179,36 +160,36 @@ class TestOptimalSequences:
         assert nx.is_connected(graph)
         assert nx.is_chordal(graph)
         assert is_decomposable(g)
-        assert [s.targets for s in optimal_sequences(g)] == oracle_optimal_sequences(g)
+        assert optimal_sequences(g) == oracle_optimal_sequences(g)
 
 
 class TestPriorH0:
     def test_two_node_half(self):
         p = prior_h0(PAIR, "u", "v")
-        assert p.p_h0 == pytest.approx(0.5)
-        assert p.p_h1 == pytest.approx(0.5)
+        assert p == pytest.approx(0.5)
+        assert 1.0 - p == pytest.approx(0.5)
 
     def test_triangle_symmetric(self):
         for u, v in TRIANGLE.edges():
-            assert prior_h0(TRIANGLE, u, v).p_h0 == pytest.approx(0.5)
+            assert prior_h0(TRIANGLE, u, v) == pytest.approx(0.5)
 
     def test_path_endpoint(self):
         # 2 of the 3 class members contain 1 <- 2
-        assert prior_h0(PATH3, "1", "2").p_h0 == pytest.approx(2.0 / 3.0)
-        assert prior_h0(PATH3, "2", "1").p_h0 == pytest.approx(1.0 / 3.0)
+        assert prior_h0(PATH3, "1", "2") == pytest.approx(2.0 / 3.0)
+        assert prior_h0(PATH3, "2", "1") == pytest.approx(1.0 / 3.0)
 
     def test_matches_brute_force_count(self):
         dags = enumerate_class(PATH3)
         count = sum(1 for d in dags if d.has_edge("2", "1"))
-        assert prior_h0(PATH3, "1", "2").p_h0 == pytest.approx(count / len(dags))
+        assert prior_h0(PATH3, "1", "2") == pytest.approx(count / len(dags))
 
     def test_orientation_probabilities_partition(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             g = random_chordal(rng, int(rng.integers(2, 9)))
             for u, v in g.edges():
-                p_uv = prior_h0(g, u, v).p_h0
-                p_vu = prior_h0(g, v, u).p_h0
+                p_uv = prior_h0(g, u, v)
+                p_vu = prior_h0(g, v, u)
                 assert p_uv + p_vu == pytest.approx(1.0)
                 assert 0.0 < p_uv < 1.0
 
@@ -216,7 +197,7 @@ class TestPriorH0:
         nodes = ["1", "2", "3", "4"]
         g = UndirectedGraph(nodes, itertools.combinations(nodes, 2))
         for u, v in g.edges():
-            assert prior_h0(g, u, v).p_h0 == pytest.approx(0.5)
+            assert prior_h0(g, u, v) == pytest.approx(0.5)
 
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +212,7 @@ class TestPriorH0:
         for a, b in g.edges():
             for u, v in ((a, b), (b, a)):
                 n_h0 = sum(1 for d in dags if d.has_edge(v, u))
-                assert prior_h0(g, u, v).p_h0 == n_h0 / len(dags)
+                assert prior_h0(g, u, v) == n_h0 / len(dags)
 
     def test_disconnected_class_is_product(self):
         g = UndirectedGraph("12345", [("1", "2"), ("2", "3"), ("4", "5")])
@@ -247,29 +228,23 @@ class TestPriorH0:
         with pytest.raises(NotDecomposableError):
             prior_h0(c4, "a", "b")
 
-    def test_prior_validation(self):
-        with pytest.raises(ValueError):
-            EdgeHypothesisPrior(u="a", v="b", p_h0=0.7, p_h1=0.7)
-
 
 class TestBestSizeOptimalSequence:
     def test_known_sizes_pick_smaller_total(self):
-        candidates = [
-            (seq("2", "3"), [28, 88]),
-            (seq("3", "4"), [4, 86]),
-        ]
-        assert best_size_optimal_sequence(candidates).targets == ("3", "4")
+        plans = [plan_from_stars({"2": [28], "3": [88]}), plan_from_stars({"3": [4], "4": [86]})]
+        assert best_size_plan(plans).sequence == ("3", "4")
 
     def test_single_candidate(self):
-        assert best_size_optimal_sequence([(seq("a"), [5])]).targets == ("a",)
+        assert best_size_plan([plan_from_stars({"a": [5]})]).sequence == ("a",)
 
     def test_tie_breaks_lexicographically(self):
-        candidates = [(seq("b"), [10]), (seq("a"), [10])]
-        assert best_size_optimal_sequence(candidates).targets == ("a",)
+        plans = [plan_from_stars({"b": [10]}), plan_from_stars({"a": [10]})]
+        assert best_size_plan(plans).sequence == ("a",)
 
     def test_unachievable_candidates_excluded(self):
-        candidates = [(seq("a"), [None]), (seq("b"), [7])]
-        assert best_size_optimal_sequence(candidates).targets == ("b",)
+        plans = [plan_from_stars({"a": [None]}), plan_from_stars({"b": [7]})]
+        assert best_size_plan(plans).sequence == ("b",)
 
     def test_all_unachievable_gives_none(self):
-        assert best_size_optimal_sequence([(seq("a"), [None]), (seq("b", "c"), [3, None])]) is None
+        plans = [plan_from_stars({"a": [None]}), plan_from_stars({"b": [3], "c": [None]})]
+        assert best_size_plan(plans) is None

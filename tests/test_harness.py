@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from causal_ssd.design import EdgeHypothesisPrior
 from causal_ssd.graph import Dag
 from causal_ssd.harness import (
     STUDY_BETA,
@@ -180,14 +179,13 @@ class TestTwoNodeStudy:
         )
         posterior = build_design_posterior(data.values, SMALL_STUDY.a_omega, labels=data.labels)
         assert small_report.observational["scatter"] == posterior.scatter.tolist()
-        prior = EdgeHypothesisPrior(u="u", v="v", p_h0=0.5, p_h1=0.5)
         f_u, draws = SMALL_STUDY.intervention, SMALL_STUDY.draws
         for k in (3.0, 6.0, 10.0):
             th = DceThresholds(k0=k, k1=k)
             rows = {row[0]: row for row in small_report.dce_curves[k]}
             for n in (2, 50, 57, 157, 200):
                 stream = RandomStream(8).child(2)
-                dce = dce_probabilities("u", "v", th, n, prior, posterior, f_u, draws, stream)
+                dce = dce_probabilities("u", "v", th, n, 0.5, posterior, f_u, draws, stream)
                 expected = (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
                 assert rows[n] == expected
 

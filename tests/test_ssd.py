@@ -7,24 +7,28 @@ import os
 import numpy as np
 import pytest
 
-from causal_ssd.design import EdgeHypothesisPrior, InterventionSequence, optimal_sequences
+from causal_ssd.design import optimal_sequences
 from causal_ssd.graph import Dag, PartiallyDirectedGraph, chain_components
 from causal_ssd.harness import DatasetMatrix, LinearSemSpec, generate_sem_data
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import BfPredictiveSample, InterventionDensity, build_design_posterior
 from causal_ssd.ssd import (
     DceThresholds,
-    EdgeSsdResult,
-    InterventionPlan,
     h0_band_probabilities,
     optimal_n_edge,
     plan_cpdag,
 )
 
-from helpers import CHAIN5, dce_probabilities, matmul_sample_wishart, reference_sample_bf_h1
+from helpers import (
+    CHAIN5,
+    dce_probabilities,
+    matmul_sample_wishart,
+    plan_from_stars,
+    reference_sample_bf_h1,
+)
 
 F_U = InterventionDensity()
-HALF = EdgeHypothesisPrior(u="u", v="v", p_h0=0.5, p_h1=0.5)
+HALF = 0.5
 
 
 def two_node_dataset(seed=3, n_rows=50, beta=0.5):
@@ -73,10 +77,9 @@ class TestDceProbabilities:
             assert min(p_dc, p_inc, p_mis) >= 0.0
 
     def test_degenerate_prior_reduces_to_h0(self):
-        prior = EdgeHypothesisPrior(u="u", v="v", p_h0=1.0, p_h1=0.0)
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
         dce = dce_probabilities(
-            "u", "v", th, 50, prior, two_node_posterior(), F_U, draws=500, stream=RandomStream(1)
+            "u", "v", th, 50, 1.0, two_node_posterior(), F_U, draws=500, stream=RandomStream(1)
         )
         assert dce.overall_dc == dce.p0_dc
 
@@ -241,6 +244,12 @@ class TestOptimalNEdge:
         assert res.dce_at_n_star is None
         assert not res.achieved
 
+    @pytest.mark.parametrize("p_h0", [-0.1, 1.1, math.nan])
+    def test_prior_outside_unit_interval_rejected(self, p_h0):
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        with pytest.raises(ValueError, match="p_h0"):
+            optimal_n_edge("u", "v", th, p_h0, two_node_posterior(), F_U, n_max=30, draws=200)
+
     def test_monotone_in_zeta(self):
         post = two_node_posterior()
         stream = RandomStream(10)
@@ -256,31 +265,18 @@ class TestOptimalNEdge:
 class TestOptimalNNode:
     """A target's size is the largest n* of its edges; the total sums the targets."""
 
-    @staticmethod
-    def _plan(**edge_stars):
-        edge_results = {
-            u: tuple(
-                EdgeSsdResult(
-                    edge=(u, f"w{i}"), p_h0=0.5, n_star=n_star, dce_at_n_star=None, n_max=100
-                )
-                for i, n_star in enumerate(stars)
-            )
-            for u, stars in edge_stars.items()
-        }
-        return InterventionPlan(InterventionSequence(tuple(edge_stars)), edge_results)
-
     def test_single_neighbor(self):
-        assert self._plan(u=[17]).node_sizes == {"u": 17}
+        assert plan_from_stars({"u": [17]}).node_sizes == {"u": 17}
 
     def test_max_over_neighbors(self):
-        assert self._plan(u=[28, 88]).node_sizes == {"u": 88}
+        assert plan_from_stars({"u": [28, 88]}).node_sizes == {"u": 88}
 
     def test_not_achievable_propagates(self):
-        assert self._plan(u=[28, None]).node_sizes == {"u": None}
+        assert plan_from_stars({"u": [28, None]}).node_sizes == {"u": None}
 
     def test_total_not_achievable_when_one_target_is_not(self):
-        assert self._plan(u=[28, 88], v=[5, 4]).total_n == 93
-        plan = self._plan(u=[28, 88], v=[5, None])
+        assert plan_from_stars({"u": [28, 88], "v": [5, 4]}).total_n == 93
+        plan = plan_from_stars({"u": [28, 88], "v": [5, None]})
         assert plan.node_sizes == {"u": 88, "v": None}
         assert plan.total_n is None
         assert not plan.achieved
@@ -297,11 +293,11 @@ class TestPlanCpdag:
         triangle = results[0]
         assert triangle.error is None
         # a triangle needs two targets; both optimal sequences are planned
-        assert [p.sequence.targets for p in triangle.plans] == [
+        assert [p.sequence for p in triangle.plans] == [
             ("1", "2"), ("1", "3"), ("2", "3"),
         ]
         pair = results[1]
-        assert [p.sequence.targets for p in pair.plans] == [("4",), ("5",)]
+        assert [p.sequence for p in pair.plans] == [("4",), ("5",)]
         for r in results:
             flagged = [p for p in r.plans if p.bos]
             if r.feasible:
@@ -315,7 +311,7 @@ class TestPlanCpdag:
         cp = PartiallyDirectedGraph("uv", undirected=[("u", "v")])
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         (result,) = plan_cpdag(cp, two_node_dataset(), th, stream=RandomStream(11), n_max=150, draws=1500)
-        assert [p.sequence.targets for p in result.plans] == [("u",), ("v",)]
+        assert [p.sequence for p in result.plans] == [("u",), ("v",)]
         for plan, (u, v) in zip(result.plans, [("u", "v"), ("v", "u")]):
             (edge_result,) = plan.edge_results[u]
             assert edge_result.edge == (u, v)
@@ -333,7 +329,7 @@ class TestPlanCpdag:
         for r in results:
             sub = subgraphs[r.component]
             for plan in r.plans:
-                for u in plan.sequence.targets:
+                for u in plan.sequence:
                     edge_results = plan.edge_results[u]
                     assert [e.edge for e in edge_results] == [(u, v) for v in sub.neighbors(u)]
                     if all(e.achieved for e in edge_results):
@@ -353,7 +349,7 @@ class TestPlanCpdag:
         for r in results:
             assert r.feasible
             achieved = [p for p in r.plans if p.achieved]
-            best = min(achieved, key=lambda p: (p.total_n, p.sequence.canonical().targets))
+            best = min(achieved, key=lambda p: (p.total_n, p.sequence))
             assert [p.bos for p in r.plans] == [p is best for p in r.plans]
 
     def test_no_plan_flagged_when_no_sequence_achieved(self):
