@@ -1,9 +1,10 @@
 """Command-line surface: plan, dce-curve, predict-bf, simulate.
 
-Every output artifact embeds the full run configuration and seed, and
+Every output artifact echoes the flags its command took, seed included, and
 re-running a command with the same inputs reproduces byte-identical output.
 Flags may be preset through environment variables prefixed CAUSAL_SSD_
-(for example CAUSAL_SSD_SEED=7); explicit flags win.
+(for example CAUSAL_SSD_SEED=7); explicit flags win, and a command ignores
+the preset of a flag it does not take.
 
 Exit statuses: 0 success, 1 usage error, 2 input/parse error, 3
 capacity/propriety error, 4 plan not achievable (no candidate sequence
@@ -77,30 +78,38 @@ _ENV_PREFIX = "CAUSAL_SSD_"
 H1_BUDGET_BYTES = 2**28
 MAX_DRAWS = H1_BUDGET_BYTES // H1_BYTES_PER_DRAW
 
-# the flags of every command, (name, type, default), in --help order; every
-# one but --workers is echoed into the artifacts
-COMMON_FLAGS = (
-    ("k0", float, DceThresholds.k0),
-    ("k1", float, DceThresholds.k1),
-    ("zeta", float, DceThresholds.zeta),
-    ("a_omega", float, None),  # None: T - 1 per chain component
-    ("n0", int, 1),
-    ("n_max", int, DEFAULT_N_MAX),
-    ("draws", int, DEFAULT_DRAWS),
-    ("seed", int, 42),
-    ("intervention_mean", float, InterventionDensity.mean),
-    ("intervention_sd", float, InterventionDensity.sd),
-    ("workers", int, 1),
-    ("out", str, None),
-)
-# the input flags, (name, type, help), none with a default: plan takes the
-# first two, dce-curve three, predict-bf all four and simulate none
-INPUT_FLAGS = (
-    ("graph", str, None),
-    ("data", str, None),
-    ("edge", str, "target,neighbor"),
-    ("n", int, None),
-)
+# every flag, name: (type, default, help); graph, data, edge and n have no
+# default, and the commands that take them require them
+FLAGS = {
+    "graph": (str, None, None),
+    "data": (str, None, None),
+    "edge": (str, None, "target,neighbor"),
+    "n": (int, None, None),
+    "k0": (float, DceThresholds.k0, None),
+    "k1": (float, DceThresholds.k1, None),
+    "zeta": (float, DceThresholds.zeta, None),
+    "a_omega": (float, None, None),  # None: T - 1 per chain component
+    "n_max": (int, DEFAULT_N_MAX, None),
+    "draws": (int, DEFAULT_DRAWS, None),
+    "seed": (int, 42, None),
+    "intervention_mean": (float, InterventionDensity.mean, None),
+    "intervention_sd": (float, InterventionDensity.sd, None),
+    "workers": (int, 1, None),
+    "out": (str, None, None),
+}
+# the flags each command reads, in --help order; every one but --workers is
+# echoed into the command's artifacts, the input flags under "inputs"
+COMMAND_FLAGS = {
+    "plan": ("graph", "data", "k0", "k1", "zeta", "a_omega", "n_max", "draws", "seed",
+             "intervention_mean", "intervention_sd", "workers", "out"),
+    "dce-curve": ("graph", "data", "edge", "k0", "k1", "a_omega", "n_max", "draws", "seed",
+                  "intervention_mean", "intervention_sd", "out"),
+    "predict-bf": ("graph", "data", "edge", "n", "a_omega", "draws", "seed",
+                   "intervention_mean", "intervention_sd", "out"),
+    "simulate": ("a_omega", "n_max", "draws", "seed", "intervention_mean", "intervention_sd",
+                 "out"),
+}
+INPUT_FLAGS = ("graph", "data", "edge", "n")
 
 
 class _UsageError(Exception):
@@ -113,57 +122,49 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_flag(p: argparse.ArgumentParser, name: str, type_, default, help=None) -> None:
-    preset = os.environ.get(_ENV_PREFIX + name.upper())
-    p.add_argument(
-        "--" + name.replace("_", "-"),
-        type=type_,
-        default=default if preset is None else preset,
-        help=help,
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="causal-ssd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, run, inputs, summary in (
-        ("plan", cmd_plan, 2, "intervention plan for every chain component"),
-        ("dce-curve", cmd_dce_curve, 3, "evidence-probability curve for one edge"),
-        ("predict-bf", cmd_predict_bf, 4, "predictive Bayes-factor draws for one edge"),
-        ("simulate", cmd_simulate, 0, "two-node replication study"),
+    for command, run, summary in (
+        ("plan", cmd_plan, "intervention plan for every chain component"),
+        ("dce-curve", cmd_dce_curve, "evidence-probability curve for one edge"),
+        ("predict-bf", cmd_predict_bf, "predictive Bayes-factor draws for one edge"),
+        ("simulate", cmd_simulate, "two-node replication study"),
     ):
-        p = sub.add_parser(command, help=summary)
-        for name, type_, flag_help in INPUT_FLAGS[:inputs]:
-            _add_flag(p, name, type_, None, flag_help)
-        for name, type_, default in COMMON_FLAGS:
-            _add_flag(p, name, type_, default)
+        # no abbreviations: --n would otherwise stand for --n-max where --n is not taken
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        for name in COMMAND_FLAGS[command]:
+            type_, default, help_ = FLAGS[name]
+            preset = os.environ.get(_ENV_PREFIX + name.upper())
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                type=type_,
+                default=default if preset is None else preset,
+                help=help_,
+            )
         p.set_defaults(run=run)
     return parser
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject what argparse lets through; attach ``thresholds`` and ``f_u``."""
+    """Reject what argparse lets through; attach ``f_u``, and ``thresholds`` for
+    the commands that take --k0 and --k1."""
     given = vars(args)
-    for name in ("graph", "data", "edge"):
+    for name in INPUT_FLAGS:
         if name in given and given[name] is None:
             raise _UsageError(f"--{name} is required (or set {_ENV_PREFIX}{name.upper()})")
-    if "n" in given:
-        if args.n is None:
-            raise _UsageError("--n is required for predict-bf")
-        if args.n < 2:
-            raise _UsageError("--n must be an integer >= 2")
+    if "n" in given and args.n < 2:
+        raise _UsageError("--n must be an integer >= 2")
     if "edge" in given:
         parts = [p.strip() for p in args.edge.split(",")]
         if len(parts) != 2 or not all(parts):
             raise _UsageError(f"--edge expects 'u,v', got {args.edge!r}")
         args.edge = parts
-    if args.n0 != 1:
-        raise _UsageError(
-            "the pipeline evaluates the closed-form factor of the unit training "
-            "sample, so --n0 must be 1"
-        )
-    if args.draws < 1 or args.n_max < 2 or args.workers < 1:
-        raise _UsageError("--draws, --n-max and --workers must be positive (n-max >= 2)")
+    if args.out == "":
+        raise _UsageError("--out must not be empty")
+    for name, least in (("draws", 1), ("n_max", 2), ("workers", 1)):
+        if given.get(name, least) < least:
+            raise _UsageError(f"--{name.replace('_', '-')} must be an integer >= {least}")
     if args.draws > MAX_DRAWS:
         raise _UsageError(
             f"--draws {args.draws} exceeds {MAX_DRAWS}: the H1 sampler holds "
@@ -174,7 +175,9 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.a_omega is not None and not math.isfinite(args.a_omega):
         raise _UsageError("--a-omega must be finite")
     try:
-        args.thresholds = DceThresholds(k0=args.k0, k1=args.k1, zeta=args.zeta)
+        if "k0" in given:
+            zeta = given.get("zeta", DceThresholds.zeta)  # no dce-curve row depends on it
+            args.thresholds = DceThresholds(args.k0, args.k1, zeta)
         args.f_u = InterventionDensity(mean=args.intervention_mean, sd=args.intervention_sd)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -191,17 +194,13 @@ def _check_args(args: argparse.Namespace) -> None:
             f"--intervention-mean {args.f_u.mean} and --intervention-sd {args.f_u.sd}: "
             f"the noncentrality n (mean / sd)^2 at n = {n_top} is not a finite float"
         )
-    if args.command == "simulate" and args.thresholds != DceThresholds():
-        raise _UsageError(
-            "simulate does not take --k0, --k1 or --zeta: the study sweeps its own "
-            "thresholds k in {3, 6, 10} and its own zeta grid"
-        )
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    """Configuration echoed into every output artifact."""
-    echo = {name: getattr(args, name) for name, _, _ in COMMON_FLAGS if name != "workers"}
-    echo["inputs"] = {name: getattr(args, name, None) for name, _, _ in INPUT_FLAGS}
+    """Configuration echoed into every output artifact: the flags the command
+    took, but --workers."""
+    echo = {name: getattr(args, name) for name in COMMAND_FLAGS[args.command] if name != "workers"}
+    echo["inputs"] = {name: echo.pop(name) for name in INPUT_FLAGS if name in echo}
     return echo
 
 

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,12 +13,14 @@ import pytest
 
 import causal_ssd
 from causal_ssd.cli import (
-    COMMON_FLAGS,
+    COMMAND_FLAGS,
     EXIT_CAPACITY,
     EXIT_INPUT,
     EXIT_NOT_ACHIEVABLE,
     EXIT_OK,
     EXIT_USAGE,
+    FLAGS,
+    build_parser,
     main,
 )
 from causal_ssd.graph import Dag, PartiallyDirectedGraph
@@ -84,6 +87,14 @@ def run_cli(*argv):
 
 
 FAST = ["--draws", "400", "--n-max", "150", "--k0", "3", "--k1", "3", "--zeta", "0.5"]
+
+
+def flags_of(command, argv, but=None):
+    """The flag-value pairs of ``argv`` that ``command`` takes, but the flag ``but``."""
+    pairs = zip(argv[::2], argv[1::2])
+    return [x for flag, value in pairs
+            if flag[2:].replace("-", "_") in COMMAND_FLAGS[command] and flag != but
+            for x in (flag, value)]
 
 
 class TestPlan:
@@ -306,14 +317,15 @@ class TestEdgeCommandsReproducePlan:
         for (u, v), planned in edges.items():
             assert planned["achieved"]
             n_star, dce = planned["n_star"], planned["dce_at_n_star"]
-            common = ["--graph", graph, "--data", data, "--edge", f"{u},{v}", *FAST]
+            common = ["--graph", graph, "--data", data, "--edge", f"{u},{v}"]
             curve = tmp_path / f"curve_{u}{v}.csv"
-            assert main(["dce-curve", *common, "--out", str(curve)]) == EXIT_OK
+            assert main(["dce-curve", *common, *flags_of("dce-curve", FAST),
+                         "--out", str(curve)]) == EXIT_OK
             crossing = next(r for r in read_csv_rows(curve) if float(r["overall_dc"]) >= zeta)
             assert int(crossing["n"]) == n_star
             assert float(crossing["overall_dc"]) == dce["overall_dc"]
             samples = tmp_path / f"bf_{u}{v}.csv"
-            assert main(["predict-bf", *common, "--n", str(n_star),
+            assert main(["predict-bf", *common, *flags_of("predict-bf", FAST), "--n", str(n_star),
                          "--out", str(samples)]) == EXIT_OK
             h1 = np.array([float(r["bf"]) for r in read_csv_rows(samples)
                            if r["hypothesis"] == "H1"])
@@ -369,20 +381,100 @@ class TestSimulate:
         assert seven["config"]["a_omega"] == 7.0
         assert seven_curves != one_curves
 
-    @pytest.mark.parametrize(
-        "flag", [["--k0", "3"], ["--k1", "10"], ["--zeta", "0.6"]]
-    )
-    def test_threshold_flags_rejected(self, flag, tmp_path, capsys):
-        out = tmp_path / "s"
-        assert main(["simulate", "--draws", "200", "--n-max", "30", "--out", str(out),
-                     *flag]) == EXIT_USAGE
-        assert "k in {3, 6, 10}" in capsys.readouterr().err
-        assert not out.exists()
 
-    def test_default_threshold_values_accepted(self, tmp_path):
-        out = tmp_path / "s"
-        assert main(["simulate", "--draws", "200", "--n-max", "30", "--out", str(out),
-                     "--k0", "6", "--k1", "6", "--zeta", "0.8"]) == EXIT_OK
+# per flag: a preset and an explicit value, both legal for the two-node
+# inputs of ``pair_dir`` and other than the default, and a value that every
+# command taking the flag rejects.  --workers is not echoed, so its preset is
+# the rejected value
+PRESETS = {
+    "graph": ("preset.graph", "pair.graph", "absent.graph"),
+    "data": ("preset.csv", "pair.csv", "absent.csv"),
+    "edge": ("v,u", "u,v", "uv"),
+    "n": ("12", "10", "1"),
+    "k0": ("2.5", "3", "1"),
+    "k1": ("2.5", "3", "1"),
+    "zeta": ("0.55", "0.5", "1"),
+    "a_omega": ("2", "3", "nan"),
+    "n_max": ("120", "150", "1"),
+    "draws": ("300", "400", "0"),
+    "seed": ("7", "8", "-1"),
+    "intervention_mean": ("0.5", "0.25", "inf"),
+    "intervention_sd": ("2", "1.5", "0"),
+    "workers": ("0", "1", "0"),
+    "out": ("preset.out", "explicit.out", ""),
+}
+INPUTS = ["--graph", "pair.graph", "--data", "pair.csv", "--edge", "u,v", "--n", "10"]
+
+
+@pytest.fixture()
+def pair_dir(two_node_files, tmp_path, monkeypatch):
+    """Working directory holding the two-node inputs under the names of
+    ``INPUTS`` and ``PRESETS``."""
+    graph, data = two_node_files
+    for source, copy in ((graph, "preset.graph"), (data, "preset.csv")):
+        with open(source, "rb") as fh:
+            (tmp_path / copy).write_bytes(fh.read())
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def to_flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def run_and_read_echoes(command, argv, capsys):
+    """Exit code of a run and the configuration echoed into each of its
+    artifacts, the input flags merged into the top level."""
+    code = main([command, *argv])
+    stdout = capsys.readouterr().out
+    given = dict(zip(argv[::2], argv[1::2]))
+    out = given.get("--out", os.environ.get("CAUSAL_SSD_OUT"))
+    if code == EXIT_USAGE:
+        return code, []
+    if command == "simulate":
+        folder = out or "causal_ssd_simulation"
+        with open(os.path.join(folder, "report.json")) as fh:
+            configs = [json.load(fh)["config"]["cli"]]
+        for name in ("bf_samples.csv", "dce_curves.csv", "nstar_curves.csv"):
+            with open(os.path.join(folder, name)) as fh:
+                configs.append(json.loads(fh.readline().removeprefix("# config ")))
+    else:
+        if out is not None:
+            with open(out) as fh:
+                stdout = fh.read()
+        if command == "plan":
+            configs = [json.loads(stdout)["config"]]
+        else:
+            configs = [json.loads(stdout.split("\n", 1)[0].removeprefix("# config "))]
+    return code, [{**config.pop("inputs"), **config} for config in configs]
+
+
+def check_preset_and_flag(command, name, type_, monkeypatch, capsys):
+    """A preset of a flag the command takes reaches its echo, and the flag
+    given on the command line beats the preset."""
+    preset, explicit, _ = PRESETS[name]
+    flag = to_flag(name)
+    base = flags_of(command, [*INPUTS, *FAST], but=flag)
+    monkeypatch.setenv("CAUSAL_SSD_" + name.upper(), preset)
+    parse = (lambda v: v.split(",")) if name == "edge" else type_
+
+    code, echoes = run_and_read_echoes(command, base, capsys)
+    if name == "workers":
+        assert code == EXIT_USAGE
+    else:
+        assert code in (EXIT_OK, EXIT_NOT_ACHIEVABLE)
+        assert echoes and all(echo[name] == parse(preset) for echo in echoes)
+    code, echoes = run_and_read_echoes(command, [*base, flag, explicit], capsys)
+    assert code in (EXIT_OK, EXIT_NOT_ACHIEVABLE)
+    assert echoes and all(name == "workers" or echo[name] == parse(explicit) for echo in echoes)
+
+
+def check_malformed_preset(command, name, monkeypatch, capsys):
+    flag = to_flag(name)
+    base = flags_of(command, INPUTS, but=flag)
+    monkeypatch.setenv("CAUSAL_SSD_" + name.upper(), "many")
+    assert main([command, *base]) == EXIT_USAGE
+    assert f"usage error: argument {flag}: invalid" in capsys.readouterr().err
 
 
 class TestUsageAndErrors:
@@ -419,7 +511,7 @@ class TestUsageAndErrors:
         # a spreadsheet's "CSV UTF-8" export starts the file with a byte-order mark;
         # each run reads same-named files, so the echoed paths agree too
         graph, data = two_node_files
-        argv = ["--graph", "pair.graph", "--data", "pair.csv", *FAST]
+        argv = ["--graph", "pair.graph", "--data", "pair.csv"]
         outputs = []
         for prefix in (b"", "\ufeff".encode()):
             folder = tmp_path / f"prefix{len(prefix)}"
@@ -429,9 +521,10 @@ class TestUsageAndErrors:
                     (folder / name).write_bytes(prefix + fh.read())
             monkeypatch.chdir(folder)
             codes = [
-                main(["plan", *argv]),
-                main(["dce-curve", *argv, "--edge", "u,v"]),
-                main(["predict-bf", *argv, "--edge", "u,v", "--n", "10"]),
+                main(["plan", *argv, *flags_of("plan", FAST)]),
+                main(["dce-curve", *argv, *flags_of("dce-curve", FAST), "--edge", "u,v"]),
+                main(["predict-bf", *argv, *flags_of("predict-bf", FAST), "--edge", "u,v",
+                      "--n", "10"]),
             ]
             outputs.append((codes, capsys.readouterr()))
         assert outputs[0][0] == [EXIT_OK] * 3
@@ -547,10 +640,6 @@ class TestUsageAndErrors:
         assert main(["plan"]) == EXIT_USAGE
         assert main(["dce-curve", "--graph", "g", "--data", "d"]) == EXIT_USAGE
 
-    def test_n0_other_than_one_rejected(self, two_node_files):
-        graph, data = two_node_files
-        assert main(["plan", "--graph", graph, "--data", data, "--n0", "2"]) == EXIT_USAGE
-
     def test_bad_edge_format(self, two_node_files):
         graph, data = two_node_files
         assert main(["dce-curve", "--graph", graph, "--data", data, "--edge", "uv"]) == EXIT_USAGE
@@ -562,61 +651,39 @@ class TestUsageAndErrors:
         assert main(["plan", "--graph", graph, "--data", data, "--out", str(out), *FAST]) == EXIT_OK
         assert json.loads(out.read_text())["config"]["seed"] == 7
 
-    # per common flag, a preset and an explicit value, both other than the
-    # default; the usage check rejects the presets of --n0 and --workers,
-    # which the echo cannot show apart from their defaults
-    ENV_PRESETS = {
-        "k0": ("2.5", "3"),
-        "k1": ("2.5", "3"),
-        "zeta": ("0.55", "0.5"),
-        "a_omega": ("2", "3"),
-        "n0": ("2", "1"),
-        "n_max": ("120", "150"),
-        "draws": ("300", "400"),
-        "seed": ("7", "8"),
-        "intervention_mean": ("0.5", "0.25"),
-        "intervention_sd": ("2", "1.5"),
-        "workers": ("0", "1"),
-        "out": ("preset.json", "explicit.json"),
-    }
-
-    @pytest.mark.parametrize("name, type_", [(name, type_) for name, type_, _ in COMMON_FLAGS])
+    @pytest.mark.parametrize(
+        "name, type_", [(name, FLAGS[name][0]) for name in COMMAND_FLAGS["plan"]]
+    )
     def test_env_preset_reaches_plan_and_a_flag_beats_it(
-        self, name, type_, two_node_files, tmp_path, monkeypatch, capsys
+        self, name, type_, pair_dir, monkeypatch, capsys
     ):
-        graph, data = two_node_files
-        preset, explicit = self.ENV_PRESETS[name]
-        flag = "--" + name.replace("_", "-")
-        fast = [x for pair in zip(FAST[::2], FAST[1::2]) if pair[0] != flag for x in pair]
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("CAUSAL_SSD_" + name.upper(), preset)
+        check_preset_and_flag("plan", name, type_, monkeypatch, capsys)
 
-        def plan(*extra):
-            code = main(["plan", "--graph", graph, "--data", data, *fast, *extra])
-            stdout = capsys.readouterr().out
-            if code == EXIT_USAGE:
-                return code, None
-            # only --out moves the document off stdout
-            text = stdout or (tmp_path / (extra[1] if extra else preset)).read_text()
-            return code, json.loads(text)["config"]
+    @pytest.mark.parametrize(
+        "command, name, type_",
+        [(command, name, FLAGS[name][0]) for command in ("dce-curve", "predict-bf", "simulate")
+         for name in COMMAND_FLAGS[command]],
+    )
+    def test_env_preset_reaches_an_edge_command_or_simulate_and_a_flag_beats_it(
+        self, command, name, type_, pair_dir, monkeypatch, capsys
+    ):
+        check_preset_and_flag(command, name, type_, monkeypatch, capsys)
 
-        code, config = plan()
-        if name in ("n0", "workers"):
-            assert code == EXIT_USAGE
-        else:
-            assert code in (EXIT_OK, EXIT_NOT_ACHIEVABLE)
-            assert config[name] == type_(preset)
-        code, config = plan(flag, explicit)
-        assert code in (EXIT_OK, EXIT_NOT_ACHIEVABLE)
-        assert name == "workers" or config[name] == type_(explicit)
+    @pytest.mark.parametrize(
+        "name", [name for name in COMMAND_FLAGS["plan"] if FLAGS[name][0] is not str]
+    )
+    def test_malformed_env_preset_is_usage_error(self, name, pair_dir, monkeypatch, capsys):
+        check_malformed_preset("plan", name, monkeypatch, capsys)
 
-    @pytest.mark.parametrize("name", [name for name, type_, _ in COMMON_FLAGS if type_ is not str])
-    def test_malformed_env_preset_is_usage_error(self, name, two_node_files, monkeypatch, capsys):
-        graph, data = two_node_files
-        monkeypatch.setenv("CAUSAL_SSD_" + name.upper(), "many")
-        assert main(["plan", "--graph", graph, "--data", data]) == EXIT_USAGE
-        flag = "--" + name.replace("_", "-")
-        assert f"usage error: argument {flag}: invalid" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, name",
+        [(command, name) for command in ("dce-curve", "predict-bf", "simulate")
+         for name in COMMAND_FLAGS[command] if FLAGS[name][0] is not str],
+    )
+    def test_malformed_env_preset_of_an_edge_command_or_simulate_is_usage_error(
+        self, command, name, pair_dir, monkeypatch, capsys
+    ):
+        check_malformed_preset(command, name, monkeypatch, capsys)
 
     def test_console_entry_point(self, two_node_files, tmp_path):
         graph, data = two_node_files
@@ -624,6 +691,75 @@ class TestUsageAndErrors:
         proc = run_cli("plan", "--graph", graph, "--data", data, "--out", str(out), *FAST)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()
+
+
+NOT_TAKEN = [(command, name) for command in COMMAND_FLAGS for name in FLAGS
+             if name not in COMMAND_FLAGS[command]]
+
+
+class TestCommandFlags:
+    def test_settable_values(self):
+        assert [len(COMMAND_FLAGS[c]) for c in COMMAND_FLAGS] == [13, 12, 10, 7]
+        assert {name for flags in COMMAND_FLAGS.values() for name in flags} == set(FLAGS)
+
+    @pytest.mark.parametrize("command, name", NOT_TAKEN)
+    def test_flag_not_taken_is_usage_error_and_writes_nothing(
+        self, command, name, pair_dir, capsys
+    ):
+        before = sorted(pair_dir.rglob("*"))
+        argv = [*flags_of(command, [*INPUTS, *FAST]), "--out", "out"]
+        assert main([command, *argv, to_flag(name), PRESETS[name][1]]) == EXIT_USAGE
+        assert f"unrecognized arguments: {to_flag(name)}" in capsys.readouterr().err
+        assert sorted(pair_dir.rglob("*")) == before
+
+    @pytest.mark.parametrize("command, name", NOT_TAKEN)
+    def test_preset_of_a_flag_not_taken_is_ignored(
+        self, command, name, pair_dir, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("CAUSAL_SSD_" + name.upper(), PRESETS[name][2])
+        argv = [*flags_of(command, [*INPUTS, *FAST]), "--out", "out"]
+        code, echoes = run_and_read_echoes(command, argv, capsys)
+        assert code in (EXIT_OK, EXIT_NOT_ACHIEVABLE)
+        assert echoes and all(name not in echo for echo in echoes)
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_every_echo_holds_the_flags_taken_but_workers(self, command, pair_dir, capsys):
+        argv = [*flags_of(command, [*INPUTS, *FAST]), "--out", "out"]
+        code, echoes = run_and_read_echoes(command, argv, capsys)
+        assert code == EXIT_OK
+        assert len(echoes) == (4 if command == "simulate" else 1)
+        for echo in echoes:
+            assert set(echo) == set(COMMAND_FLAGS[command]) - {"workers"}
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_help_lists_the_flags_taken(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == {to_flag(name) for name in COMMAND_FLAGS[command]}
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_empty_out_is_usage_error_before_reading(
+        self, command, two_node_files, tmp_path, monkeypatch, capsys
+    ):
+        # the temporary file of an empty --out would land in the parent of the
+        # working directory
+        import causal_ssd.cli as cli_mod
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("read or sampled before the usage check")
+
+        monkeypatch.setattr(cli_mod, "_load_inputs", no_reading)
+        monkeypatch.setattr(cli_mod, "replicate_two_node_study", no_reading)
+        graph, data = two_node_files
+        inputs = ["--graph", graph, "--data", data, "--edge", "u,v", "--n", "10"]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, *flags_of(command, inputs), "--out", ""]) == EXIT_USAGE
+        assert "usage error: --out must not be empty" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def third_party_packages_loaded_by(statement):
@@ -751,9 +887,10 @@ def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys):
     fast = ["--draws", "200", "--n-max", "60", "--workers", "1"]
     runs = [
         (["plan", *inputs, *fast, "--k0", "3", "--k1", "3", "--zeta", "0.5"], EXIT_OK),
-        (["dce-curve", *inputs, "--edge", "1,2", *fast], EXIT_OK),
-        (["predict-bf", *inputs, "--edge", "1,2", "--n", "10", *fast], EXIT_OK),
-        (["simulate", *fast, "--out", str(tmp_path / "sim")], EXIT_OK),
+        (["dce-curve", *inputs, "--edge", "1,2", *flags_of("dce-curve", fast)], EXIT_OK),
+        (["predict-bf", *inputs, "--edge", "1,2", "--n", "10", *flags_of("predict-bf", fast)],
+         EXIT_OK),
+        (["simulate", *flags_of("simulate", fast), "--out", str(tmp_path / "sim")], EXIT_OK),
         (["plan", *inputs, "--draws", "many"], EXIT_USAGE),
         (["plan", "--graph", graph, "--data", str(tmp_path / "missing.csv")], EXIT_INPUT),
     ]
