@@ -14,10 +14,12 @@ reached the target probability within the sample-size grid).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from typing import Iterable
 
 from causal_ssd.design import prior_h0
 from causal_ssd.graph import (
@@ -36,6 +38,7 @@ from causal_ssd.harness import (
     CsvParseError,
     MissingColumnsError,
     TwoNodeStudyConfig,
+    atomic_write_chunks,
     atomic_write_text,
     bf_samples_csv,
     dce_curve_csv,
@@ -204,11 +207,15 @@ def _echo(args: argparse.Namespace) -> dict:
     return echo
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, blocks: Iterable[str] | None = None) -> None:
+    """Write ``text``, then the ``blocks`` if given, to stdout or to ``out_path``."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(blocks or ())
+    elif blocks is None:
         atomic_write_text(out_path, text)
+    else:
+        atomic_write_chunks(out_path, itertools.chain((text,), blocks))
 
 
 def _config_comment(args: argparse.Namespace) -> str:
@@ -292,7 +299,7 @@ def cmd_predict_bf(args: argparse.Namespace) -> int:
     _, posterior, stream = _edge_inputs(args)
     h1 = sample_bf_h1(draw_h1_edge(posterior, *args.edge, args.f_u, args.draws, stream), args.n)
     h0 = sample_bf_h0(args.n, args.draws, stream.child(args.n, 3))
-    _emit(_config_comment(args) + bf_samples_csv([h0, h1]), args.out)
+    _emit(_config_comment(args), args.out, bf_samples_csv([h0, h1]))
     return EXIT_OK
 
 
@@ -310,9 +317,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc["config"]["cli"] = _echo(args)
     write_json(doc, os.path.join(out_dir, "report.json"))
     comment = _config_comment(args)
-    atomic_write_text(
-        os.path.join(out_dir, "bf_samples.csv"), comment + bf_samples_csv(report.bf_samples)
-    )
+    _emit(comment, os.path.join(out_dir, "bf_samples.csv"), bf_samples_csv(report.bf_samples))
     atomic_write_text(
         os.path.join(out_dir, "dce_curves.csv"), comment + threshold_curves_csv(report.dce_curves)
     )

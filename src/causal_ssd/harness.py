@@ -21,7 +21,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -394,14 +394,22 @@ def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partial output."""
+def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks in order via a temporary file and rename, so readers
+    never see partial output and the text is never held whole.
+
+    The file gets the mode a plain ``open`` would create it with, 0o666 less
+    the umask; the temporary file's own mode is 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -409,19 +417,34 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """``atomic_write_chunks`` of the one chunk ``text``."""
+    atomic_write_chunks(path, (text,))
+
+
 def write_json(obj: dict, path: str) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def bf_samples_csv(samples: Iterable[BfPredictiveSample]) -> str:
-    """CSV of tagged draws: hypothesis, n, draw_index, bf."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["hypothesis", "n", "draw_index", "bf"])
+# rows of bf_samples.csv formatted at a time: about 130 kB of text
+BF_SAMPLES_BLOCK_ROWS = 4096
+
+
+def bf_samples_csv(samples: Iterable[BfPredictiveSample]) -> Iterator[str]:
+    """CSV of tagged draws: hypothesis, n, draw_index, bf.
+
+    Yields the header line, then the rows in blocks of at most
+    ``BF_SAMPLES_BLOCK_ROWS``, each block one string.  The bf column has the
+    ``format_float`` text of every draw.
+    """
+    yield "hypothesis,n,draw_index,bf\n"
     for sample in samples:
-        for i, value in enumerate(sample.draws):
-            writer.writerow([sample.hypothesis, sample.n, i, format_float(value)])
-    return buf.getvalue()
+        hypothesis, n, draws = sample.hypothesis, sample.n, sample.draws
+        for start in range(0, draws.size, BF_SAMPLES_BLOCK_ROWS):
+            values = draws[start : start + BF_SAMPLES_BLOCK_ROWS].tolist()
+            yield "".join(
+                f"{hypothesis},{n},{i},{v:.17g}\n" for i, v in enumerate(values, start)
+            )
 
 
 DCE_CURVE_COLUMNS = ("n", "p0_dc", "p1_dc", "overall_dc", "se_overall")

@@ -17,7 +17,7 @@ optimal n, is reproducible bit for bit.
 
 from __future__ import annotations
 
-import functools
+import array
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -98,18 +98,36 @@ class DceProbabilities:
         }
 
 
-@functools.lru_cache(maxsize=4096)
+# the memo of h0_band_probabilities: per thresholds, the (p0_dc, p0_mis) of
+# n = 2, 3, ... in one float array, 16 bytes a grid point; at most
+# H0_BAND_TABLES thresholds, the oldest table dropped first
+H0_BAND_TABLES = 4
+_H0_BANDS: dict[DceThresholds, array.array] = {}
+
+
 def h0_band_probabilities(thresholds: DceThresholds, n: int) -> tuple[float, float, float]:
     """Exact (decisive, inconclusive, misleading) probabilities under H0.
 
-    They depend on the thresholds and n alone, so the result is cached:
-    every edge of a plan scans the same n and reuses the bands.  The bound
-    keeps a huge ``n_max`` from growing the cache without limit.
+    They depend on the thresholds and n alone, so they are memoized: every
+    edge of a plan scans the same n and reuses the bands.  The table of a
+    thresholds grows by one point each time it is asked for the n just past
+    its end, so it holds a whole scan, whatever ``n_max``; any other n past
+    its end is computed and not stored.
     """
-    p0_dc = prob_bf_band_h0(thresholds.k0, math.inf, n)
-    p0_mis = prob_bf_band_h0(0.0, 1.0 / thresholds.k1, n)
-    p0_inc = 1.0 - p0_dc - p0_mis
-    return p0_dc, p0_inc, p0_mis
+    table = _H0_BANDS.get(thresholds)
+    if table is None:
+        if len(_H0_BANDS) >= H0_BAND_TABLES:
+            del _H0_BANDS[next(iter(_H0_BANDS))]
+        table = _H0_BANDS[thresholds] = array.array("d")
+    i = 2 * (n - 2)
+    if 0 <= i < len(table):
+        p0_dc, p0_mis = table[i], table[i + 1]
+    else:
+        p0_dc = prob_bf_band_h0(thresholds.k0, math.inf, n)
+        p0_mis = prob_bf_band_h0(0.0, 1.0 / thresholds.k1, n)
+        if i == len(table):
+            table.extend((p0_dc, p0_mis))
+    return p0_dc, 1.0 - p0_dc - p0_mis, p0_mis
 
 
 def h1_band_probabilities(

@@ -3,9 +3,12 @@
 The reference implementations that only tests use live here: the Bayes
 factors and marginal likelihoods behind the closed form, the DAG-to-CPDAG
 conversion, the definition of a sufficient sequence, the evidence
-probabilities at one n, and plans built from given edge sizes.
+probabilities at one n, plans built from given edge sizes, and the whole-text
+writer of the Bayes-factor sample CSV.
 """
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,8 +22,10 @@ from causal_ssd.graph import (
     enumerate_class,
     meek_closure,
 )
+from causal_ssd.harness import format_float
 from causal_ssd.numerics import RandomStream, WishartParams, sample_wishart
 from causal_ssd.predictive import (
+    BfPredictiveSample,
     DesignPosterior,
     InterventionDensity,
     draw_h1_edge,
@@ -336,6 +341,18 @@ def dce_probabilities(
     """
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
     return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, sample)
+
+
+def whole_bf_samples_csv(samples: list[BfPredictiveSample]) -> str:
+    """Oracle of ``harness.bf_samples_csv``: the whole text from ``csv.writer``,
+    one ``format_float`` call a draw."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["hypothesis", "n", "draw_index", "bf"])
+    for sample in samples:
+        for i, value in enumerate(sample.draws):
+            writer.writerow([sample.hypothesis, sample.n, i, format_float(value)])
+    return buf.getvalue()
 
 
 def plan_from_stars(edge_stars: dict[str, list[int | None]]) -> InterventionPlan:

@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -270,6 +271,27 @@ class TestPredictBf:
         )
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 2 + 2 * 50
+
+    def test_peak_memory_of_a_run_within_the_h1_budget(self, two_node_files, tmp_path):
+        # the sampler's 32 bytes a draw bound the whole run: the CSV text is
+        # written in blocks, never held whole (148 bytes a draw when it was).
+        # Measured: 60,061 bytes above the budget at 200,000 draws
+        import tracemalloc
+
+        from causal_ssd.predictive import H1_BYTES_PER_DRAW
+
+        graph, data = two_node_files
+        draws = 200_000
+        argv = ["predict-bf", "--graph", graph, "--data", data, "--edge", "u,v", "--n", "57",
+                "--draws", str(draws), "--out", str(tmp_path / "bf.csv")]
+        assert main(argv) == EXIT_OK  # imports and first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= H1_BYTES_PER_DRAW * draws + 256 * 1024
 
     def test_class_not_enumerated(self, fig1_files, tmp_path, monkeypatch):
         import causal_ssd.cli as cli_mod
@@ -731,6 +753,24 @@ class TestCommandFlags:
         for echo in echoes:
             assert set(echo) == set(COMMAND_FLAGS[command]) - {"workers"}
 
+    @pytest.mark.parametrize("umask", [0o022, 0o007], ids=["umask022", "umask007"])
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_artifacts_get_the_mode_the_umask_allows(self, command, umask, pair_dir, capsys):
+        # the temporary file is created 0o600, and the rename kept that mode
+        argv = [*flags_of(command, [*INPUTS, *FAST]), "--out", "out"]
+        previous = os.umask(umask)
+        try:
+            code = main([command, *argv])
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        assert code == EXIT_OK
+        out = pair_dir / "out"
+        paths = sorted(out.iterdir()) if command == "simulate" else [out]
+        assert len(paths) == (4 if command == "simulate" else 1)
+        for path in paths:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
     @pytest.mark.parametrize("command", COMMAND_FLAGS)
     def test_help_lists_the_flags_taken(self, command, capsys):
         with pytest.raises(SystemExit):
@@ -895,7 +935,7 @@ def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys):
         (["plan", "--graph", graph, "--data", str(tmp_path / "missing.csv")], EXIT_INPUT),
     ]
     design_mod.orientation_counts.cache_clear()
-    ssd_mod.h0_band_probabilities.cache_clear()
+    ssd_mod._H0_BANDS.clear()
     ran = set()
 
     def record(frame, event, arg):

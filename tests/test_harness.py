@@ -8,12 +8,14 @@ import pytest
 
 from causal_ssd.graph import Dag
 from causal_ssd.harness import (
+    BF_SAMPLES_BLOCK_ROWS,
     STUDY_BETA,
     STUDY_N_OBS,
     CsvParseError,
     DatasetMatrix,
     LinearSemSpec,
     TwoNodeStudyConfig,
+    atomic_write_chunks,
     bf_samples_csv,
     dce_curve_csv,
     threshold_curves_csv,
@@ -24,10 +26,10 @@ from causal_ssd.harness import (
     replicate_two_node_study,
 )
 from causal_ssd.numerics import RandomStream
-from causal_ssd.predictive import build_design_posterior, prob_bf_band_h0
+from causal_ssd.predictive import BfPredictiveSample, build_design_posterior, prob_bf_band_h0
 from causal_ssd.ssd import DceThresholds
 
-from helpers import dce_probabilities
+from helpers import dce_probabilities, g_of_n, whole_bf_samples_csv
 
 
 def two_node_spec(beta=0.5):
@@ -201,7 +203,7 @@ class TestTwoNodeStudy:
             b.to_json_dict(), sort_keys=True
         )
         assert threshold_curves_csv(a.dce_curves) == threshold_curves_csv(b.dce_curves)
-        assert bf_samples_csv(a.bf_samples) == bf_samples_csv(b.bf_samples)
+        assert "".join(bf_samples_csv(a.bf_samples)) == "".join(bf_samples_csv(b.bf_samples))
 
     def test_h0_cells_invariant_to_seed_h1_cells_not(self, small_report):
         other = replicate_two_node_study(SMALL_STUDY, RandomStream(9))
@@ -222,12 +224,44 @@ class TestSerialization:
         assert format_float(7) == "7"
 
     def test_bf_samples_csv_layout(self, small_report):
-        text = bf_samples_csv(small_report.bf_samples[:1])
+        text = "".join(bf_samples_csv(small_report.bf_samples[:1]))
         lines = text.strip().split("\n")
         assert lines[0] == "hypothesis,n,draw_index,bf"
         assert len(lines) == 1 + SMALL_STUDY.draws
         first = lines[1].split(",")
         assert first[0] == "H0" and first[1] == "10" and first[2] == "0"
+
+    @pytest.mark.parametrize(
+        "count",
+        [1, BF_SAMPLES_BLOCK_ROWS - 1, BF_SAMPLES_BLOCK_ROWS, BF_SAMPLES_BLOCK_ROWS + 1,
+         2 * BF_SAMPLES_BLOCK_ROWS + 3],
+    )
+    def test_bf_samples_csv_blocks_join_to_the_whole_text(self, count):
+        n = 37
+        special = [0.0, 5e-324, 1.0 / 3.0, 0.1, g_of_n(n)]
+        rest = np.random.default_rng(count).lognormal(0.0, 3.0, count)
+        values = np.concatenate([special, rest])[:count]
+        # the H1 sample ends with the special values, so they also fall in a last block
+        samples = [BfPredictiveSample("H0", n, values), BfPredictiveSample("H1", n, values[::-1])]
+        blocks = list(bf_samples_csv(samples))
+        assert "".join(blocks) == whole_bf_samples_csv(samples)
+        assert blocks[0] == "hypothesis,n,draw_index,bf\n"
+        rows = [block.count("\n") for block in blocks[1:]]
+        assert max(rows) <= BF_SAMPLES_BLOCK_ROWS
+        assert len(rows) == 2 * -(-count // BF_SAMPLES_BLOCK_ROWS)
+
+    def test_failed_chunk_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "bf.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("draw failed")
+
+        with pytest.raises(RuntimeError):
+            atomic_write_chunks(str(path), chunks())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bf.csv"]
 
     def test_dce_curve_csv_layout(self):
         rows = [(2, 0.0, 0.5, 0.25, 0.01)]

@@ -76,6 +76,41 @@ class TestDceProbabilities:
             assert p_dc + p_inc + p_mis == pytest.approx(1.0, abs=1e-15)
             assert min(p_dc, p_inc, p_mis) >= 0.0
 
+    def test_h0_band_memo_holds_a_whole_scan(self, monkeypatch):
+        # a memo of 4,096 entries would evict each n of a longer scan before
+        # the next edge asks for it
+        import causal_ssd.ssd as ssd_mod
+
+        th = DceThresholds(k0=5.0, k1=7.0, zeta=0.8)
+        real = ssd_mod.prob_bf_band_h0
+        calls = []
+
+        def counting(lo, hi, n):
+            calls.append(n)
+            return real(lo, hi, n)
+
+        monkeypatch.setattr(ssd_mod, "_H0_BANDS", {})
+        monkeypatch.setattr(ssd_mod, "prob_bf_band_h0", counting)
+        grid = range(2, 6001)
+        first = [h0_band_probabilities(th, n) for n in grid]
+        assert calls == [n for n in grid for _ in range(2)]
+        calls.clear()
+        assert [h0_band_probabilities(th, n) for n in grid] == first
+        assert calls == []
+        # 16 bytes a grid point: p0_dc and p0_mis
+        table = ssd_mod._H0_BANDS[th]
+        assert table.itemsize * len(table) == 16 * len(grid)
+        # an n past the end of the table is computed and not stored
+        far = h0_band_probabilities(th, 9000)
+        assert calls == [9000, 9000] and len(table) == 2 * len(grid)
+        p0_dc, p0_mis = real(th.k0, math.inf, 9000), real(0.0, 1.0 / th.k1, 9000)
+        assert far == (p0_dc, 1.0 - p0_dc - p0_mis, p0_mis)
+        # the oldest table goes first once H0_BAND_TABLES thresholds are held
+        for k in range(ssd_mod.H0_BAND_TABLES):
+            h0_band_probabilities(DceThresholds(k0=2.0 + k, k1=2.0 + k), 2)
+        assert th not in ssd_mod._H0_BANDS
+        assert len(ssd_mod._H0_BANDS) == ssd_mod.H0_BAND_TABLES
+
     def test_degenerate_prior_reduces_to_h0(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
         dce = dce_probabilities(
@@ -522,7 +557,12 @@ class TestPlanCpdag:
             calls.append(n)
             return real(lo, hi, n)
 
-        ssd_mod.h0_band_probabilities.cache_clear()
+        def unmemoized(thresholds, n):
+            p0_dc = counting(thresholds.k0, math.inf, n)
+            p0_mis = counting(0.0, 1.0 / thresholds.k1, n)
+            return p0_dc, 1.0 - p0_dc - p0_mis, p0_mis
+
+        ssd_mod._H0_BANDS.clear()
         monkeypatch.setattr(ssd_mod, "prob_bf_band_h0", counting)
         memoized = plan_cpdag(CHAIN5, data, th, **kwargs)
         edges = [
@@ -536,7 +576,6 @@ class TestPlanCpdag:
         # every edge scans n = 2, 3, ... up to its crossing (or n_max)
         last = max(r.n_star if r.achieved else r.n_max for r in edges)
         assert sorted(calls) == sorted(2 * list(range(2, last + 1)))
-        unmemoized = ssd_mod.h0_band_probabilities.__wrapped__
         monkeypatch.setattr(ssd_mod, "h0_band_probabilities", unmemoized)
         bypassed = plan_cpdag(CHAIN5, data, th, **kwargs)
         assert len(calls) > 2 * (last - 1)
