@@ -8,7 +8,8 @@ observational data supplies Wishart draws of the 2x2 conditional precision
 Q, and r^2 depends on a draw only through lam = -Q_uv / sqrt(Q_vv), the
 regression slope in units of the conditional sd.  lam and the normal of the
 cross term are drawn once per edge and shared by every n (``draw_h1_edge``);
-each n draws only the two chi-square sums of its n interventional pairs
+each n draws only the two chi-square sums of its n interventional pairs, in
+blocks of draws, and can stop as soon as a target is out of reach
 (``sample_bf_h1``).
 """
 
@@ -115,8 +116,9 @@ def build_design_posterior(
 ) -> DesignPosterior:
     """Design posterior from an N x T observational data matrix.
 
-    ``df = a_omega + N`` and ``scatter = Z^T Z``.  The scatter must be
-    positive definite (an all-zero or rank-deficient Z is rejected).
+    ``df = a_omega + N`` and ``scatter = Z^T Z``, each entry summed by
+    ``math.fsum``.  The scatter must be positive definite (an all-zero or
+    rank-deficient Z is rejected).
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
@@ -126,7 +128,12 @@ def build_design_posterior(
     n_rows, t = z.shape
     if labels is None:
         labels = tuple(f"x{i + 1}" for i in range(t))
-    scatter = z.T @ z
+    # each entry a correctly rounded sum of its products, so that no BLAS
+    # kernel reaches the bytes
+    scatter = np.empty((t, t))
+    for i in range(t):
+        for j in range(i + 1):
+            scatter[i, j] = scatter[j, i] = math.fsum(z[:, i] * z[:, j])
     try:
         np.linalg.cholesky(scatter)
     except np.linalg.LinAlgError:
@@ -228,6 +235,11 @@ def prob_bf_band_h0(lo: float, hi: float, n: int) -> float:
 # peak: the edge draw's two (three while it is drawn), and the n step's two
 H1_BYTES_PER_DRAW = 4 * 8
 
+# draws per block of ``E.child(n)``: each block draws its chi-square(n) sums
+# and then its chi-square(n - 1) residuals, so the first blocks of a sample
+# are the same draws whether or not it runs to the end
+H1_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class H1EdgeDraw:
@@ -268,16 +280,21 @@ def draw_h1_edge(
     ``stream`` is the edge task's substream; the draw comes from
     ``stream.child(0)``.  The precision is drawn as ``numerics.sample_wishart``
     draws it, in the same order (the Bartlett entries b00, b11^2, b10), then
-    ``z``.  With F the upper factor of the rate, Q = F B B^T F^T gives
+    ``z``.  With F = chol(U)^{-T} the upper factor of the rate
+    U = [[a, b], [b, c]], Q = F B B^T F^T gives
     lam = -(f00 b00 b10 / sqrt(s) + f01 sqrt(s)) with s = b11^2 + b10^2; f11
-    cancels.  A chi-square(k) draw is taken as twice a standard gamma(k / 2)
-    draw, which is how numpy computes it.
+    cancels.  f00 = 1 / sqrt(a) and f01 = -b / (a sqrt(c - b^2 / a)) are taken
+    in closed form, so no LAPACK kernel reaches the draws.  A chi-square(k)
+    draw is taken as twice a standard gamma(k / 2) draw, which is how numpy
+    computes it.
     """
     draws = int(draws)
     if draws < 1:
         raise ValueError("draws must be positive")
     params = posterior.pair_precision_params(u, v)
-    (f00, f01), _ = params.upper_factor.tolist()
+    (a, b), (_, c) = params.rate.tolist()
+    f00 = 1.0 / math.sqrt(a)
+    f01 = -b / (a * math.sqrt(c - b * b / a))
     # three separate arrays, so that s is freed and only lam and z stay
     lam, s, z = np.empty(draws), np.empty(draws), np.empty(draws)
 
@@ -295,7 +312,9 @@ def draw_h1_edge(
     return H1EdgeDraw(f_u=f_u, lam=lam, z=z, stream=stream)
 
 
-def sample_bf_h1(edge: H1EdgeDraw, n: int) -> BfPredictiveSample:
+def sample_bf_h1(
+    edge: H1EdgeDraw, n: int, *, cut: float = math.inf, need: int = 0
+) -> BfPredictiveSample:
     """Monte Carlo predictive draws of the Bayes factor under H1 at n.
 
     Per draw of ``edge``, the sufficient statistic of the n interventional
@@ -307,33 +326,58 @@ def sample_bf_h1(edge: H1EdgeDraw, n: int) -> BfPredictiveSample:
     Bayes factor g(n) (1 - r^2)^((n-1)/2) follows.  This is exact in
     distribution for the Gaussian interventional family at every n and costs
     O(1) per draw instead of O(n).  Only uu and the residual depend on n;
-    both come from ``edge.stream.child(n)``, in that order.  1 - r^2 is
-    clipped to [2^-53, 1], so the factor lies in [0, g(n)].
+    both come from ``edge.stream.child(n)``, in blocks of ``H1_BLOCK`` draws:
+    each block draws its uu and then its residual.  1 - r^2 is clipped to
+    [2^-53, 1], so the factor lies in [0, g(n)].
+
+    With ``need`` > 0 the sampler stops after the first block in which more
+    than ``draws - need`` draws lie above ``cut``: fewer than ``need`` of all
+    the draws can then lie at or below it.  It returns the draws made so
+    far, which are, bit for bit, the first ones of the full sample.  By
+    default it never stops.
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     gen = edge.stream.child(n).generator()
     f_u = edge.f_u
-    if f_u.mean == 0.0:
-        w = _chisquare(gen, n, np.empty(edge.draws))
-    else:
-        w = gen.noncentral_chisquare(n, n * (f_u.mean / f_u.sd) ** 2, size=edge.draws)
-    resid = _chisquare(gen, n - 1, np.empty(edge.draws))
-    np.sqrt(w, out=w)
-    with np.errstate(over="ignore"):  # an infinite w^2 is 1 - r^2 = 0, floored below
-        w *= f_u.sd  # sqrt(uu)
-        w *= edge.lam
-        w += edge.z
-        w *= w
-    w += resid
-    np.divide(resid, w, out=w)  # 1 - r^2
-    np.clip(w, _RATIO_FLOOR, 1.0, out=w)
-    np.log(w, out=w)
-    w *= 0.5 * (n - 1)
-    w += log_g_of_n(n)
-    np.exp(w, out=w)
-    return BfPredictiveSample(hypothesis="H1", n=n, draws=w)
+    draws = edge.draws
+    nonc, log_g = n * (f_u.mean / f_u.sd) ** 2, log_g_of_n(n)
+    # the draws that one pass of the arithmetic covers: a block when the
+    # stop is checked, else all of them, which saves a dozen numpy calls a
+    # block; the arithmetic is element-wise, so the numbers are the same
+    span = H1_BLOCK if need > 0 else draws
+    out = np.empty(draws)
+    resid = np.empty(min(draws, span))
+    misses = 0
+    for start in range(0, draws, span):
+        stop = min(start + span, draws)
+        w, r = out[start:stop], resid[: stop - start]
+        for lo in range(0, stop - start, H1_BLOCK):
+            hi = min(lo + H1_BLOCK, stop - start)
+            if f_u.mean == 0.0:
+                _chisquare(gen, n, w[lo:hi])
+            else:
+                w[lo:hi] = gen.noncentral_chisquare(n, nonc, size=hi - lo)
+            _chisquare(gen, n - 1, r[lo:hi])
+        np.sqrt(w, out=w)
+        with np.errstate(over="ignore"):  # an infinite w^2 is 1 - r^2 = 0, floored below
+            w *= f_u.sd  # sqrt(uu)
+            w *= edge.lam[start:stop]
+            w += edge.z[start:stop]
+            w *= w
+        w += r
+        np.divide(r, w, out=w)  # 1 - r^2
+        np.clip(w, _RATIO_FLOOR, 1.0, out=w)
+        np.log(w, out=w)
+        w *= 0.5 * (n - 1)
+        w += log_g
+        np.exp(w, out=w)
+        if need > 0:
+            misses += w.size - np.count_nonzero(w <= cut)
+            if misses > draws - need:
+                return BfPredictiveSample(hypothesis="H1", n=n, draws=out[:stop])
+    return BfPredictiveSample(hypothesis="H1", n=n, draws=out)
 
 
 def _chisquare(gen: np.random.Generator, df: float, out: np.ndarray) -> np.ndarray:

@@ -146,6 +146,30 @@ def binomial_se(p: float, draws: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / draws)
 
 
+def _overall_dc(p_h0: float, p0_dc: float, p1_dc: float) -> float:
+    """The prior-weighted mixture of the two decisive-and-correct probabilities."""
+    return p_h0 * p0_dc + (1.0 - p_h0) * p1_dc
+
+
+def decisive_draws_needed(
+    h0_bands: tuple[float, float, float], thresholds: DceThresholds, p_h0: float, draws: int
+) -> int:
+    """The fewest of ``draws`` H1 draws at or below 1/k1 with which
+    ``assemble_dce`` gives overall_dc >= zeta, or ``draws + 1`` if none do.
+
+    The mixture is nondecreasing in the count, so a binary search over the
+    same float expression finds the exact boundary.
+    """
+    lo, hi = 0, draws + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _overall_dc(p_h0, h0_bands[0], mid / draws) >= thresholds.zeta:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def assemble_dce(
     h0_bands: tuple[float, float, float],
     thresholds: DceThresholds,
@@ -160,7 +184,7 @@ def assemble_dce(
     p1_dc, p1_inc, p1_mis = h1_band_probabilities(h1_sample, thresholds)
     draws = h1_sample.count
     p_h1 = 1.0 - p_h0
-    overall = p_h0 * p0_dc + p_h1 * p1_dc
+    overall = _overall_dc(p_h0, p0_dc, p1_dc)
     se_dc = binomial_se(p1_dc, draws)
     mc_se = {
         "p1_dc": se_dc,
@@ -231,25 +255,31 @@ def optimal_n_edge(
 
     The grid is scanned in increasing order, every n from the edge's one
     draw of n-free variates and its own substream, so the result is the
-    first crossing of the reproducible per-seed curve.  Monte Carlo draws
-    are skipped at grid points where even a perfect H1 side could not reach
-    zeta (the exact H0 side caps the mixture); this cannot change the
-    crossing because the skipped points cannot qualify.  The edge draw is
-    made at the first point the bound lets through, in the process that
-    runs the scan.
+    first crossing of the reproducible per-seed curve.  At each n the exact
+    H0 side fixes how many H1 draws must fall at or below 1/k1
+    (``decisive_draws_needed``).  When even all of them would fall short,
+    no draw is made; otherwise ``sample_bf_h1`` stops as soon as too many
+    have missed.  Neither can change the crossing: a point is passed over
+    only when its full sample could not reach zeta.  The edge draw is made
+    at the first point that needs one, in the process that runs the scan.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     if not 0.0 <= p_h0 <= 1.0:
         raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
+    cut = 1.0 / thresholds.k1
     h1 = None
     for n in range(2, n_max + 1):
         h0_bands = h0_band_probabilities(thresholds, n)
-        if p_h0 * h0_bands[0] + (1.0 - p_h0) < thresholds.zeta:
+        need = decisive_draws_needed(h0_bands, thresholds, p_h0, draws)
+        if need > draws:
             continue
         if h1 is None:
             h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
-        dce = assemble_dce(h0_bands, thresholds, p_h0, sample_bf_h1(h1, n))
+        sample = sample_bf_h1(h1, n, cut=cut, need=need)
+        if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
+            continue
+        dce = assemble_dce(h0_bands, thresholds, p_h0, sample)
         if dce.overall_dc >= thresholds.zeta:
             return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
     return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)

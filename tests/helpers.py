@@ -3,8 +3,9 @@
 The reference implementations that only tests use live here: the Bayes
 factors and marginal likelihoods behind the closed form, the DAG-to-CPDAG
 conversion, the definition of a sufficient sequence, the evidence
-probabilities at one n, plans built from given edge sizes, and the whole-text
-writer of the Bayes-factor sample CSV.
+probabilities at one n, the full-sample scan for an edge's optimal n, plans
+built from given edge sizes, and the whole-text writer of the Bayes-factor
+sample CSV.
 """
 
 import csv
@@ -25,6 +26,7 @@ from causal_ssd.graph import (
 from causal_ssd.harness import format_float
 from causal_ssd.numerics import RandomStream, WishartParams, sample_wishart
 from causal_ssd.predictive import (
+    H1_BLOCK,
     BfPredictiveSample,
     DesignPosterior,
     InterventionDensity,
@@ -128,6 +130,26 @@ def _regression_draws(
     return -q[:, 0, 1] / q[:, 1, 1], np.sqrt(1.0 / q[:, 1, 1])
 
 
+def h1_block_draws(
+    f_u: InterventionDensity, n: int, draws: int, stream: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw n-dependent H1 variates of the edge whose substream is
+    ``stream``: the (noncentral) chi-square(n) of sum x_u^2 / sd^2 and the
+    residual chi-square(n - 1), from ``stream.child(n)``.  Each block of
+    ``H1_BLOCK`` draws, the last one partial, draws its chi-square(n) values
+    and then its residuals."""
+    gen = stream.child(n).generator()
+    chi, resid = [], []
+    for start in range(0, draws, H1_BLOCK):
+        size = min(H1_BLOCK, draws - start)
+        if f_u.mean == 0.0:
+            chi.append(gen.chisquare(n, size=size))
+        else:
+            chi.append(gen.noncentral_chisquare(n, n * (f_u.mean / f_u.sd) ** 2, size=size))
+        resid.append(gen.chisquare(n - 1, size=size))
+    return np.concatenate(chi), np.concatenate(resid)
+
+
 def reference_sample_bf_h1(
     posterior: DesignPosterior,
     u: str,
@@ -144,7 +166,8 @@ def reference_sample_bf_h1(
 
     It draws from the same substreams in the same order: the precision and
     then ``z`` from ``stream.child(0)``, and uu and the residual from
-    ``stream.child(n)``.  ``z`` follows the Bartlett entries b00, b11, b10 on
+    ``stream.child(n)``, block by block of ``H1_BLOCK`` draws
+    (``h1_block_draws``).  ``z`` follows the Bartlett entries b00, b11, b10 on
     one generator, so a replay of those three draws positions it.
     """
     edge = stream.child(0)
@@ -155,13 +178,8 @@ def reference_sample_bf_h1(
     gen.chisquare(df - 1.0, size=draws)
     gen.standard_normal(size=draws)
     z = gen.standard_normal(size=draws)
-    gen = stream.child(n).generator()
-    if f_u.mean == 0.0:
-        uu = f_u.sd**2 * gen.chisquare(n, size=draws)
-    else:
-        nonc = n * (f_u.mean / f_u.sd) ** 2
-        uu = f_u.sd**2 * gen.noncentral_chisquare(n, nonc, size=draws)
-    resid = gen.chisquare(n - 1, size=draws)
+    chi, resid = h1_block_draws(f_u, n, draws, stream)
+    uu = f_u.sd**2 * chi
     ue = np.sqrt(uu) * z
     ee = z * z + resid
     uv = slope * uu + cond_sd * ue
@@ -341,6 +359,32 @@ def dce_probabilities(
     """
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
     return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, sample)
+
+
+def linear_scan_optimal_n_edge(
+    u: str,
+    v: str,
+    thresholds: DceThresholds,
+    p_h0: float,
+    posterior: DesignPosterior,
+    f_u: InterventionDensity,
+    n_max: int,
+    draws: int,
+    stream: RandomStream,
+) -> EdgeSsdResult:
+    """Oracle of ``ssd.optimal_n_edge``: the scan with a full sample at every
+    n that the exact H0 side lets through, and no early stop."""
+    h1 = None
+    for n in range(2, n_max + 1):
+        h0_bands = h0_band_probabilities(thresholds, n)
+        if p_h0 * h0_bands[0] + (1.0 - p_h0) < thresholds.zeta:
+            continue
+        if h1 is None:
+            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
+        dce = assemble_dce(h0_bands, thresholds, p_h0, sample_bf_h1(h1, n))
+        if dce.overall_dc >= thresholds.zeta:
+            return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
+    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 
 
 def whole_bf_samples_csv(samples: list[BfPredictiveSample]) -> str:

@@ -75,16 +75,31 @@ def fig1_files(tmp_path):
     return str(graph), str(csv_path)
 
 
-def run_cli(*argv):
-    """Run the CLI of the package this module imported in a fresh interpreter."""
+def run_cli(*argv, cwd=None, **env):
+    """Run the CLI of the package this module imported in a fresh interpreter.
+
+    Each keyword sets a variable of the child's environment, or with None
+    removes it; this process's environment is left alone.
+    """
     src = os.path.dirname(os.path.dirname(causal_ssd.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child_env = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run(
         [sys.executable, "-m", "causal_ssd.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
+        env={name: value for name, value in child_env.items() if value is not None},
     )
+
+
+def numpy_blas_name():
+    """The name of the BLAS numpy was built with, or "" if numpy does not say."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # a numpy whose show_config only prints
+        return ""
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
 
 FAST = ["--draws", "400", "--n-max", "150", "--k0", "3", "--k1", "3", "--zeta", "0.5"]
@@ -366,6 +381,22 @@ class TestSimulate:
         assert "evidence_note" in report
         assert main(args) == EXIT_OK
         assert [(out1 / n).read_bytes() for n in names] == first
+
+    @pytest.mark.skipif("openblas" not in numpy_blas_name().lower(),
+                        reason="numpy is not built on OpenBLAS")
+    def test_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # Prescott is an OpenBLAS kernel without fused multiply-add; each run
+        # writes to the same relative --out, so the echoed config agrees too
+        names = ["report.json", "bf_samples.csv", "dce_curves.csv", "nstar_curves.csv"]
+        written = []
+        for kernel in (None, "Prescott"):
+            cwd = tmp_path / str(kernel)
+            cwd.mkdir()
+            proc = run_cli("simulate", "--draws", "2000", "--n-max", "120", "--seed", "201",
+                           "--out", "study", cwd=cwd, OPENBLAS_CORETYPE=kernel)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            written.append([(cwd / "study" / name).read_bytes() for name in names])
+        assert written[0] == written[1]
 
     def test_seed_changes_h1_not_h0(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

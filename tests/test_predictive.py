@@ -10,6 +10,7 @@ from scipy import stats
 
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta, sample_wishart
 from causal_ssd.predictive import (
+    H1_BLOCK,
     H1_BYTES_PER_DRAW,
     BfPredictiveSample,
     InsufficientDataError,
@@ -25,6 +26,7 @@ from helpers import (
     CholeskyPair,
     derive_cholesky_pair,
     g_of_n,
+    h1_block_draws,
     matmul_sample_wishart,
     pairs_sample_bf_h1,
     reference_sample_bf_h1,
@@ -44,9 +46,10 @@ def two_node_posterior(seed, n_rows=50, beta=0.5):
 
 def exact_lam_and_z(posterior, u, v, draws, stream):
     """lam = -Q_uv / sqrt(Q_vv) in 40 digits, with Q = M M^T and M = F B the
-    product of the rate's upper factor and the Bartlett matrix, from the raw
-    draws of ``stream.child(0)``: b00^2, b11^2, b10, then the cross-term
-    normal ``z``."""
+    product of the rate's upper factor F = chol(rate)^{-T}, itself in 40
+    digits, and the Bartlett matrix, from the raw draws of
+    ``stream.child(0)``: b00^2, b11^2, b10, then the cross-term normal
+    ``z``."""
     params = posterior.pair_precision_params(u, v)
     gen = stream.child(0).generator()
     b00_sq = gen.chisquare(params.df, size=draws)
@@ -55,7 +58,8 @@ def exact_lam_and_z(posterior, u, v, draws, stream):
     z = gen.standard_normal(size=draws)
     lam = []
     with mpmath.workdps(40):
-        f = mpmath.matrix(params.upper_factor.tolist())
+        f = mpmath.cholesky(mpmath.matrix(params.rate.tolist())) ** -1
+        f = f.T
         for i in range(draws):
             b = mpmath.matrix([[mpmath.sqrt(b00_sq[i]), 0], [b10[i], mpmath.sqrt(b11_sq[i])]])
             m = f * b
@@ -66,14 +70,10 @@ def exact_lam_and_z(posterior, u, v, draws, stream):
 
 def exact_log_bf_h1(lam, z, f_u, n, stream):
     """log BF at n in 40 digits, from ``exact_lam_and_z`` and the raw draws of
-    ``stream.child(n)``: the chi-square of sum x_u^2, then the residual."""
-    gen = stream.child(n).generator()
+    ``stream.child(n)`` (``h1_block_draws``): block by block, the chi-square
+    of sum x_u^2, then the residual."""
     draws = len(z)
-    if f_u.mean == 0.0:
-        chi = gen.chisquare(n, size=draws)
-    else:
-        chi = gen.noncentral_chisquare(n, n * (f_u.mean / f_u.sd) ** 2, size=draws)
-    resid = gen.chisquare(n - 1, size=draws)
+    chi, resid = h1_block_draws(f_u, n, draws, stream)
     out = np.empty(draws)
     with mpmath.workdps(40):
         log_g = (mpmath.log(n) + mpmath.loggamma(mpmath.mpf(n) / 2)
@@ -274,7 +274,8 @@ class TestSampleBfH1:
         data = rng.standard_normal((40, 3))
         data[:, 1] += 0.7 * data[:, 0]
         post = build_design_posterior(data, 1.0, labels=("a", "b", "c"))
-        stream, draws = RandomStream(14, (2, 1)), 1500
+        # three blocks, the last one partial, so the interleaving shows
+        stream, draws = RandomStream(14, (2, 1)), 2 * H1_BLOCK + H1_BLOCK // 3
         lam, z = exact_lam_and_z(post, u, v, draws, stream)
         for f_u in (InterventionDensity(0.0, 1.0), InterventionDensity(0.0, 2.3),
                     InterventionDensity(0.7, 1.3)):
@@ -286,6 +287,29 @@ class TestSampleBfH1:
                 assert np.all(got[~normal] < 1e-300), (f_u, n)
                 err = np.abs(np.log(got[normal]) - want[normal])
                 assert err.max() <= 1e-12, (f_u, n)
+
+    @pytest.mark.parametrize("mean", [0.0, 1.5])
+    def test_stopped_sample_is_a_prefix_of_the_full_sample(self, mean):
+        draws, n = 3 * H1_BLOCK + 100, 40
+        edge = draw_h1_edge(two_node_posterior(7), "u", "v", InterventionDensity(mean=mean),
+                            draws, RandomStream(29))
+        full = sample_bf_h1(edge, n).draws
+        # a draw of the first block as the cut, so that a draw lies on it
+        cut = float(np.sort(full[:H1_BLOCK])[H1_BLOCK // 2])
+        misses = np.cumsum(full > cut)
+        hits = draws - int(misses[-1])
+        ends = [min(end, draws) for end in range(H1_BLOCK, draws + H1_BLOCK, H1_BLOCK)]
+        counts = []
+        # the fourth need allows exactly the misses of the first block
+        for need in (1, hits, hits + 1, draws - int(misses[H1_BLOCK - 1]), draws):
+            got = sample_bf_h1(edge, n, cut=cut, need=need)
+            # it ends after the first block whose misses exceed draws - need
+            want = next((end for end in ends if misses[end - 1] > draws - need), draws)
+            assert got.count == want, need
+            assert got.draws.tobytes() == full[:want].tobytes(), need
+            counts.append(got.count)
+        # need = hits + 1 stops after the last block, so its sample is whole
+        assert counts == [draws, draws, draws, 2 * H1_BLOCK, H1_BLOCK]
 
     def test_chisquare_is_twice_standard_gamma(self):
         # the kernel draws chi-square(k) as 2 * standard_gamma(k / 2) with out=

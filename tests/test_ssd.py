@@ -6,14 +6,22 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from causal_ssd.design import optimal_sequences
 from causal_ssd.graph import Dag, PartiallyDirectedGraph, chain_components
 from causal_ssd.harness import DatasetMatrix, LinearSemSpec, generate_sem_data
 from causal_ssd.numerics import RandomStream
-from causal_ssd.predictive import BfPredictiveSample, InterventionDensity, build_design_posterior
+from causal_ssd.predictive import (
+    H1_BLOCK,
+    BfPredictiveSample,
+    InterventionDensity,
+    build_design_posterior,
+)
 from causal_ssd.ssd import (
     DceThresholds,
+    assemble_dce,
+    decisive_draws_needed,
     h0_band_probabilities,
     optimal_n_edge,
     plan_cpdag,
@@ -22,6 +30,7 @@ from causal_ssd.ssd import (
 from helpers import (
     CHAIN5,
     dce_probabilities,
+    linear_scan_optimal_n_edge,
     matmul_sample_wishart,
     plan_from_stars,
     reference_sample_bf_h1,
@@ -148,7 +157,59 @@ class TestDceProbabilities:
         assert at100.overall_dc >= 0.80
 
 
+# the prior p(H0) of an edge: the two degenerate ends and any value between
+P_H0 = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+# below one block, exactly one block, and three and five blocks, the last one partial
+H1_DRAWS = st.sampled_from([H1_BLOCK // 3, H1_BLOCK, 2 * H1_BLOCK + 37, 4 * H1_BLOCK + 501])
+
+
+class TestDecisiveDrawsNeeded:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        p0_dc=st.floats(0.0, 1.0),
+        p_h0=P_H0,
+        draws=st.integers(1, 3 * H1_BLOCK),
+        crossing=st.floats(0.0, 1.0),
+        offset=st.integers(-1, 1),
+    )
+    def test_smallest_count_that_assemble_dce_lets_reach_zeta(
+        self, p0_dc, p_h0, draws, crossing, offset
+    ):
+        # zeta is the mixture at some count, or a float next to it, so the
+        # boundary is often met exactly
+        at = round(crossing * draws)
+        zeta = p_h0 * p0_dc + (1.0 - p_h0) * (at / draws)
+        zeta = float(np.nextafter(zeta, offset * math.inf)) if offset else zeta
+        assume(0.0 < zeta < 1.0)
+        th = DceThresholds(k0=4.0, k1=4.0, zeta=zeta)
+        bands = (p0_dc, 0.0, 1.0 - p0_dc)
+        need = decisive_draws_needed(bands, th, p_h0, draws)
+        assert 0 <= need <= draws + 1
+        for count in range(max(need - 2, 0), min(need + 2, draws) + 1):
+            # ``count`` draws on the cut itself, the rest inconclusive
+            values = np.r_[np.full(count, 1.0 / th.k1), np.ones(draws - count)]
+            sample = BfPredictiveSample(hypothesis="H1", n=2, draws=values)
+            dce = assemble_dce(bands, th, p_h0, sample)
+            assert (dce.overall_dc >= zeta) == (count >= need), count
+
+
 class TestOptimalNEdge:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        k0=st.floats(1.5, 12.0),
+        k1=st.floats(1.5, 12.0),
+        zeta=st.floats(0.05, 0.95),
+        p_h0=P_H0,
+        draws=H1_DRAWS,
+        n_max=st.integers(2, 150),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_full_sample_linear_scan(self, k0, k1, zeta, p_h0, draws, n_max, seed):
+        th = DceThresholds(k0=k0, k1=k1, zeta=zeta)
+        args = ("u", "v", th, p_h0, two_node_posterior(), F_U, n_max, draws, RandomStream(seed))
+        got, want = optimal_n_edge(*args), linear_scan_optimal_n_edge(*args)
+        assert got.to_dict() == want.to_dict()
+
     def test_low_target_crosses_immediately(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.05)
         res = optimal_n_edge(
@@ -214,9 +275,9 @@ class TestOptimalNEdge:
             built.append(df)
             return real_params(df, rate)
 
-        def counting_sample(edge, n):
+        def counting_sample(edge, n, **stop):
             evaluated.append(n)
-            return real_sample(edge, n)
+            return real_sample(edge, n, **stop)
 
         monkeypatch.setattr(predictive_mod, "WishartParams", counting_params)
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
@@ -238,9 +299,9 @@ class TestOptimalNEdge:
             drawn.append((u, v))
             return real_draw(posterior, u, v, f_u, draws, stream)
 
-        def counting_sample(edge, n):
+        def counting_sample(edge, n, **stop):
             evaluated.append(n)
-            return real_sample(edge, n)
+            return real_sample(edge, n, **stop)
 
         monkeypatch.setattr(ssd_mod, "draw_h1_edge", counting_draw)
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
@@ -499,7 +560,8 @@ class TestPlanCpdag:
         def oracle_draw_h1_edge(*args):
             return args  # the oracle draws everything again at each n
 
-        def oracle_sample_bf_h1(edge_args, n):
+        def oracle_sample_bf_h1(edge_args, n, **stop):
+            # the full sample at every n: the early stop is switched off
             posterior, u, v, f_u, draws, stream = edge_args
             bf = reference_sample_bf_h1(
                 posterior, u, v, f_u, n, draws, stream, wishart=matmul_sample_wishart
