@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,12 +71,11 @@ class WishartParams:
     expectation a * U^{-1}.  Many references use the scale convention
     (expectation a * V); the rate U here corresponds to scale V = U^{-1}.
     ``upper_factor`` is F = chol(U)^{-T}, upper triangular with F F^T =
-    U^{-1}, built from the Cholesky factor that validation computes.
+    U^{-1}, formed on first use.
     """
 
     df: float
     rate: np.ndarray
-    upper_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rate = np.array(self.rate, dtype=float)
@@ -87,19 +87,22 @@ class WishartParams:
             raise ValueError("rate must be symmetric")
         rate = 0.5 * (rate + rate.T)
         try:
-            chol = np.linalg.cholesky(rate)
+            np.linalg.cholesky(rate)
         except np.linalg.LinAlgError:
             raise ValueError("rate must be positive definite") from None
         df = float(self.df)
         t = rate.shape[0]
         if not math.isfinite(df) or df <= t - 1:
             raise ValueError(f"df must exceed T - 1 = {t - 1} for a proper law, got {df}")
-        factor = np.linalg.inv(chol).T
         rate.setflags(write=False)
-        factor.setflags(write=False)
         object.__setattr__(self, "df", df)
         object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "upper_factor", factor)
+
+    @cached_property
+    def upper_factor(self) -> np.ndarray:
+        factor = np.linalg.inv(np.linalg.cholesky(self.rate)).T
+        factor.setflags(write=False)
+        return factor
 
     @property
     def dim(self) -> int:

@@ -6,11 +6,11 @@ of the interventional density, so band probabilities are exact.  Under H1
 (u -> v) the predictive is simulated: a design posterior built from the
 observational data supplies Wishart draws of the 2x2 conditional precision
 Q, and r^2 depends on a draw only through lam = -Q_uv / sqrt(Q_vv), the
-regression slope in units of the conditional sd.  lam and the normal of the
-cross term are drawn once per edge and shared by every n (``draw_h1_edge``);
-each n draws only the two chi-square sums of its n interventional pairs, in
-blocks of draws, and can stop as soon as a target is out of reach
-(``sample_bf_h1``).
+regression slope in units of the conditional sd, and only through |lam| in
+law.  |lam|, sorted ascending, and the normal of the cross term are drawn
+once per edge and shared by every n (``draw_h1_edge``); each n draws only
+the two chi-square sums of its n interventional pairs, in blocks of draws,
+and can stop as soon as a target is out of reach (``sample_bf_h1``).
 """
 
 from __future__ import annotations
@@ -246,9 +246,11 @@ class H1EdgeDraw:
     """The variates of one edge's H1 predictive whose law does not depend on n.
 
     Per draw of the 2x2 conditional precision Q from the design posterior,
-    ``lam`` = -Q_uv / sqrt(Q_vv): the slope of v on u over the conditional
-    sd, the one function of Q that r^2 depends on.  ``z`` is the standard
-    normal of the cross term.  Every n of the edge reuses them (common
+    ``lam`` holds |Q_uv| / sqrt(Q_vv): the size of the slope of v on u over
+    the conditional sd, the one function of Q that the law of r^2 depends
+    on.  It is sorted ascending, so the draws likeliest to fall above a cut
+    on the Bayes factor come first.  ``z`` is the standard normal of the
+    cross term, in the order drawn.  Every n of the edge reuses them (common
     random numbers across n); ``sample_bf_h1`` adds the two chi-square sums
     of each n from ``stream.child(n)``.
     """
@@ -284,9 +286,10 @@ def draw_h1_edge(
     U = [[a, b], [b, c]], Q = F B B^T F^T gives
     lam = -(f00 b00 b10 / sqrt(s) + f01 sqrt(s)) with s = b11^2 + b10^2; f11
     cancels.  f00 = 1 / sqrt(a) and f01 = -b / (a sqrt(c - b^2 / a)) are taken
-    in closed form, so no LAPACK kernel reaches the draws.  A chi-square(k)
-    draw is taken as twice a standard gamma(k / 2) draw, which is how numpy
-    computes it.
+    in closed form, so no LAPACK kernel reaches the draws.  lam is then
+    replaced in place by |lam|, sorted ascending; ``z`` stays as drawn.  A
+    chi-square(k) draw is taken as twice a standard gamma(k / 2) draw, which
+    is how numpy computes it.
     """
     draws = int(draws)
     if draws < 1:
@@ -309,6 +312,13 @@ def draw_h1_edge(
     lam /= s
     lam *= -f00
     lam -= np.multiply(s, f01, out=s)
+    # w = sign(lam) (sign(lam) z + |lam| sqrt(uu)) exactly, and sign(lam) z
+    # has the law of z whatever lam is, so |lam| with z as drawn keeps the
+    # law of w^2; z is independent of lam, so sorting lam keeps it too.
+    # Ascending, the draws likeliest to miss come first, and a sample that
+    # cannot reach its target stops sooner
+    np.abs(lam, out=lam)
+    lam.sort()
     return H1EdgeDraw(f_u=f_u, lam=lam, z=z, stream=stream)
 
 

@@ -157,10 +157,13 @@ def decisive_draws_needed(
     """The fewest of ``draws`` H1 draws at or below 1/k1 with which
     ``assemble_dce`` gives overall_dc >= zeta, or ``draws + 1`` if none do.
 
-    The mixture is nondecreasing in the count, so a binary search over the
-    same float expression finds the exact boundary.
+    The mixture is nondecreasing in the count, so one evaluation at the
+    full count tells whether any count reaches zeta, and a binary search
+    over the same float expression finds the exact boundary.
     """
-    lo, hi = 0, draws + 1
+    if _overall_dc(p_h0, h0_bands[0], 1.0) < thresholds.zeta:
+        return draws + 1
+    lo, hi = 0, draws
     while lo < hi:
         mid = (lo + hi) // 2
         if _overall_dc(p_h0, h0_bands[0], mid / draws) >= thresholds.zeta:

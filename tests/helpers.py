@@ -168,10 +168,15 @@ def reference_sample_bf_h1(
     then ``z`` from ``stream.child(0)``, and uu and the residual from
     ``stream.child(n)``, block by block of ``H1_BLOCK`` draws
     (``h1_block_draws``).  ``z`` follows the Bartlett entries b00, b11, b10 on
-    one generator, so a replay of those three draws positions it.
+    one generator, so a replay of those three draws positions it.  The
+    precision draws are put in ascending order of |slope / cond_sd| = |lam|
+    and the slope's sign is dropped, as the kernel does; ``z`` keeps the
+    order drawn.
     """
     edge = stream.child(0)
     slope, cond_sd = _regression_draws(posterior, u, v, draws, edge, wishart)
+    order = np.argsort(np.abs(slope / cond_sd))
+    slope, cond_sd = np.abs(slope[order]), cond_sd[order]
     df = posterior.pair_precision_params(u, v).df
     gen = edge.generator()
     gen.chisquare(df, size=draws)

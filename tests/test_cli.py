@@ -27,6 +27,7 @@ from causal_ssd.cli import (
 from causal_ssd.graph import Dag, PartiallyDirectedGraph
 from causal_ssd.harness import LinearSemSpec, generate_sem_data
 from causal_ssd.numerics import RandomStream
+from causal_ssd.predictive import H1_BLOCK
 
 from helpers import format_edge_list, g_of_n
 
@@ -338,11 +339,15 @@ def read_csv_rows(path):
 
 
 class TestEdgeCommandsReproducePlan:
-    def test_dce_curve_and_predict_bf_match_plan(self, fig1_files, tmp_path):
+    # at 2 * H1_BLOCK + 500 draws a sample spans three blocks, so plan's
+    # early stop can fire after the first or the second of them
+    @pytest.mark.parametrize("draws", [400, 2 * H1_BLOCK + 500])
+    def test_dce_curve_and_predict_bf_match_plan(self, fig1_files, tmp_path, draws):
         graph, data = fig1_files
+        argv = ["--draws", str(draws), *flags_of("plan", FAST, but="--draws")]
         zeta, k1 = (float(FAST[FAST.index(flag) + 1]) for flag in ("--zeta", "--k1"))
         out = tmp_path / "plan.json"
-        assert main(["plan", "--graph", graph, "--data", data, "--out", str(out), *FAST]) == 0
+        assert main(["plan", "--graph", graph, "--data", data, "--out", str(out), *argv]) == 0
         edges = {
             (e["u"], e["v"]): e
             for comp in json.loads(out.read_text())["components"]
@@ -356,13 +361,13 @@ class TestEdgeCommandsReproducePlan:
             n_star, dce = planned["n_star"], planned["dce_at_n_star"]
             common = ["--graph", graph, "--data", data, "--edge", f"{u},{v}"]
             curve = tmp_path / f"curve_{u}{v}.csv"
-            assert main(["dce-curve", *common, *flags_of("dce-curve", FAST),
+            assert main(["dce-curve", *common, *flags_of("dce-curve", argv),
                          "--out", str(curve)]) == EXIT_OK
             crossing = next(r for r in read_csv_rows(curve) if float(r["overall_dc"]) >= zeta)
             assert int(crossing["n"]) == n_star
             assert float(crossing["overall_dc"]) == dce["overall_dc"]
             samples = tmp_path / f"bf_{u}{v}.csv"
-            assert main(["predict-bf", *common, *flags_of("predict-bf", FAST), "--n", str(n_star),
+            assert main(["predict-bf", *common, *flags_of("predict-bf", argv), "--n", str(n_star),
                          "--out", str(samples)]) == EXIT_OK
             h1 = np.array([float(r["bf"]) for r in read_csv_rows(samples)
                            if r["hypothesis"] == "H1"])
@@ -904,6 +909,7 @@ NOT_RUN_BY_A_COMMAND = {
     "graph.enumerate_class.<locals>.assign": "inner function of enumerate_class",
     "numerics.sample_wishart": "oracle of predictive.draw_h1_edge; bench/tracing.py wraps it",
     "numerics.WishartParams.dim": "called by sample_wishart and the oracles in tests/helpers.py",
+    "numerics.WishartParams.upper_factor": "formed on first read, by sample_wishart and tests",
     "graph.Dag.has_edge": "the oracles read the DAGs the pipeline builds through it",
     "graph.Dag.__eq__": "value semantics of a graph type, used by oracles and tests",
     "graph.Dag.__hash__": "value semantics of a graph type, used by oracles and tests",

@@ -13,6 +13,7 @@ from causal_ssd.predictive import (
     H1_BLOCK,
     H1_BYTES_PER_DRAW,
     BfPredictiveSample,
+    H1EdgeDraw,
     InsufficientDataError,
     InterventionDensity,
     build_design_posterior,
@@ -45,11 +46,11 @@ def two_node_posterior(seed, n_rows=50, beta=0.5):
 
 
 def exact_lam_and_z(posterior, u, v, draws, stream):
-    """lam = -Q_uv / sqrt(Q_vv) in 40 digits, with Q = M M^T and M = F B the
-    product of the rate's upper factor F = chol(rate)^{-T}, itself in 40
-    digits, and the Bartlett matrix, from the raw draws of
-    ``stream.child(0)``: b00^2, b11^2, b10, then the cross-term normal
-    ``z``."""
+    """|lam| = |Q_uv| / sqrt(Q_vv) in 40 digits, sorted ascending, with
+    Q = M M^T and M = F B the product of the rate's upper factor
+    F = chol(rate)^{-T}, itself in 40 digits, and the Bartlett matrix, from
+    the raw draws of ``stream.child(0)``: b00^2, b11^2, b10, then the
+    cross-term normal ``z``, in the order drawn."""
     params = posterior.pair_precision_params(u, v)
     gen = stream.child(0).generator()
     b00_sq = gen.chisquare(params.df, size=draws)
@@ -64,8 +65,8 @@ def exact_lam_and_z(posterior, u, v, draws, stream):
             b = mpmath.matrix([[mpmath.sqrt(b00_sq[i]), 0], [b10[i], mpmath.sqrt(b11_sq[i])]])
             m = f * b
             q = m * m.T
-            lam.append(-q[0, 1] / mpmath.sqrt(q[1, 1]))
-    return lam, z
+            lam.append(abs(q[0, 1]) / mpmath.sqrt(q[1, 1]))
+    return sorted(lam), z
 
 
 def exact_log_bf_h1(lam, z, f_u, n, stream):
@@ -308,8 +309,29 @@ class TestSampleBfH1:
             assert got.count == want, need
             assert got.draws.tobytes() == full[:want].tobytes(), need
             counts.append(got.count)
-        # need = hits + 1 stops after the last block, so its sample is whole
-        assert counts == [draws, draws, draws, 2 * H1_BLOCK, H1_BLOCK]
+        # need = hits + 1 stops after the last block that holds a miss: the
+        # partial block at the end, with the largest |lam|, holds none
+        assert counts == [draws, draws, 3 * H1_BLOCK, 2 * H1_BLOCK, H1_BLOCK]
+
+    @pytest.mark.parametrize("mean", [0.0, 1.5])
+    def test_edge_draw_holds_abs_lam_ascending(self, mean):
+        edge = draw_h1_edge(two_node_posterior(7), "u", "v", InterventionDensity(mean=mean),
+                            3 * H1_BLOCK + 100, RandomStream(29))
+        assert np.all(edge.lam >= 0.0)
+        assert np.all(np.diff(edge.lam) >= 0.0)
+
+    @pytest.mark.parametrize("mean", [0.0, 1.5])
+    def test_abs_lam_with_flipped_z_is_bitwise_the_signed_draw(self, mean):
+        # w = z + lam sqrt(uu) and -w = -z + |lam| sqrt(uu) for lam < 0, in
+        # floating point too, and only w^2 enters the Bayes factor
+        rng = np.random.default_rng(31)
+        lam, z = 2.0 * rng.standard_normal(5000), rng.standard_normal(5000)
+        f_u, stream = InterventionDensity(mean=mean, sd=1.3), RandomStream(32)
+        signed = H1EdgeDraw(f_u=f_u, lam=lam, z=z, stream=stream)
+        flipped = H1EdgeDraw(f_u=f_u, lam=np.abs(lam), z=np.where(lam < 0, -z, z), stream=stream)
+        for n in (2, 40, 660):
+            assert (sample_bf_h1(signed, n).draws.tobytes()
+                    == sample_bf_h1(flipped, n).draws.tobytes()), n
 
     def test_chisquare_is_twice_standard_gamma(self):
         # the kernel draws chi-square(k) as 2 * standard_gamma(k / 2) with out=
