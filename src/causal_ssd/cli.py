@@ -62,10 +62,9 @@ from causal_ssd.ssd import (
     DEFAULT_DRAWS,
     DEFAULT_N_MAX,
     DceThresholds,
-    assemble_dce,
     component_posterior,
+    dce_curve,
     edge_stream,
-    h0_band_probabilities,
     plan_cpdag,
 )
 
@@ -283,14 +282,11 @@ def _edge_inputs(args: argparse.Namespace):
 
 def cmd_dce_curve(args: argparse.Namespace) -> int:
     sub, posterior, stream = _edge_inputs(args)
-    p_h0 = prior_h0(sub, *args.edge)
-    thresholds = args.thresholds
-    h1 = draw_h1_edge(posterior, *args.edge, args.f_u, args.draws, stream)
-    rows = []
-    for n in range(2, args.n_max + 1):
-        sample = sample_bf_h1(h1, n)
-        dce = assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, sample)
-        rows.append(dce_curve_row(n, dce))
+    curve = dce_curve(
+        posterior, *args.edge, args.f_u, args.draws, stream, [args.thresholds],
+        prior_h0(sub, *args.edge), args.n_max,
+    )
+    rows = [dce_curve_row(n, dce) for n, (dce,) in curve]
     _emit(_config_comment(args) + dce_curve_csv(rows), args.out)
     return EXIT_OK
 

@@ -296,22 +296,21 @@ def chain_components(g: PartiallyDirectedGraph) -> tuple[UndirectedGraph, ...]:
                 f"directed edge {a}->{b} joins nodes of one undirected component"
             )
         quotient[ca].add(cb)
-    # directed cycle among components would close a partially directed cycle
-    state: dict[int, int] = {}
-
-    def visit(i: int) -> None:
-        state[i] = 1
+    # a directed cycle among components would close a partially directed
+    # cycle; Kahn's order on the quotient reaches every component iff there
+    # is none
+    indegree = [0] * len(components)
+    for targets in quotient.values():
+        for j in targets:
+            indegree[j] += 1
+    order = [i for i, d in enumerate(indegree) if d == 0]
+    for i in order:  # grows while it is walked
         for j in quotient[i]:
-            mark = state.get(j, 0)
-            if mark == 1:
-                raise InvalidChainGraphError("directed cycle among chain components")
-            if mark == 0:
-                visit(j)
-        state[i] = 2
-
-    for i in range(len(components)):
-        if state.get(i, 0) == 0:
-            visit(i)
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    if len(order) < len(components):
+        raise InvalidChainGraphError("directed cycle among chain components")
 
     edges: list[list[tuple[str, str]]] = [[] for _ in components]
     for a, b in g.undirected_edges():

@@ -41,9 +41,9 @@ from causal_ssd.ssd import (
     DEFAULT_N_MAX,
     DceProbabilities,
     DceThresholds,
-    assemble_dce,
     binomial_se,
-    h0_band_probabilities,
+    dce_curve,
+    h0_band_probabilities,  # noqa: F401  (no caller; bench/tracing.py wraps harness.h0_band_probabilities)
 )
 
 
@@ -303,7 +303,7 @@ def replicate_two_node_study(
     }
 
     # the few fixed sizes of the exported samples and the evidence grid are
-    # drawn once; the curves reuse them.  Every H1 sample comes from the one
+    # drawn once.  Every H1 sample, here and on the curves, comes from the
     # edge draw on the H1 stream child(2)
     fixed_sizes = sorted(set(EXPORT_SIZES) | set(GRID_SIZES))
     h0_samples = {n: sample_bf_h0(n, config.draws, stream.child(1, n)) for n in fixed_sizes}
@@ -350,12 +350,13 @@ def replicate_two_node_study(
 
     # (c) decisive-and-correct curves over the n grid, one per threshold;
     # the H1 predictive sample at each n is shared by all thresholds
-    thresholds_by_k = {k: DceThresholds(k0=k, k1=k, zeta=0.5) for k in K_VALUES}
+    curve = dce_curve(
+        posterior, u, v, config.intervention, config.draws, stream.child(2),
+        [DceThresholds(k0=k, k1=k, zeta=0.5) for k in K_VALUES], 0.5, config.n_max,
+    )
     curves_by_k: dict[float, list[tuple]] = {k: [] for k in K_VALUES}
-    for n in range(2, config.n_max + 1):
-        sample = h1_samples[n] if n in h1_samples else sample_bf_h1(h1, n)
-        for k, th in thresholds_by_k.items():
-            dce = assemble_dce(h0_band_probabilities(th, n), th, 0.5, sample)
+    for n, dces in curve:
+        for k, dce in zip(K_VALUES, dces):
             curves_by_k[k].append(dce_curve_row(n, dce))
 
     # (d) optimal n as a function of the target probability: first crossing

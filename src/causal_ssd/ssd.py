@@ -4,10 +4,10 @@ For an edge u - v with u manipulated, evidence at sample size n is decisive
 for H0 when BF >= k0, decisive for H1 when BF <= 1/k1, inconclusive in
 between, and misleading when decisive for the false hypothesis.  The overall
 probability of decisive-and-correct evidence mixes the conditional
-probabilities with the class-count orientation prior; the optimal n is the
-first point of the sample-size grid where it reaches the target zeta.  The
-best-size optimal sequence of a component is its achieved plan with the
-smallest total n.
+probabilities with the class-count orientation prior; ``dce_curve`` builds
+it over the sample-size grid, and the optimal n is the first point where it
+reaches the target zeta.  The best-size optimal sequence of a component is
+its achieved plan with the smallest total n.
 
 H0-side probabilities are exact (closed-form bands); H1-side ones are Monte
 Carlo from one substream per edge (the n-free variates) and one per (edge,
@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -240,6 +241,44 @@ class EdgeSsdResult:
         }
 
 
+def dce_curve(
+    posterior: DesignPosterior,
+    u: str,
+    v: str,
+    f_u: InterventionDensity,
+    draws: int,
+    stream: RandomStream,
+    thresholds: Sequence[DceThresholds],
+    p_h0: float,
+    n_max: int,
+    *,
+    first_crossing: bool = False,
+) -> Iterator[tuple[int, list[DceProbabilities]]]:
+    """Yield ``(n, [DceProbabilities for each thresholds])`` for n = 2, ..., n_max.
+
+    Each n takes one H1 sample, which every thresholds reads, from the edge's
+    one draw (made at the first n that needs it) and the substream of n.
+    With ``first_crossing`` (one thresholds) a point whose full sample could
+    not reach zeta is skipped (no draw when ``decisive_draws_needed`` exceeds
+    ``draws``) or stopped early, and not yielded; every point yielded equals
+    the full curve's, so the first that reaches zeta is the first crossing.
+    """
+    h1, stop = None, {}
+    for n in range(2, n_max + 1):
+        h0_bands = [h0_band_probabilities(th, n) for th in thresholds]
+        if first_crossing:
+            need = decisive_draws_needed(h0_bands[0], thresholds[0], p_h0, draws)
+            if need > draws:
+                continue
+            stop = {"cut": 1.0 / thresholds[0].k1, "need": need}
+        if h1 is None:
+            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
+        sample = sample_bf_h1(h1, n, **stop)
+        if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
+            continue
+        yield n, [assemble_dce(b, th, p_h0, sample) for b, th in zip(h0_bands, thresholds)]
+
+
 def optimal_n_edge(
     u: str,
     v: str,
@@ -254,38 +293,20 @@ def optimal_n_edge(
     """Smallest n on {2, ..., n_max} whose overall DCE probability reaches zeta.
 
     ``p_h0`` is the prior p(H0) of u <- v (``prior_h0``) and must lie in
-    [0, 1]; p(H1) = 1 - p_h0.
-
-    The grid is scanned in increasing order, every n from the edge's one
-    draw of n-free variates and its own substream, so the result is the
-    first crossing of the reproducible per-seed curve.  At each n the exact
-    H0 side fixes how many H1 draws must fall at or below 1/k1
-    (``decisive_draws_needed``).  When even all of them would fall short,
-    no draw is made; otherwise ``sample_bf_h1`` stops as soon as too many
-    have missed.  Neither can change the crossing: a point is passed over
-    only when its full sample could not reach zeta.  The edge draw is made
-    at the first point that needs one, in the process that runs the scan.
+    [0, 1]; p(H1) = 1 - p_h0.  The result is the first crossing of the
+    edge's ``dce_curve``, which skips and stops early where it cannot cross.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     if not 0.0 <= p_h0 <= 1.0:
         raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
-    cut = 1.0 / thresholds.k1
-    h1 = None
-    for n in range(2, n_max + 1):
-        h0_bands = h0_band_probabilities(thresholds, n)
-        need = decisive_draws_needed(h0_bands, thresholds, p_h0, draws)
-        if need > draws:
-            continue
-        if h1 is None:
-            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
-        sample = sample_bf_h1(h1, n, cut=cut, need=need)
-        if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
-            continue
-        dce = assemble_dce(h0_bands, thresholds, p_h0, sample)
-        if dce.overall_dc >= thresholds.zeta:
-            return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
-    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
+    curve = dce_curve(
+        posterior, u, v, f_u, draws, stream, [thresholds], p_h0, n_max, first_crossing=True
+    )
+    n_star, dce = next(
+        ((n, dce) for n, (dce,) in curve if dce.overall_dc >= thresholds.zeta), (None, None)
+    )
+    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n_star, dce_at_n_star=dce, n_max=n_max)
 
 
 @dataclass

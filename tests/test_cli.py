@@ -877,11 +877,9 @@ def test_cli_import_loads_no_third_party_package_beyond_numpy():
     assert loaded - dependencies == {"causal_ssd"}, sorted(loaded - dependencies)
 
 
-def test_every_traced_name_is_bound():
-    # bench/tracing.py wraps each (module, attribute) of TRACED with no
-    # default, so a deleted or renamed name would break `--trace 1`
+def _traced() -> tuple:
+    """The TRACED table of bench/tracing.py, read without importing it."""
     import ast
-    import importlib
 
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "tracing.py")
     with open(path) as fh:
@@ -892,6 +890,15 @@ def test_every_traced_name_is_bound():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
     ]
+    return traced
+
+
+def test_every_traced_name_is_bound():
+    # bench/tracing.py wraps each (module, attribute) of TRACED with no
+    # default, so a deleted or renamed name would break `--trace 1`
+    import importlib
+
+    traced = _traced()
     assert traced
     unbound = [
         f"{module}.{attr}"
@@ -899,6 +906,30 @@ def test_every_traced_name_is_bound():
         if not hasattr(importlib.import_module(f"causal_ssd.{module}"), attr)
     ]
     assert unbound == []
+
+
+def test_every_unused_import_is_a_traced_name():
+    # a name a module imports but never reads is dead, unless bench/tracing.py
+    # wraps it there
+    import ast
+
+    src = os.path.dirname(causal_ssd.__file__)
+    unused = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(name[:-3], attr) for attr in imported - read}
+    assert unused <= {(module, attr) for module, attr, *_ in _traced()}
 
 
 # functions of src/causal_ssd that no command runs, each with its reason

@@ -1,10 +1,12 @@
 """Tests for graph structures and algorithms, with brute-force oracles."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from causal_ssd.cli import main
 from causal_ssd.graph import (
     CapacityError,
     Dag,
@@ -130,6 +132,20 @@ class TestChainComponents:
         )
         with pytest.raises(InvalidChainGraphError):
             chain_components(bad)
+
+    def test_long_directed_path_gives_singletons_and_an_empty_plan(self, tmp_path):
+        # the cycle check among components must not recurse along the path
+        nodes = [str(i) for i in range(5001)]
+        path = PartiallyDirectedGraph(nodes, directed=list(zip(nodes, nodes[1:])))
+        subs = chain_components(path)
+        assert len(subs) == 5001
+        assert all(len(sub.nodes) == 1 and sub.num_edges() == 0 for sub in subs)
+        graph, data, out = tmp_path / "path.graph", tmp_path / "d.csv", tmp_path / "plan.json"
+        graph.write_text(format_edge_list(path))
+        data.write_text("0,1\n1,0\n0,1\n0.5,0.2\n")
+        code = main(["plan", "--graph", str(graph), "--data", str(data), "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["components"] == []
 
     def test_partition_property_random(self):
         rng = np.random.default_rng(5)

@@ -21,6 +21,7 @@ from causal_ssd.predictive import (
 from causal_ssd.ssd import (
     DceThresholds,
     assemble_dce,
+    dce_curve,
     decisive_draws_needed,
     h0_band_probabilities,
     optimal_n_edge,
@@ -206,9 +207,35 @@ class TestOptimalNEdge:
     )
     def test_equals_full_sample_linear_scan(self, k0, k1, zeta, p_h0, draws, n_max, seed):
         th = DceThresholds(k0=k0, k1=k1, zeta=zeta)
-        args = ("u", "v", th, p_h0, two_node_posterior(), F_U, n_max, draws, RandomStream(seed))
+        post = two_node_posterior()
+        args = ("u", "v", th, p_h0, post, F_U, n_max, draws, RandomStream(seed))
         got, want = optimal_n_edge(*args), linear_scan_optimal_n_edge(*args)
         assert got.to_dict() == want.to_dict()
+
+        def curve(thresholds, **kw):
+            return list(dce_curve(
+                post, "u", "v", F_U, draws, RandomStream(seed), thresholds, p_h0, n_max, **kw
+            ))
+
+        # the full curve crosses first where optimal_n_edge says
+        full = {n: dce.to_dict() for n, (dce,) in curve([th])}
+        assert sorted(full) == list(range(2, n_max + 1))
+        crossing = next((n for n, d in full.items() if d["overall_dc"] >= zeta), None)
+        assert crossing == got.n_star
+        if crossing is not None:
+            assert full[crossing] == got.dce_at_n_star.to_dict()
+        # every point the stopping curve yields is the full curve's point
+        for n, (dce,) in curve([th], first_crossing=True):
+            assert dce.to_dict() == full[n]
+        # a curve for several thresholds is the single-threshold curves side by side
+        others = [DceThresholds(k0=3.0, k1=3.0, zeta=0.5), DceThresholds(k0=k1, k1=k0, zeta=zeta)]
+        joint = curve([th, *others])
+        assert [(n, dces[0].to_dict()) for n, dces in joint] == list(full.items())
+        for i, other in enumerate(others, 1):
+            single = curve([other])
+            assert [(n, dces[i].to_dict()) for n, dces in joint] == [
+                (n, dce.to_dict()) for n, (dce,) in single
+            ]
 
     def test_low_target_crosses_immediately(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.05)
