@@ -51,14 +51,11 @@ from types import MappingProxyType
 from typing import Mapping
 
 from causal_ssd.graph import (
-    CapacityError,
-    ENUMERATION_CAP,
-    NotDecomposableError,
     PartiallyDirectedGraph,
     UndirectedGraph,
     chain_components,
+    check_subset_scan,
     enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps design.enumerate_class)
-    is_decomposable,
     meek_closure,
 )
 
@@ -74,18 +71,12 @@ def optimal_sequences(g: UndirectedGraph) -> list[tuple[str, ...]]:
     lexicographic order.  Targets act as a batch, so their order does not
     affect identifiability.  A component without edges needs no
     intervention: the result is ``[()]``.  Components above
-    ``ENUMERATION_CAP`` nodes raise ``CapacityError`` and non-chordal ones
+    ``SUBSET_SCAN_CAP`` nodes raise ``CapacityError`` and non-chordal ones
     ``NotDecomposableError``.
     """
     if g.num_edges() == 0:
         return [()]
-    if g.num_nodes() > ENUMERATION_CAP:
-        raise CapacityError(
-            f"component has {g.num_nodes()} nodes, the vertex-cover search over its "
-            f"2^nodes subsets is capped at {ENUMERATION_CAP}"
-        )
-    if not is_decomposable(g):
-        raise NotDecomposableError("graph is not decomposable")
+    check_subset_scan(g, "the vertex-cover search over its 2^nodes subsets")
     edges = g.edges()
     nodes = g.nodes
     for size in range(1, len(nodes) + 1):
@@ -120,16 +111,10 @@ def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str]
     Counts are exact integers from the rooted recursion of the module
     docstring; no class member is built.  The result is cached per graph,
     because ``prior_h0`` asks for it once per edge.  Components above
-    ``ENUMERATION_CAP`` nodes raise ``CapacityError`` and non-chordal ones
+    ``SUBSET_SCAN_CAP`` nodes raise ``CapacityError`` and non-chordal ones
     ``NotDecomposableError``.
     """
-    if g.num_nodes() > ENUMERATION_CAP:
-        raise CapacityError(
-            f"component has {g.num_nodes()} nodes, the class count over its "
-            f"2^nodes induced subgraphs is capped at {ENUMERATION_CAP}"
-        )
-    if not is_decomposable(g):
-        raise NotDecomposableError("graph is not decomposable")
+    check_subset_scan(g, "the class count over its 2^nodes induced subgraphs")
     memo: dict[frozenset[str], _Counts] = {}
 
     def count(nodes: frozenset[str]) -> _Counts:

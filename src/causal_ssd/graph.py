@@ -1,9 +1,13 @@
 """Graph structures and algorithms for chain graphs and equivalence classes.
 
-Provides chain-component decomposition of partially directed graphs,
-decomposability (chordality) testing, enumeration of the acyclic
-v-structure-free orientations of a decomposable graph, orientation closure
-under the four standard propagation rules, and the edge-list text format.
+There are two graph types.  ``UndirectedGraph`` holds a chain component;
+``PartiallyDirectedGraph`` holds a CPDAG, a pattern, or an oriented graph
+such as a class member, which has directed edges only.  Provides
+chain-component decomposition of partially directed graphs, decomposability
+(chordality) testing, the precondition of the 2^nodes subset scans,
+enumeration of the acyclic v-structure-free orientations of a decomposable
+graph, orientation closure under the four standard propagation rules, and
+the edge-list text format.
 
 Node labels are strings; every structure stores them sorted, so iteration
 order (and therefore file output) is deterministic.
@@ -15,7 +19,7 @@ import itertools
 from collections import deque
 from typing import Iterable
 
-ENUMERATION_CAP = 12
+SUBSET_SCAN_CAP = 12
 """Largest component size for the searches that may visit all 2^nodes node
 subsets: the minimum-vertex-cover search and the class count.  A 12-node
 clique takes seconds to count; its class holds 12! members, so the cap is no
@@ -102,74 +106,6 @@ class UndirectedGraph:
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(nodes={list(self._nodes)}, edges={self.edges()})"
-
-
-class Dag:
-    """Immutable directed acyclic graph; acyclicity is checked at construction."""
-
-    def __init__(self, nodes: Iterable = (), edges: Iterable[tuple] = ()):
-        node_set = {_as_label(n) for n in nodes}
-        edge_set: set[tuple[str, str]] = set()
-        for a, b in edges:
-            a, b = _as_label(a), _as_label(b)
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            node_set.update((a, b))
-            edge_set.add((a, b))
-        for a, b in edge_set:
-            if (b, a) in edge_set:
-                raise ValueError(f"both orientations of {a!r}-{b!r} present")
-        self._nodes: tuple[str, ...] = tuple(sorted(node_set))
-        self._edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-        self._parents: dict[str, set[str]] = {n: set() for n in self._nodes}
-        self._children: dict[str, set[str]] = {n: set() for n in self._nodes}
-        for a, b in edge_set:
-            self._parents[b].add(a)
-            self._children[a].add(b)
-        self._topo = self._topological_order()
-
-    def _topological_order(self) -> tuple[str, ...]:
-        indeg = {n: len(self._parents[n]) for n in self._nodes}
-        ready = sorted(n for n in self._nodes if indeg[n] == 0)
-        queue = deque(ready)
-        order: list[str] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in sorted(self._children[u]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != len(self._nodes):
-            raise ValueError("directed edges contain a cycle")
-        return tuple(order)
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return self._nodes
-
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted(self._edges)
-
-    def has_edge(self, u, v) -> bool:
-        return (str(u), str(v)) in self._edges
-
-    def parents(self, v) -> tuple[str, ...]:
-        return tuple(sorted(self._parents[str(v)]))
-
-    def topological_order(self) -> tuple[str, ...]:
-        return self._topo
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dag):
-            return NotImplemented
-        return self._nodes == other._nodes and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._nodes, self._edges))
-
-    def __repr__(self) -> str:
-        return f"Dag(nodes={list(self._nodes)}, edges={self.edges()})"
 
 
 class PartiallyDirectedGraph:
@@ -358,33 +294,43 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     return True
 
 
-def enumerate_class(g: UndirectedGraph) -> list[Dag]:
+def check_subset_scan(g: UndirectedGraph, scan: str) -> None:
+    """Raise unless ``g`` is within ``SUBSET_SCAN_CAP`` nodes and chordal.
+
+    ``scan`` names the search in the ``CapacityError`` message; a non-chordal
+    graph raises ``NotDecomposableError``.
+    """
+    if g.num_nodes() > SUBSET_SCAN_CAP:
+        raise CapacityError(
+            f"component has {g.num_nodes()} nodes, {scan} is capped at {SUBSET_SCAN_CAP}"
+        )
+    if not is_decomposable(g):
+        raise NotDecomposableError("graph is not decomposable")
+
+
+def enumerate_class(g: UndirectedGraph) -> list[PartiallyDirectedGraph]:
     """All acyclic, v-structure-free orientations of a decomposable graph.
 
     These are exactly the perfect directed versions of ``g`` (orientations by
     perfect vertex numberings), i.e. the DAGs of the Markov equivalence class
-    whose essential graph restricted to ``g`` is ``g`` itself.  Enumeration is
-    by recursive edge orientation with incremental acyclicity and
-    v-structure pruning, which produces no duplicates.
+    whose essential graph restricted to ``g`` is ``g`` itself.  Each member is
+    a ``PartiallyDirectedGraph`` with directed edges only, the type
+    ``meek_closure`` returns.  Enumeration is by recursive edge orientation
+    with incremental acyclicity and v-structure pruning, which produces no
+    duplicates.
 
     The pipeline does not call it: it is the test oracle of
     ``design.orientation_counts``.  Its cost grows with the class size, which
-    ``ENUMERATION_CAP`` does not bound (a 12-node clique has 12! members).
+    ``SUBSET_SCAN_CAP`` does not bound (a 12-node clique has 12! members).
     """
-    if g.num_nodes() > ENUMERATION_CAP:
-        raise CapacityError(
-            f"component has {g.num_nodes()} nodes, above the cap of {ENUMERATION_CAP} on the "
-            f"2^nodes subset scans and the class count"
-        )
-    if not is_decomposable(g):
-        raise NotDecomposableError("graph is not decomposable")
+    check_subset_scan(g, "the enumeration of its class")
     edges = g.edges()
     if not edges:
-        return [Dag(g.nodes, [])]
+        return [PartiallyDirectedGraph(g.nodes)]
 
     parents: dict[str, set[str]] = {n: set() for n in g.nodes}
     children: dict[str, set[str]] = {n: set() for n in g.nodes}
-    out: list[Dag] = []
+    out: list[PartiallyDirectedGraph] = []
 
     def reaches(src: str, dst: str) -> bool:
         if src == dst:
@@ -410,7 +356,8 @@ def enumerate_class(g: UndirectedGraph) -> list[Dag]:
 
     def assign(i: int) -> None:
         if i == len(edges):
-            out.append(Dag(g.nodes, [(p, c) for p in parents for c in children[p]]))
+            directed = [(p, c) for p in parents for c in children[p]]
+            out.append(PartiallyDirectedGraph(g.nodes, directed=directed))
             return
         u, v = edges[i]
         for a, b in ((u, v), (v, u)):

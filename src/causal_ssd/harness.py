@@ -1,7 +1,7 @@
 """Simulation harness, dataset ingestion, and serialization.
 
-The two-node replication study regenerates an observational dataset from a
-linear structural equation model, then produces (a) predictive Bayes-factor
+The two-node replication study draws its observational dataset from the
+model u -> v with Gaussian noise, then produces (a) predictive Bayes-factor
 samples under both hypotheses, (b) an evidence-category probability grid,
 (c) decisive-and-correct evidence curves over the sample-size grid for
 several thresholds, and (d) optimal-sample-size curves over a grid of target
@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from causal_ssd.graph import Dag
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     BfPredictiveSample,
@@ -87,53 +86,6 @@ class DatasetMatrix:
             raise MissingColumnsError(f"dataset is missing columns: {missing}")
         idx = [self.labels.index(x) for x in wanted]
         return DatasetMatrix(labels=tuple(wanted), values=self.values[:, idx])
-
-
-@dataclass(frozen=True)
-class LinearSemSpec:
-    """Linear Gaussian structural equation model over a DAG.
-
-    Every DAG edge carries one coefficient; every node one positive noise
-    standard deviation.  A node equals the coefficient-weighted sum of its
-    parents plus Gaussian noise.
-    """
-
-    dag: Dag
-    coefficients: dict
-    noise_sd: dict
-
-    def __post_init__(self) -> None:
-        coeffs = {(str(a), str(b)): float(c) for (a, b), c in self.coefficients.items()}
-        sds = {str(n): float(s) for n, s in self.noise_sd.items()}
-        dag_edges = set(self.dag.edges())
-        extra = set(coeffs) - dag_edges
-        if extra:
-            raise ValueError(f"coefficients on non-edges: {sorted(extra)}")
-        unset = dag_edges - set(coeffs)
-        if unset:
-            raise ValueError(f"edges without coefficients: {sorted(unset)}")
-        for n in self.dag.nodes:
-            if n not in sds:
-                raise ValueError(f"missing noise sd for node {n!r}")
-            if not (math.isfinite(sds[n]) and sds[n] > 0.0):
-                raise ValueError(f"noise sd for node {n!r} must be positive")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "noise_sd", sds)
-
-
-def generate_sem_data(spec: LinearSemSpec, n_rows: int, stream: RandomStream) -> DatasetMatrix:
-    """Sample i.i.d. rows from the structural model, in topological order."""
-    if n_rows < 1:
-        raise ValueError("n_rows must be positive")
-    gen = stream.generator()
-    columns: dict[str, np.ndarray] = {}
-    for node in spec.dag.topological_order():
-        x = spec.noise_sd[node] * gen.standard_normal(n_rows)
-        for parent in spec.dag.parents(node):
-            x = x + spec.coefficients[(parent, node)] * columns[parent]
-        columns[node] = x
-    labels = spec.dag.nodes
-    return DatasetMatrix(labels=labels, values=np.column_stack([columns[n] for n in labels]))
 
 
 def ingest_csv(path: str) -> DatasetMatrix:
@@ -280,24 +232,25 @@ def replicate_two_node_study(
 ) -> TwoNodeStudyReport:
     """Run the two-node chain-component study end to end.
 
-    The generating model is u -> v with the configured coefficient and unit
-    prior probabilities p(H0) = p(H1) = 1/2 (the two-member class).  H0-side
-    table cells are computed twice, exactly and by Monte Carlo; H1-side cells
-    are Monte Carlo under the design posterior of the regenerated data.
+    The observational rows are drawn from ``stream.child(0)``: first the u
+    column, u = sd * N(0, 1), then v = sd * N(0, 1) + beta * u, with
+    ``STUDY_N_OBS`` rows, coefficient ``STUDY_BETA`` and noise sd
+    ``STUDY_NOISE_SD``.  The prior probabilities are p(H0) = p(H1) = 1/2 (the
+    two-member class).  H0-side table cells are computed twice, exactly and
+    by Monte Carlo; H1-side cells are Monte Carlo under the design posterior
+    of the drawn data.
     """
     u, v = TWO_NODE_LABELS
-    dag = Dag((u, v), [(u, v)])
-    sem = LinearSemSpec(
-        dag=dag,
-        coefficients={(u, v): STUDY_BETA},
-        noise_sd={u: STUDY_NOISE_SD, v: STUDY_NOISE_SD},
+    gen = stream.child(0).generator()
+    x_u = STUDY_NOISE_SD * gen.standard_normal(STUDY_N_OBS)
+    x_v = STUDY_NOISE_SD * gen.standard_normal(STUDY_N_OBS) + STUDY_BETA * x_u
+    posterior = build_design_posterior(
+        np.column_stack([x_u, x_v]), config.a_omega, labels=TWO_NODE_LABELS
     )
-    data = generate_sem_data(sem, STUDY_N_OBS, stream.child(0))
-    posterior = build_design_posterior(data.values, config.a_omega, labels=data.labels)
     scatter = posterior.scatter
     observational = {
         "n_rows": STUDY_N_OBS,
-        "labels": list(data.labels),
+        "labels": list(TWO_NODE_LABELS),
         "scatter": [[scatter[0, 0], scatter[0, 1]], [scatter[1, 0], scatter[1, 1]]],
         "sample_slope": scatter[0, 1] / scatter[0, 0],
     }

@@ -430,7 +430,7 @@ def plan_cpdag(
     (``a_omega`` defaults to T - 1 per component) and all optimal sequences.
     Once every edge task has run, it gets one plan per sequence, and the
     plan ``best_size_plan`` picks is flagged ``bos``.  Failures (missing
-    data columns, a component above ``ENUMERATION_CAP`` nodes, a non-chordal
+    data columns, a component above ``SUBSET_SCAN_CAP`` nodes, a non-chordal
     component, an improper posterior) are reported per component without
     aborting the others.
 

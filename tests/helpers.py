@@ -1,11 +1,15 @@
 """Shared fixtures and brute-force oracles used across test modules.
 
 The reference implementations that only tests use live here: the Bayes
-factors and marginal likelihoods behind the closed form, the DAG-to-CPDAG
-conversion, the definition of a sufficient sequence, the evidence
-probabilities at one n, the full-sample scan for an edge's optimal n, plans
-built from given edge sizes, and the whole-text writer of the Bayes-factor
-sample CSV.
+factors and marginal likelihoods behind the closed form, an acyclicity check
+for oriented graphs, the DAG-to-CPDAG conversion, the definition of a
+sufficient sequence, the evidence probabilities at one n, the full-sample
+scan for an edge's optimal n, plans built from given edge sizes, the
+whole-text writer of the Bayes-factor sample CSV, and data drawn from a
+linear structural equation model.
+
+An oriented graph (a DAG) is a ``PartiallyDirectedGraph`` with directed
+edges only, the type of ``graph.enumerate_class``'s members.
 """
 
 import csv
@@ -17,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from causal_ssd.graph import (
-    Dag,
     PartiallyDirectedGraph,
     UndirectedGraph,
     enumerate_class,
     meek_closure,
 )
-from causal_ssd.harness import format_float
+from causal_ssd.harness import DatasetMatrix, format_float
 from causal_ssd.numerics import RandomStream, WishartParams, sample_wishart
 from causal_ssd.predictive import (
     H1_BLOCK,
@@ -57,17 +60,14 @@ CHAIN5 = PartiallyDirectedGraph(
 )
 
 
-def brute_force_class(g: UndirectedGraph) -> list[Dag]:
+def brute_force_class(g: UndirectedGraph) -> list[PartiallyDirectedGraph]:
     """Oracle: all orientations of g that are acyclic and create no v-structure."""
     edges = g.edges()
     out = []
     for mask in itertools.product([0, 1], repeat=len(edges)):
         oriented = [(u, v) if m == 0 else (v, u) for (u, v), m in zip(edges, mask)]
-        try:
-            d = Dag(g.nodes, oriented)
-        except ValueError:
-            continue
-        if not v_structures(d):
+        d = PartiallyDirectedGraph(g.nodes, directed=oriented)
+        if is_acyclic(d) and not v_structures(d):
             out.append(d)
     return out
 
@@ -86,14 +86,35 @@ def random_chordal(rng: np.random.Generator, n_nodes: int) -> UndirectedGraph:
     return UndirectedGraph([str(i) for i in range(n_nodes)], edges)
 
 
-def random_dag(rng: np.random.Generator, n_nodes: int, p: float) -> Dag:
+def random_dag(rng: np.random.Generator, n_nodes: int, p: float) -> PartiallyDirectedGraph:
+    """Random DAG whose arrows follow a random permutation of the nodes."""
     order = [str(i) for i in range(n_nodes)]
     perm = list(rng.permutation(order))
     edges = []
     for i, j in itertools.combinations(range(n_nodes), 2):
         if rng.uniform() < p:
             edges.append((perm[i], perm[j]))
-    return Dag(order, edges)
+    return PartiallyDirectedGraph(order, directed=edges)
+
+
+def linear_sem_data(
+    order: str | list[str], coefficients: dict, n_rows: int, stream: RandomStream
+) -> DatasetMatrix:
+    """Rows of the linear model in which each node is the coefficient-weighted
+    sum of its parents plus N(0, 1) noise.  ``order`` lists every node in a
+    topological order; each node's column is drawn from ``stream.generator()``
+    in that order, and its parents are added in label order.  The columns come
+    out in label order."""
+    gen = stream.generator()
+    columns: dict[str, np.ndarray] = {}
+    for node in order:
+        x = gen.standard_normal(n_rows)
+        for (parent, child), coefficient in sorted(coefficients.items()):
+            if child == node:
+                x = x + coefficient * columns[parent]
+        columns[node] = x
+    labels = tuple(sorted(columns))
+    return DatasetMatrix(labels=labels, values=np.column_stack([columns[n] for n in labels]))
 
 
 def matmul_sample_wishart(
@@ -258,17 +279,31 @@ def derive_cholesky_pair(sigma_2x2: np.ndarray) -> CholeskyPair:
 # ---------------------------------------------------------------------------
 
 
-def v_structures(d: Dag) -> set[tuple[str, str, str]]:
+def is_acyclic(d: PartiallyDirectedGraph) -> bool:
+    """True iff the directed edges of ``d`` form no cycle: peeling off the
+    nodes with no arrow from a remaining node must empty the graph."""
+    remaining = set(d.nodes)
+    arrows = d.directed_edges()
+    while remaining:
+        sources = remaining - {b for a, b in arrows if a in remaining}
+        if not sources:
+            return False
+        remaining -= sources
+    return True
+
+
+def v_structures(d: PartiallyDirectedGraph) -> set[tuple[str, str, str]]:
     """Triples (a, b, c), a < c, with a -> b <- c and a, c nonadjacent."""
+    adjacent = {frozenset(e) for e in d.directed_edges() + d.undirected_edges()}
     out: set[tuple[str, str, str]] = set()
     for b in d.nodes:
         for a, c in itertools.combinations(d.parents(b), 2):
-            if not d.has_edge(a, c) and not d.has_edge(c, a):
+            if frozenset((a, c)) not in adjacent:
                 out.add((a, b, c))
     return out
 
 
-def dag_to_cpdag(d: Dag) -> PartiallyDirectedGraph:
+def dag_to_cpdag(d: PartiallyDirectedGraph) -> PartiallyDirectedGraph:
     """Essential graph of the Markov equivalence class of ``d``.
 
     Edges taking the same orientation in every equivalent DAG stay directed;
@@ -280,7 +315,7 @@ def dag_to_cpdag(d: Dag) -> PartiallyDirectedGraph:
         vstruct_arrows.add((a, b))
         vstruct_arrows.add((c, b))
     undirected = [
-        (u, v) for u, v in d.edges() if (u, v) not in vstruct_arrows
+        (u, v) for u, v in d.directed_edges() if (u, v) not in vstruct_arrows
     ]
     pattern = PartiallyDirectedGraph(
         d.nodes, directed=sorted(vstruct_arrows), undirected=undirected
@@ -303,25 +338,26 @@ def format_edge_list(g: PartiallyDirectedGraph) -> str:
 
 
 def _oriented_pattern(
-    g: UndirectedGraph, targets: set[str], member: Dag
+    g: UndirectedGraph, targets: set[str], member: PartiallyDirectedGraph
 ) -> PartiallyDirectedGraph:
     """Pattern with every edge incident to a target oriented as in ``member``."""
     directed, undirected = [], []
     for u, v in g.edges():
         if u in targets or v in targets:
-            directed.append((u, v) if member.has_edge(u, v) else (v, u))
+            directed.append((u, v) if u in member.parents(v) else (v, u))
         else:
             undirected.append((u, v))
     return PartiallyDirectedGraph(g.nodes, directed=directed, undirected=undirected)
 
 
-def _sufficient_for_class(g: UndirectedGraph, targets: set[str], dags: list[Dag]) -> bool:
+def _sufficient_for_class(
+    g: UndirectedGraph, targets: set[str], dags: list[PartiallyDirectedGraph]
+) -> bool:
     for member in dags:
         closed = meek_closure(_oriented_pattern(g, targets, member))
-        if closed.undirected_edges():
-            return False
-        # sound closure cannot disagree; guard anyway
-        if Dag(closed.nodes, closed.directed_edges()) != member:
+        # a closure with an undirected edge left differs from the member; a
+        # sound closure cannot disagree on an arrow, but that is checked too
+        if closed != member:
             return False
     return True
 

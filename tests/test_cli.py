@@ -24,12 +24,11 @@ from causal_ssd.cli import (
     build_parser,
     main,
 )
-from causal_ssd.graph import Dag, PartiallyDirectedGraph
-from causal_ssd.harness import LinearSemSpec, generate_sem_data
+from causal_ssd.graph import PartiallyDirectedGraph
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import H1_BLOCK
 
-from helpers import format_edge_list, g_of_n
+from helpers import format_edge_list, g_of_n, linear_sem_data
 
 
 def write_dataset(path, labels, values):
@@ -44,9 +43,7 @@ def write_dataset(path, labels, values):
 def two_node_files(tmp_path):
     graph = tmp_path / "pair.graph"
     graph.write_text("u -- v\n")
-    dag = Dag("uv", [("u", "v")])
-    spec = LinearSemSpec(dag=dag, coefficients={("u", "v"): 0.5}, noise_sd={"u": 1.0, "v": 1.0})
-    data = generate_sem_data(spec, 50, RandomStream(8))
+    data = linear_sem_data("uv", {("u", "v"): 0.5}, 50, RandomStream(8))
     csv_path = tmp_path / "pair.csv"
     write_dataset(csv_path, data.labels, data.values)
     return str(graph), str(csv_path)
@@ -61,16 +58,8 @@ def fig1_files(tmp_path):
     )
     graph = tmp_path / "fig1.graph"
     graph.write_text(format_edge_list(cpdag))
-    dag = Dag(
-        "12345",
-        [("1", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("2", "5"), ("4", "5")],
-    )
-    spec = LinearSemSpec(
-        dag=dag,
-        coefficients={e: 0.6 for e in dag.edges()},
-        noise_sd={n: 1.0 for n in dag.nodes},
-    )
-    data = generate_sem_data(spec, 80, RandomStream(40))
+    arrows = [("1", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("2", "5"), ("4", "5")]
+    data = linear_sem_data("12345", {e: 0.6 for e in arrows}, 80, RandomStream(40))
     csv_path = tmp_path / "fig1.csv"
     write_dataset(csv_path, data.labels, data.values)
     return str(graph), str(csv_path)
@@ -152,11 +141,7 @@ class TestPlan:
     def test_path_graph_bos_is_midpoint(self, tmp_path):
         graph = tmp_path / "g2.graph"
         graph.write_text("1 -- 2\n2 -- 3\n")
-        dag = Dag("123", [("1", "2"), ("2", "3")])
-        spec = LinearSemSpec(
-            dag=dag, coefficients={e: 0.7 for e in dag.edges()}, noise_sd={n: 1.0 for n in "123"}
-        )
-        data = generate_sem_data(spec, 70, RandomStream(41))
+        data = linear_sem_data("123", {("1", "2"): 0.7, ("2", "3"): 0.7}, 70, RandomStream(41))
         csv_path = tmp_path / "g2.csv"
         write_dataset(csv_path, data.labels, data.values)
         out = tmp_path / "plan.json"
@@ -941,10 +926,6 @@ NOT_RUN_BY_A_COMMAND = {
     "numerics.sample_wishart": "oracle of predictive.draw_h1_edge; bench/tracing.py wraps it",
     "numerics.WishartParams.dim": "called by sample_wishart and the oracles in tests/helpers.py",
     "numerics.WishartParams.upper_factor": "formed on first read, by sample_wishart and tests",
-    "graph.Dag.has_edge": "the oracles read the DAGs the pipeline builds through it",
-    "graph.Dag.__eq__": "value semantics of a graph type, used by oracles and tests",
-    "graph.Dag.__hash__": "value semantics of a graph type, used by oracles and tests",
-    "graph.Dag.__repr__": "value semantics of a graph type, used by oracles and tests",
     "graph.PartiallyDirectedGraph.__eq__": "value semantics of a graph type, used by tests",
     "graph.PartiallyDirectedGraph.__hash__": "value semantics of a graph type, used by tests",
     "graph.PartiallyDirectedGraph.__repr__": "value semantics of a graph type, used by tests",
@@ -1029,9 +1010,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     section = readme.split("\n## Library\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     (tmp_path / "g.graph").write_text("u -- v\n")
-    dag = Dag("uv", [("u", "v")])
-    spec = LinearSemSpec(dag=dag, coefficients={("u", "v"): 0.5}, noise_sd={"u": 1.0, "v": 1.0})
-    data = generate_sem_data(spec, 50, RandomStream(8))
+    data = linear_sem_data("uv", {("u", "v"): 0.5}, 50, RandomStream(8))
     write_dataset(tmp_path / "z.csv", data.labels, data.values)
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})

@@ -9,7 +9,6 @@ import pytest
 from causal_ssd.cli import main
 from causal_ssd.graph import (
     CapacityError,
-    Dag,
     GraphFormatError,
     InconsistentOrientationError,
     InvalidChainGraphError,
@@ -29,6 +28,7 @@ from helpers import (
     brute_force_class,
     dag_to_cpdag,
     format_edge_list,
+    is_acyclic,
     random_chordal,
     random_dag,
     v_structures,
@@ -41,30 +41,17 @@ def brute_force_closure(pdag: PartiallyDirectedGraph) -> set[tuple[str, str]]:
     An extension orients every undirected edge so that the result is acyclic,
     keeps the given arrows, and has exactly the v-structures of the pattern.
     """
-    base_vs = _pattern_v_structures(pdag)
+    base_vs = v_structures(pdag)
     und = pdag.undirected_edges()
     fixed = pdag.directed_edges()
     extensions = []
     for mask in itertools.product([0, 1], repeat=len(und)):
         oriented = [(u, v) if m == 0 else (v, u) for (u, v), m in zip(und, mask)]
-        try:
-            d = Dag(pdag.nodes, fixed + oriented)
-        except ValueError:
-            continue
-        if v_structures(d) == base_vs:
-            extensions.append(set(d.edges()))
+        d = PartiallyDirectedGraph(pdag.nodes, directed=fixed + oriented)
+        if is_acyclic(d) and v_structures(d) == base_vs:
+            extensions.append(set(d.directed_edges()))
     assert extensions, "pattern admits no consistent extension"
     return set.intersection(*extensions)
-
-
-def _pattern_v_structures(pdag: PartiallyDirectedGraph) -> set[tuple[str, str, str]]:
-    skeleton = _skeleton(pdag)
-    out = set()
-    for b in pdag.nodes:
-        for a, c in itertools.combinations(pdag.parents(b), 2):
-            if not skeleton.has_edge(a, c):
-                out.add((a, b, c))
-    return out
 
 
 def _skeleton(pdag: PartiallyDirectedGraph) -> UndirectedGraph:
@@ -78,19 +65,28 @@ class TestStructures:
         with pytest.raises(ValueError):
             UndirectedGraph("ab", [("a", "a")])
 
-    def test_dag_rejects_cycle(self):
-        with pytest.raises(ValueError):
-            Dag("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    def test_acyclicity_oracle(self):
+        # a cycle downstream of a source, and one that reaches a sink
+        fed = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]
+        assert not is_acyclic(PartiallyDirectedGraph("abcd", directed=fed))
+        draining = [("b", "c"), ("c", "d"), ("d", "b"), ("d", "a")]
+        assert not is_acyclic(PartiallyDirectedGraph("abcd", directed=draining))
+        diamond = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+        assert is_acyclic(PartiallyDirectedGraph("abcd", directed=diamond))
+        assert is_acyclic(PartiallyDirectedGraph("ab", undirected=[("a", "b")]))
 
     def test_pdg_rejects_double_edge(self):
         with pytest.raises(ValueError):
             PartiallyDirectedGraph("ab", directed=[("a", "b")], undirected=[("a", "b")])
 
     def test_dag_v_structures(self):
-        d = Dag("abc", [("a", "c"), ("b", "c")])
+        d = PartiallyDirectedGraph("abc", directed=[("a", "c"), ("b", "c")])
         assert v_structures(d) == {("a", "c", "b")}
-        chain = Dag("abc", [("a", "b"), ("b", "c")])
+        chain = PartiallyDirectedGraph("abc", directed=[("a", "b"), ("b", "c")])
         assert v_structures(chain) == set()
+        shielded = PartiallyDirectedGraph("abc", directed=[("a", "c"), ("b", "c")],
+                                          undirected=[("a", "b")])
+        assert v_structures(shielded) == set()
 
     def test_labels_sorted_deterministically(self):
         g = UndirectedGraph(["b", "a", "c"], [("c", "a")])
@@ -209,7 +205,7 @@ class TestEnumerateClass:
             frozenset({("3", "2"), ("2", "1")}),
             frozenset({("2", "1"), ("2", "3")}),
         }
-        assert {frozenset(d.edges()) for d in dags} == expected
+        assert {frozenset(d.directed_edges()) for d in dags} == expected
 
     def test_triangle_and_tree_counts(self):
         tri = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
@@ -229,14 +225,21 @@ class TestEnumerateClass:
         rng = np.random.default_rng(3)
         for _ in range(15):
             g = random_chordal(rng, int(rng.integers(2, 6)))
-            ours = {frozenset(d.edges()) for d in enumerate_class(g)}
-            oracle = {frozenset(d.edges()) for d in brute_force_class(g)}
-            assert ours == oracle
+            ours = enumerate_class(g)
+            assert len(set(ours)) == len(ours)
+            for d in ours:
+                assert isinstance(d, PartiallyDirectedGraph)
+                assert d.undirected_edges() == []
+                assert is_acyclic(d)
+                assert not v_structures(d)
+            assert set(ours) == set(brute_force_class(g))
 
     def test_members_have_skeleton_and_no_v_structures(self):
         g = UndirectedGraph("12345", TREE5_EDGES)
         for d in enumerate_class(g):
-            assert UndirectedGraph(d.nodes, d.edges()) == g
+            assert d.undirected_edges() == []
+            assert UndirectedGraph(d.nodes, d.directed_edges()) == g
+            assert is_acyclic(d)
             assert not v_structures(d)
             restricted = dag_to_cpdag(d)
             assert restricted.undirected_edges() == g.edges()
@@ -297,7 +300,7 @@ class TestMeekClosure:
             directed, undirected = [], []
             for u, v in g.edges():
                 if u in targets or v in targets:
-                    directed.append((u, v) if d.has_edge(u, v) else (v, u))
+                    directed.append((u, v) if (u, v) in d.directed_edges() else (v, u))
                 else:
                     undirected.append((u, v))
             pattern = PartiallyDirectedGraph(g.nodes, directed, undirected)
@@ -317,16 +320,16 @@ class TestMeekClosure:
 
 class TestDagToCpdag:
     def test_single_edge_reversible(self):
-        cp = dag_to_cpdag(Dag("uv", [("u", "v")]))
+        cp = dag_to_cpdag(PartiallyDirectedGraph("uv", directed=[("u", "v")]))
         assert cp.undirected_edges() == [("u", "v")]
         assert cp.directed_edges() == []
 
     def test_collider_invariant(self):
-        cp = dag_to_cpdag(Dag("abc", [("a", "c"), ("b", "c")]))
+        cp = dag_to_cpdag(PartiallyDirectedGraph("abc", directed=[("a", "c"), ("b", "c")]))
         assert set(cp.directed_edges()) == {("a", "c"), ("b", "c")}
 
     def test_chain_fully_undirected(self):
-        cp = dag_to_cpdag(Dag("123", [("1", "2"), ("2", "3")]))
+        cp = dag_to_cpdag(PartiallyDirectedGraph("123", directed=[("1", "2"), ("2", "3")]))
         assert cp.directed_edges() == []
         assert cp.undirected_edges() == [("1", "2"), ("2", "3")]
 
@@ -337,15 +340,12 @@ class TestDagToCpdag:
             cp = dag_to_cpdag(d)
             vs = v_structures(d)
             members = []
-            edges = UndirectedGraph(d.nodes, d.edges()).edges()
+            edges = UndirectedGraph(d.nodes, d.directed_edges()).edges()
             for mask in itertools.product([0, 1], repeat=len(edges)):
                 oriented = [(u, v) if m == 0 else (v, u) for (u, v), m in zip(edges, mask)]
-                try:
-                    cand = Dag(d.nodes, oriented)
-                except ValueError:
-                    continue
-                if v_structures(cand) == vs:
-                    members.append(set(cand.edges()))
+                cand = PartiallyDirectedGraph(d.nodes, directed=oriented)
+                if is_acyclic(cand) and v_structures(cand) == vs:
+                    members.append(set(cand.directed_edges()))
             compelled = set.intersection(*members)
             reversible = {e for m in members for e in m} - compelled
             assert set(cp.directed_edges()) == compelled

@@ -1,4 +1,4 @@
-"""Tests for data generation, ingestion, and the two-node replication study."""
+"""Tests for dataset ingestion, the two-node replication study, and serialization."""
 
 import json
 import math
@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from causal_ssd.graph import Dag
 from causal_ssd.harness import (
     BF_SAMPLES_BLOCK_ROWS,
     STUDY_BETA,
     STUDY_N_OBS,
     CsvParseError,
     DatasetMatrix,
-    LinearSemSpec,
     TwoNodeStudyConfig,
     atomic_write_chunks,
     bf_samples_csv,
@@ -21,7 +19,6 @@ from causal_ssd.harness import (
     threshold_curves_csv,
     nstar_curve_csv,
     format_float,
-    generate_sem_data,
     ingest_csv,
     replicate_two_node_study,
 )
@@ -29,12 +26,7 @@ from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import BfPredictiveSample, build_design_posterior, prob_bf_band_h0
 from causal_ssd.ssd import DceThresholds
 
-from helpers import dce_probabilities, g_of_n, whole_bf_samples_csv
-
-
-def two_node_spec(beta=0.5):
-    dag = Dag("uv", [("u", "v")])
-    return LinearSemSpec(dag=dag, coefficients={("u", "v"): beta}, noise_sd={"u": 1.0, "v": 1.0})
+from helpers import dce_probabilities, g_of_n, linear_sem_data, whole_bf_samples_csv
 
 
 SMALL_STUDY = TwoNodeStudyConfig(draws=2000, n_max=200)
@@ -61,46 +53,6 @@ class TestDatasetMatrix:
         np.testing.assert_array_equal(sub.values, [[2.0, 0.0], [5.0, 3.0]])
         with pytest.raises(ValueError, match=r"\['d', 'e'\]"):
             data.restrict(("a", "d", "e"))
-
-
-class TestLinearSemSpec:
-    def test_requires_full_coefficient_cover(self):
-        dag = Dag("uv", [("u", "v")])
-        with pytest.raises(ValueError):
-            LinearSemSpec(dag=dag, coefficients={}, noise_sd={"u": 1.0, "v": 1.0})
-        with pytest.raises(ValueError):
-            LinearSemSpec(
-                dag=dag,
-                coefficients={("u", "v"): 0.5, ("v", "u"): 0.5},
-                noise_sd={"u": 1.0, "v": 1.0},
-            )
-
-    def test_requires_positive_noise(self):
-        dag = Dag("uv", [("u", "v")])
-        with pytest.raises(ValueError):
-            LinearSemSpec(dag=dag, coefficients={("u", "v"): 0.5}, noise_sd={"u": 1.0, "v": 0.0})
-
-
-class TestGenerateSemData:
-    def test_empty_dag_gives_independent_columns(self):
-        dag = Dag("abc", [])
-        spec = LinearSemSpec(dag=dag, coefficients={}, noise_sd={n: 1.0 for n in "abc"})
-        data = generate_sem_data(spec, 20_000, RandomStream(31))
-        corr = np.corrcoef(data.values, rowvar=False)
-        off = corr[np.triu_indices(3, k=1)]
-        assert np.all(np.abs(off) < 4.0 / math.sqrt(20_000))
-
-    def test_two_node_correlation(self):
-        # X_v = 0.5 X_u + noise has correlation 0.5 / sqrt(1.25)
-        data = generate_sem_data(two_node_spec(), 100_000, RandomStream(32))
-        u, v = (data.values[:, data.labels.index(x)] for x in "uv")
-        r = np.corrcoef(u, v)[0, 1]
-        assert r == pytest.approx(0.5 / math.sqrt(1.25), abs=0.01)
-
-    def test_deterministic(self):
-        a = generate_sem_data(two_node_spec(), 100, RandomStream(33))
-        b = generate_sem_data(two_node_spec(), 100, RandomStream(33))
-        np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestIngestCsv:
@@ -176,8 +128,8 @@ class TestTwoNodeStudy:
     def test_curves_are_the_planner_evidence(self, small_report):
         # the study's curve row at (k, n) is dce_probabilities on the study's
         # posterior with the H1 edge substream child(2), to the last bit
-        data = generate_sem_data(
-            two_node_spec(STUDY_BETA), STUDY_N_OBS, RandomStream(8).child(0)
+        data = linear_sem_data(
+            "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(8).child(0)
         )
         posterior = build_design_posterior(data.values, SMALL_STUDY.a_omega, labels=data.labels)
         assert small_report.observational["scatter"] == posterior.scatter.tolist()
@@ -190,6 +142,21 @@ class TestTwoNodeStudy:
                 dce = dce_probabilities("u", "v", th, n, 0.5, posterior, f_u, draws, stream)
                 expected = (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
                 assert rows[n] == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 8, 14, 49])
+    def test_observational_rows_are_the_linear_model_draw(self, seed):
+        # the study draws its u column and then v = beta * u + noise from
+        # child(0), as the test helper draws the model u -> v; seed 8 is the
+        # acceptance tests' STUDY_SEED, and seed 14 has a sample slope near 0
+        report = replicate_two_node_study(
+            TwoNodeStudyConfig(draws=50, n_max=10), RandomStream(seed)
+        )
+        data = linear_sem_data(
+            "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(seed).child(0)
+        )
+        posterior = build_design_posterior(data.values, 1.0, labels=data.labels)
+        assert report.observational["labels"] == list(data.labels)
+        assert report.observational["scatter"] == posterior.scatter.tolist()
 
     def test_exported_samples_shape(self, small_report):
         tags = [(s.hypothesis, s.n) for s in small_report.bf_samples]

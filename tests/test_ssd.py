@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from causal_ssd.design import optimal_sequences
-from causal_ssd.graph import Dag, PartiallyDirectedGraph, chain_components
-from causal_ssd.harness import DatasetMatrix, LinearSemSpec, generate_sem_data
+from causal_ssd.graph import PartiallyDirectedGraph, chain_components
+from causal_ssd.harness import DatasetMatrix
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     H1_BLOCK,
@@ -32,6 +32,7 @@ from helpers import (
     CHAIN5,
     dce_probabilities,
     linear_scan_optimal_n_edge,
+    linear_sem_data,
     matmul_sample_wishart,
     plan_from_stars,
     reference_sample_bf_h1,
@@ -54,16 +55,8 @@ def two_node_posterior(seed=3, n_rows=50, beta=0.5):
 
 
 def fig1_dataset(seed=0, n_rows=80):
-    dag = Dag(
-        "12345",
-        [("1", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("2", "5"), ("4", "5")],
-    )
-    sem = LinearSemSpec(
-        dag=dag,
-        coefficients={e: 0.6 for e in dag.edges()},
-        noise_sd={n: 1.0 for n in dag.nodes},
-    )
-    return generate_sem_data(sem, n_rows, RandomStream(seed))
+    arrows = [("1", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("2", "5"), ("4", "5")]
+    return linear_sem_data("12345", {e: 0.6 for e in arrows}, n_rows, RandomStream(seed))
 
 
 class TestDceThresholds:
