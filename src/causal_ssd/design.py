@@ -1,10 +1,11 @@
 """Intervention-target selection within one chain component.
 
 Sufficiency and optimality of manipulation sequences, and class-count edge
-orientation priors.  A sequence is a sorted tuple of target labels and a
-prior is the one number p(H0).  Sufficiency here is graph-theoretic: every
-orientation test at an intervened node is assumed to return the truth;
-statistical error is handled separately by the sample-size machinery.
+orientation priors.  A component is a ``PartiallyDirectedGraph`` without
+arrows, as ``chain_components`` returns it; a sequence is a sorted tuple of
+target labels and a prior is the one number p(H0).  Sufficiency here is
+graph-theoretic: every orientation test at an intervened node is assumed to
+return the truth; statistical error is left to the sample-size machinery.
 
 For single-vertex batch interventions on a chordal component, a target set
 is sufficient exactly when it is a vertex cover of the component:
@@ -52,7 +53,6 @@ from typing import Mapping
 
 from causal_ssd.graph import (
     PartiallyDirectedGraph,
-    UndirectedGraph,
     chain_components,
     check_subset_scan,
     enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps design.enumerate_class)
@@ -60,7 +60,7 @@ from causal_ssd.graph import (
 )
 
 
-def optimal_sequences(g: UndirectedGraph) -> list[tuple[str, ...]]:
+def optimal_sequences(g: PartiallyDirectedGraph) -> list[tuple[str, ...]]:
     """All minimum-size sufficient target sets, as sorted tuples in lexicographic order.
 
     A target set is sufficient exactly when it is a vertex cover of the
@@ -70,16 +70,15 @@ def optimal_sequences(g: UndirectedGraph) -> list[tuple[str, ...]]:
     cover; combinations of the sorted nodes come out sorted and in
     lexicographic order.  Targets act as a batch, so their order does not
     affect identifiability.  A component without edges needs no
-    intervention: the result is ``[()]``.  Components above
-    ``SUBSET_SCAN_CAP`` nodes raise ``CapacityError`` and non-chordal ones
+    intervention: the empty set covers it, and the result is ``[()]``.  A
+    directed edge raises ``ValueError``, components above
+    ``SUBSET_SCAN_CAP`` nodes ``CapacityError`` and non-chordal ones
     ``NotDecomposableError``.
     """
-    if g.num_edges() == 0:
-        return [()]
     check_subset_scan(g, "the vertex-cover search over its 2^nodes subsets")
-    edges = g.edges()
+    edges = g.undirected_edges()
     nodes = g.nodes
-    for size in range(1, len(nodes) + 1):
+    for size in range(len(nodes) + 1):
         found = [
             combo
             for combo in itertools.combinations(nodes, size)
@@ -105,14 +104,14 @@ def _product_counts(parts: list[_Counts]) -> _Counts:
 
 
 @functools.lru_cache(maxsize=16)
-def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str], int]]:
+def orientation_counts(g: PartiallyDirectedGraph) -> tuple[int, Mapping[tuple[str, str], int]]:
     """Class size of ``g`` and, per ordered edge (a, b), the members with a -> b.
 
     Counts are exact integers from the rooted recursion of the module
     docstring; no class member is built.  The result is cached per graph,
-    because ``prior_h0`` asks for it once per edge.  Components above
-    ``SUBSET_SCAN_CAP`` nodes raise ``CapacityError`` and non-chordal ones
-    ``NotDecomposableError``.
+    because ``prior_h0`` asks for it once per edge.  A graph with a directed
+    edge raises ``ValueError``, components above ``SUBSET_SCAN_CAP`` nodes
+    ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
     """
     check_subset_scan(g, "the class count over its 2^nodes induced subgraphs")
     memo: dict[frozenset[str], _Counts] = {}
@@ -123,14 +122,14 @@ def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str]
             return 1, {}
         if nodes in memo:
             return memo[nodes]
-        edges = [(a, b) for a, b in g.edges() if a in nodes and b in nodes]
+        edges = [(a, b) for a, b in g.undirected_edges() if a in nodes and b in nodes]
         size = 0
         arrows: dict[tuple[str, str], int] = {}
         for root in sorted(nodes):
             closed = meek_closure(
                 PartiallyDirectedGraph(
                     nodes,
-                    directed=[(root, w) for w in g.neighbors(root) if w in nodes],
+                    directed=[(root, w) for w in g.undirected_neighbors(root) if w in nodes],
                     undirected=[e for e in edges if root not in e],
                 )
             )
@@ -146,12 +145,12 @@ def orientation_counts(g: UndirectedGraph) -> tuple[int, Mapping[tuple[str, str]
         memo[nodes] = size, arrows
         return memo[nodes]
 
-    parts = chain_components(PartiallyDirectedGraph.from_undirected(g))
+    parts = chain_components(g)
     size, arrows = _product_counts([count(frozenset(p.nodes)) for p in parts])
     return size, MappingProxyType(arrows)
 
 
-def prior_h0(g: UndirectedGraph, u: str, v: str) -> float:
+def prior_h0(g: PartiallyDirectedGraph, u: str, v: str) -> float:
     """Class-count prior p(H0) of the undirected edge u - v, with u the target.
 
     p(H0) is the fraction of perfect directed versions of ``g`` containing
@@ -160,7 +159,7 @@ def prior_h0(g: UndirectedGraph, u: str, v: str) -> float:
     so it equals the count over an enumerated class to the last bit.
     """
     u, v = str(u), str(v)
-    if not g.has_edge(u, v):
+    if not g.has_undirected_edge(u, v):
         raise ValueError(f"{u}-{v} is not an undirected edge of the component")
     size, arrows = orientation_counts(g)
     return arrows.get((v, u), 0) / size

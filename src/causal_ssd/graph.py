@@ -1,8 +1,8 @@
 """Graph structures and algorithms for chain graphs and equivalence classes.
 
-There are two graph types.  ``UndirectedGraph`` holds a chain component;
-``PartiallyDirectedGraph`` holds a CPDAG, a pattern, or an oriented graph
-such as a class member, which has directed edges only.  Provides
+There is one graph type, ``PartiallyDirectedGraph``.  It holds a CPDAG or a
+pattern; a chain component, which has undirected edges only; and an oriented
+graph such as a class member, which has directed edges only.  Provides
 chain-component decomposition of partially directed graphs, decomposability
 (chordality) testing, the precondition of the 2^nodes subset scans,
 enumeration of the acyclic v-structure-free orientations of a decomposable
@@ -57,57 +57,6 @@ def _canonical_pair(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-class UndirectedGraph:
-    """Immutable undirected graph without self-loops."""
-
-    def __init__(self, nodes: Iterable = (), edges: Iterable[tuple] = ()):
-        node_set = {_as_label(n) for n in nodes}
-        edge_set: set[tuple[str, str]] = set()
-        for a, b in edges:
-            a, b = _as_label(a), _as_label(b)
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            node_set.update((a, b))
-            edge_set.add(_canonical_pair(a, b))
-        self._nodes: tuple[str, ...] = tuple(sorted(node_set))
-        self._edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-        adj: dict[str, set[str]] = {n: set() for n in self._nodes}
-        for a, b in edge_set:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = adj
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return self._nodes
-
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted(self._edges)
-
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    def num_edges(self) -> int:
-        return len(self._edges)
-
-    def has_edge(self, u, v) -> bool:
-        return _canonical_pair(str(u), str(v)) in self._edges
-
-    def neighbors(self, u) -> tuple[str, ...]:
-        return tuple(sorted(self._adj[str(u)]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UndirectedGraph):
-            return NotImplemented
-        return self._nodes == other._nodes and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._nodes, self._edges))
-
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(nodes={list(self._nodes)}, edges={self.edges()})"
-
-
 class PartiallyDirectedGraph:
     """Immutable graph with disjoint directed and undirected edge sets."""
 
@@ -150,10 +99,6 @@ class PartiallyDirectedGraph:
             self._parents[b].add(a)
             self._children[a].add(b)
 
-    @classmethod
-    def from_undirected(cls, g: UndirectedGraph) -> "PartiallyDirectedGraph":
-        return cls(g.nodes, undirected=g.edges())
-
     @property
     def nodes(self) -> tuple[str, ...]:
         return self._nodes
@@ -195,8 +140,8 @@ class PartiallyDirectedGraph:
         )
 
 
-def chain_components(g: PartiallyDirectedGraph) -> tuple[UndirectedGraph, ...]:
-    """The chain components of a chain graph, as undirected subgraphs.
+def chain_components(g: PartiallyDirectedGraph) -> tuple[PartiallyDirectedGraph, ...]:
+    """The chain components of a chain graph, as subgraphs without arrows.
 
     Each subgraph holds the nodes of one connected component of the
     undirected part and the undirected edges among them.  The subgraphs are
@@ -253,13 +198,13 @@ def chain_components(g: PartiallyDirectedGraph) -> tuple[UndirectedGraph, ...]:
         edges[comp_id[a]].append((a, b))
     return tuple(
         sorted(
-            (UndirectedGraph(c, e) for c, e in zip(components, edges)),
+            (PartiallyDirectedGraph(c, undirected=e) for c, e in zip(components, edges)),
             key=lambda sub: sub.nodes,
         )
     )
 
 
-def _mcs_order(g: UndirectedGraph) -> list[str]:
+def _mcs_order(g: PartiallyDirectedGraph) -> list[str]:
     """Maximum cardinality search order (ties broken by label)."""
     weight = {n: 0 for n in g.nodes}
     order: list[str] = []
@@ -268,13 +213,13 @@ def _mcs_order(g: UndirectedGraph) -> list[str]:
         u = max(sorted(remaining), key=lambda n: weight[n])
         order.append(u)
         remaining.discard(u)
-        for w in g.neighbors(u):
+        for w in g.undirected_neighbors(u):
             if w in remaining:
                 weight[w] += 1
     return order
 
 
-def is_decomposable(g: UndirectedGraph) -> bool:
+def is_decomposable(g: PartiallyDirectedGraph) -> bool:
     """True iff ``g`` is chordal, decided by maximum cardinality search.
 
     The MCS order, reversed, is a perfect elimination ordering iff the graph
@@ -283,48 +228,50 @@ def is_decomposable(g: UndirectedGraph) -> bool:
     order = _mcs_order(g)
     rank = {n: i for i, n in enumerate(order)}
     for v in order:
-        earlier = [w for w in g.neighbors(v) if rank[w] < rank[v]]
+        earlier = [w for w in g.undirected_neighbors(v) if rank[w] < rank[v]]
         if not earlier:
             continue
         # it suffices to check the latest earlier neighbor against the rest
         pivot = max(earlier, key=lambda w: rank[w])
         for w in earlier:
-            if w != pivot and not g.has_edge(w, pivot):
+            if w != pivot and not g.has_undirected_edge(w, pivot):
                 return False
     return True
 
 
-def check_subset_scan(g: UndirectedGraph, scan: str) -> None:
-    """Raise unless ``g`` is within ``SUBSET_SCAN_CAP`` nodes and chordal.
+def check_subset_scan(g: PartiallyDirectedGraph, scan: str) -> None:
+    """Raise unless ``g`` is a chain component within ``SUBSET_SCAN_CAP`` nodes and chordal.
 
-    ``scan`` names the search in the ``CapacityError`` message; a non-chordal
-    graph raises ``NotDecomposableError``.
+    A directed edge raises ``ValueError``.  ``scan`` names the search in the
+    ``CapacityError`` message; a non-chordal graph raises
+    ``NotDecomposableError``.
     """
-    if g.num_nodes() > SUBSET_SCAN_CAP:
+    if g.directed_edges():
+        raise ValueError(f"a chain component has no directed edges, got {g.directed_edges()}")
+    if len(g.nodes) > SUBSET_SCAN_CAP:
         raise CapacityError(
-            f"component has {g.num_nodes()} nodes, {scan} is capped at {SUBSET_SCAN_CAP}"
+            f"component has {len(g.nodes)} nodes, {scan} is capped at {SUBSET_SCAN_CAP}"
         )
     if not is_decomposable(g):
         raise NotDecomposableError("graph is not decomposable")
 
 
-def enumerate_class(g: UndirectedGraph) -> list[PartiallyDirectedGraph]:
-    """All acyclic, v-structure-free orientations of a decomposable graph.
+def enumerate_class(g: PartiallyDirectedGraph) -> list[PartiallyDirectedGraph]:
+    """All acyclic, v-structure-free orientations of a decomposable chain component.
 
     These are exactly the perfect directed versions of ``g`` (orientations by
     perfect vertex numberings), i.e. the DAGs of the Markov equivalence class
-    whose essential graph restricted to ``g`` is ``g`` itself.  Each member is
-    a ``PartiallyDirectedGraph`` with directed edges only, the type
-    ``meek_closure`` returns.  Enumeration is by recursive edge orientation
-    with incremental acyclicity and v-structure pruning, which produces no
-    duplicates.
+    whose essential graph restricted to ``g`` is ``g`` itself.  Each member
+    has ``g``'s nodes and directed edges only.  Enumeration is by recursive
+    edge orientation with incremental acyclicity and v-structure pruning,
+    which produces no duplicates.
 
     The pipeline does not call it: it is the test oracle of
     ``design.orientation_counts``.  Its cost grows with the class size, which
     ``SUBSET_SCAN_CAP`` does not bound (a 12-node clique has 12! members).
     """
     check_subset_scan(g, "the enumeration of its class")
-    edges = g.edges()
+    edges = g.undirected_edges()
     if not edges:
         return [PartiallyDirectedGraph(g.nodes)]
 
@@ -350,7 +297,7 @@ def enumerate_class(g: UndirectedGraph) -> list[PartiallyDirectedGraph]:
     def creates_v_structure(a: str, b: str) -> bool:
         # adding a -> b: collider at b with an existing nonadjacent parent
         for c in parents[b]:
-            if c != a and not g.has_edge(c, a):
+            if c != a and not g.has_undirected_edge(c, a):
                 return True
         return False
 

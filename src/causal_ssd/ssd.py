@@ -435,10 +435,11 @@ def plan_cpdag(
     aborting the others.
 
     ``workers`` > 1 evaluates edges in parallel processes, at most one per
-    edge task and per CPU; results are independent of the worker count
-    because every edge owns a fixed substream (``edge_stream``).
+    edge task and per CPU the process may use, or in this process if that is
+    1; results do not depend on the worker count because every edge owns a
+    fixed substream (``edge_stream``).
     """
-    from causal_ssd.harness import DatasetMatrix  # local import to avoid a cycle
+    from causal_ssd.harness import DatasetMatrix, MissingColumnsError  # avoids a cycle
 
     if not isinstance(data, DatasetMatrix):
         raise TypeError("data must be a DatasetMatrix")
@@ -452,19 +453,15 @@ def plan_cpdag(
         entry = ComponentPlans(component=comp, plans=[])
         out.append(entry)
         try:
-            missing = sorted(set(comp) - set(data.labels))
-            if missing:
-                raise InsufficientDataError(
-                    f"data has no columns for component nodes: {missing}"
-                )
             posterior = component_posterior(data, comp, a_omega)
             sequences = optimal_sequences(sub)
-        except (CapacityError, NotDecomposableError, InsufficientDataError) as exc:
+        except (CapacityError, NotDecomposableError, InsufficientDataError,
+                MissingColumnsError) as exc:
             entry.error = str(exc)
             continue
         for seq in sequences:
             for u in seq:
-                for v in sub.neighbors(u):
+                for v in sub.undirected_neighbors(u):
                     if (ci, u, v) not in tasks:
                         tasks[(ci, u, v)] = (
                             u, v, thresholds, prior_h0(sub, u, v), posterior, f_u,
@@ -473,10 +470,13 @@ def plan_cpdag(
         searched.append((entry, ci, sub, sequences))
 
     # optimal_n_edge is looked up at call time, so a wrapper bound to the
-    # module attribute also sees the calls made in pool workers
-    if workers > 1 and len(tasks) > 1:
+    # module attribute also sees the calls made in pool workers; the CPUs are
+    # those this process may run on, which taskset or a cpuset may limit
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    pool_size = min(workers, len(tasks), cpus)
+    if pool_size > 1:
         # a fork pool starts every worker at the first submit
-        pool_size = min(workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             evaluated = list(pool.map(optimal_n_edge, *zip(*tasks.values())))
     else:
@@ -487,7 +487,8 @@ def plan_cpdag(
         entry.plans = [
             InterventionPlan(
                 seq,
-                {u: tuple(results[(ci, u, v)] for v in sub.neighbors(u)) for u in seq},
+                {u: tuple(results[(ci, u, v)] for v in sub.undirected_neighbors(u))
+                 for u in seq},
             )
             for seq in sequences
         ]

@@ -22,7 +22,6 @@ import numpy as np
 
 from causal_ssd.graph import (
     PartiallyDirectedGraph,
-    UndirectedGraph,
     enumerate_class,
     meek_closure,
 )
@@ -60,9 +59,9 @@ CHAIN5 = PartiallyDirectedGraph(
 )
 
 
-def brute_force_class(g: UndirectedGraph) -> list[PartiallyDirectedGraph]:
+def brute_force_class(g: PartiallyDirectedGraph) -> list[PartiallyDirectedGraph]:
     """Oracle: all orientations of g that are acyclic and create no v-structure."""
-    edges = g.edges()
+    edges = g.undirected_edges()
     out = []
     for mask in itertools.product([0, 1], repeat=len(edges)):
         oriented = [(u, v) if m == 0 else (v, u) for (u, v), m in zip(edges, mask)]
@@ -72,7 +71,7 @@ def brute_force_class(g: UndirectedGraph) -> list[PartiallyDirectedGraph]:
     return out
 
 
-def random_chordal(rng: np.random.Generator, n_nodes: int) -> UndirectedGraph:
+def random_chordal(rng: np.random.Generator, n_nodes: int) -> PartiallyDirectedGraph:
     """Random connected chordal graph grown clique by clique."""
     cliques = [{"0"}]
     for i in range(1, n_nodes):
@@ -83,7 +82,7 @@ def random_chordal(rng: np.random.Generator, n_nodes: int) -> UndirectedGraph:
     edges = []
     for c in cliques:
         edges.extend(itertools.combinations(sorted(c), 2))
-    return UndirectedGraph([str(i) for i in range(n_nodes)], edges)
+    return PartiallyDirectedGraph([str(i) for i in range(n_nodes)], undirected=edges)
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, p: float) -> PartiallyDirectedGraph:
@@ -338,11 +337,11 @@ def format_edge_list(g: PartiallyDirectedGraph) -> str:
 
 
 def _oriented_pattern(
-    g: UndirectedGraph, targets: set[str], member: PartiallyDirectedGraph
+    g: PartiallyDirectedGraph, targets: set[str], member: PartiallyDirectedGraph
 ) -> PartiallyDirectedGraph:
     """Pattern with every edge incident to a target oriented as in ``member``."""
     directed, undirected = [], []
-    for u, v in g.edges():
+    for u, v in g.undirected_edges():
         if u in targets or v in targets:
             directed.append((u, v) if u in member.parents(v) else (v, u))
         else:
@@ -351,7 +350,7 @@ def _oriented_pattern(
 
 
 def _sufficient_for_class(
-    g: UndirectedGraph, targets: set[str], dags: list[PartiallyDirectedGraph]
+    g: PartiallyDirectedGraph, targets: set[str], dags: list[PartiallyDirectedGraph]
 ) -> bool:
     for member in dags:
         closed = meek_closure(_oriented_pattern(g, targets, member))
@@ -362,7 +361,7 @@ def _sufficient_for_class(
     return True
 
 
-def is_sufficient(g: UndirectedGraph, targets: tuple[str, ...]) -> bool:
+def is_sufficient(g: PartiallyDirectedGraph, targets: tuple[str, ...]) -> bool:
     """True iff manipulating ``targets`` identifies every class member.
 
     For each perfect directed version of ``g``, orienting the edges incident

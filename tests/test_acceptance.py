@@ -26,7 +26,7 @@ from scipy import stats
 
 from causal_ssd.cli import EXIT_OK, main
 from causal_ssd.design import optimal_sequences, prior_h0
-from causal_ssd.graph import UndirectedGraph, enumerate_class
+from causal_ssd.graph import PartiallyDirectedGraph, enumerate_class
 from causal_ssd.harness import TwoNodeStudyConfig, replicate_two_node_study
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta
 from causal_ssd.predictive import prob_bf_band_h0
@@ -212,14 +212,17 @@ def test_criterion_06_figure4_points(study_report):
 
 def test_criterion_07_graph_oracles():
     cases = {
-        "single edge": (UndirectedGraph("uv", [("u", "v")]), 2),
-        "path-3": (UndirectedGraph("123", [("1", "2"), ("2", "3")]), 3),
-        "triangle": (UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")]), 6),
+        "single edge": (PartiallyDirectedGraph("uv", undirected=[("u", "v")]), 2),
+        "path-3": (PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3")]), 3),
+        "triangle": (
+            PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3"), ("1", "3")]),
+            6,
+        ),
         "4-clique": (
-            UndirectedGraph("1234", itertools.combinations("1234", 2)),
+            PartiallyDirectedGraph("1234", undirected=itertools.combinations("1234", 2)),
             24,
         ),
-        "5-node tree": (UndirectedGraph("12345", TREE5_EDGES), 5),
+        "5-node tree": (PartiallyDirectedGraph("12345", undirected=TREE5_EDGES), 5),
     }
     results = {}
     for name, (g, expected) in cases.items():
@@ -239,8 +242,8 @@ def test_criterion_07_graph_oracles():
 
 
 def test_criterion_08_optimal_sequence_structure():
-    g1 = UndirectedGraph("12345", TREE5_EDGES)
-    g2 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
+    g1 = PartiallyDirectedGraph("12345", undirected=TREE5_EDGES)
+    g2 = PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3")])
     seqs_g1 = optimal_sequences(g1)
     seqs_g2 = optimal_sequences(g2)
     # the paper's per-target sizes of the two sequences of G1
@@ -257,7 +260,7 @@ def test_criterion_08_optimal_sequence_structure():
 
 
 def test_criterion_09_orientation_prior_oracle():
-    path3 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
+    path3 = PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3")])
     dags = enumerate_class(path3)
     count = sum(1 for d in dags if ("2", "1") in d.directed_edges())
     p = prior_h0(path3, "1", "2")
@@ -266,7 +269,7 @@ def test_criterion_09_orientation_prior_oracle():
     worst = 0.0
     for _ in range(20):
         g = random_chordal(rng, int(rng.integers(2, 9)))
-        for u, v in g.edges():
+        for u, v in g.undirected_edges():
             total = prior_h0(g, u, v) + prior_h0(g, v, u)
             worst = max(worst, abs(total - 1.0))
     ok = ok and worst <= 1e-12

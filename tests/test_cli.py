@@ -542,6 +542,12 @@ class TestUsageAndErrors:
         assert main(["dce-curve", *argv, "--n-max", "3"]) == EXIT_INPUT
         assert main(["predict-bf", *argv, "--n", "3"]) == EXIT_INPUT
         assert "missing columns: ['c']" in capsys.readouterr().err
+        # plan reports the component's error in its output and exits 3
+        out = tmp_path / "plan.json"
+        plan = ["plan", "--graph", str(graph), "--data", str(data), "--out", str(out)]
+        assert main(plan) == EXIT_CAPACITY
+        (component,) = json.loads(out.read_text())["components"]
+        assert component["error"] == "dataset is missing columns: ['c']"
 
     def test_undecodable_files_are_input_errors(self, two_node_files, tmp_path):
         graph, data = two_node_files
@@ -926,10 +932,7 @@ NOT_RUN_BY_A_COMMAND = {
     "numerics.sample_wishart": "oracle of predictive.draw_h1_edge; bench/tracing.py wraps it",
     "numerics.WishartParams.dim": "called by sample_wishart and the oracles in tests/helpers.py",
     "numerics.WishartParams.upper_factor": "formed on first read, by sample_wishart and tests",
-    "graph.PartiallyDirectedGraph.__eq__": "value semantics of a graph type, used by tests",
-    "graph.PartiallyDirectedGraph.__hash__": "value semantics of a graph type, used by tests",
     "graph.PartiallyDirectedGraph.__repr__": "value semantics of a graph type, used by tests",
-    "graph.UndirectedGraph.__repr__": "value semantics of a graph type, used by tests",
 }
 
 

@@ -12,23 +12,24 @@ from causal_ssd.graph import (
     CapacityError,
     NotDecomposableError,
     SUBSET_SCAN_CAP,
-    UndirectedGraph,
+    PartiallyDirectedGraph,
     enumerate_class,
     is_decomposable,
+    parse_edge_list,
 )
 from causal_ssd.ssd import best_size_plan
 
 from helpers import TREE5_EDGES, is_sufficient, plan_from_stars, random_chordal
 
-G1 = UndirectedGraph("12345", TREE5_EDGES)
-PATH3 = UndirectedGraph("123", [("1", "2"), ("2", "3")])
-PAIR = UndirectedGraph("uv", [("u", "v")])
-TRIANGLE = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
+G1 = PartiallyDirectedGraph("12345", undirected=TREE5_EDGES)
+PATH3 = PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3")])
+PAIR = PartiallyDirectedGraph("uv", undirected=[("u", "v")])
+TRIANGLE = PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3"), ("1", "3")])
 
 
 def path_graph(n_nodes):
     nodes = [f"{i:02d}" for i in range(n_nodes)]
-    return UndirectedGraph(nodes, zip(nodes, nodes[1:]))
+    return PartiallyDirectedGraph(nodes, undirected=zip(nodes, nodes[1:]))
 
 
 @st.composite
@@ -47,12 +48,12 @@ def connected_chordal_graphs(draw, max_nodes=7):
         attach = draw(st.sets(st.sampled_from(base), min_size=1))
         cliques.append(attach | {labels[i]})
     edges = {e for c in cliques for e in itertools.combinations(sorted(c), 2)}
-    return UndirectedGraph(sorted(labels), sorted(edges))
+    return PartiallyDirectedGraph(sorted(labels), undirected=sorted(edges))
 
 
 def oracle_optimal_sequences(g):
     """Smallest subsets that pass ``is_sufficient``, scanned in combination order."""
-    for size in range(1, g.num_nodes() + 1):
+    for size in range(1, len(g.nodes) + 1):
         found = [
             combo
             for combo in itertools.combinations(g.nodes, size)
@@ -111,8 +112,19 @@ class TestOptimalSequences:
         assert optimal_sequences(G1) == [("2", "3"), ("3", "4")]
 
     def test_edgeless_component_is_empty_sequence(self):
-        g = UndirectedGraph("ab", [])
+        g = PartiallyDirectedGraph("ab")
         assert optimal_sequences(g) == [()]
+
+    def test_directed_edge_rejected(self):
+        # parse_edge_list returns graphs with arrows, and no chain component
+        # has one; an arrow-only graph is not taken for an edgeless component
+        mixed = parse_edge_list("a -> b\nb -- c\n")
+        for g in (mixed, parse_edge_list("a -> b\n")):
+            for call in (optimal_sequences, orientation_counts, enumerate_class):
+                with pytest.raises(ValueError, match="no directed edges"):
+                    call(g)
+        with pytest.raises(ValueError, match="no directed edges"):
+            prior_h0(mixed, "b", "c")
 
     def test_minimality_by_exhaustion(self):
         rng = np.random.default_rng(12)
@@ -134,7 +146,9 @@ class TestOptimalSequences:
             assert best == expected
 
     def test_non_chordal_rejected(self):
-        c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        c4 = PartiallyDirectedGraph(
+            "abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+        )
         with pytest.raises(NotDecomposableError):
             optimal_sequences(c4)
 
@@ -148,14 +162,14 @@ class TestOptimalSequences:
 
     def test_seven_clique_leaves_out_one_node_each(self):
         nodes = [str(i) for i in range(7)]
-        g = UndirectedGraph(nodes, itertools.combinations(nodes, 2))
+        g = PartiallyDirectedGraph(nodes, undirected=itertools.combinations(nodes, 2))
         expected = [tuple(n for n in nodes if n != left_out) for left_out in reversed(nodes)]
         assert optimal_sequences(g) == expected
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(connected_chordal_graphs())
     def test_minimum_vertex_covers_match_closure_oracle(self, g):
-        graph = nx.Graph(g.edges())
+        graph = nx.Graph(g.undirected_edges())
         graph.add_nodes_from(g.nodes)
         assert nx.is_connected(graph)
         assert nx.is_chordal(graph)
@@ -170,7 +184,7 @@ class TestPriorH0:
         assert 1.0 - p == pytest.approx(0.5)
 
     def test_triangle_symmetric(self):
-        for u, v in TRIANGLE.edges():
+        for u, v in TRIANGLE.undirected_edges():
             assert prior_h0(TRIANGLE, u, v) == pytest.approx(0.5)
 
     def test_path_endpoint(self):
@@ -187,7 +201,7 @@ class TestPriorH0:
         rng = np.random.default_rng(13)
         for _ in range(20):
             g = random_chordal(rng, int(rng.integers(2, 9)))
-            for u, v in g.edges():
+            for u, v in g.undirected_edges():
                 p_uv = prior_h0(g, u, v)
                 p_vu = prior_h0(g, v, u)
                 assert p_uv + p_vu == pytest.approx(1.0)
@@ -195,8 +209,8 @@ class TestPriorH0:
 
     def test_complete_graph_edges_half(self):
         nodes = ["1", "2", "3", "4"]
-        g = UndirectedGraph(nodes, itertools.combinations(nodes, 2))
-        for u, v in g.edges():
+        g = PartiallyDirectedGraph(nodes, undirected=itertools.combinations(nodes, 2))
+        for u, v in g.undirected_edges():
             assert prior_h0(g, u, v) == pytest.approx(0.5)
 
     def test_non_edge_rejected(self):
@@ -210,13 +224,13 @@ class TestPriorH0:
         assert all(d.undirected_edges() == [] for d in dags)
         size, _ = orientation_counts(g)
         assert size == len(dags)
-        for a, b in g.edges():
+        for a, b in g.undirected_edges():
             for u, v in ((a, b), (b, a)):
                 n_h0 = sum(1 for d in dags if (v, u) in d.directed_edges())
                 assert prior_h0(g, u, v) == n_h0 / len(dags)
 
     def test_disconnected_class_is_product(self):
-        g = UndirectedGraph("12345", [("1", "2"), ("2", "3"), ("4", "5")])
+        g = PartiallyDirectedGraph("12345", undirected=[("1", "2"), ("2", "3"), ("4", "5")])
         size, arrows = orientation_counts(g)
         assert size == len(enumerate_class(g)) == 6
         assert arrows[("2", "1")] == 4
@@ -225,7 +239,9 @@ class TestPriorH0:
     def test_count_capacity_and_chordality_enforced(self):
         with pytest.raises(CapacityError):
             orientation_counts(path_graph(13))
-        c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        c4 = PartiallyDirectedGraph(
+            "abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+        )
         with pytest.raises(NotDecomposableError):
             prior_h0(c4, "a", "b")
 

@@ -14,7 +14,6 @@ from causal_ssd.graph import (
     InvalidChainGraphError,
     NotDecomposableError,
     PartiallyDirectedGraph,
-    UndirectedGraph,
     chain_components,
     enumerate_class,
     is_decomposable,
@@ -54,8 +53,10 @@ def brute_force_closure(pdag: PartiallyDirectedGraph) -> set[tuple[str, str]]:
     return set.intersection(*extensions)
 
 
-def _skeleton(pdag: PartiallyDirectedGraph) -> UndirectedGraph:
-    return UndirectedGraph(pdag.nodes, pdag.directed_edges() + pdag.undirected_edges())
+def _skeleton(pdag: PartiallyDirectedGraph) -> PartiallyDirectedGraph:
+    return PartiallyDirectedGraph(
+        pdag.nodes, undirected=pdag.directed_edges() + pdag.undirected_edges()
+    )
 
 
 
@@ -63,7 +64,7 @@ def _skeleton(pdag: PartiallyDirectedGraph) -> UndirectedGraph:
 class TestStructures:
     def test_undirected_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            UndirectedGraph("ab", [("a", "a")])
+            PartiallyDirectedGraph("ab", undirected=[("a", "a")])
 
     def test_acyclicity_oracle(self):
         # a cycle downstream of a source, and one that reaches a sink
@@ -89,29 +90,40 @@ class TestStructures:
         assert v_structures(shielded) == set()
 
     def test_labels_sorted_deterministically(self):
-        g = UndirectedGraph(["b", "a", "c"], [("c", "a")])
+        g = PartiallyDirectedGraph(["b", "a", "c"], undirected=[("c", "a")])
         assert g.nodes == ("a", "b", "c")
-        assert g.edges() == [("a", "c")]
+        assert g.undirected_edges() == [("a", "c")]
+
+
+def _assert_partition_without_arrows(g: PartiallyDirectedGraph, subs) -> None:
+    # the components hold every node of g once, and no directed edge
+    nodes = [n for sub in subs for n in sub.nodes]
+    assert sorted(nodes) == list(g.nodes)
+    assert len(nodes) == len(set(nodes))
+    assert all(sub.directed_edges() == [] for sub in subs)
 
 
 class TestChainComponents:
     def test_two_component_example(self):
         subs = chain_components(CHAIN5)
+        _assert_partition_without_arrows(CHAIN5, subs)
         assert [sub.nodes for sub in subs] == [("1", "2", "3"), ("4", "5")]
-        assert subs[0].edges() == [("1", "2"), ("1", "3"), ("2", "3")]
-        assert subs[1].edges() == [("4", "5")]
+        assert subs[0].undirected_edges() == [("1", "2"), ("1", "3"), ("2", "3")]
+        assert subs[1].undirected_edges() == [("4", "5")]
 
     def test_fully_directed_gives_singletons(self):
         d = PartiallyDirectedGraph("abc", directed=[("a", "b"), ("b", "c")])
         subs = chain_components(d)
+        _assert_partition_without_arrows(d, subs)
         assert [sub.nodes for sub in subs] == [("a",), ("b",), ("c",)]
-        assert all(sub.num_edges() == 0 for sub in subs)
+        assert all(not sub.undirected_edges() for sub in subs)
 
     def test_fully_undirected_connected_is_one_component(self):
         g = PartiallyDirectedGraph("abc", undirected=[("a", "b"), ("b", "c")])
         (sub,) = chain_components(g)
+        _assert_partition_without_arrows(g, [sub])
         assert sub.nodes == ("a", "b", "c")
-        assert sub.edges() == [("a", "b"), ("b", "c")]
+        assert sub.undirected_edges() == [("a", "b"), ("b", "c")]
 
     def test_directed_edge_within_component_rejected(self):
         bad = PartiallyDirectedGraph(
@@ -134,8 +146,9 @@ class TestChainComponents:
         nodes = [str(i) for i in range(5001)]
         path = PartiallyDirectedGraph(nodes, directed=list(zip(nodes, nodes[1:])))
         subs = chain_components(path)
+        _assert_partition_without_arrows(path, subs)
         assert len(subs) == 5001
-        assert all(len(sub.nodes) == 1 and sub.num_edges() == 0 for sub in subs)
+        assert all(len(sub.nodes) == 1 and not sub.undirected_edges() for sub in subs)
         graph, data, out = tmp_path / "path.graph", tmp_path / "d.csv", tmp_path / "plan.json"
         graph.write_text(format_edge_list(path))
         data.write_text("0,1\n1,0\n0,1\n0.5,0.2\n")
@@ -150,16 +163,14 @@ class TestChainComponents:
             cp = dag_to_cpdag(d)
             subs = chain_components(cp)
             assert [sub.nodes for sub in subs] == sorted(sub.nodes for sub in subs)
-            all_nodes = [n for sub in subs for n in sub.nodes]
-            assert sorted(all_nodes) == sorted(cp.nodes)
-            assert len(all_nodes) == len(set(all_nodes))
+            _assert_partition_without_arrows(cp, subs)
             comp_of = {n: i for i, sub in enumerate(subs) for n in sub.nodes}
             for u, v in cp.undirected_edges():
                 assert comp_of[u] == comp_of[v]
             # each subgraph holds exactly the undirected edges among its nodes
             for sub in subs:
                 inside = set(sub.nodes)
-                assert sub.edges() == [
+                assert sub.undirected_edges() == [
                     e for e in cp.undirected_edges() if e[0] in inside and e[1] in inside
                 ]
 
@@ -168,20 +179,23 @@ class TestChainComponents:
 
 class TestIsDecomposable:
     def test_triangle(self):
-        assert is_decomposable(UndirectedGraph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
+        tri = PartiallyDirectedGraph("abc", undirected=[("a", "b"), ("b", "c"), ("a", "c")])
+        assert is_decomposable(tri)
 
     def test_four_cycle_is_not(self):
-        c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        c4 = PartiallyDirectedGraph(
+            "abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        )
         assert not is_decomposable(c4)
 
     def test_trees_are(self):
-        assert is_decomposable(UndirectedGraph("12345", TREE5_EDGES))
-        path = UndirectedGraph("123", [("1", "2"), ("2", "3")])
+        assert is_decomposable(PartiallyDirectedGraph("12345", undirected=TREE5_EDGES))
+        path = PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3")])
         assert is_decomposable(path)
 
     def test_five_cycle_is_not(self):
-        c5 = UndirectedGraph(
-            "abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]
+        c5 = PartiallyDirectedGraph(
+            "abcde", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]
         )
         assert not is_decomposable(c5)
 
@@ -193,11 +207,11 @@ class TestIsDecomposable:
 
 class TestEnumerateClass:
     def test_single_edge(self):
-        g = UndirectedGraph("uv", [("u", "v")])
+        g = PartiallyDirectedGraph("uv", undirected=[("u", "v")])
         assert len(enumerate_class(g)) == 2
 
     def test_path_three(self):
-        g = UndirectedGraph("123", [("1", "2"), ("2", "3")])
+        g = PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3")])
         dags = enumerate_class(g)
         assert len(dags) == 3
         expected = {
@@ -208,9 +222,9 @@ class TestEnumerateClass:
         assert {frozenset(d.directed_edges()) for d in dags} == expected
 
     def test_triangle_and_tree_counts(self):
-        tri = UndirectedGraph("123", [("1", "2"), ("2", "3"), ("1", "3")])
+        tri = PartiallyDirectedGraph("123", undirected=[("1", "2"), ("2", "3"), ("1", "3")])
         assert len(enumerate_class(tri)) == 6
-        g1 = UndirectedGraph("12345", TREE5_EDGES)
+        g1 = PartiallyDirectedGraph("12345", undirected=TREE5_EDGES)
         assert len(enumerate_class(g1)) == 5
 
     def test_complete_graph_counts_factorial(self):
@@ -218,7 +232,7 @@ class TestEnumerateClass:
 
         for m in (2, 3, 4):
             nodes = [str(i) for i in range(m)]
-            g = UndirectedGraph(nodes, itertools.combinations(nodes, 2))
+            g = PartiallyDirectedGraph(nodes, undirected=itertools.combinations(nodes, 2))
             assert len(enumerate_class(g)) == math.factorial(m)
 
     def test_matches_brute_force_oracle(self):
@@ -235,24 +249,26 @@ class TestEnumerateClass:
             assert set(ours) == set(brute_force_class(g))
 
     def test_members_have_skeleton_and_no_v_structures(self):
-        g = UndirectedGraph("12345", TREE5_EDGES)
+        g = PartiallyDirectedGraph("12345", undirected=TREE5_EDGES)
         for d in enumerate_class(g):
             assert d.undirected_edges() == []
-            assert UndirectedGraph(d.nodes, d.directed_edges()) == g
+            assert PartiallyDirectedGraph(d.nodes, undirected=d.directed_edges()) == g
             assert is_acyclic(d)
             assert not v_structures(d)
             restricted = dag_to_cpdag(d)
-            assert restricted.undirected_edges() == g.edges()
+            assert restricted.undirected_edges() == g.undirected_edges()
             assert restricted.directed_edges() == []
 
     def test_capacity_error(self):
         nodes = [str(i) for i in range(13)]
-        g = UndirectedGraph(nodes, [(nodes[i], nodes[i + 1]) for i in range(12)])
+        g = PartiallyDirectedGraph(nodes, undirected=[(nodes[i], nodes[i + 1]) for i in range(12)])
         with pytest.raises(CapacityError):
             enumerate_class(g)
 
     def test_non_decomposable_rejected(self):
-        c4 = UndirectedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        c4 = PartiallyDirectedGraph(
+            "abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        )
         with pytest.raises(NotDecomposableError):
             enumerate_class(c4)
 
@@ -295,10 +311,10 @@ class TestMeekClosure:
             dags = enumerate_class(g)
             d = dags[rng.integers(len(dags))]
             targets = list(
-                rng.choice(g.nodes, size=int(rng.integers(1, g.num_nodes() + 1)), replace=False)
+                rng.choice(g.nodes, size=int(rng.integers(1, len(g.nodes) + 1)), replace=False)
             )
             directed, undirected = [], []
-            for u, v in g.edges():
+            for u, v in g.undirected_edges():
                 if u in targets or v in targets:
                     directed.append((u, v) if (u, v) in d.directed_edges() else (v, u))
                 else:
@@ -340,7 +356,8 @@ class TestDagToCpdag:
             cp = dag_to_cpdag(d)
             vs = v_structures(d)
             members = []
-            edges = UndirectedGraph(d.nodes, d.directed_edges()).edges()
+            skeleton = PartiallyDirectedGraph(d.nodes, undirected=d.directed_edges())
+            edges = skeleton.undirected_edges()
             for mask in itertools.product([0, 1], repeat=len(edges)):
                 oriented = [(u, v) if m == 0 else (v, u) for (u, v), m in zip(edges, mask)]
                 cand = PartiallyDirectedGraph(d.nodes, directed=oriented)
