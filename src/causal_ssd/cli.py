@@ -36,7 +36,6 @@ from causal_ssd.harness import (
     EXPORT_SIZES,
     GRID_SIZES,
     CsvParseError,
-    MissingColumnsError,
     TwoNodeStudyConfig,
     atomic_write_chunks,
     atomic_write_text,
@@ -54,6 +53,8 @@ from causal_ssd.predictive import (
     H1_BYTES_PER_DRAW,
     InsufficientDataError,
     InterventionDensity,
+    MissingColumnsError,
+    build_design_posterior,
     draw_h1_edge,
     sample_bf_h0,
     sample_bf_h1,
@@ -62,7 +63,6 @@ from causal_ssd.ssd import (
     DEFAULT_DRAWS,
     DEFAULT_N_MAX,
     DceThresholds,
-    component_posterior,
     dce_curve,
     edge_stream,
     plan_cpdag,
@@ -276,7 +276,7 @@ def _edge_inputs(args: argparse.Namespace):
     if not graph.has_undirected_edge(u, v):
         raise GraphFormatError(f"edge {u}-{v} is not an undirected edge of the graph")
     ci, sub = next((ci, sub) for ci, sub in enumerate(chain_components(graph)) if u in sub.nodes)
-    posterior = component_posterior(data, sub.nodes, args.a_omega)
+    posterior = build_design_posterior(data.restrict(sub.nodes), args.a_omega)
     return sub, posterior, edge_stream(RandomStream(args.seed), ci, sub.nodes, u, v)
 
 

@@ -1,5 +1,9 @@
 """Simulation harness, dataset ingestion, and serialization.
 
+``ingest_csv`` parses a dataset file into a ``predictive.DatasetMatrix``,
+the type that ``predictive.build_design_posterior`` turns into a design
+posterior.
+
 The two-node replication study draws its observational dataset from the
 model u -> v with Gaussian noise, then produces (a) predictive Bayes-factor
 samples under both hypotheses, (b) an evidence-category probability grid,
@@ -28,6 +32,7 @@ import numpy as np
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     BfPredictiveSample,
+    DatasetMatrix,
     InterventionDensity,
     build_design_posterior,
     draw_h1_edge,
@@ -48,44 +53,6 @@ from causal_ssd.ssd import (
 
 class CsvParseError(ValueError):
     """Malformed dataset file; the message carries the offending line number."""
-
-
-class MissingColumnsError(ValueError):
-    """The dataset has no column for some of the requested labels."""
-
-
-@dataclass(frozen=True)
-class DatasetMatrix:
-    """Labeled numeric data matrix without missing values."""
-
-    labels: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        labels = tuple(str(x) for x in self.labels)
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("values must be a 2-D matrix")
-        if values.shape[0] < 1:
-            raise ValueError("dataset needs at least one row")
-        if values.shape[1] != len(labels):
-            raise ValueError("number of labels must match number of columns")
-        if len(set(labels)) != len(labels):
-            raise ValueError("column labels must be distinct")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("dataset values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-
-    def restrict(self, labels: Sequence[str]) -> "DatasetMatrix":
-        """Columns for the given labels, in the given order."""
-        wanted = [str(x) for x in labels]
-        missing = sorted(set(wanted) - set(self.labels))
-        if missing:
-            raise MissingColumnsError(f"dataset is missing columns: {missing}")
-        idx = [self.labels.index(x) for x in wanted]
-        return DatasetMatrix(labels=tuple(wanted), values=self.values[:, idx])
 
 
 def ingest_csv(path: str) -> DatasetMatrix:
@@ -245,7 +212,7 @@ def replicate_two_node_study(
     x_u = STUDY_NOISE_SD * gen.standard_normal(STUDY_N_OBS)
     x_v = STUDY_NOISE_SD * gen.standard_normal(STUDY_N_OBS) + STUDY_BETA * x_u
     posterior = build_design_posterior(
-        np.column_stack([x_u, x_v]), config.a_omega, labels=TWO_NODE_LABELS
+        DatasetMatrix(TWO_NODE_LABELS, np.column_stack([x_u, x_v])), config.a_omega
     )
     scatter = posterior.scatter
     observational = {

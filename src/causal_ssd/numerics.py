@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -70,8 +69,6 @@ class WishartParams:
     has density proportional to |Q|^((a-T-1)/2) * exp(-tr(U Q)/2) and
     expectation a * U^{-1}.  Many references use the scale convention
     (expectation a * V); the rate U here corresponds to scale V = U^{-1}.
-    ``upper_factor`` is F = chol(U)^{-T}, upper triangular with F F^T =
-    U^{-1}, formed on first use.
     """
 
     df: float
@@ -85,7 +82,8 @@ class WishartParams:
             raise ValueError("rate must be finite")
         if not np.allclose(rate, rate.T, rtol=1e-10, atol=1e-12):
             raise ValueError("rate must be symmetric")
-        rate = 0.5 * (rate + rate.T)
+        if not np.array_equal(rate, rate.T):  # no arithmetic, so no overflow, when symmetric
+            rate = 0.5 * (rate + rate.T)
         try:
             np.linalg.cholesky(rate)
         except np.linalg.LinAlgError:
@@ -97,16 +95,6 @@ class WishartParams:
         rate.setflags(write=False)
         object.__setattr__(self, "df", df)
         object.__setattr__(self, "rate", rate)
-
-    @cached_property
-    def upper_factor(self) -> np.ndarray:
-        factor = np.linalg.inv(np.linalg.cholesky(self.rate)).T
-        factor.setflags(write=False)
-        return factor
-
-    @property
-    def dim(self) -> int:
-        return self.rate.shape[0]
 
 
 def _stirling_tail(z: float) -> float:
@@ -228,8 +216,8 @@ def sample_wishart(stream: RandomStream, params: WishartParams, size: int | None
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError(f"size must be positive, got {size!r}")
-    t = params.dim
-    factor = params.upper_factor.tolist()
+    t = params.rate.shape[0]
+    factor = np.linalg.inv(np.linalg.cholesky(params.rate)).T.tolist()
     gen = stream.generator()
     bart = [[None] * t for _ in range(t)]  # bart[k][c] is set for c <= k
     for i in range(t):

@@ -1,5 +1,11 @@
 """Predictive distribution of the Bayes factor before interventional data exist.
 
+The observational data enter only here, through one path: a
+``DatasetMatrix`` (parsed by ``harness.ingest_csv``, or restricted to a
+chain component's columns) goes to ``build_design_posterior``, and the
+``DesignPosterior`` it returns checks, once, that its scatter is finite and
+positive definite.  Data that fail raise ``InsufficientDataError``.
+
 Under H0 (u <- v, post-intervention independence) the squared correlation is
 ancillary: r^2 ~ Beta(1/2, (n-1)/2) regardless of the observational data and
 of the interventional density, so band probabilities are exact.  Under H1
@@ -49,6 +55,44 @@ class InsufficientDataError(ValueError):
     """Observational data cannot support a proper design posterior."""
 
 
+class MissingColumnsError(ValueError):
+    """The dataset has no column for some of the requested labels."""
+
+
+@dataclass(frozen=True)
+class DatasetMatrix:
+    """Labeled numeric data matrix without missing values."""
+
+    labels: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        labels = tuple(str(x) for x in self.labels)
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2:
+            raise ValueError("values must be a 2-D matrix")
+        if values.shape[0] < 1:
+            raise ValueError("dataset needs at least one row")
+        if values.shape[1] != len(labels):
+            raise ValueError("number of labels must match number of columns")
+        if len(set(labels)) != len(labels):
+            raise ValueError("column labels must be distinct")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("dataset values must be finite")
+        values.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
+
+    def restrict(self, labels: Sequence[str]) -> "DatasetMatrix":
+        """Columns for the given labels, in the given order."""
+        wanted = [str(x) for x in labels]
+        missing = sorted(set(wanted) - set(self.labels))
+        if missing:
+            raise MissingColumnsError(f"dataset is missing columns: {missing}")
+        idx = [self.labels.index(x) for x in wanted]
+        return DatasetMatrix(labels=tuple(wanted), values=self.values[:, idx])
+
+
 @dataclass(frozen=True)
 class DesignPosterior:
     """Wishart posterior of the precision matrix given observational data.
@@ -56,7 +100,9 @@ class DesignPosterior:
     ``df`` is a_omega + N and ``scatter`` is Z^T Z; the posterior law is
     Wishart(df, rate=scatter) in the rate parameterization (expectation
     df * scatter^{-1}).  It acts as the generating design prior for the
-    parameters of the post-intervention model.
+    parameters of the post-intervention model.  Construction raises
+    ``InsufficientDataError`` if the scatter is not finite or not positive
+    definite, or if df is too small for a proper law.
     """
 
     df: float
@@ -72,12 +118,17 @@ class DesignPosterior:
         if len(set(labels)) != t:
             raise ValueError("column labels must be distinct")
         if not np.all(np.isfinite(scatter)):
-            raise ValueError("scatter must be finite")
+            raise InsufficientDataError("observational scatter leaves the float range")
+        try:
+            np.linalg.cholesky(scatter)
+        except np.linalg.LinAlgError:
+            raise InsufficientDataError(
+                "observational scatter is singular; more (or less collinear) rows needed"
+            ) from None
         if self.df - (t - 2) <= 1.0:
             raise InsufficientDataError(
                 "design posterior improper: need df - (T - 2) > 1"
             )
-        scatter = 0.5 * (scatter + scatter.T)
         scatter.setflags(write=False)
         object.__setattr__(self, "scatter", scatter)
         object.__setattr__(self, "df", float(self.df))
@@ -104,43 +155,34 @@ class DesignPosterior:
         if iu == iv:
             raise ValueError("u and v must be distinct columns")
         block = self.scatter[np.ix_((iu, iv), (iu, iv))]
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            raise InsufficientDataError(f"scatter submatrix for ({u}, {v}) is singular") from None
         return WishartParams(self.df - (self.dim - 2), block)
 
 
-def build_design_posterior(
-    z: np.ndarray, a_omega: float, labels: Sequence[str] | None = None
-) -> DesignPosterior:
-    """Design posterior from an N x T observational data matrix.
+def build_design_posterior(data: DatasetMatrix, a_omega: float | None = None) -> DesignPosterior:
+    """Design posterior of the columns of ``data``: the one path from
+    observational data to a ``DesignPosterior``.
 
-    ``df = a_omega + N`` and ``scatter = Z^T Z``, each entry summed by
-    ``math.fsum``.  The scatter must be positive definite (an all-zero or
-    rank-deficient Z is rejected).
+    ``df = a_omega + N``, with ``a_omega`` T - 1 for T columns by default,
+    and ``scatter = Z^T Z``, each entry summed by ``math.fsum``.  A product
+    or sum past the float range makes the entry infinite, and the posterior
+    then rejects the scatter, as it rejects one that is not positive
+    definite (an all-zero or rank-deficient Z).
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
-        raise ValueError("z must be a nonempty N x T matrix")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("observational data must be finite")
+    z = data.values
     n_rows, t = z.shape
-    if labels is None:
-        labels = tuple(f"x{i + 1}" for i in range(t))
+    a_omega = t - 1.0 if a_omega is None else float(a_omega)
     # each entry a correctly rounded sum of its products, so that no BLAS
     # kernel reaches the bytes
     scatter = np.empty((t, t))
-    for i in range(t):
-        for j in range(i + 1):
-            scatter[i, j] = scatter[j, i] = math.fsum(z[:, i] * z[:, j])
-    try:
-        np.linalg.cholesky(scatter)
-    except np.linalg.LinAlgError:
-        raise InsufficientDataError(
-            "observational scatter is singular; more (or less collinear) rows needed"
-        ) from None
-    return DesignPosterior(df=float(a_omega) + n_rows, scatter=scatter, labels=tuple(labels))
+    with np.errstate(over="ignore"):  # an infinite product is an infinite entry
+        for i in range(t):
+            for j in range(i + 1):
+                try:
+                    entry = math.fsum(z[:, i] * z[:, j])
+                except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+                    entry = math.inf
+                scatter[i, j] = scatter[j, i] = entry
+    return DesignPosterior(df=a_omega + n_rows, scatter=scatter, labels=data.labels)
 
 
 @dataclass(frozen=True)
@@ -286,7 +328,8 @@ def draw_h1_edge(
     U = [[a, b], [b, c]], Q = F B B^T F^T gives
     lam = -(f00 b00 b10 / sqrt(s) + f01 sqrt(s)) with s = b11^2 + b10^2; f11
     cancels.  f00 = 1 / sqrt(a) and f01 = -b / (a sqrt(c - b^2 / a)) are taken
-    in closed form, so no LAPACK kernel reaches the draws.  lam is then
+    in closed form, so no LAPACK kernel reaches the draws; a block whose f01
+    terms overflow or underflow raises ``InsufficientDataError``.  lam is then
     replaced in place by |lam|, sorted ascending; ``z`` stays as drawn.  A
     chi-square(k) draw is taken as twice a standard gamma(k / 2) draw, which
     is how numpy computes it.
@@ -297,7 +340,11 @@ def draw_h1_edge(
     params = posterior.pair_precision_params(u, v)
     (a, b), (_, c) = params.rate.tolist()
     f00 = 1.0 / math.sqrt(a)
-    f01 = -b / (a * math.sqrt(c - b * b / a))
+    schur = c - b * b / a  # -inf when b * b overflows
+    den = a * math.sqrt(schur) if schur > 0.0 else 0.0
+    if not 0.0 < den < math.inf:
+        raise InsufficientDataError(f"the ({u}, {v}) pair factor leaves the float range")
+    f01 = -b / den
     # three separate arrays, so that s is freed and only lam and z stay
     lam, s, z = np.empty(draws), np.empty(draws), np.empty(draws)
 

@@ -37,9 +37,11 @@ from causal_ssd.graph import (
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     BfPredictiveSample,
+    DatasetMatrix,
     DesignPosterior,
     InsufficientDataError,
     InterventionDensity,
+    MissingColumnsError,
     build_design_posterior,
     draw_h1_edge,
     prob_bf_band_h0,
@@ -390,19 +392,6 @@ class ComponentPlans:
         }
 
 
-def component_posterior(
-    data, component: tuple[str, ...], a_omega: float | None = None
-) -> DesignPosterior:
-    """Design posterior of one chain component from its nodes' data columns.
-
-    ``a_omega`` defaults to T - 1 for a component of T nodes.  ``data`` is a
-    ``DatasetMatrix``; a missing column raises its ``MissingColumnsError``.
-    """
-    restricted = data.restrict(component)
-    a_comp = float(len(component) - 1) if a_omega is None else float(a_omega)
-    return build_design_posterior(restricted.values, a_comp, labels=restricted.labels)
-
-
 def edge_stream(
     stream: RandomStream, component_index: int, component: tuple[str, ...], u: str, v: str
 ) -> RandomStream:
@@ -412,7 +401,7 @@ def edge_stream(
 
 def plan_cpdag(
     cpdag: PartiallyDirectedGraph,
-    data,
+    data: DatasetMatrix,
     thresholds: DceThresholds,
     f_u: InterventionDensity = InterventionDensity(),
     stream: RandomStream = RandomStream(0),
@@ -439,8 +428,6 @@ def plan_cpdag(
     1; results do not depend on the worker count because every edge owns a
     fixed substream (``edge_stream``).
     """
-    from causal_ssd.harness import DatasetMatrix, MissingColumnsError  # avoids a cycle
-
     if not isinstance(data, DatasetMatrix):
         raise TypeError("data must be a DatasetMatrix")
     out: list[ComponentPlans] = []
@@ -453,7 +440,7 @@ def plan_cpdag(
         entry = ComponentPlans(component=comp, plans=[])
         out.append(entry)
         try:
-            posterior = component_posterior(data, comp, a_omega)
+            posterior = build_design_posterior(data.restrict(comp), a_omega)
             sequences = optimal_sequences(sub)
         except (CapacityError, NotDecomposableError, InsufficientDataError,
                 MissingColumnsError) as exc:

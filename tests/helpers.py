@@ -25,11 +25,12 @@ from causal_ssd.graph import (
     enumerate_class,
     meek_closure,
 )
-from causal_ssd.harness import DatasetMatrix, format_float
+from causal_ssd.harness import format_float
 from causal_ssd.numerics import RandomStream, WishartParams, sample_wishart
 from causal_ssd.predictive import (
     H1_BLOCK,
     BfPredictiveSample,
+    DatasetMatrix,
     DesignPosterior,
     InterventionDensity,
     draw_h1_edge,
@@ -123,7 +124,7 @@ def matmul_sample_wishart(
     batched matmuls, drawing from the stream in the same order as
     ``numerics.sample_wishart``."""
     n = 1 if size is None else int(size)
-    t = params.dim
+    t = params.rate.shape[0]
     factor = np.linalg.inv(np.linalg.cholesky(params.rate)).T
     gen = stream.generator()
     bart = np.zeros((n, t, t))
@@ -607,7 +608,7 @@ def marginal_likelihood_subset(
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
-    t = prior.dim
+    t = prior.rate.shape[0]
     if data.shape[1] != t:
         raise ValueError(f"data has {data.shape[1]} columns but prior dimension is {t}")
     cols = tuple(int(c) for c in subset)

@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -520,6 +521,20 @@ def check_malformed_preset(command, name, monkeypatch, capsys):
     assert f"usage error: argument {flag}: invalid" in capsys.readouterr().err
 
 
+# two-node data whose products leave the float range, as (cells set, scale
+# of the data, whether the scatter fails): the first three make the scatter
+# infinite; the last three leave it finite and positive definite, but
+# overflow or underflow the factor of its pair block in draw_h1_edge
+OUT_OF_RANGE = {
+    "cell-1e200": ({(0, 0): 1e200}, 1.0, True),
+    "cells-pm1e170": ({(0, 0): 1e170, (0, 1): 1e170, (1, 0): 1e170, (1, 1): -1e170}, 1.0, True),
+    "two-cells-1.2e154": ({(0, 0): 1.2e154, (1, 0): 1.2e154}, 1.0, True),
+    "scaled-1e150": ({}, 1e150, False),
+    "scaled-1e-160": ({}, 1e-160, False),
+    "cell-1.2e154": ({(0, 0): 1.2e154}, 1.0, False),
+}
+
+
 class TestUsageAndErrors:
     def test_missing_file_is_input_error(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -672,6 +687,30 @@ class TestUsageAndErrors:
         graph, data = two_node_files
         assert main(["plan", "--graph", graph, "--data", data, *FAST, *flags]) == EXIT_INPUT
         assert "input error: [Errno 13] Permission denied" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells, scale, scatter", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+    def test_data_outside_the_float_range_is_a_propriety_error(
+        self, cells, scale, scatter, tmp_path, capsys
+    ):
+        values = scale * linear_sem_data("uv", {("u", "v"): 0.5}, 50, RandomStream(8)).values
+        for cell, value in cells.items():
+            values[cell] = value
+        graph, data, out = tmp_path / "g.graph", tmp_path / "d.csv", tmp_path / "plan.json"
+        graph.write_text("u -- v\n")
+        write_dataset(data, "uv", values)
+        inputs = ["--graph", str(graph), "--data", str(data), "--draws", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the run
+            assert main(["plan", *inputs, "--workers", "1", "--out", str(out)]) == EXIT_CAPACITY
+            assert main(["dce-curve", *inputs, "--edge", "u,v", "--n-max", "5"]) == EXIT_CAPACITY
+            assert main(["predict-bf", *inputs, "--edge", "u,v", "--n", "5"]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.count("float range") == 3
+        if scatter:  # plan reports it per component
+            (component,) = json.loads(out.read_text())["components"]
+            assert component["error"] == "observational scatter leaves the float range"
+        else:  # the edge task fails the whole run
+            assert not out.exists()
 
     def test_huge_thresholds_are_not_achievable_without_traceback(self, two_node_files, tmp_path):
         graph, data = two_node_files
@@ -884,6 +923,37 @@ def _traced() -> tuple:
     return traced
 
 
+def test_bench_setup_probe_imports_resolve():
+    # bench/run.py times its setup_s probe without reading the probe's exit
+    # status, so a probe import that no longer resolves would go unnoticed
+    import ast
+    import importlib
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "run.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    lines = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for line in node.value.splitlines()
+        if line.startswith(("import causal_ssd", "from causal_ssd"))
+    }
+    imported = set()
+    for line in sorted(lines):
+        (statement,) = ast.parse(line).body
+        for alias in statement.names:
+            if isinstance(statement, ast.ImportFrom):
+                getattr(importlib.import_module(statement.module), alias.name)
+                imported.add(f"{statement.module}.{alias.name}")
+            else:
+                importlib.import_module(alias.name)
+                imported.add(alias.name)
+    assert imported >= {
+        "causal_ssd.cli", "causal_ssd.graph.parse_edge_list", "causal_ssd.harness.ingest_csv"
+    }
+
+
 def test_every_traced_name_is_bound():
     # bench/tracing.py wraps each (module, attribute) of TRACED with no
     # default, so a deleted or renamed name would break `--trace 1`
@@ -930,8 +1000,6 @@ NOT_RUN_BY_A_COMMAND = {
     "graph.enumerate_class.<locals>.creates_v_structure": "inner function of enumerate_class",
     "graph.enumerate_class.<locals>.assign": "inner function of enumerate_class",
     "numerics.sample_wishart": "oracle of predictive.draw_h1_edge; bench/tracing.py wraps it",
-    "numerics.WishartParams.dim": "called by sample_wishart and the oracles in tests/helpers.py",
-    "numerics.WishartParams.upper_factor": "formed on first read, by sample_wishart and tests",
     "graph.PartiallyDirectedGraph.__repr__": "value semantics of a graph type, used by tests",
 }
 

@@ -11,7 +11,6 @@ from causal_ssd.harness import (
     STUDY_BETA,
     STUDY_N_OBS,
     CsvParseError,
-    DatasetMatrix,
     TwoNodeStudyConfig,
     atomic_write_chunks,
     bf_samples_csv,
@@ -23,7 +22,12 @@ from causal_ssd.harness import (
     replicate_two_node_study,
 )
 from causal_ssd.numerics import RandomStream
-from causal_ssd.predictive import BfPredictiveSample, build_design_posterior, prob_bf_band_h0
+from causal_ssd.predictive import (
+    BfPredictiveSample,
+    DatasetMatrix,
+    build_design_posterior,
+    prob_bf_band_h0,
+)
 from causal_ssd.ssd import DceThresholds
 
 from helpers import dce_probabilities, g_of_n, linear_sem_data, whole_bf_samples_csv
@@ -131,7 +135,7 @@ class TestTwoNodeStudy:
         data = linear_sem_data(
             "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(8).child(0)
         )
-        posterior = build_design_posterior(data.values, SMALL_STUDY.a_omega, labels=data.labels)
+        posterior = build_design_posterior(data, SMALL_STUDY.a_omega)
         assert small_report.observational["scatter"] == posterior.scatter.tolist()
         f_u, draws = SMALL_STUDY.intervention, SMALL_STUDY.draws
         for k in (3.0, 6.0, 10.0):
@@ -154,7 +158,7 @@ class TestTwoNodeStudy:
         data = linear_sem_data(
             "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(seed).child(0)
         )
-        posterior = build_design_posterior(data.values, 1.0, labels=data.labels)
+        posterior = build_design_posterior(data)
         assert report.observational["labels"] == list(data.labels)
         assert report.observational["scatter"] == posterior.scatter.tolist()
 

@@ -150,13 +150,13 @@ class TestRegularizedIncompleteBeta:
 
 
 class TestWishartParams:
-    def test_keeps_the_bartlett_factor(self):
-        u = np.array([[2.0, 0.6], [0.6, 1.5]])
-        f = WishartParams(7.0, u).upper_factor
-        np.testing.assert_array_equal(f, np.linalg.inv(np.linalg.cholesky(u)).T)
-        np.testing.assert_allclose(f @ f.T, np.linalg.inv(u), rtol=1e-12)
-        assert abs(f[1, 0]) <= 1e-15 * abs(f).max()
-        assert not f.flags.writeable
+    def test_symmetric_rate_kept_bit_for_bit(self):
+        # entries above half the float range, and subnormal ones, survive the
+        # symmetrization unchanged and without an overflow warning
+        for u in ([[1.44e308, 1e154], [1e154, 1e308]], [[3e-320, 1e-321], [1e-321, 2e-320]]):
+            np.testing.assert_array_equal(WishartParams(5.0, np.array(u)).rate, u)
+        near = WishartParams(5.0, np.array([[2.0, 0.6], [0.6 + 1e-14, 1.5]])).rate
+        np.testing.assert_array_equal(near, near.T)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError):
@@ -169,13 +169,6 @@ class TestWishartParams:
     def test_rejects_improper_df(self):
         with pytest.raises(ValueError):
             WishartParams(1.0, np.eye(3))
-
-    def test_mean_is_df_times_rate_inverse(self):
-        u = np.array([[2.0, 0.3], [0.3, 1.0]])
-        p = WishartParams(7.0, u)
-        # the expectation df * F F^T, from the stored factor F of rate^-1
-        mean = p.df * p.upper_factor @ p.upper_factor.T
-        np.testing.assert_allclose(mean, 7.0 * np.linalg.inv(u))
 
 
 class TestSampleWishart:

@@ -13,6 +13,8 @@ from causal_ssd.predictive import (
     H1_BLOCK,
     H1_BYTES_PER_DRAW,
     BfPredictiveSample,
+    DatasetMatrix,
+    DesignPosterior,
     H1EdgeDraw,
     InsufficientDataError,
     InterventionDensity,
@@ -42,7 +44,7 @@ def observational_data(seed, n_rows=50, beta=0.5):
 
 
 def two_node_posterior(seed, n_rows=50, beta=0.5):
-    return build_design_posterior(observational_data(seed, n_rows, beta), 1.0, labels=("u", "v"))
+    return build_design_posterior(DatasetMatrix("uv", observational_data(seed, n_rows, beta)), 1.0)
 
 
 def exact_lam_and_z(posterior, u, v, draws, stream):
@@ -102,20 +104,42 @@ class TestBuildDesignPosterior:
         # 2x2 conditional-precision degrees: df - (T - 2) = 51
         assert post.pair_precision_params("u", "v").df == 51.0
 
+    def test_a_omega_defaults_to_t_minus_one(self):
+        z = np.random.default_rng(3).standard_normal((20, 3))
+        post = build_design_posterior(DatasetMatrix("abc", z))
+        assert (post.df, post.labels) == (2.0 + 20, ("a", "b", "c"))
+        np.testing.assert_allclose(post.scatter, z.T @ z, rtol=1e-12)
+
     def test_zero_data_rejected(self):
         with pytest.raises(InsufficientDataError):
-            build_design_posterior(np.zeros((5, 2)), 1.0)
+            build_design_posterior(DatasetMatrix("uv", np.zeros((5, 2))), 1.0)
 
     def test_rank_deficient_rejected(self):
         col = np.random.default_rng(1).standard_normal(10)
         with pytest.raises(InsufficientDataError):
-            build_design_posterior(np.column_stack([col, 2 * col]), 1.0)
+            build_design_posterior(DatasetMatrix("uv", np.column_stack([col, 2 * col])), 1.0)
 
     def test_improper_degrees_rejected(self):
         z = np.random.default_rng(2).standard_normal((1, 4))
         # df - (T - 2) = 1 + 1 - 2 = 0 <= 1
         with pytest.raises(InsufficientDataError):
-            build_design_posterior(z, 0.0)
+            build_design_posterior(DatasetMatrix("abcd", z), 0.0)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            {(0, 0): 1e200},  # a product past the float range
+            {(0, 0): 1e170, (0, 1): 1e170, (1, 0): 1e170, (1, 1): -1e170},  # inf - inf
+            {(0, 0): 1.2e154, (1, 0): 1.2e154},  # a sum past it
+        ],
+    )
+    def test_scatter_outside_the_float_range_rejected(self, cells):
+        # the pytest configuration makes an overflow warning an error, so none is emitted
+        z = observational_data(4)
+        for cell, value in cells.items():
+            z[cell] = value
+        with pytest.raises(InsufficientDataError, match="scatter leaves the float range"):
+            build_design_posterior(DatasetMatrix("uv", z))
 
 
 class TestInterventionDensity:
@@ -274,7 +298,7 @@ class TestSampleBfH1:
         rng = np.random.default_rng(13)
         data = rng.standard_normal((40, 3))
         data[:, 1] += 0.7 * data[:, 0]
-        post = build_design_posterior(data, 1.0, labels=("a", "b", "c"))
+        post = build_design_posterior(DatasetMatrix("abc", data), 1.0)
         # three blocks, the last one partial, so the interleaving shows
         stream, draws = RandomStream(14, (2, 1)), 2 * H1_BLOCK + H1_BLOCK // 3
         lam, z = exact_lam_and_z(post, u, v, draws, stream)
@@ -371,7 +395,7 @@ class TestSampleBfH1:
         for n_rows in (200, 100_000):
             rng = np.random.default_rng(5)
             z = rng.standard_normal((n_rows, 2))
-            posterior = build_design_posterior(z, 1.0, labels=("u", "v"))
+            posterior = build_design_posterior(DatasetMatrix("uv", z), 1.0)
             edge = draw_h1_edge(posterior, "u", "v", InterventionDensity(), 20_000, RandomStream(23))
             sample = sample_bf_h1(edge, n)
             r2 = 1.0 - (sample.draws / g_of_n(n)) ** (2.0 / (n - 1))
@@ -457,15 +481,21 @@ class TestSampleBfH1:
         col = rng.standard_normal(30)
         z = np.column_stack([col, 2.0 * col, rng.standard_normal(30)])
         with pytest.raises(InsufficientDataError):
-            build_design_posterior(z, 2.0, labels=("a", "b", "c"))
-        # a directly built posterior with a singular pair block is caught
-        # when the block is requested
-        from causal_ssd.predictive import DesignPosterior
-
+            build_design_posterior(DatasetMatrix("abc", z), 2.0)
+        # a directly built posterior with a singular pair block is rejected
+        # by the same check, when it is built
         scatter = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        posterior = DesignPosterior(df=10.0, scatter=scatter, labels=("a", "b", "c"))
-        with pytest.raises(InsufficientDataError):
-            posterior.pair_precision_params("a", "b")
+        with pytest.raises(InsufficientDataError, match="singular"):
+            DesignPosterior(df=10.0, scatter=scatter, labels=("a", "b", "c"))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-160])
+    def test_pair_factor_outside_the_float_range_rejected(self, scale):
+        # the scatter is finite and positive definite, but b * b overflows at
+        # 1e150 and a * sqrt(c - b^2 / a) underflows to 0 at 1e-160
+        posterior = build_design_posterior(DatasetMatrix("uv", scale * observational_data(4)))
+        for u, v in (("u", "v"), ("v", "u")):
+            with pytest.raises(InsufficientDataError, match="float range"):
+                draw_h1_edge(posterior, u, v, InterventionDensity(), 10, RandomStream(29))
 
     def test_reversed_roles_differ(self):
         # conditioning direction matters: (u, v) regresses v on u

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from causal_ssd.design import optimal_sequences
 from causal_ssd.graph import PartiallyDirectedGraph, chain_components
-from causal_ssd.harness import DatasetMatrix
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     H1_BLOCK,
     BfPredictiveSample,
+    DatasetMatrix,
     InterventionDensity,
     build_design_posterior,
 )
@@ -50,8 +50,7 @@ def two_node_dataset(seed=3, n_rows=50, beta=0.5):
 
 
 def two_node_posterior(seed=3, n_rows=50, beta=0.5):
-    data = two_node_dataset(seed, n_rows, beta)
-    return build_design_posterior(data.values, 1.0, labels=data.labels)
+    return build_design_posterior(two_node_dataset(seed, n_rows, beta), 1.0)
 
 
 def fig1_dataset(seed=0, n_rows=80):
