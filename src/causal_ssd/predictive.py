@@ -311,6 +311,26 @@ class H1EdgeDraw:
         return self.z.size
 
 
+def pair_factor(
+    posterior: DesignPosterior, u: str, v: str
+) -> tuple[WishartParams, float, float]:
+    """The Wishart law of the (u, v) conditional precision, and the entries
+    f00 = 1 / sqrt(a) and f01 = -b / (a sqrt(c - b^2 / a)) of the upper
+    factor F = chol(U)^{-T} of its rate U = [[a, b], [b, c]].
+
+    Raises ``InsufficientDataError`` when the terms of f01 overflow or
+    underflow, though the scatter itself is finite and positive definite.
+    """
+    params = posterior.pair_precision_params(u, v)
+    (a, b), (_, c) = params.rate.tolist()
+    f00 = 1.0 / math.sqrt(a)
+    schur = c - b * b / a  # -inf when b * b overflows
+    den = a * math.sqrt(schur) if schur > 0.0 else 0.0
+    if not 0.0 < den < math.inf:
+        raise InsufficientDataError(f"the ({u}, {v}) pair factor leaves the float range")
+    return params, f00, -b / den
+
+
 def draw_h1_edge(
     posterior: DesignPosterior,
     u: str,
@@ -327,9 +347,9 @@ def draw_h1_edge(
     ``z``.  With F = chol(U)^{-T} the upper factor of the rate
     U = [[a, b], [b, c]], Q = F B B^T F^T gives
     lam = -(f00 b00 b10 / sqrt(s) + f01 sqrt(s)) with s = b11^2 + b10^2; f11
-    cancels.  f00 = 1 / sqrt(a) and f01 = -b / (a sqrt(c - b^2 / a)) are taken
-    in closed form, so no LAPACK kernel reaches the draws; a block whose f01
-    terms overflow or underflow raises ``InsufficientDataError``.  lam is then
+    cancels.  f00 and f01 are taken in closed form by ``pair_factor``, so no
+    LAPACK kernel reaches the draws; a pair block whose f01 terms overflow or
+    underflow raises ``InsufficientDataError`` there.  lam is then
     replaced in place by |lam|, sorted ascending; ``z`` stays as drawn.  A
     chi-square(k) draw is taken as twice a standard gamma(k / 2) draw, which
     is how numpy computes it.
@@ -337,14 +357,7 @@ def draw_h1_edge(
     draws = int(draws)
     if draws < 1:
         raise ValueError("draws must be positive")
-    params = posterior.pair_precision_params(u, v)
-    (a, b), (_, c) = params.rate.tolist()
-    f00 = 1.0 / math.sqrt(a)
-    schur = c - b * b / a  # -inf when b * b overflows
-    den = a * math.sqrt(schur) if schur > 0.0 else 0.0
-    if not 0.0 < den < math.inf:
-        raise InsufficientDataError(f"the ({u}, {v}) pair factor leaves the float range")
-    f01 = -b / den
+    params, f00, f01 = pair_factor(posterior, u, v)
     # three separate arrays, so that s is freed and only lam and z stay
     lam, s, z = np.empty(draws), np.empty(draws), np.empty(draws)
 

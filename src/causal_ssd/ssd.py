@@ -20,7 +20,6 @@ from __future__ import annotations
 import array
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -44,6 +43,7 @@ from causal_ssd.predictive import (
     MissingColumnsError,
     build_design_posterior,
     draw_h1_edge,
+    pair_factor,
     prob_bf_band_h0,
     sample_bf_h1,
 )
@@ -392,6 +392,20 @@ class ComponentPlans:
         }
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool of ``max_workers`` workers.
+
+    ``concurrent.futures`` and the ``multiprocessing`` modules it loads are
+    imported here, when a plan starts its first pool, so that no other run
+    of the package pays for them.  ``plan_cpdag`` looks the name up at call
+    time, so a replacement bound to this module attribute is the pool it
+    starts.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def edge_stream(
     stream: RandomStream, component_index: int, component: tuple[str, ...], u: str, v: str
 ) -> RandomStream:
@@ -420,13 +434,15 @@ def plan_cpdag(
     Once every edge task has run, it gets one plan per sequence, and the
     plan ``best_size_plan`` picks is flagged ``bos``.  Failures (missing
     data columns, a component above ``SUBSET_SCAN_CAP`` nodes, a non-chordal
-    component, an improper posterior) are reported per component without
-    aborting the others.
+    component, an improper posterior, the ``pair_factor`` of one of its edge
+    tasks out of the float range) are found before any edge task runs and
+    are reported per component without aborting the others.
 
     ``workers`` > 1 evaluates edges in parallel processes, at most one per
     edge task and per CPU the process may use, or in this process if that is
     1; results do not depend on the worker count because every edge owns a
-    fixed substream (``edge_stream``).
+    fixed substream (``edge_stream``).  Only a run that starts a pool imports
+    it (``ProcessPoolExecutor``).
     """
     if not isinstance(data, DatasetMatrix):
         raise TypeError("data must be a DatasetMatrix")
@@ -442,18 +458,20 @@ def plan_cpdag(
         try:
             posterior = build_design_posterior(data.restrict(comp), a_omega)
             sequences = optimal_sequences(sub)
+            edges = list(dict.fromkeys(
+                (u, v) for seq in sequences for u in seq for v in sub.undirected_neighbors(u)
+            ))
+            for u, v in edges:  # raises here, not in the edge task, whether or not it draws
+                pair_factor(posterior, u, v)
         except (CapacityError, NotDecomposableError, InsufficientDataError,
                 MissingColumnsError) as exc:
             entry.error = str(exc)
             continue
-        for seq in sequences:
-            for u in seq:
-                for v in sub.undirected_neighbors(u):
-                    if (ci, u, v) not in tasks:
-                        tasks[(ci, u, v)] = (
-                            u, v, thresholds, prior_h0(sub, u, v), posterior, f_u,
-                            n_max, draws, edge_stream(stream, ci, comp, u, v),
-                        )
+        for u, v in edges:
+            tasks[(ci, u, v)] = (
+                u, v, thresholds, prior_h0(sub, u, v), posterior, f_u,
+                n_max, draws, edge_stream(stream, ci, comp, u, v),
+            )
         searched.append((entry, ci, sub, sequences))
 
     # optimal_n_edge is looked up at call time, so a wrapper bound to the

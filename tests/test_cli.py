@@ -706,11 +706,47 @@ class TestUsageAndErrors:
             assert main(["predict-bf", *inputs, "--edge", "u,v", "--n", "5"]) == EXIT_CAPACITY
         err = capsys.readouterr().err
         assert err.count("float range") == 3
-        if scatter:  # plan reports it per component
-            (component,) = json.loads(out.read_text())["components"]
+        # plan reports it per component, for a pair factor before any edge task runs
+        (component,) = json.loads(out.read_text())["components"]
+        if scatter:
             assert component["error"] == "observational scatter leaves the float range"
-        else:  # the edge task fails the whole run
-            assert not out.exists()
+        else:
+            assert re.fullmatch(r"the \((u, v|v, u)\) pair factor leaves the float range",
+                                component["error"])
+
+    @pytest.mark.parametrize("grid", [[], ["--n-max", "50"]], ids=["n-max-1000", "n-max-50"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pair_factor_outside_the_float_range_fails_only_its_component(
+        self, workers, grid, tmp_path, monkeypatch, capsys
+    ):
+        # the u, v columns scaled by 1e150 give a finite, positive definite
+        # scatter whose (u, v) pair factor overflows; at --n-max 50 no grid
+        # point can reach zeta, so no edge task draws
+        data = linear_sem_data("abuv", {("a", "b"): 0.5, ("u", "v"): 0.5}, 50, RandomStream(8))
+        values = data.values.copy()
+        values[:, 2:] *= 1e150
+        write_dataset(tmp_path / "d.csv", data.labels, values)
+        (tmp_path / "g.graph").write_text("a -- b\nu -- v\n")
+        (tmp_path / "ab.graph").write_text("a -- b\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        flags = ["--data", str(tmp_path / "d.csv"), "--draws", "200", *grid, "--workers", workers]
+
+        def plan(graph):
+            out = tmp_path / f"{graph}.json"
+            code = main(["plan", "--graph", str(tmp_path / graph), *flags, "--out", str(out)])
+            return code, json.loads(out.read_text())["components"]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the run
+            code, (ab, uv) = plan("g.graph")
+            assert code == EXIT_CAPACITY
+            assert uv["component"] == ["u", "v"] and uv["plans"] == []
+            assert uv["error"] == "the (u, v) pair factor leaves the float range"
+            assert capsys.readouterr().err.count("float range") == 1
+            # a-b is planned in full, as it is without the u-v component
+            assert plan("ab.graph")[1] == [ab]
+        assert ab["error"] is None and len(ab["plans"]) == 2
+        assert ab["feasible"] == (grid == [])
 
     def test_huge_thresholds_are_not_achievable_without_traceback(self, two_node_files, tmp_path):
         graph, data = two_node_files
@@ -886,13 +922,19 @@ def third_party_packages_loaded_by(statement):
         "        path.startswith(d + os.sep) for d in stdlib)\n"
         "print(' '.join(sorted(t for t in tops if third_party(t))))\n"
     )
+    return set(run_python(code).split())
+
+
+def run_python(code):
+    """The stdout of ``code`` run in a fresh interpreter that imports the
+    package this module imported."""
     src = os.path.dirname(os.path.dirname(causal_ssd.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    return set(proc.stdout.split())
+    return proc.stdout
 
 
 def test_cli_import_loads_no_third_party_package_beyond_numpy():
@@ -905,6 +947,31 @@ def test_cli_import_loads_no_third_party_package_beyond_numpy():
         "import causal_ssd.cli\nassert 'scipy' not in sys.modules"
     )
     assert loaded - dependencies == {"causal_ssd"}, sorted(loaded - dependencies)
+
+
+def test_commands_without_a_pool_import_none(two_node_files, tmp_path):
+    # the process pool and the multiprocessing modules under it are imported
+    # only when plan starts a pool: about 30 modules and 2 MB of peak memory
+    # that no other run needs
+    graph, data = two_node_files
+    inputs = ["--graph", graph, "--data", data, "--edge", "u,v", "--n", "10"]
+    fast = ["--draws", "200", "--n-max", "40", "--workers", "1"]
+    runs = [
+        ["simulate", *flags_of("simulate", fast), "--out", str(tmp_path / "sim")],
+        ["dce-curve", *flags_of("dce-curve", inputs + fast)],
+        ["predict-bf", *flags_of("predict-bf", inputs + fast)],
+        ["plan", *flags_of("plan", inputs + fast)],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from causal_ssd.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "pools = sorted(m for m in sys.modules\n"
+        "               if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures'))\n"
+        "print(codes, pools)\n"
+    )
+    assert run_python(code) == f"{[EXIT_OK] * 3 + [EXIT_NOT_ACHIEVABLE]} []\n"
 
 
 def _traced() -> tuple:
@@ -1028,7 +1095,7 @@ def _defined_functions(path: str) -> dict[int, str]:
     return out
 
 
-def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys):
+def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys, monkeypatch):
     # library code that no command runs and that no allowlist entry explains
     # belongs in tests/helpers.py or nowhere
     import causal_ssd.design as design_mod
@@ -1051,9 +1118,13 @@ def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys):
         (["predict-bf", *inputs, "--edge", "1,2", "--n", "10", *flags_of("predict-bf", fast)],
          EXIT_OK),
         (["simulate", *flags_of("simulate", fast), "--out", str(tmp_path / "sim")], EXIT_OK),
+        (["plan", *inputs, *flags_of("plan", fast, but="--workers"), "--workers", "2",
+          "--k0", "3", "--k1", "3", "--zeta", "0.5"], EXIT_OK),
         (["plan", *inputs, "--draws", "many"], EXIT_USAGE),
         (["plan", "--graph", graph, "--data", str(tmp_path / "missing.csv")], EXIT_INPUT),
     ]
+    # two usable CPUs, so that the plan at --workers 2 starts a pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     design_mod.orientation_counts.cache_clear()
     ssd_mod._H0_BANDS.clear()
     ran = set()

@@ -20,6 +20,7 @@ from causal_ssd.predictive import (
     InterventionDensity,
     build_design_posterior,
     draw_h1_edge,
+    pair_factor,
     prob_bf_band_h0,
     sample_bf_h0,
     sample_bf_h1,
@@ -494,6 +495,8 @@ class TestSampleBfH1:
         # 1e150 and a * sqrt(c - b^2 / a) underflows to 0 at 1e-160
         posterior = build_design_posterior(DatasetMatrix("uv", scale * observational_data(4)))
         for u, v in (("u", "v"), ("v", "u")):
+            with pytest.raises(InsufficientDataError, match="float range"):
+                pair_factor(posterior, u, v)
             with pytest.raises(InsufficientDataError, match="float range"):
                 draw_h1_edge(posterior, u, v, InterventionDensity(), 10, RandomStream(29))
 
