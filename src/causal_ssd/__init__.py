@@ -48,4 +48,4 @@ __all__ = [
     "TwoNodeStudyConfig",
 ]
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"

@@ -25,7 +25,6 @@ from causal_ssd.design import prior_h0
 from causal_ssd.graph import (
     CapacityError,
     GraphFormatError,
-    InconsistentOrientationError,
     InvalidChainGraphError,
     NotDecomposableError,
     chain_components,
@@ -345,12 +344,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        CapacityError,
-        NotDecomposableError,
-        InsufficientDataError,
-        InconsistentOrientationError,
-    ) as exc:
+    except (CapacityError, NotDecomposableError, InsufficientDataError) as exc:
         print(f"capacity/propriety error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
 

@@ -31,16 +31,17 @@ JMLR 2015):
 * every member of the class of a connected chordal component has exactly one
   source, so the class splits by its root r;
 * the members rooted at r are described by the closure of r -> N(r) under
-  the orientation rules; its undirected parts are connected chordal
-  components, oriented independently, so their number is the product of the
-  class sizes of those parts;
+  the orientation rules, which rule 1 alone reaches (``_rooted``; the
+  four-rule ``graph.meek_closure`` is its test oracle); its undirected parts
+  are connected chordal components, oriented independently, so their number
+  is the product of the class sizes of those parts;
 * an arrow a -> b belongs to every member rooted at r if the closure directs
   it so, to none if it directs it the other way, and otherwise to the
   members of the part holding a - b that contain it, times the sizes of the
   other parts.
 
-The recursion is memoized on the node sets of the parts, which are induced
-subgraphs of the component, so it scans at most 2^nodes of them.
+The recursion runs on node sets, builds no graph, and is memoized on the
+node sets of the parts: induced subgraphs, so it scans at most 2^nodes.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from typing import Mapping
 
 from causal_ssd.graph import (
     PartiallyDirectedGraph,
-    chain_components,
     check_subset_scan,
+    connected_parts,
     enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps design.enumerate_class)
-    meek_closure,
+    meek_closure,  # noqa: F401  (no caller; bench/tracing.py wraps design.meek_closure)
 )
 
 
@@ -103,6 +104,25 @@ def _product_counts(parts: list[_Counts]) -> _Counts:
     return size, arrows
 
 
+def _rooted(
+    adj: Mapping[str, frozenset[str]], nodes: frozenset[str], root: str
+) -> tuple[list[tuple[str, str]], dict[str, set[str]]]:
+    """Arrows and undirected adjacency of root -> N(root) closed under rule 1 in ``nodes``.
+
+    Each arrow a -> b orients b -> c for every undirected neighbour c of b
+    not adjacent to a.  The adjacency covers the nodes other than the root.
+    """
+    rest = nodes - {root}
+    und = {n: set(adj[n] & rest) for n in sorted(rest)}
+    arrows = [(root, c) for c in sorted(adj[root] & rest)]
+    for a, b in arrows:  # grows while it is walked
+        for c in sorted(und[b] - adj[a]):
+            und[b].discard(c)
+            und[c].discard(b)
+            arrows.append((b, c))
+    return arrows, und
+
+
 @functools.lru_cache(maxsize=16)
 def orientation_counts(g: PartiallyDirectedGraph) -> tuple[int, Mapping[tuple[str, str], int]]:
     """Class size of ``g`` and, per ordered edge (a, b), the members with a -> b.
@@ -114,6 +134,7 @@ def orientation_counts(g: PartiallyDirectedGraph) -> tuple[int, Mapping[tuple[st
     ``CapacityError`` and non-chordal ones ``NotDecomposableError``.
     """
     check_subset_scan(g, "the class count over its 2^nodes induced subgraphs")
+    adj = {n: frozenset(g.undirected_neighbors(n)) for n in g.nodes}
     memo: dict[frozenset[str], _Counts] = {}
 
     def count(nodes: frozenset[str]) -> _Counts:
@@ -122,22 +143,12 @@ def orientation_counts(g: PartiallyDirectedGraph) -> tuple[int, Mapping[tuple[st
             return 1, {}
         if nodes in memo:
             return memo[nodes]
-        edges = [(a, b) for a, b in g.undirected_edges() if a in nodes and b in nodes]
         size = 0
         arrows: dict[tuple[str, str], int] = {}
         for root in sorted(nodes):
-            closed = meek_closure(
-                PartiallyDirectedGraph(
-                    nodes,
-                    directed=[(root, w) for w in g.undirected_neighbors(root) if w in nodes],
-                    undirected=[e for e in edges if root not in e],
-                )
-            )
-            parts = chain_components(closed)
-            rooted_size, rooted_arrows = _product_counts(
-                [count(frozenset(p.nodes)) for p in parts]
-            )
-            for edge in closed.directed_edges():
+            directed, und = _rooted(adj, nodes, root)
+            rooted_size, rooted_arrows = _product_counts([count(p) for p in connected_parts(und)])
+            for edge in directed:
                 rooted_arrows[edge] = rooted_size
             size += rooted_size
             for edge, n in rooted_arrows.items():
@@ -145,8 +156,7 @@ def orientation_counts(g: PartiallyDirectedGraph) -> tuple[int, Mapping[tuple[st
         memo[nodes] = size, arrows
         return memo[nodes]
 
-    parts = chain_components(g)
-    size, arrows = _product_counts([count(frozenset(p.nodes)) for p in parts])
+    size, arrows = _product_counts([count(p) for p in connected_parts(adj)])
     return size, MappingProxyType(arrows)
 
 

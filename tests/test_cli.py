@@ -1067,6 +1067,12 @@ NOT_RUN_BY_A_COMMAND = {
     "graph.enumerate_class.<locals>.creates_v_structure": "inner function of enumerate_class",
     "graph.enumerate_class.<locals>.assign": "inner function of enumerate_class",
     "numerics.sample_wishart": "oracle of predictive.draw_h1_edge; bench/tracing.py wraps it",
+    "graph.meek_closure": (
+        "public API; oracle of design._rooted and of is_sufficient; "
+        "bench/tracing.py wraps design.meek_closure"
+    ),
+    "graph.meek_closure.<locals>.adjacent": "inner function of meek_closure",
+    "graph.meek_closure.<locals>.sweep": "inner function of meek_closure",
     "graph.PartiallyDirectedGraph.__repr__": "value semantics of a graph type, used by tests",
 }
 

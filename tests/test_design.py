@@ -1,13 +1,14 @@
 """Tests for intervention-target selection."""
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causal_ssd.design import optimal_sequences, orientation_counts, prior_h0
+from causal_ssd.design import _rooted, optimal_sequences, orientation_counts, prior_h0
 from causal_ssd.graph import (
     CapacityError,
     NotDecomposableError,
@@ -15,6 +16,7 @@ from causal_ssd.graph import (
     PartiallyDirectedGraph,
     enumerate_class,
     is_decomposable,
+    meek_closure,
     parse_edge_list,
 )
 from causal_ssd.ssd import best_size_plan
@@ -235,6 +237,34 @@ class TestPriorH0:
         assert size == len(enumerate_class(g)) == 6
         assert arrows[("2", "1")] == 4
         assert arrows[("4", "5")] == 3
+
+    @settings(derandomize=True, deadline=None)
+    @given(connected_chordal_graphs(max_nodes=12))
+    def test_rule_one_from_the_source_matches_the_closure(self, g):
+        # rooted at r, the four-rule closure of r -> N(r) orients nothing
+        # that rule 1 alone does not (He, Jia & Yu, JMLR 2015)
+        adj = {n: frozenset(g.undirected_neighbors(n)) for n in g.nodes}
+        for root in g.nodes:
+            arrows, und = _rooted(adj, frozenset(g.nodes), root)
+            closed = meek_closure(
+                PartiallyDirectedGraph(
+                    g.nodes,
+                    directed=[(root, w) for w in adj[root]],
+                    undirected=[e for e in g.undirected_edges() if root not in e],
+                )
+            )
+            left = {tuple(sorted((a, b))) for a in und for b in und[a]}
+            assert sorted(arrows) == closed.directed_edges()
+            assert sorted(left) == closed.undirected_edges()
+
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_clique_counts_have_the_closed_form(self, k):
+        # k! members, and every arrow in half of them
+        nodes = [f"n{i:02d}" for i in range(k)]
+        g = PartiallyDirectedGraph(nodes, undirected=itertools.combinations(nodes, 2))
+        size, arrows = orientation_counts(g)
+        assert size == math.factorial(k)
+        assert arrows == {e: math.factorial(k) // 2 for e in itertools.permutations(nodes, 2)}
 
     def test_count_capacity_and_chordality_enforced(self):
         with pytest.raises(CapacityError):

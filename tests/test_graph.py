@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from causal_ssd.graph import (
     NotDecomposableError,
     PartiallyDirectedGraph,
     chain_components,
+    connected_parts,
     enumerate_class,
     is_decomposable,
     meek_closure,
@@ -155,6 +157,18 @@ class TestChainComponents:
         code = main(["plan", "--graph", str(graph), "--data", str(data), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["components"] == []
+
+    def test_connected_parts_match_networkx(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            nodes = [str(i) for i in rng.permutation(int(rng.integers(1, 10)))]
+            graph = nx.Graph(e for e in itertools.combinations(nodes, 2) if rng.random() < 0.2)
+            graph.add_nodes_from(nodes)
+            parts = connected_parts({n: set(graph[n]) for n in nodes})
+            assert sorted(map(sorted, parts)) == sorted(map(sorted, nx.connected_components(graph)))
+            # in the order of each part's first node in the map
+            firsts = [next(n for n in nodes if n in part) for part in parts]
+            assert firsts == [n for n in nodes if n in firsts]
 
     def test_partition_property_random(self):
         rng = np.random.default_rng(5)

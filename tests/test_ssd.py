@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from causal_ssd.design import optimal_sequences
 from causal_ssd.graph import PartiallyDirectedGraph, chain_components
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
@@ -534,17 +533,24 @@ class TestPlanCpdag:
 
         for module in (graph_mod, design_mod, ssd_mod):
             monkeypatch.setattr(module, "enumerate_class", counting_enumerate)
+        # the class count orients rooted patterns by rule 1 alone, and the
+        # vertex-cover search orients nothing
+        for module in (graph_mod, design_mod):
+            monkeypatch.setattr(module, "meek_closure", counting_closure)
+        design_mod.orientation_counts.cache_clear()
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         results = plan_cpdag(
             CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(15), n_max=150, draws=400
         )
         assert all(r.error is None for r in results)
+        nodes = [f"n{i}" for i in range(5)]
+        clique = PartiallyDirectedGraph(nodes, undirected=itertools.combinations(nodes, 2))
+        data = DatasetMatrix(
+            labels=tuple(nodes), values=np.random.default_rng(16).standard_normal((60, 5))
+        )
+        (result,) = plan_cpdag(clique, data, th, stream=RandomStream(17), n_max=20, draws=200)
+        assert result.error is None and result.plans
         assert enumerated == []
-        # the class count closes rooted patterns; the vertex-cover search does not
-        for module in (graph_mod, design_mod):
-            monkeypatch.setattr(module, "meek_closure", counting_closure)
-        for sub in chain_components(CHAIN5):
-            optimal_sequences(sub)
         assert closures == []
 
     def test_ten_clique_prior_counted_without_enumeration(self, monkeypatch):
