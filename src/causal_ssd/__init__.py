@@ -48,4 +48,4 @@ __all__ = [
     "TwoNodeStudyConfig",
 ]
 
-__version__ = "0.6.2"
+__version__ = "0.6.3"

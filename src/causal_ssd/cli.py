@@ -49,6 +49,7 @@ from causal_ssd.harness import (
 )
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
+    H1_BUDGET_BYTES,
     H1_BYTES_PER_DRAW,
     InsufficientDataError,
     InterventionDensity,
@@ -75,8 +76,7 @@ EXIT_NOT_ACHIEVABLE = 4
 
 _ENV_PREFIX = "CAUSAL_SSD_"
 
-# memory an H1 evaluation may hold, per process: the edge draw and one n step
-H1_BUDGET_BYTES = 2**28
+# the most draws one H1 evaluation, the edge draw and one n step, may hold
 MAX_DRAWS = H1_BUDGET_BYTES // H1_BYTES_PER_DRAW
 
 # every flag, name: (type, default, help); graph, data, edge and n have no

@@ -172,13 +172,14 @@ def build_design_posterior(data: DatasetMatrix, a_omega: float | None = None) ->
     n_rows, t = z.shape
     a_omega = t - 1.0 if a_omega is None else float(a_omega)
     # each entry a correctly rounded sum of its products, so that no BLAS
-    # kernel reaches the bytes
+    # kernel reaches the bytes; fsum reads a list of floats faster than it
+    # iterates over an array
     scatter = np.empty((t, t))
     with np.errstate(over="ignore"):  # an infinite product is an infinite entry
         for i in range(t):
             for j in range(i + 1):
                 try:
-                    entry = math.fsum(z[:, i] * z[:, j])
+                    entry = math.fsum((z[:, i] * z[:, j]).tolist())
                 except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
                     entry = math.inf
                 scatter[i, j] = scatter[j, i] = entry
@@ -276,6 +277,10 @@ def prob_bf_band_h0(lo: float, hi: float, n: int) -> float:
 # float64 arrays of ``draws`` entries that one H1 evaluation holds at its
 # peak: the edge draw's two (three while it is drawn), and the n step's two
 H1_BYTES_PER_DRAW = 4 * 8
+
+# memory the H1 evaluations of one run may hold together, over all its
+# processes: it caps --draws, and the processes of ssd.fork_map
+H1_BUDGET_BYTES = 2**28
 
 # draws per block of ``E.child(n)``: each block draws its chi-square(n) sums
 # and then its chi-square(n - 1) residuals, so the first blocks of a sample

@@ -13,6 +13,11 @@ H0-side probabilities are exact (closed-form bands); H1-side ones are Monte
 Carlo from one substream per edge (the n-free variates) and one per (edge,
 n), so for a fixed master seed the whole curve, and therefore the returned
 optimal n, is reproducible bit for bit.
+
+``fork_map`` spreads independent tasks over forked processes: the edge tasks
+of a plan, and the grid points of a full curve.  Every task owns its
+substream, so no result depends on how many processes ran or which one ran
+what.
 """
 
 from __future__ import annotations
@@ -20,8 +25,11 @@ from __future__ import annotations
 import array
 import math
 import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,9 +43,12 @@ from causal_ssd.graph import (
 )
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
+    H1_BUDGET_BYTES,
+    H1_BYTES_PER_DRAW,
     BfPredictiveSample,
     DatasetMatrix,
     DesignPosterior,
+    H1EdgeDraw,
     InsufficientDataError,
     InterventionDensity,
     MissingColumnsError,
@@ -133,15 +144,13 @@ def h0_band_probabilities(thresholds: DceThresholds, n: int) -> tuple[float, flo
     return p0_dc, 1.0 - p0_dc - p0_mis, p0_mis
 
 
-def h1_band_probabilities(
-    sample: BfPredictiveSample, thresholds: DceThresholds
-) -> tuple[float, float, float]:
-    """Empirical (decisive, inconclusive, misleading) probabilities under H1."""
+def h1_band_counts(sample: BfPredictiveSample, thresholds: DceThresholds) -> tuple[int, int]:
+    """The H1 draws decisive and correct (at or below 1/k1) and misleading (at or above k0)."""
     draws = sample.draws
-    p1_dc = float(np.count_nonzero(draws <= 1.0 / thresholds.k1) / draws.size)
-    p1_mis = float(np.count_nonzero(draws >= thresholds.k0) / draws.size)
-    p1_inc = 1.0 - p1_dc - p1_mis
-    return p1_dc, p1_inc, p1_mis
+    return (
+        int(np.count_nonzero(draws <= 1.0 / thresholds.k1)),
+        int(np.count_nonzero(draws >= thresholds.k0)),
+    )
 
 
 def binomial_se(p: float, draws: int) -> float:
@@ -180,15 +189,17 @@ def assemble_dce(
     h0_bands: tuple[float, float, float],
     thresholds: DceThresholds,
     p_h0: float,
-    h1_sample: BfPredictiveSample,
+    h1_counts: tuple[int, int],
+    draws: int,
 ) -> DceProbabilities:
-    """Mix the exact H0 triple with the H1 triple of ``h1_sample``.
+    """Mix the exact H0 triple with the H1 triple of ``h1_counts`` of ``draws``.
 
-    ``p_h0`` is the edge's prior p(H0) and p(H1) = 1 - p_h0.
+    ``h1_counts`` are the ``h1_band_counts`` of an H1 sample of ``draws``
+    draws; ``p_h0`` is the edge's prior p(H0) and p(H1) = 1 - p_h0.
     """
     p0_dc, p0_inc, p0_mis = h0_bands
-    p1_dc, p1_inc, p1_mis = h1_band_probabilities(h1_sample, thresholds)
-    draws = h1_sample.count
+    p1_dc, p1_mis = h1_counts[0] / draws, h1_counts[1] / draws
+    p1_inc = 1.0 - p1_dc - p1_mis
     p_h1 = 1.0 - p_h0
     overall = _overall_dc(p_h0, p0_dc, p1_dc)
     se_dc = binomial_se(p1_dc, draws)
@@ -243,6 +254,25 @@ class EdgeSsdResult:
         }
 
 
+def h1_process_cap(draws: int) -> int:
+    """The most processes whose H1 evaluations of ``draws`` draws fit
+    together in ``H1_BUDGET_BYTES``, and at least one."""
+    return max(1, H1_BUDGET_BYTES // (draws * H1_BYTES_PER_DRAW))
+
+
+def _curve_point(
+    h1: H1EdgeDraw, thresholds: Sequence[DceThresholds], n: int
+) -> tuple[list[tuple[float, float, float]], list[tuple[int, int]]]:
+    """The exact H0 bands and the ``h1_band_counts`` of the full H1 sample
+    at n, for each thresholds: the few numbers a point of a full curve sends
+    back from a worker."""
+    sample = sample_bf_h1(h1, n)
+    return (
+        [h0_band_probabilities(th, n) for th in thresholds],
+        [h1_band_counts(sample, th) for th in thresholds],
+    )
+
+
 def dce_curve(
     posterior: DesignPosterior,
     u: str,
@@ -260,25 +290,41 @@ def dce_curve(
 
     Each n takes one H1 sample, which every thresholds reads, from the edge's
     one draw (made at the first n that needs it) and the substream of n.
-    With ``first_crossing`` (one thresholds) a point whose full sample could
-    not reach zeta is skipped (no draw when ``decisive_draws_needed`` exceeds
-    ``draws``) or stopped early, and not yielded; every point yielded equals
-    the full curve's, so the first that reaches zeta is the first crossing.
+    A full curve evaluates its points with ``fork_map``, over as many
+    processes as the CPUs and ``h1_process_cap`` allow, and assembles them in
+    order of n.  With ``first_crossing`` (one thresholds) the scan runs in
+    this process: a point whose full sample could not reach zeta is skipped
+    (no draw when ``decisive_draws_needed`` exceeds ``draws``) or stopped
+    early, and not yielded; every point yielded equals the full curve's, so
+    the first that reaches zeta is the first crossing.
     """
-    h1, stop = None, {}
-    for n in range(2, n_max + 1):
+    grid = range(2, n_max + 1)
+    if not first_crossing:
+        if not grid:
+            return
+        h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
+        tasks = [(h1, thresholds, n) for n in grid]
+        points = fork_map(_curve_point, tasks, h1_process_cap(draws))
+        for n, (bands, counts) in zip(grid, points):
+            yield n, [
+                assemble_dce(b, th, p_h0, c, draws) for b, th, c in zip(bands, thresholds, counts)
+            ]
+        return
+    h1 = None
+    for n in grid:
         h0_bands = [h0_band_probabilities(th, n) for th in thresholds]
-        if first_crossing:
-            need = decisive_draws_needed(h0_bands[0], thresholds[0], p_h0, draws)
-            if need > draws:
-                continue
-            stop = {"cut": 1.0 / thresholds[0].k1, "need": need}
+        need = decisive_draws_needed(h0_bands[0], thresholds[0], p_h0, draws)
+        if need > draws:
+            continue
         if h1 is None:
             h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
-        sample = sample_bf_h1(h1, n, **stop)
+        sample = sample_bf_h1(h1, n, cut=1.0 / thresholds[0].k1, need=need)
         if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
             continue
-        yield n, [assemble_dce(b, th, p_h0, sample) for b, th in zip(h0_bands, thresholds)]
+        yield n, [
+            assemble_dce(b, th, p_h0, h1_band_counts(sample, th), draws)
+            for b, th in zip(h0_bands, thresholds)
+        ]
 
 
 def optimal_n_edge(
@@ -392,18 +438,121 @@ class ComponentPlans:
         }
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A process pool of ``max_workers`` workers.
+# a task index in fork_map's index pipe: 8 bytes, little-endian, one write
+# each, so that each write is whole or refused (8 <= PIPE_BUF) and every
+# read of 8 bytes takes one whole index
+_INDEX_BYTES = 8
 
-    ``concurrent.futures`` and the ``multiprocessing`` modules it loads are
-    imported here, when a plan starts its first pool, so that no other run
-    of the package pays for them.  ``plan_cpdag`` looks the name up at call
-    time, so a replacement bound to this module attribute is the pool it
-    starts.
+
+def _feed(index_w: int, start: int, stop: int) -> int:
+    """Write the task indices ``start``, ..., ``stop - 1`` to the nonblocking
+    pipe while it has room; return the first index not written."""
+    while start < stop:
+        try:
+            os.write(index_w, start.to_bytes(_INDEX_BYTES, "little"))
+        except BlockingIOError:  # full: the readers have work enough
+            break
+        start += 1
+    return start
+
+
+def _take(index_r: int) -> int | None:
+    """The next task index from the pipe, or None once it is empty and closed."""
+    record = os.read(index_r, _INDEX_BYTES)
+    return int.from_bytes(record, "little") if record else None
+
+
+def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, spread over this process and up to
+    ``size - 1`` children made with ``os.fork``.
+
+    ``size`` is the least of ``workers``, the number of tasks and the CPUs
+    this process may run on (its affinity mask, which taskset or a cpuset may
+    limit).  The map runs in this process alone when that is 1, on a platform
+    other than Linux or without ``os.fork``, and while another Python thread
+    is alive, beside which a fork is unsafe.  The children inherit ``fn`` and
+    the tasks; only task indices go out, through one pipe that every process
+    takes from, and each child sends its pickled results, or the exception a
+    task raised, back through a pipe of its own.  This process runs task 0
+    and then takes from the pipe too, so every function ``fn`` calls runs
+    here at least once.  A child's exception is raised here, and a child that
+    ends without sending its results raises ``RuntimeError``.  Every child is
+    reaped before the map returns or raises.
     """
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(max_workers=max_workers)
+    tasks = list(tasks)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    size = min(workers, len(tasks), cpus)
+    if (size < 2 or sys.platform != "linux" or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [fn(*task) for task in tasks]
+    results = [None] * len(tasks)
+    index_r, index_w = os.pipe()
+    os.set_blocking(index_w, False)
+    children: dict[int, int] = {}  # pid: read end of the child's result pipe
+    try:
+        for _ in range(size - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: leaves only through os._exit
+                try:
+                    for fd in (index_w, result_r, *children.values()):
+                        os.close(fd)
+                    try:
+                        done = []
+                        while (i := _take(index_r)) is not None:
+                            done.append((i, fn(*tasks[i])))
+                        payload = pickle.dumps((True, done))
+                    except BaseException as exc:
+                        try:
+                            payload = pickle.dumps((False, exc))
+                        except Exception:
+                            payload = pickle.dumps((False, RuntimeError(repr(exc))))
+                    with os.fdopen(result_w, "wb") as fh:
+                        fh.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(result_w)
+            children[pid] = result_r
+        # task 0 here; then, while the pipe is full, the next index not yet
+        # written, so that this process never waits on a read while it holds
+        # indices back; then the pipe, closed once every index is in it
+        i, fed = 0, 1
+        while i is not None:
+            fed = _feed(index_w, fed, len(tasks))
+            if fed == len(tasks) and index_w >= 0:
+                os.close(index_w)
+                index_w = -1
+            results[i] = fn(*tasks[i])
+            if fed < len(tasks):
+                i, fed = fed, fed + 1
+            else:
+                i = _take(index_r)
+        for pid, result_r in children.items():
+            chunks = []
+            while chunk := os.read(result_r, 1 << 16):
+                chunks.append(chunk)
+            if not chunks:
+                raise RuntimeError(f"worker process {pid} ended without its results")
+            ok, value = pickle.loads(b"".join(chunks))
+            if not ok:
+                raise value
+            for i, result in value:
+                results[i] = result
+        return results
+    finally:
+        # on an error, stop handing out tasks, so that each child ends after
+        # its current one, and close the result pipes, so that none blocks
+        # on its write; then reap every child
+        if index_w >= 0:
+            os.close(index_w)
+        while os.read(index_r, 1 << 16):
+            pass
+        os.close(index_r)
+        for result_r in children.values():
+            os.close(result_r)
+        for pid in children:
+            os.waitpid(pid, 0)
 
 
 def edge_stream(
@@ -438,11 +587,11 @@ def plan_cpdag(
     tasks out of the float range) are found before any edge task runs and
     are reported per component without aborting the others.
 
-    ``workers`` > 1 evaluates edges in parallel processes, at most one per
-    edge task and per CPU the process may use, or in this process if that is
-    1; results do not depend on the worker count because every edge owns a
-    fixed substream (``edge_stream``).  Only a run that starts a pool imports
-    it (``ProcessPoolExecutor``).
+    ``workers`` > 1 runs the edge tasks with ``fork_map``, over at most
+    ``workers`` processes, one per edge task and per CPU the process may use,
+    and no more than ``h1_process_cap`` allows; each task's first-crossing
+    scan runs in one process.  Results do not depend on the number of
+    processes because every edge owns a fixed substream (``edge_stream``).
     """
     if not isinstance(data, DatasetMatrix):
         raise TypeError("data must be a DatasetMatrix")
@@ -475,17 +624,8 @@ def plan_cpdag(
         searched.append((entry, ci, sub, sequences))
 
     # optimal_n_edge is looked up at call time, so a wrapper bound to the
-    # module attribute also sees the calls made in pool workers; the CPUs are
-    # those this process may run on, which taskset or a cpuset may limit
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    pool_size = min(workers, len(tasks), cpus)
-    if pool_size > 1:
-        # a fork pool starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            evaluated = list(pool.map(optimal_n_edge, *zip(*tasks.values())))
-    else:
-        evaluated = [optimal_n_edge(*args) for args in tasks.values()]
+    # module attribute is the function the workers run
+    evaluated = fork_map(optimal_n_edge, list(tasks.values()), min(workers, h1_process_cap(draws)))
     results = dict(zip(tasks, evaluated))
 
     for entry, ci, sub, sequences in searched:

@@ -5,17 +5,19 @@ factors and marginal likelihoods behind the closed form, an acyclicity check
 for oriented graphs, the DAG-to-CPDAG conversion, the definition of a
 sufficient sequence, the evidence probabilities at one n, the full-sample
 scan for an edge's optimal n, plans built from given edge sizes, the
-whole-text writer of the Bayes-factor sample CSV, and data drawn from a
-linear structural equation model.
+whole-text writer of the Bayes-factor sample CSV, data drawn from a
+linear structural equation model, and a deadline for tests that may block.
 
 An oriented graph (a DAG) is a ``PartiallyDirectedGraph`` with directed
 edges only, the type of ``graph.enumerate_class``'s members.
 """
 
+import contextlib
 import csv
 import io
 import itertools
 import math
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +47,26 @@ from causal_ssd.ssd import (
     InterventionPlan,
     assemble_dce,
     h0_band_probabilities,
+    h1_band_counts,
 )
 
 _ONE_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds`` (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 # the five-node tree component used throughout: 3 - {1, 2, 5}, 2 - 4
 TREE5_EDGES = [("1", "3"), ("2", "3"), ("2", "4"), ("3", "5")]
@@ -400,7 +419,8 @@ def dce_probabilities(
     one n step.
     """
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
-    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, sample)
+    counts = h1_band_counts(sample, thresholds)
+    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, counts, draws)
 
 
 def linear_scan_optimal_n_edge(
@@ -423,7 +443,8 @@ def linear_scan_optimal_n_edge(
             continue
         if h1 is None:
             h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
-        dce = assemble_dce(h0_bands, thresholds, p_h0, sample_bf_h1(h1, n))
+        counts = h1_band_counts(sample_bf_h1(h1, n), thresholds)
+        dce = assemble_dce(h0_bands, thresholds, p_h0, counts, draws)
         if dce.overall_dc >= thresholds.zeta:
             return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
     return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)

@@ -29,7 +29,7 @@ from causal_ssd.graph import PartiallyDirectedGraph
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import H1_BLOCK
 
-from helpers import format_edge_list, g_of_n, linear_sem_data
+from helpers import deadline, format_edge_list, g_of_n, linear_sem_data
 
 
 def write_dataset(path, labels, values):
@@ -387,6 +387,34 @@ class TestSimulate:
                            "--out", "study", cwd=cwd, OPENBLAS_CORETYPE=kernel)
             assert proc.returncode == EXIT_OK, proc.stderr
             written.append([(cwd / "study" / name).read_bytes() for name in names])
+        assert written[0] == written[1]
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, two_node_files, tmp_path, monkeypatch):
+        # full curves spread over the CPUs of the affinity mask; each run
+        # writes to the same relative --out, so the echoed config agrees too
+        graph, data = two_node_files
+        names = ["report.json", "bf_samples.csv", "dce_curves.csv", "nstar_curves.csv"]
+        forks, real_fork = [], os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        written = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            cwd = tmp_path / str(len(cpus))
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            with deadline(120):
+                assert main(["simulate", "--draws", "500", "--n-max", "120", "--seed", "202",
+                             "--out", "study"]) == EXIT_OK
+                assert main(["dce-curve", "--graph", graph, "--data", data, "--edge", "u,v",
+                             "--n-max", "120", "--draws", "500", "--out", "curve.csv"]) == EXIT_OK
+            written.append([(cwd / "study" / name).read_bytes() for name in names]
+                           + [(cwd / "curve.csv").read_bytes()])
+        assert len(forks) == 2  # one child for each command on two CPUs
         assert written[0] == written[1]
 
     def test_seed_changes_h1_not_h0(self, tmp_path):
@@ -950,9 +978,9 @@ def test_cli_import_loads_no_third_party_package_beyond_numpy():
 
 
 def test_commands_without_a_pool_import_none(two_node_files, tmp_path):
-    # the process pool and the multiprocessing modules under it are imported
-    # only when plan starts a pool: about 30 modules and 2 MB of peak memory
-    # that no other run needs
+    # the worker map forks without multiprocessing or concurrent.futures,
+    # about 30 modules and 2 MB of peak memory that no run needs: here on
+    # two usable CPUs, so that simulate, dce-curve and plan --workers 2 fork
     graph, data = two_node_files
     inputs = ["--graph", graph, "--data", data, "--edge", "u,v", "--n", "10"]
     fast = ["--draws", "200", "--n-max", "40", "--workers", "1"]
@@ -961,17 +989,21 @@ def test_commands_without_a_pool_import_none(two_node_files, tmp_path):
         ["dce-curve", *flags_of("dce-curve", inputs + fast)],
         ["predict-bf", *flags_of("predict-bf", inputs + fast)],
         ["plan", *flags_of("plan", inputs + fast)],
+        ["plan", *flags_of("plan", inputs + fast, but="--workers"), "--workers", "2"],
     ]
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, os, sys\n"
         "from causal_ssd.cli import main\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {runs!r}]\n"
         "pools = sorted(m for m in sys.modules\n"
         "               if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures'))\n"
-        "print(codes, pools)\n"
+        "print(codes, len(forks), pools)\n"
     )
-    assert run_python(code) == f"{[EXIT_OK] * 3 + [EXIT_NOT_ACHIEVABLE]} []\n"
+    assert run_python(code) == f"{[EXIT_OK] * 3 + [EXIT_NOT_ACHIEVABLE] * 2} 3 []\n"
 
 
 def _traced() -> tuple:
@@ -1129,7 +1161,7 @@ def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys, monk
         (["plan", *inputs, "--draws", "many"], EXIT_USAGE),
         (["plan", "--graph", graph, "--data", str(tmp_path / "missing.csv")], EXIT_INPUT),
     ]
-    # two usable CPUs, so that the plan at --workers 2 starts a pool
+    # two usable CPUs, so that the plan at --workers 2 and the full curves fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     design_mod.orientation_counts.cache_clear()
     ssd_mod._H0_BANDS.clear()

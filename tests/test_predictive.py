@@ -143,6 +143,32 @@ class TestBuildDesignPosterior:
             build_design_posterior(DatasetMatrix("uv", z))
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_scatter_equals_fsum_over_the_product_array(self, scale, monkeypatch):
+        # oracle: fsum iterating over the product array, as it did before it
+        # read a list.  At 1e150 the a column's squares overflow one by one,
+        # the a-b products reach +inf and -inf, and the other sums stay finite
+        import causal_ssd.predictive as predictive_mod
+
+        z = np.random.default_rng(29).standard_normal((500, 5)) * scale
+        z[:, :2] *= 1e4
+        expected = np.empty((5, 5))
+        with np.errstate(over="ignore"):
+            for i in range(5):
+                for j in range(i + 1):
+                    try:
+                        entry = math.fsum(z[:, i] * z[:, j])
+                    except (OverflowError, ValueError):
+                        entry = math.inf
+                    expected[i, j] = expected[j, i] = entry
+        built = []
+        monkeypatch.setattr(predictive_mod, "DesignPosterior", lambda **kw: built.append(kw))
+        build_design_posterior(DatasetMatrix("abcde", z))
+        (posterior,) = built
+        assert posterior["scatter"].tobytes() == expected.tobytes()
+        assert np.isinf(expected).any() == (scale > 1.0)
+
+
 class TestInterventionDensity:
     @pytest.mark.parametrize("bad_sd", [0.0, -1.0, math.nan, math.inf])
     def test_degenerate_sd_rejected(self, bad_sd):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from causal_ssd.graph import PartiallyDirectedGraph, chain_components
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     H1_BLOCK,
+    H1_BYTES_PER_DRAW,
     BfPredictiveSample,
     DatasetMatrix,
     InterventionDensity,
@@ -22,7 +24,9 @@ from causal_ssd.ssd import (
     assemble_dce,
     dce_curve,
     decisive_draws_needed,
+    fork_map,
     h0_band_probabilities,
+    h1_band_counts,
     optimal_n_edge,
     plan_cpdag,
 )
@@ -30,6 +34,7 @@ from causal_ssd.ssd import (
 from helpers import (
     CHAIN5,
     dce_probabilities,
+    deadline,
     linear_scan_optimal_n_edge,
     linear_sem_data,
     matmul_sample_wishart,
@@ -181,7 +186,7 @@ class TestDecisiveDrawsNeeded:
             # ``count`` draws on the cut itself, the rest inconclusive
             values = np.r_[np.full(count, 1.0 / th.k1), np.ones(draws - count)]
             sample = BfPredictiveSample(hypothesis="H1", n=2, draws=values)
-            dce = assemble_dce(bands, th, p_h0, sample)
+            dce = assemble_dce(bands, th, p_h0, h1_band_counts(sample, th), draws)
             assert (dce.overall_dc >= zeta) == (count >= need), count
 
 
@@ -604,39 +609,38 @@ class TestPlanCpdag:
         assert [r.to_dict() for r in fast] == [r.to_dict() for r in oracle]
 
     def test_pool_capped_by_tasks_and_cpus(self, monkeypatch):
-        import causal_ssd.ssd as ssd_mod
+        forks = []
+        real_fork = os.fork
 
-        pool_sizes = []
-
-        class SerialPool:
-            """Records the requested pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=100, draws=200)
         serial = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=1, **kwargs)
-        monkeypatch.setattr(ssd_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         # the 8 tasks (every ordered edge of the triangle and of the pair) on
-        # 4 usable CPUs take a pool of 4; on 1 they run without a pool, though
-        # the host has 8
+        # 4 usable CPUs fork 3 children beside this process; on 1 none,
+        # though the host has 8, and none while a second thread is alive
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        for cpus, pools in ((4, [4]), (1, [])):
-            pool_sizes.clear()
+        alive = threading.Event()
+        for cpus, threads, want in ((4, 1, 3), (1, 1, 0), (4, 2, 0)):
+            forks.clear()
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
-            capped = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=10**6, **kwargs)
-            assert pool_sizes == pools
+            other = threading.Thread(target=alive.wait, args=(30,)) if threads == 2 else None
+            if other:
+                other.start()
+            try:
+                with deadline(120):
+                    capped = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=10**6, **kwargs)
+            finally:
+                if other:
+                    alive.set()
+                    other.join(30)
+            assert other is None or not other.is_alive()
+            assert len(forks) == want
             assert [r.to_dict() for r in capped] == [r.to_dict() for r in serial]
 
     def test_h0_bands_memoized_across_edges(self, monkeypatch):
@@ -683,3 +687,81 @@ class TestPlanCpdag:
         serial = plan_cpdag(CHAIN5, data, th, stream=RandomStream(22), workers=1, **kwargs)
         parallel = plan_cpdag(CHAIN5, data, th, stream=RandomStream(22), workers=2, **kwargs)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+
+class TestForkMap:
+    def full_curve(self, n_max, draws=300):
+        thresholds = [DceThresholds(k0=3.0, k1=3.0, zeta=0.6),
+                      DceThresholds(k0=10.0, k1=10.0, zeta=0.6)]
+        curve = dce_curve(two_node_posterior(), "u", "v", F_U, draws, RandomStream(31),
+                          thresholds, HALF, n_max)
+        return [(n, [d.to_dict() for d in dces]) for n, dces in curve]
+
+    @pytest.mark.parametrize("n_max", [2, 3, 150])
+    def test_full_curve_same_on_any_cpu_count(self, n_max, monkeypatch):
+        # n_max 3 has fewer grid points than the 3-CPU mask has CPUs, and 2 one
+        curves = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            with deadline(120):
+                curves.append(self.full_curve(n_max))
+        assert [n for n, _ in curves[0]] == list(range(2, n_max + 1))
+        assert curves[1] == curves[0] and curves[2] == curves[0]
+
+    def test_processes_within_the_h1_budget(self, monkeypatch):
+        import causal_ssd.ssd as ssd_mod
+
+        def no_fork():
+            raise AssertionError("forked beyond the H1 budget")
+
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=100, draws=200)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        with deadline(120):
+            plan = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=4, **kwargs)
+            curve = self.full_curve(100, draws=200)
+        # room for the H1 evaluations of one process of 200 draws, not two
+        monkeypatch.setattr(ssd_mod, "H1_BUDGET_BYTES", 2 * 200 * H1_BYTES_PER_DRAW - 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        capped = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=4, **kwargs)
+        assert [r.to_dict() for r in capped] == [r.to_dict() for r in plan]
+        assert self.full_curve(100, draws=200) == curve
+
+    @pytest.mark.parametrize("ending, error, message", [
+        ("raise", ValueError, "task [1-7]"),
+        ("exit", RuntimeError, "ended without its results"),
+    ])
+    def test_child_failure_raised_here_and_every_child_reaped(
+        self, ending, error, message, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent = os.getpid()
+        started_r, started_w = os.pipe()
+
+        def task(i):
+            if os.getpid() == parent:
+                if i == 0:  # until the child has taken a task
+                    os.read(started_r, 1)
+                return i
+            os.write(started_w, b"!")
+            if ending == "raise":
+                raise ValueError(f"task {i}")
+            os._exit(3)
+
+        try:
+            with deadline(60):
+                with pytest.raises(error, match=message):
+                    fork_map(task, [(i,) for i in range(8)], 2)
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_in_task_order(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        # more indices than a 64 KiB pipe holds, so this process also runs
+        # indices it has not written yet
+        tasks = [(i, i % 7) for i in range(20_000)]
+        with deadline(60):
+            assert fork_map(pow, tasks, 3) == [pow(*t) for t in tasks]
