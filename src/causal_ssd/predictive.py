@@ -102,7 +102,8 @@ class DesignPosterior:
     df * scatter^{-1}).  It acts as the generating design prior for the
     parameters of the post-intervention model.  Construction raises
     ``InsufficientDataError`` if the scatter is not finite or not positive
-    definite, or if df is too small for a proper law.
+    definite, or if df is too small for a proper law, and ``ValueError`` if
+    df is not finite.
     """
 
     df: float
@@ -117,6 +118,8 @@ class DesignPosterior:
             raise ValueError("scatter shape must match the number of labels")
         if len(set(labels)) != t:
             raise ValueError("column labels must be distinct")
+        if not math.isfinite(self.df):
+            raise ValueError(f"df must be finite, got {self.df}")
         if not np.all(np.isfinite(scatter)):
             raise InsufficientDataError("observational scatter leaves the float range")
         try:

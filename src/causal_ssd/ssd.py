@@ -23,9 +23,11 @@ what.
 from __future__ import annotations
 
 import array
+import itertools
 import math
 import os
 import pickle
+import signal
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -438,28 +440,10 @@ class ComponentPlans:
         }
 
 
-# a task index in fork_map's index pipe: 8 bytes, little-endian, one write
-# each, so that each write is whole or refused (8 <= PIPE_BUF) and every
-# read of 8 bytes takes one whole index
-_INDEX_BYTES = 8
-
-
-def _feed(index_w: int, start: int, stop: int) -> int:
-    """Write the task indices ``start``, ..., ``stop - 1`` to the nonblocking
-    pipe while it has room; return the first index not written."""
-    while start < stop:
-        try:
-            os.write(index_w, start.to_bytes(_INDEX_BYTES, "little"))
-        except BlockingIOError:  # full: the readers have work enough
-            break
-        start += 1
-    return start
-
-
-def _take(index_r: int) -> int | None:
-    """The next task index from the pipe, or None once it is empty and closed."""
-    record = os.read(index_r, _INDEX_BYTES)
-    return int.from_bytes(record, "little") if record else None
+# fork_map's task queue: the starts of at most this many runs of consecutive
+# tasks, 8 bytes each, so that all of them but the parent's fit one write of
+# at most PIPE_BUF (4,096) bytes, which any Linux pipe holds in full
+_MAX_RUNS = 512
 
 
 def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
@@ -470,14 +454,17 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     this process may run on (its affinity mask, which taskset or a cpuset may
     limit).  The map runs in this process alone when that is 1, on a platform
     other than Linux or without ``os.fork``, and while another Python thread
-    is alive, beside which a fork is unsafe.  The children inherit ``fn`` and
-    the tasks; only task indices go out, through one pipe that every process
-    takes from, and each child sends its pickled results, or the exception a
-    task raised, back through a pipe of its own.  This process runs task 0
-    and then takes from the pipe too, so every function ``fn`` calls runs
-    here at least once.  A child's exception is raised here, and a child that
-    ends without sending its results raises ``RuntimeError``.  Every child is
-    reaped before the map returns or raises.
+    is alive, beside which a fork is unsafe.  Otherwise the tasks are cut
+    into at most ``_MAX_RUNS`` runs of consecutive tasks.  This process runs
+    the first run, so every function ``fn`` calls runs here at least once;
+    the starts of the others are written to one pipe in a single write, and
+    its write end is closed, before the first fork.  Every process then takes
+    starts from that pipe until it is empty.  The children inherit ``fn`` and
+    the tasks, and each sends its pickled results, or the exception a task
+    raised, back through a pipe of its own.  A child's exception is raised
+    here, and a child that ends without sending its results raises
+    ``RuntimeError``.  Before the map returns or raises, every child is
+    killed (``SIGKILL``), so none outlives an error, and reaped.
     """
     tasks = list(tasks)
     affinity = getattr(os, "sched_getaffinity", None)
@@ -486,9 +473,16 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     if (size < 2 or sys.platform != "linux" or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return [fn(*task) for task in tasks]
+    run = -(-len(tasks) // _MAX_RUNS)  # tasks per run, the last one maybe fewer
     results = [None] * len(tasks)
-    index_r, index_w = os.pipe()
-    os.set_blocking(index_w, False)
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, b"".join(s.to_bytes(8, "little") for s in range(run, len(tasks), run)))
+    os.close(queue_w)
+
+    def starts():  # the runs this process takes from the queue
+        while record := os.read(queue_r, 8):
+            yield int.from_bytes(record, "little")
+
     children: dict[int, int] = {}  # pid: read end of the child's result pipe
     try:
         for _ in range(size - 1):
@@ -496,12 +490,10 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
             pid = os.fork()
             if pid == 0:  # the child: leaves only through os._exit
                 try:
-                    for fd in (index_w, result_r, *children.values()):
+                    for fd in (result_r, *children.values()):
                         os.close(fd)
                     try:
-                        done = []
-                        while (i := _take(index_r)) is not None:
-                            done.append((i, fn(*tasks[i])))
+                        done = [(s, [fn(*task) for task in tasks[s:s + run]]) for s in starts()]
                         payload = pickle.dumps((True, done))
                     except BaseException as exc:
                         try:
@@ -514,20 +506,8 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
                     os._exit(0)
             os.close(result_w)
             children[pid] = result_r
-        # task 0 here; then, while the pipe is full, the next index not yet
-        # written, so that this process never waits on a read while it holds
-        # indices back; then the pipe, closed once every index is in it
-        i, fed = 0, 1
-        while i is not None:
-            fed = _feed(index_w, fed, len(tasks))
-            if fed == len(tasks) and index_w >= 0:
-                os.close(index_w)
-                index_w = -1
-            results[i] = fn(*tasks[i])
-            if fed < len(tasks):
-                i, fed = fed, fed + 1
-            else:
-                i = _take(index_r)
+        for s in itertools.chain([0], starts()):
+            results[s:s + run] = [fn(*task) for task in tasks[s:s + run]]
         for pid, result_r in children.items():
             chunks = []
             while chunk := os.read(result_r, 1 << 16):
@@ -537,21 +517,16 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
             ok, value = pickle.loads(b"".join(chunks))
             if not ok:
                 raise value
-            for i, result in value:
-                results[i] = result
+            for s, values in value:
+                results[s:s + run] = values
         return results
     finally:
-        # on an error, stop handing out tasks, so that each child ends after
-        # its current one, and close the result pipes, so that none blocks
-        # on its write; then reap every child
-        if index_w >= 0:
-            os.close(index_w)
-        while os.read(index_r, 1 << 16):
-            pass
-        os.close(index_r)
-        for result_r in children.values():
+        # a child still at work after an error stops at once; on success
+        # every child has sent its results and is on its way out
+        os.close(queue_r)
+        for pid, result_r in children.items():
             os.close(result_r)
-        for pid in children:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 

@@ -126,6 +126,13 @@ class TestBuildDesignPosterior:
         with pytest.raises(InsufficientDataError):
             build_design_posterior(DatasetMatrix("abcd", z), 0.0)
 
+    @pytest.mark.parametrize("a_omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_degrees_rejected(self, a_omega):
+        data = DatasetMatrix("uv", np.random.default_rng(2).standard_normal((10, 2)))
+        with pytest.raises(ValueError, match="df must be finite") as info:
+            build_design_posterior(data, a_omega)
+        assert not isinstance(info.value, InsufficientDataError)
+
     @pytest.mark.parametrize(
         "cells",
         [

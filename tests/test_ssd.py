@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from causal_ssd.predictive import (
     H1_BYTES_PER_DRAW,
     BfPredictiveSample,
     DatasetMatrix,
+    InsufficientDataError,
     InterventionDensity,
     build_design_posterior,
 )
@@ -438,6 +440,19 @@ class TestPlanCpdag:
             assert plan.node_sizes[u] == edge_result.n_star
             assert plan.total_n == edge_result.n_star
 
+    @pytest.mark.parametrize("a_omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_a_omega_raises_before_any_edge_task(self, a_omega, monkeypatch):
+        import causal_ssd.ssd as ssd_mod
+
+        def no_task(*args):
+            raise AssertionError("an edge task ran")
+
+        monkeypatch.setattr(ssd_mod, "fork_map", no_task)
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        with pytest.raises(ValueError, match="df must be finite") as info:
+            plan_cpdag(CHAIN5, fig1_dataset(), th, a_omega=a_omega, n_max=20, draws=100)
+        assert not isinstance(info.value, InsufficientDataError)
+
     def test_node_size_is_max_and_total_is_sum(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         results = plan_cpdag(
@@ -697,9 +712,10 @@ class TestForkMap:
                           thresholds, HALF, n_max)
         return [(n, [d.to_dict() for d in dces]) for n, dces in curve]
 
-    @pytest.mark.parametrize("n_max", [2, 3, 150])
+    @pytest.mark.parametrize("n_max", [2, 3, 150, 1100])
     def test_full_curve_same_on_any_cpu_count(self, n_max, monkeypatch):
-        # n_max 3 has fewer grid points than the 3-CPU mask has CPUs, and 2 one
+        # n_max 3 has fewer grid points than the 3-CPU mask has CPUs, and 2
+        # one; the 1,099 points of n_max 1100 run 3 at a time, the last alone
         curves = []
         for cpus in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -758,10 +774,26 @@ class TestForkMap:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_results_in_task_order(self, monkeypatch):
+    def test_failure_here_stops_every_child_at_once(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def task(i):  # task 0 runs here, task 1 in the child
+            if i == 0:
+                time.sleep(0.5)
+                raise KeyError(i)
+            time.sleep(30)
+
+        with deadline(10):
+            with pytest.raises(KeyError):
+                fork_map(task, [(0,), (1,)], 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n_tasks", [300, 1_025, 20_000])
+    def test_results_in_task_order(self, n_tasks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        # more indices than a 64 KiB pipe holds, so this process also runs
-        # indices it has not written yet
-        tasks = [(i, i % 7) for i in range(20_000)]
+        # the queue holds at most 512 runs: one task per run at 300 tasks,
+        # runs of 3 and a last one of 2 at 1,025, and of 40 at 20,000
+        tasks = [(i, i % 7) for i in range(n_tasks)]
         with deadline(60):
             assert fork_map(pow, tasks, 3) == [pow(*t) for t in tasks]
