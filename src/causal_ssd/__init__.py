@@ -48,4 +48,4 @@ __all__ = [
     "TwoNodeStudyConfig",
 ]
 
-__version__ = "0.6.4"
+__version__ = "0.6.5"

@@ -281,10 +281,8 @@ def _edge_inputs(args: argparse.Namespace):
 
 def cmd_dce_curve(args: argparse.Namespace) -> int:
     sub, posterior, stream = _edge_inputs(args)
-    curve = dce_curve(
-        posterior, *args.edge, args.f_u, args.draws, stream, [args.thresholds],
-        prior_h0(sub, *args.edge), args.n_max,
-    )
+    h1 = draw_h1_edge(posterior, *args.edge, args.f_u, args.draws, stream)
+    curve = dce_curve(h1, [args.thresholds], prior_h0(sub, *args.edge), args.n_max)
     rows = [dce_curve_row(n, dce) for n, (dce,) in curve]
     _emit(_config_comment(args) + dce_curve_csv(rows), args.out)
     return EXIT_OK

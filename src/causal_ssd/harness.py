@@ -268,12 +268,11 @@ def replicate_two_node_study(
             }
         )
 
-    # (c) decisive-and-correct curves over the n grid, one per threshold;
-    # the H1 predictive sample at each n is shared by all thresholds
-    curve = dce_curve(
-        posterior, u, v, config.intervention, config.draws, stream.child(2),
-        [DceThresholds(k0=k, k1=k, zeta=0.5) for k in K_VALUES], 0.5, config.n_max,
-    )
+    # (c) decisive-and-correct curves over the n grid, one per threshold,
+    # from the same edge draw; the H1 sample at each n is shared by all
+    # thresholds
+    thresholds = [DceThresholds(k0=k, k1=k, zeta=0.5) for k in K_VALUES]
+    curve = dce_curve(h1, thresholds, 0.5, config.n_max)
     curves_by_k: dict[float, list[tuple]] = {k: [] for k in K_VALUES}
     for n, dces in curve:
         for k, dce in zip(K_VALUES, dces):

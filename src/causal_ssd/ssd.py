@@ -4,10 +4,12 @@ For an edge u - v with u manipulated, evidence at sample size n is decisive
 for H0 when BF >= k0, decisive for H1 when BF <= 1/k1, inconclusive in
 between, and misleading when decisive for the false hypothesis.  The overall
 probability of decisive-and-correct evidence mixes the conditional
-probabilities with the class-count orientation prior; ``dce_curve`` builds
-it over the sample-size grid, and the optimal n is the first point where it
-reaches the target zeta.  The best-size optimal sequence of a component is
-its achieved plan with the smallest total n.
+probabilities with the class-count orientation prior.  ``dce_curve`` builds
+it over the whole sample-size grid from one edge draw, and the optimal n is
+the first point where it reaches the target zeta; ``optimal_n_edge`` finds
+that point with its own scan, which skips or stops early the points that
+cannot reach zeta.  The best-size optimal sequence of a component is its
+achieved plan with the smallest total n.
 
 H0-side probabilities are exact (closed-form bands); H1-side ones are Monte
 Carlo from one substream per edge (the n-free variates) and one per (edge,
@@ -276,56 +278,20 @@ def _curve_point(
 
 
 def dce_curve(
-    posterior: DesignPosterior,
-    u: str,
-    v: str,
-    f_u: InterventionDensity,
-    draws: int,
-    stream: RandomStream,
-    thresholds: Sequence[DceThresholds],
-    p_h0: float,
-    n_max: int,
-    *,
-    first_crossing: bool = False,
+    h1: H1EdgeDraw, thresholds: Sequence[DceThresholds], p_h0: float, n_max: int
 ) -> Iterator[tuple[int, list[DceProbabilities]]]:
     """Yield ``(n, [DceProbabilities for each thresholds])`` for n = 2, ..., n_max.
 
-    Each n takes one H1 sample, which every thresholds reads, from the edge's
-    one draw (made at the first n that needs it) and the substream of n.
-    A full curve evaluates its points with ``fork_map``, over as many
-    processes as the CPUs and ``h1_process_cap`` allow, and assembles them in
-    order of n.  With ``first_crossing`` (one thresholds) the scan runs in
-    this process: a point whose full sample could not reach zeta is skipped
-    (no draw when ``decisive_draws_needed`` exceeds ``draws``) or stopped
-    early, and not yielded; every point yielded equals the full curve's, so
-    the first that reaches zeta is the first crossing.
+    Each n takes the full H1 sample of the edge draw ``h1`` at n, which every
+    thresholds reads.  The points are evaluated with ``fork_map``, over as
+    many processes as the CPUs and ``h1_process_cap`` allow, and yielded in
+    order of n; ``p_h0`` is the edge's prior p(H0).
     """
     grid = range(2, n_max + 1)
-    if not first_crossing:
-        if not grid:
-            return
-        h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
-        tasks = [(h1, thresholds, n) for n in grid]
-        points = fork_map(_curve_point, tasks, h1_process_cap(draws))
-        for n, (bands, counts) in zip(grid, points):
-            yield n, [
-                assemble_dce(b, th, p_h0, c, draws) for b, th, c in zip(bands, thresholds, counts)
-            ]
-        return
-    h1 = None
-    for n in grid:
-        h0_bands = [h0_band_probabilities(th, n) for th in thresholds]
-        need = decisive_draws_needed(h0_bands[0], thresholds[0], p_h0, draws)
-        if need > draws:
-            continue
-        if h1 is None:
-            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
-        sample = sample_bf_h1(h1, n, cut=1.0 / thresholds[0].k1, need=need)
-        if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
-            continue
+    points = fork_map(_curve_point, [(h1, thresholds, n) for n in grid], h1_process_cap(h1.draws))
+    for n, (bands, counts) in zip(grid, points):
         yield n, [
-            assemble_dce(b, th, p_h0, h1_band_counts(sample, th), draws)
-            for b, th in zip(h0_bands, thresholds)
+            assemble_dce(b, th, p_h0, c, h1.draws) for b, th, c in zip(bands, thresholds, counts)
         ]
 
 
@@ -344,19 +310,35 @@ def optimal_n_edge(
 
     ``p_h0`` is the prior p(H0) of u <- v (``prior_h0``) and must lie in
     [0, 1]; p(H1) = 1 - p_h0.  The result is the first crossing of the
-    edge's ``dce_curve``, which skips and stops early where it cannot cross.
+    ``dce_curve`` of ``draw_h1_edge(posterior, u, v, f_u, draws, stream)``.
+    The scan skips an n whose exact H0 side leaves zeta out of reach
+    (``decisive_draws_needed`` above ``draws``) and stops an H1 sample once
+    too few of its draws can lie at or below 1/k1.  A stopped sample is, bit
+    for bit, a prefix of the curve's sample at n, so that point misses zeta
+    too.  The edge draw is made at the first n not skipped, so a scan that
+    skips every n makes none.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     if not 0.0 <= p_h0 <= 1.0:
         raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
-    curve = dce_curve(
-        posterior, u, v, f_u, draws, stream, [thresholds], p_h0, n_max, first_crossing=True
-    )
-    n_star, dce = next(
-        ((n, dce) for n, (dce,) in curve if dce.overall_dc >= thresholds.zeta), (None, None)
-    )
-    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n_star, dce_at_n_star=dce, n_max=n_max)
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws!r}")
+    h1 = None
+    for n in range(2, n_max + 1):
+        h0_bands = h0_band_probabilities(thresholds, n)
+        need = decisive_draws_needed(h0_bands, thresholds, p_h0, draws)
+        if need > draws:
+            continue
+        if h1 is None:
+            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
+        sample = sample_bf_h1(h1, n, cut=1.0 / thresholds.k1, need=need)
+        if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
+            continue
+        dce = assemble_dce(h0_bands, thresholds, p_h0, h1_band_counts(sample, thresholds), draws)
+        if dce.overall_dc >= thresholds.zeta:
+            return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
+    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 
 
 @dataclass
@@ -450,28 +432,28 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     """``[fn(*task) for task in tasks]``, spread over this process and up to
     ``size - 1`` children made with ``os.fork``.
 
+    The map runs in this process alone on a platform other than Linux and
+    while another Python thread is alive, beside which a fork is unsafe.  On
+    Linux, where ``os.fork`` and ``os.sched_getaffinity`` always exist,
     ``size`` is the least of ``workers``, the number of tasks and the CPUs
     this process may run on (its affinity mask, which taskset or a cpuset may
-    limit).  The map runs in this process alone when that is 1, on a platform
-    other than Linux or without ``os.fork``, and while another Python thread
-    is alive, beside which a fork is unsafe.  Otherwise the tasks are cut
-    into at most ``_MAX_RUNS`` runs of consecutive tasks.  This process runs
-    the first run, so every function ``fn`` calls runs here at least once;
-    the starts of the others are written to one pipe in a single write, and
-    its write end is closed, before the first fork.  Every process then takes
-    starts from that pipe until it is empty.  The children inherit ``fn`` and
-    the tasks, and each sends its pickled results, or the exception a task
-    raised, back through a pipe of its own.  A child's exception is raised
-    here, and a child that ends without sending its results raises
-    ``RuntimeError``.  Before the map returns or raises, every child is
-    killed (``SIGKILL``), so none outlives an error, and reaped.
+    limit), and the map runs here alone when that is 1.  Otherwise the tasks
+    are cut into at most ``_MAX_RUNS`` runs of consecutive tasks.  This
+    process runs the first run, so every function ``fn`` calls runs here at
+    least once; the starts of the others are written to one pipe in a single
+    write, and its write end is closed, before the first fork.  Every process
+    then takes starts from that pipe until it is empty.  The children inherit
+    ``fn`` and the tasks, and each sends its pickled results, or the
+    exception a task raised, back through a pipe of its own.  A child's
+    exception is raised here, and a child that ends without sending its
+    results raises ``RuntimeError``.  Before the map returns or raises, every
+    child is killed (``SIGKILL``), so none outlives an error, and reaped.
     """
     tasks = list(tasks)
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    size = min(workers, len(tasks), cpus)
-    if (size < 2 or sys.platform != "linux" or not hasattr(os, "fork")
-            or threading.active_count() > 1):
+    size = 1
+    if sys.platform == "linux" and threading.active_count() == 1:
+        size = min(workers, len(tasks), len(os.sched_getaffinity(0)))
+    if size < 2:
         return [fn(*task) for task in tasks]
     run = -(-len(tasks) // _MAX_RUNS)  # tasks per run, the last one maybe fewer
     results = [None] * len(tasks)
@@ -560,7 +542,8 @@ def plan_cpdag(
     data columns, a component above ``SUBSET_SCAN_CAP`` nodes, a non-chordal
     component, an improper posterior, the ``pair_factor`` of one of its edge
     tasks out of the float range) are found before any edge task runs and
-    are reported per component without aborting the others.
+    are reported per component without aborting the others; ``draws`` below
+    1 raises ``ValueError`` before any component.
 
     ``workers`` > 1 runs the edge tasks with ``fork_map``, over at most
     ``workers`` processes, one per edge task and per CPU the process may use,
@@ -570,6 +553,8 @@ def plan_cpdag(
     """
     if not isinstance(data, DatasetMatrix):
         raise TypeError("data must be a DatasetMatrix")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws!r}")
     out: list[ComponentPlans] = []
     searched = []  # (entry of out, index, subgraph, sequences) of the error-free components
     tasks: dict[tuple[int, str, str], tuple] = {}  # optimal_n_edge arguments per edge

@@ -415,8 +415,8 @@ def dce_probabilities(
     """Evidence probabilities at n for manipulating u and testing the edge u - v.
 
     ``stream`` is the edge task's substream, so the result is, bit for bit,
-    the point at n of ``ssd.dce_curve`` from it; it costs one edge draw and
-    one n step.
+    the point at n of ``ssd.dce_curve`` of the edge draw from it; it costs
+    one edge draw and one n step.
     """
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
     counts = h1_band_counts(sample, thresholds)

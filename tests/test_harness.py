@@ -147,6 +147,24 @@ class TestTwoNodeStudy:
                 expected = (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
                 assert rows[n] == expected
 
+    def test_edge_drawn_once(self, monkeypatch):
+        # the exported samples, the evidence grid and the curves all read one
+        # H1 edge draw, whichever module would look draw_h1_edge up
+        import causal_ssd.harness as harness_mod
+        import causal_ssd.ssd as ssd_mod
+
+        drawn = []
+        real = harness_mod.draw_h1_edge
+
+        def counting(posterior, u, v, f_u, draws, stream):
+            drawn.append((u, v))
+            return real(posterior, u, v, f_u, draws, stream)
+
+        for module in (harness_mod, ssd_mod):
+            monkeypatch.setattr(module, "draw_h1_edge", counting)
+        replicate_two_node_study(TwoNodeStudyConfig(draws=200, n_max=30), RandomStream(8))
+        assert drawn == [("u", "v")]
+
     @pytest.mark.parametrize("seed", [0, 1, 8, 14, 49])
     def test_observational_rows_are_the_linear_model_draw(self, seed):
         # the study draws its u column and then v = beta * u + noise from

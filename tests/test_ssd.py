@@ -20,6 +20,7 @@ from causal_ssd.predictive import (
     InsufficientDataError,
     InterventionDensity,
     build_design_posterior,
+    draw_h1_edge,
 )
 from causal_ssd.ssd import (
     DceThresholds,
@@ -204,16 +205,35 @@ class TestOptimalNEdge:
         seed=st.integers(0, 2**16),
     )
     def test_equals_full_sample_linear_scan(self, k0, k1, zeta, p_h0, draws, n_max, seed):
+        import causal_ssd.ssd as ssd_mod
+
         th = DceThresholds(k0=k0, k1=k1, zeta=zeta)
         post = two_node_posterior()
         args = ("u", "v", th, p_h0, post, F_U, n_max, draws, RandomStream(seed))
-        got, want = optimal_n_edge(*args), linear_scan_optimal_n_edge(*args)
+        scanned, completed = [], []
+        real_bands, real_sample = ssd_mod.h0_band_probabilities, ssd_mod.sample_bf_h1
+
+        def spy_bands(thresholds, n):
+            scanned.append(n)
+            return real_bands(thresholds, n)
+
+        def spy_sample(edge, n, **stop):
+            sample = real_sample(edge, n, **stop)
+            if sample.count == edge.draws:
+                completed.append(n)
+            return sample
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ssd_mod, "h0_band_probabilities", spy_bands)
+            mp.setattr(ssd_mod, "sample_bf_h1", spy_sample)
+            got = optimal_n_edge(*args)
+        want = linear_scan_optimal_n_edge(*args)
         assert got.to_dict() == want.to_dict()
 
-        def curve(thresholds, **kw):
-            return list(dce_curve(
-                post, "u", "v", F_U, draws, RandomStream(seed), thresholds, p_h0, n_max, **kw
-            ))
+        h1 = draw_h1_edge(post, "u", "v", F_U, draws, RandomStream(seed))
+
+        def curve(thresholds):
+            return list(dce_curve(h1, thresholds, p_h0, n_max))
 
         # the full curve crosses first where optimal_n_edge says
         full = {n: dce.to_dict() for n, (dce,) in curve([th])}
@@ -222,9 +242,11 @@ class TestOptimalNEdge:
         assert crossing == got.n_star
         if crossing is not None:
             assert full[crossing] == got.dce_at_n_star.to_dict()
-        # every point the stopping curve yields is the full curve's point
-        for n, (dce,) in curve([th], first_crossing=True):
-            assert dce.to_dict() == full[n]
+        # the scan reads n = 2, 3, ... up to its crossing (or n_max), and
+        # every n it skipped or stopped misses zeta on the full curve
+        assert scanned == list(range(2, (got.n_star or n_max) + 1))
+        for n in set(scanned) - set(completed):
+            assert full[n]["overall_dc"] < zeta
         # a curve for several thresholds is the single-threshold curves side by side
         others = [DceThresholds(k0=3.0, k1=3.0, zeta=0.5), DceThresholds(k0=k1, k1=k0, zeta=zeta)]
         joint = curve([th, *others])
@@ -371,6 +393,17 @@ class TestOptimalNEdge:
         with pytest.raises(ValueError, match="p_h0"):
             optimal_n_edge("u", "v", th, p_h0, two_node_posterior(), F_U, n_max=30, draws=200)
 
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_draws_below_one_rejected(self, draws):
+        # thresholds whose exact H0 bound lets no n through, so a scan would
+        # skip every n and never reach a check of draws in draw_h1_edge
+        capped = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
+        with pytest.raises(ValueError, match="draws must be at least 1"):
+            optimal_n_edge(
+                "u", "v", capped, HALF, two_node_posterior(), F_U, n_max=30, draws=draws,
+                stream=RandomStream(8),
+            )
+
     def test_monotone_in_zeta(self):
         post = two_node_posterior()
         stream = RandomStream(10)
@@ -452,6 +485,18 @@ class TestPlanCpdag:
         with pytest.raises(ValueError, match="df must be finite") as info:
             plan_cpdag(CHAIN5, fig1_dataset(), th, a_omega=a_omega, n_max=20, draws=100)
         assert not isinstance(info.value, InsufficientDataError)
+
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_draws_below_one_raises_before_any_component(self, draws, monkeypatch):
+        import causal_ssd.ssd as ssd_mod
+
+        def no_component(*args):
+            raise AssertionError("a component was read")
+
+        monkeypatch.setattr(ssd_mod, "chain_components", no_component)
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        with pytest.raises(ValueError, match="draws must be at least 1"):
+            plan_cpdag(CHAIN5, fig1_dataset(), th, n_max=20, draws=draws)
 
     def test_node_size_is_max_and_total_is_sum(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
@@ -708,8 +753,8 @@ class TestForkMap:
     def full_curve(self, n_max, draws=300):
         thresholds = [DceThresholds(k0=3.0, k1=3.0, zeta=0.6),
                       DceThresholds(k0=10.0, k1=10.0, zeta=0.6)]
-        curve = dce_curve(two_node_posterior(), "u", "v", F_U, draws, RandomStream(31),
-                          thresholds, HALF, n_max)
+        h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, draws, RandomStream(31))
+        curve = dce_curve(h1, thresholds, HALF, n_max)
         return [(n, [d.to_dict() for d in dces]) for n, dces in curve]
 
     @pytest.mark.parametrize("n_max", [2, 3, 150, 1100])
