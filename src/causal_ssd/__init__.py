@@ -9,9 +9,12 @@ threshold.
 
 ``__all__`` is the library's contract: the inputs and entry point of a
 plan (``parse_edge_list``, ``ingest_csv``, ``DceThresholds``,
-``InterventionDensity``, ``RandomStream``, ``plan_cpdag``) and the pipeline
-pieces under it.  Everything else is reachable through its module but may
-change without notice.
+``InterventionDensity``, ``RunConfig``, ``RandomStream``, ``plan_cpdag``)
+and the pipeline pieces under it.  ``RunConfig`` holds the run parameters
+(draws, n_max, the intervention density, a_omega) and is the one place
+they are checked; ``plan_cpdag``, ``optimal_n_edge`` and
+``replicate_two_node_study`` take it.  Everything else is reachable
+through its module but may change without notice.
 """
 
 from causal_ssd.numerics import RandomStream
@@ -24,14 +27,15 @@ from causal_ssd.predictive import (
     sample_bf_h0,
     sample_bf_h1,
 )
-from causal_ssd.ssd import DceThresholds, optimal_n_edge, plan_cpdag
-from causal_ssd.harness import TwoNodeStudyConfig, ingest_csv, replicate_two_node_study
+from causal_ssd.ssd import DceThresholds, RunConfig, optimal_n_edge, plan_cpdag
+from causal_ssd.harness import ingest_csv, replicate_two_node_study
 
 __all__ = [
     # a plan end to end
     "DceThresholds",
     "InterventionDensity",
     "RandomStream",
+    "RunConfig",
     "ingest_csv",
     "parse_edge_list",
     "plan_cpdag",
@@ -45,7 +49,6 @@ __all__ = [
     "replicate_two_node_study",
     "sample_bf_h0",
     "sample_bf_h1",
-    "TwoNodeStudyConfig",
 ]
 
-__version__ = "0.6.5"
+__version__ = "0.6.6"

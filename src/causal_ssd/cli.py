@@ -35,7 +35,6 @@ from causal_ssd.harness import (
     EXPORT_SIZES,
     GRID_SIZES,
     CsvParseError,
-    TwoNodeStudyConfig,
     atomic_write_chunks,
     atomic_write_text,
     bf_samples_csv,
@@ -47,10 +46,8 @@ from causal_ssd.harness import (
     replicate_two_node_study,
     write_json,
 )
-from causal_ssd.numerics import RandomStream
+from causal_ssd.numerics import RandomStream, whole
 from causal_ssd.predictive import (
-    H1_BUDGET_BYTES,
-    H1_BYTES_PER_DRAW,
     InsufficientDataError,
     InterventionDensity,
     MissingColumnsError,
@@ -60,9 +57,8 @@ from causal_ssd.predictive import (
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
-    DEFAULT_DRAWS,
-    DEFAULT_N_MAX,
     DceThresholds,
+    RunConfig,
     dce_curve,
     edge_stream,
     plan_cpdag,
@@ -76,9 +72,6 @@ EXIT_NOT_ACHIEVABLE = 4
 
 _ENV_PREFIX = "CAUSAL_SSD_"
 
-# the most draws one H1 evaluation, the edge draw and one n step, may hold
-MAX_DRAWS = H1_BUDGET_BYTES // H1_BYTES_PER_DRAW
-
 # every flag, name: (type, default, help); graph, data, edge and n have no
 # default, and the commands that take them require them
 FLAGS = {
@@ -90,8 +83,8 @@ FLAGS = {
     "k1": (float, DceThresholds.k1, None),
     "zeta": (float, DceThresholds.zeta, None),
     "a_omega": (float, None, None),  # None: T - 1 per chain component
-    "n_max": (int, DEFAULT_N_MAX, None),
-    "draws": (int, DEFAULT_DRAWS, None),
+    "n_max": (int, RunConfig.n_max, None),
+    "draws": (int, RunConfig.draws, None),
     "seed": (int, 42, None),
     "intervention_mean": (float, InterventionDensity.mean, None),
     "intervention_sd": (float, InterventionDensity.sd, None),
@@ -148,14 +141,13 @@ def build_parser() -> _Parser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject what argparse lets through; attach ``f_u``, and ``thresholds`` for
-    the commands that take --k0 and --k1."""
+    """Reject what argparse lets through; attach the ``RunConfig`` as
+    ``config``, the master ``stream``, and ``thresholds`` for the commands
+    that take --k0 and --k1."""
     given = vars(args)
     for name in INPUT_FLAGS:
         if name in given and given[name] is None:
             raise _UsageError(f"--{name} is required (or set {_ENV_PREFIX}{name.upper()})")
-    if "n" in given and args.n < 2:
-        raise _UsageError("--n must be an integer >= 2")
     if "edge" in given:
         parts = [p.strip() for p in args.edge.split(",")]
         if len(parts) != 2 or not all(parts):
@@ -163,36 +155,34 @@ def _check_args(args: argparse.Namespace) -> None:
         args.edge = parts
     if args.out == "":
         raise _UsageError("--out must not be empty")
-    for name, least in (("draws", 1), ("n_max", 2), ("workers", 1)):
-        if given.get(name, least) < least:
-            raise _UsageError(f"--{name.replace('_', '-')} must be an integer >= {least}")
-    if args.draws > MAX_DRAWS:
-        raise _UsageError(
-            f"--draws {args.draws} exceeds {MAX_DRAWS}: the H1 sampler holds "
-            f"{H1_BYTES_PER_DRAW} bytes a draw, and its budget is {H1_BUDGET_BYTES} bytes"
-        )
-    if args.seed < 0:
-        raise _UsageError("--seed must be a nonnegative integer")
-    if args.a_omega is not None and not math.isfinite(args.a_omega):
-        raise _UsageError("--a-omega must be finite")
     try:
         if "k0" in given:
             zeta = given.get("zeta", DceThresholds.zeta)  # no dce-curve row depends on it
             args.thresholds = DceThresholds(args.k0, args.k1, zeta)
-        args.f_u = InterventionDensity(mean=args.intervention_mean, sd=args.intervention_sd)
+        f_u = InterventionDensity(mean=args.intervention_mean, sd=args.intervention_sd)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    try:
+        # each message starts with the field's name, which names its flag
+        args.config = RunConfig(draws=args.draws, n_max=given.get("n_max", RunConfig.n_max),
+                                f_u=f_u, a_omega=args.a_omega)
+        whole("workers", given.get("workers", 1), 1)
+        whole("n", given.get("n", 2), 2)
+        args.stream = RandomStream(args.seed)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise _UsageError(f"--{name.replace('_', '-')} {rest}") from exc
     # the noncentrality of sum x_u^2 at the largest n the command draws at
     n_top = args.n if "n" in given else args.n_max
     if args.command == "simulate":
         n_top = max(n_top, *EXPORT_SIZES, *GRID_SIZES)
     try:
-        nonc = n_top * (args.f_u.mean / args.f_u.sd) ** 2
+        nonc = n_top * (f_u.mean / f_u.sd) ** 2
     except OverflowError:
         nonc = math.inf
     if not math.isfinite(nonc):
         raise _UsageError(
-            f"--intervention-mean {args.f_u.mean} and --intervention-sd {args.f_u.sd}: "
+            f"--intervention-mean {f_u.mean} and --intervention-sd {f_u.sd}: "
             f"the noncentrality n (mean / sd)^2 at n = {n_top} is not a finite float"
         )
 
@@ -233,17 +223,7 @@ def _load_inputs(args: argparse.Namespace):
 
 def cmd_plan(args: argparse.Namespace) -> int:
     graph, data = _load_inputs(args)
-    results = plan_cpdag(
-        graph,
-        data,
-        args.thresholds,
-        f_u=args.f_u,
-        stream=RandomStream(args.seed),
-        a_omega=args.a_omega,
-        n_max=args.n_max,
-        draws=args.draws,
-        workers=args.workers,
-    )
+    results = plan_cpdag(graph, data, args.thresholds, args.config, args.stream, args.workers)
     document = {
         "config": _echo(args),
         "components": [r.to_dict() for r in results],
@@ -275,14 +255,14 @@ def _edge_inputs(args: argparse.Namespace):
     if not graph.has_undirected_edge(u, v):
         raise GraphFormatError(f"edge {u}-{v} is not an undirected edge of the graph")
     ci, sub = next((ci, sub) for ci, sub in enumerate(chain_components(graph)) if u in sub.nodes)
-    posterior = build_design_posterior(data.restrict(sub.nodes), args.a_omega)
-    return sub, posterior, edge_stream(RandomStream(args.seed), ci, sub.nodes, u, v)
+    posterior = build_design_posterior(data.restrict(sub.nodes), args.config.a_omega)
+    return sub, posterior, edge_stream(args.stream, ci, sub.nodes, u, v)
 
 
 def cmd_dce_curve(args: argparse.Namespace) -> int:
     sub, posterior, stream = _edge_inputs(args)
-    h1 = draw_h1_edge(posterior, *args.edge, args.f_u, args.draws, stream)
-    curve = dce_curve(h1, [args.thresholds], prior_h0(sub, *args.edge), args.n_max)
+    h1 = draw_h1_edge(posterior, *args.edge, args.config.f_u, args.config.draws, stream)
+    curve = dce_curve(h1, [args.thresholds], prior_h0(sub, *args.edge), args.config.n_max)
     rows = [dce_curve_row(n, dce) for n, (dce,) in curve]
     _emit(_config_comment(args) + dce_curve_csv(rows), args.out)
     return EXIT_OK
@@ -290,20 +270,15 @@ def cmd_dce_curve(args: argparse.Namespace) -> int:
 
 def cmd_predict_bf(args: argparse.Namespace) -> int:
     _, posterior, stream = _edge_inputs(args)
-    h1 = sample_bf_h1(draw_h1_edge(posterior, *args.edge, args.f_u, args.draws, stream), args.n)
-    h0 = sample_bf_h0(args.n, args.draws, stream.child(args.n, 3))
+    config = args.config
+    h1 = sample_bf_h1(draw_h1_edge(posterior, *args.edge, config.f_u, config.draws, stream), args.n)
+    h0 = sample_bf_h0(args.n, config.draws, stream.child(args.n, 3))
     _emit(_config_comment(args), args.out, bf_samples_csv([h0, h1]))
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    study = TwoNodeStudyConfig(
-        draws=args.draws,
-        n_max=args.n_max,
-        intervention=args.f_u,
-        a_omega=TwoNodeStudyConfig.a_omega if args.a_omega is None else args.a_omega,
-    )
-    report = replicate_two_node_study(study, RandomStream(args.seed))
+    report = replicate_two_node_study(args.config, args.stream)
     out_dir = args.out if args.out is not None else "causal_ssd_simulation"
     os.makedirs(out_dir, exist_ok=True)
     doc = report.to_json_dict()

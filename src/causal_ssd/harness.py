@@ -33,7 +33,6 @@ from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     BfPredictiveSample,
     DatasetMatrix,
-    InterventionDensity,
     build_design_posterior,
     draw_h1_edge,
     prob_bf_band_h0,
@@ -41,10 +40,9 @@ from causal_ssd.predictive import (
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
-    DEFAULT_DRAWS,
-    DEFAULT_N_MAX,
     DceProbabilities,
     DceThresholds,
+    RunConfig,
     binomial_se,
     dce_curve,
     h0_band_probabilities,  # noqa: F401  (no caller; bench/tracing.py wraps harness.h0_band_probabilities)
@@ -126,37 +124,6 @@ K_VALUES = (3.0, 6.0, 10.0)
 ZETA_GRID = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
-@dataclass(frozen=True)
-class TwoNodeStudyConfig:
-    """Configuration of the two-node chain-component study.
-
-    The generating model, the exported and grid sizes, the thresholds and
-    the zeta grid are the module constants above; ``to_dict`` records them
-    with the settable fields.
-    """
-
-    draws: int = DEFAULT_DRAWS
-    n_max: int = DEFAULT_N_MAX
-    intervention: InterventionDensity = InterventionDensity()
-    a_omega: float = 1.0  # T - 1 for the two-node component
-
-    def to_dict(self) -> dict:
-        return {
-            "n_obs": STUDY_N_OBS,
-            "beta": STUDY_BETA,
-            "noise_sd": STUDY_NOISE_SD,
-            "draws": self.draws,
-            "n_max": self.n_max,
-            "k_values": list(K_VALUES),
-            "export_sizes": list(EXPORT_SIZES),
-            "grid_sizes": list(GRID_SIZES),
-            "zeta_grid": list(ZETA_GRID),
-            "intervention_mean": self.intervention.mean,
-            "intervention_sd": self.intervention.sd,
-            "a_omega": self.a_omega,
-        }
-
-
 @dataclass
 class TwoNodeStudyReport:
     """All outputs of the two-node study; a pure function of (config, seed)."""
@@ -194,12 +161,14 @@ _STRONG_NOTE = (
 )
 
 
-def replicate_two_node_study(
-    config: TwoNodeStudyConfig, stream: RandomStream
-) -> TwoNodeStudyReport:
+def replicate_two_node_study(config: RunConfig, stream: RandomStream) -> TwoNodeStudyReport:
     """Run the two-node chain-component study end to end.
 
-    The observational rows are drawn from ``stream.child(0)``: first the u
+    ``config`` gives the draws, the top of the n grid, the intervention
+    density and a_omega (None for T - 1 = 1); the generating model, the
+    exported and grid sizes, the thresholds and the zeta grid are the module
+    constants above, and the report's ``config`` records them all.  The
+    observational rows are drawn from ``stream.child(0)``: first the u
     column, u = sd * N(0, 1), then v = sd * N(0, 1) + beta * u, with
     ``STUDY_N_OBS`` rows, coefficient ``STUDY_BETA`` and noise sd
     ``STUDY_NOISE_SD``.  The prior probabilities are p(H0) = p(H1) = 1/2 (the
@@ -227,7 +196,7 @@ def replicate_two_node_study(
     # edge draw on the H1 stream child(2)
     fixed_sizes = sorted(set(EXPORT_SIZES) | set(GRID_SIZES))
     h0_samples = {n: sample_bf_h0(n, config.draws, stream.child(1, n)) for n in fixed_sizes}
-    h1 = draw_h1_edge(posterior, u, v, config.intervention, config.draws, stream.child(2))
+    h1 = draw_h1_edge(posterior, u, v, config.f_u, config.draws, stream.child(2))
     h1_samples = {n: sample_bf_h1(h1, n) for n in fixed_sizes}
 
     # (a) predictive samples for external histogramming
@@ -289,7 +258,20 @@ def replicate_two_node_study(
     }
 
     return TwoNodeStudyReport(
-        config=config.to_dict(),
+        config={
+            "n_obs": STUDY_N_OBS,
+            "beta": STUDY_BETA,
+            "noise_sd": STUDY_NOISE_SD,
+            "draws": config.draws,
+            "n_max": config.n_max,
+            "k_values": list(K_VALUES),
+            "export_sizes": list(EXPORT_SIZES),
+            "grid_sizes": list(GRID_SIZES),
+            "zeta_grid": list(ZETA_GRID),
+            "intervention_mean": config.f_u.mean,
+            "intervention_sd": config.f_u.sd,
+            "a_omega": 1.0 if config.a_omega is None else config.a_omega,
+        },
         seed=stream.seed,
         observational=observational,
         bf_samples=bf_samples,

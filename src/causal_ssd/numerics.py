@@ -26,6 +26,18 @@ _EPS = sys.float_info.epsilon
 _BETA_CF_MAX_TERMS = 10_000
 
 
+def whole(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an int if it is an integer from ``least`` to ``most`` (no
+    upper bound when None), else ``ValueError`` with a message that starts
+    with ``name``.  A bool or a float, even an integral one, is no integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+        least <= value and (most is None or value <= most)
+    ):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 def _require_finite_positive(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
@@ -40,20 +52,20 @@ class RandomStream:
     Identical (seed, path) pairs yield identical draw sequences; distinct
     paths derived from one master seed are statistically independent.  Built
     on ``numpy.random.SeedSequence`` spawn keys, so substreams are safe to
-    consume concurrently.
+    consume concurrently.  The seed and every path entry are nonnegative
+    integers (``whole``), checked at construction.
     """
 
     seed: int
     path: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not all(isinstance(p, (int, np.integer)) and p >= 0 for p in self.path):
-            raise ValueError(f"stream path must be nonnegative integers, got {self.path!r}")
-        object.__setattr__(self, "path", tuple(int(p) for p in self.path))
+        object.__setattr__(self, "seed", whole("seed", self.seed, 0))
+        object.__setattr__(self, "path", tuple(whole("stream path entry", p, 0) for p in self.path))
 
     def child(self, *indices: int) -> "RandomStream":
         """Derive the substream identified by appending ``indices`` to the path."""
-        return RandomStream(self.seed, self.path + tuple(int(i) for i in indices))
+        return RandomStream(self.seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

@@ -32,6 +32,7 @@ from causal_ssd.numerics import (
     WishartParams,
     regularized_incomplete_beta,
     sample_wishart,  # noqa: F401  (no caller; bench/tracing.py wraps predictive.sample_wishart)
+    whole,
 )
 
 # the floor of 1 - r^2: its value at the largest r^2 below 1
@@ -45,9 +46,7 @@ def log_g_of_n(n: int) -> float:
     BF01(n) = g(n) (1 - r^2)^((n-1)/2), so g(n), strictly increasing and
     asymptotically sqrt(2 n / pi), is its value at r^2 = 0.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"g(n) requires n >= 2, got {n}")
+    n = whole("n", n, 2)
     return math.log(n) + math.lgamma(n / 2.0) - math.lgamma((n + 1) / 2.0) - 0.5 * math.log(math.pi)
 
 
@@ -237,14 +236,11 @@ def sample_bf_h0(n: int, draws: int, stream: RandomStream) -> BfPredictiveSample
 
     BF = g(n) * b^((n-1)/2) with b ~ Beta((n-1)/2, 1/2); the law depends on
     neither the design posterior nor the interventional density (r^2 is
-    ancillary), so no data enter.
+    ancillary), so no data enter.  ``draws`` must be an integer of at least 1
+    (``numerics.whole``).
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if draws < 1:
-        raise ValueError("draws must be positive")
-    b = stream.generator().beta((n - 1) / 2.0, 0.5, size=int(draws))
+    n = whole("n", n, 2)
+    b = stream.generator().beta((n - 1) / 2.0, 0.5, size=whole("draws", draws, 1))
     b = np.clip(b, np.nextafter(0.0, 1.0), 1.0)
     bf = np.exp(log_g_of_n(n) + 0.5 * (n - 1) * np.log(b))
     return BfPredictiveSample(hypothesis="H0", n=n, draws=bf)
@@ -267,9 +263,7 @@ def prob_bf_band_h0(lo: float, hi: float, n: int) -> float:
     The bound BF <= g(n) makes bands above g(n) exactly empty; in particular
     the band (10, inf) is zero for every n with g(n) < 10, i.e. all n <= 156.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = whole("n", n, 2)
     lo = float(lo)
     hi = float(hi)
     if lo < 0.0 or not hi > lo:
@@ -282,8 +276,11 @@ def prob_bf_band_h0(lo: float, hi: float, n: int) -> float:
 H1_BYTES_PER_DRAW = 4 * 8
 
 # memory the H1 evaluations of one run may hold together, over all its
-# processes: it caps --draws, and the processes of ssd.fork_map
+# processes: it caps the draws, and the processes of ssd.fork_map
 H1_BUDGET_BYTES = 2**28
+
+# the most draws one H1 evaluation, the edge draw and one n step, may hold
+MAX_DRAWS = H1_BUDGET_BYTES // H1_BYTES_PER_DRAW
 
 # draws per block of ``E.child(n)``: each block draws its chi-square(n) sums
 # and then its chi-square(n - 1) residuals, so the first blocks of a sample
@@ -360,11 +357,11 @@ def draw_h1_edge(
     underflow raises ``InsufficientDataError`` there.  lam is then
     replaced in place by |lam|, sorted ascending; ``z`` stays as drawn.  A
     chi-square(k) draw is taken as twice a standard gamma(k / 2) draw, which
-    is how numpy computes it.
+    is how numpy computes it.  ``draws`` must be an integer from 1 to
+    ``MAX_DRAWS`` (``numerics.whole``), and is checked before anything is
+    allocated.
     """
-    draws = int(draws)
-    if draws < 1:
-        raise ValueError("draws must be positive")
+    draws = whole("draws", draws, 1, MAX_DRAWS)
     params, f00, f01 = pair_factor(posterior, u, v)
     # three separate arrays, so that s is freed and only lam and z stay
     lam, s, z = np.empty(draws), np.empty(draws), np.empty(draws)
@@ -414,9 +411,7 @@ def sample_bf_h1(
     far, which are, bit for bit, the first ones of the full sample.  By
     default it never stops.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = whole("n", n, 2)
     gen = edge.stream.child(n).generator()
     f_u = edge.f_u
     draws = edge.draws

@@ -45,10 +45,11 @@ from causal_ssd.graph import (
     chain_components,
     enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps ssd.enumerate_class)
 )
-from causal_ssd.numerics import RandomStream
+from causal_ssd.numerics import RandomStream, whole
 from causal_ssd.predictive import (
     H1_BUDGET_BYTES,
     H1_BYTES_PER_DRAW,
+    MAX_DRAWS,
     BfPredictiveSample,
     DatasetMatrix,
     DesignPosterior,
@@ -62,10 +63,6 @@ from causal_ssd.predictive import (
     prob_bf_band_h0,
     sample_bf_h1,
 )
-
-DEFAULT_N_MAX = 1000
-DEFAULT_DRAWS = 10_000
-
 
 @dataclass(frozen=True)
 class DceThresholds:
@@ -83,6 +80,35 @@ class DceThresholds:
         if not (0.0 < self.zeta < 1.0):
             raise ValueError(f"zeta must lie in (0, 1), got {self.zeta!r}")
         # k0 > 1 > 1/k1 already guarantees a nonempty inconclusive band
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The run parameters that every sample size depends on, checked once.
+
+    ``draws`` is the number of H1 predictive draws per grid point, an
+    integer from 1 to ``predictive.MAX_DRAWS``, the most the H1 sampler's
+    memory budget holds; ``n_max`` is the top of the sample-size grid
+    {2, ..., n_max}, an integer of at least 2 (``numerics.whole``: a bool or
+    a float is not an integer).  ``f_u`` is the intervention density, and
+    ``a_omega`` the prior degrees of freedom of the design posterior: None
+    for T - 1 per chain component, or a finite number.
+    """
+
+    draws: int = 10_000
+    n_max: int = 1000
+    f_u: InterventionDensity = InterventionDensity()
+    a_omega: float | None = None
+
+    def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "draws", whole("draws", self.draws, 1, MAX_DRAWS))
+        except ValueError as exc:  # say where the upper bound comes from
+            raise ValueError(f"{exc}: the H1 sampler holds {H1_BYTES_PER_DRAW} bytes a draw, "
+                             f"and its budget is {H1_BUDGET_BYTES} bytes") from None
+        object.__setattr__(self, "n_max", whole("n_max", self.n_max, 2))
+        if self.a_omega is not None and not math.isfinite(self.a_omega):
+            raise ValueError(f"a_omega must be finite, got {self.a_omega!r}")
 
 
 @dataclass(frozen=True)
@@ -116,27 +142,29 @@ class DceProbabilities:
         }
 
 
-# the memo of h0_band_probabilities: per thresholds, the (p0_dc, p0_mis) of
+# the memo of h0_band_probabilities: per (k0, k1), the (p0_dc, p0_mis) of
 # n = 2, 3, ... in one float array, 16 bytes a grid point; at most
-# H0_BAND_TABLES thresholds, the oldest table dropped first
+# H0_BAND_TABLES pairs, the oldest table dropped first
 H0_BAND_TABLES = 4
-_H0_BANDS: dict[DceThresholds, array.array] = {}
+_H0_BANDS: dict[tuple[float, float], array.array] = {}
 
 
 def h0_band_probabilities(thresholds: DceThresholds, n: int) -> tuple[float, float, float]:
     """Exact (decisive, inconclusive, misleading) probabilities under H0.
 
-    They depend on the thresholds and n alone, so they are memoized: every
-    edge of a plan scans the same n and reuses the bands.  The table of a
-    thresholds grows by one point each time it is asked for the n just past
-    its end, so it holds a whole scan, whatever ``n_max``; any other n past
-    its end is computed and not stored.
+    They depend on k0, k1 and n alone, not on zeta, so they are memoized per
+    (k0, k1): every edge of a plan scans the same n and reuses the bands,
+    and so does every zeta of a sweep.  The table of a (k0, k1) grows by one
+    point each time it is asked for the n just past its end, so it holds a
+    whole scan, whatever ``n_max``; any other n past its end is computed and
+    not stored.
     """
-    table = _H0_BANDS.get(thresholds)
+    key = (thresholds.k0, thresholds.k1)
+    table = _H0_BANDS.get(key)
     if table is None:
         if len(_H0_BANDS) >= H0_BAND_TABLES:
             del _H0_BANDS[next(iter(_H0_BANDS))]
-        table = _H0_BANDS[thresholds] = array.array("d")
+        table = _H0_BANDS[key] = array.array("d")
     i = 2 * (n - 2)
     if 0 <= i < len(table):
         p0_dc, p0_mis = table[i], table[i + 1]
@@ -301,29 +329,25 @@ def optimal_n_edge(
     thresholds: DceThresholds,
     p_h0: float,
     posterior: DesignPosterior,
-    f_u: InterventionDensity,
-    n_max: int = DEFAULT_N_MAX,
-    draws: int = DEFAULT_DRAWS,
+    config: RunConfig = RunConfig(),
     stream: RandomStream = RandomStream(0),
 ) -> EdgeSsdResult:
-    """Smallest n on {2, ..., n_max} whose overall DCE probability reaches zeta.
+    """Smallest n on {2, ..., config.n_max} whose overall DCE probability reaches zeta.
 
     ``p_h0`` is the prior p(H0) of u <- v (``prior_h0``) and must lie in
-    [0, 1]; p(H1) = 1 - p_h0.  The result is the first crossing of the
-    ``dce_curve`` of ``draw_h1_edge(posterior, u, v, f_u, draws, stream)``.
-    The scan skips an n whose exact H0 side leaves zeta out of reach
-    (``decisive_draws_needed`` above ``draws``) and stops an H1 sample once
-    too few of its draws can lie at or below 1/k1.  A stopped sample is, bit
-    for bit, a prefix of the curve's sample at n, so that point misses zeta
-    too.  The edge draw is made at the first n not skipped, so a scan that
-    skips every n makes none.
+    [0, 1]; p(H1) = 1 - p_h0.  ``config`` gives ``draws``, ``n_max`` and
+    ``f_u``; its ``a_omega`` is already in ``posterior``.  The result is the
+    first crossing of the ``dce_curve`` of
+    ``draw_h1_edge(posterior, u, v, f_u, draws, stream)``.  The scan skips an
+    n whose exact H0 side leaves zeta out of reach (``decisive_draws_needed``
+    above ``draws``) and stops an H1 sample once too few of its draws can lie
+    at or below 1/k1.  A stopped sample is, bit for bit, a prefix of the
+    curve's sample at n, so that point misses zeta too.  The edge draw is
+    made at the first n not skipped, so a scan that skips every n makes none.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
     if not 0.0 <= p_h0 <= 1.0:
         raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws!r}")
+    draws, n_max = config.draws, config.n_max
     h1 = None
     for n in range(2, n_max + 1):
         h0_bands = h0_band_probabilities(thresholds, n)
@@ -331,7 +355,7 @@ def optimal_n_edge(
         if need > draws:
             continue
         if h1 is None:
-            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
+            h1 = draw_h1_edge(posterior, u, v, config.f_u, draws, stream)
         sample = sample_bf_h1(h1, n, cut=1.0 / thresholds.k1, need=need)
         if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
             continue
@@ -523,11 +547,8 @@ def plan_cpdag(
     cpdag: PartiallyDirectedGraph,
     data: DatasetMatrix,
     thresholds: DceThresholds,
-    f_u: InterventionDensity = InterventionDensity(),
+    config: RunConfig = RunConfig(),
     stream: RandomStream = RandomStream(0),
-    a_omega: float | None = None,
-    n_max: int = DEFAULT_N_MAX,
-    draws: int = DEFAULT_DRAWS,
     workers: int = 1,
 ) -> list[ComponentPlans]:
     """Plans for every multi-node chain component of a CPDAG.
@@ -536,14 +557,17 @@ def plan_cpdag(
     nodes, in the order of ``chain_components``; singleton components have
     no edges to orient and are skipped.  Each component gets its design
     posterior from the observational columns matching its node labels
-    (``a_omega`` defaults to T - 1 per component) and all optimal sequences.
+    (``config.a_omega``, T - 1 per component when None) and all optimal
+    sequences; each edge task is ``optimal_n_edge`` under ``config``.
     Once every edge task has run, it gets one plan per sequence, and the
     plan ``best_size_plan`` picks is flagged ``bos``.  Failures (missing
     data columns, a component above ``SUBSET_SCAN_CAP`` nodes, a non-chordal
     component, an improper posterior, the ``pair_factor`` of one of its edge
     tasks out of the float range) are found before any edge task runs and
-    are reported per component without aborting the others; ``draws`` below
-    1 raises ``ValueError`` before any component.
+    are reported per component without aborting the others.  ``RunConfig``
+    has checked the run parameters, and ``workers`` must be an integer of at
+    least 1 (``numerics.whole``), or ``ValueError`` is raised before any
+    component.
 
     ``workers`` > 1 runs the edge tasks with ``fork_map``, over at most
     ``workers`` processes, one per edge task and per CPU the process may use,
@@ -553,8 +577,9 @@ def plan_cpdag(
     """
     if not isinstance(data, DatasetMatrix):
         raise TypeError("data must be a DatasetMatrix")
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws!r}")
+    if not isinstance(config, RunConfig):
+        raise TypeError("config must be a RunConfig")
+    workers = whole("workers", workers, 1)
     out: list[ComponentPlans] = []
     searched = []  # (entry of out, index, subgraph, sequences) of the error-free components
     tasks: dict[tuple[int, str, str], tuple] = {}  # optimal_n_edge arguments per edge
@@ -565,7 +590,7 @@ def plan_cpdag(
         entry = ComponentPlans(component=comp, plans=[])
         out.append(entry)
         try:
-            posterior = build_design_posterior(data.restrict(comp), a_omega)
+            posterior = build_design_posterior(data.restrict(comp), config.a_omega)
             sequences = optimal_sequences(sub)
             edges = list(dict.fromkeys(
                 (u, v) for seq in sequences for u in seq for v in sub.undirected_neighbors(u)
@@ -578,14 +603,16 @@ def plan_cpdag(
             continue
         for u, v in edges:
             tasks[(ci, u, v)] = (
-                u, v, thresholds, prior_h0(sub, u, v), posterior, f_u,
-                n_max, draws, edge_stream(stream, ci, comp, u, v),
+                u, v, thresholds, prior_h0(sub, u, v), posterior, config,
+                edge_stream(stream, ci, comp, u, v),
             )
         searched.append((entry, ci, sub, sequences))
 
     # optimal_n_edge is looked up at call time, so a wrapper bound to the
     # module attribute is the function the workers run
-    evaluated = fork_map(optimal_n_edge, list(tasks.values()), min(workers, h1_process_cap(draws)))
+    evaluated = fork_map(
+        optimal_n_edge, list(tasks.values()), min(workers, h1_process_cap(config.draws))
+    )
     results = dict(zip(tasks, evaluated))
 
     for entry, ci, sub, sequences in searched:

@@ -40,11 +40,11 @@ from causal_ssd.predictive import (
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
-    DEFAULT_DRAWS,
     DceProbabilities,
     DceThresholds,
     EdgeSsdResult,
     InterventionPlan,
+    RunConfig,
     assemble_dce,
     h0_band_probabilities,
     h1_band_counts,
@@ -409,7 +409,7 @@ def dce_probabilities(
     p_h0: float,
     posterior: DesignPosterior,
     f_u: InterventionDensity,
-    draws: int = DEFAULT_DRAWS,
+    draws: int = RunConfig.draws,
     stream: RandomStream = RandomStream(0),
 ) -> DceProbabilities:
     """Evidence probabilities at n for manipulating u and testing the edge u - v.
@@ -429,20 +429,19 @@ def linear_scan_optimal_n_edge(
     thresholds: DceThresholds,
     p_h0: float,
     posterior: DesignPosterior,
-    f_u: InterventionDensity,
-    n_max: int,
-    draws: int,
+    config: RunConfig,
     stream: RandomStream,
 ) -> EdgeSsdResult:
     """Oracle of ``ssd.optimal_n_edge``: the scan with a full sample at every
     n that the exact H0 side lets through, and no early stop."""
+    draws, n_max = config.draws, config.n_max
     h1 = None
     for n in range(2, n_max + 1):
         h0_bands = h0_band_probabilities(thresholds, n)
         if p_h0 * h0_bands[0] + (1.0 - p_h0) < thresholds.zeta:
             continue
         if h1 is None:
-            h1 = draw_h1_edge(posterior, u, v, f_u, draws, stream)
+            h1 = draw_h1_edge(posterior, u, v, config.f_u, draws, stream)
         counts = h1_band_counts(sample_bf_h1(h1, n), thresholds)
         dce = assemble_dce(h0_bands, thresholds, p_h0, counts, draws)
         if dce.overall_dc >= thresholds.zeta:

@@ -27,10 +27,10 @@ from scipy import stats
 from causal_ssd.cli import EXIT_OK, main
 from causal_ssd.design import optimal_sequences, prior_h0
 from causal_ssd.graph import PartiallyDirectedGraph, enumerate_class
-from causal_ssd.harness import TwoNodeStudyConfig, replicate_two_node_study
+from causal_ssd.harness import replicate_two_node_study
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta
 from causal_ssd.predictive import prob_bf_band_h0
-from causal_ssd.ssd import best_size_plan
+from causal_ssd.ssd import RunConfig, best_size_plan
 
 from helpers import (
     TREE5_EDGES,
@@ -52,7 +52,7 @@ STUDY_SEED = 8
 
 @pytest.fixture(scope="module")
 def study_report():
-    config = TwoNodeStudyConfig(n_max=450)
+    config = RunConfig(n_max=450)
     return replicate_two_node_study(config, RandomStream(STUDY_SEED))
 
 
@@ -102,7 +102,7 @@ def test_criterion_02_h0_law_ks():
 
 # Draw count assumed behind the quoted figures 0.7364 and 0.8439: that of the
 # replicated study, whose report publishes this standard error as mc_se_moderate.
-QUOTED_FIGURE_DRAWS = TwoNodeStudyConfig().draws
+QUOTED_FIGURE_DRAWS = RunConfig().draws
 
 
 def _h0_band_by_quadrature(lo: float, hi: float, n: int) -> float:

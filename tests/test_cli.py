@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import causal_ssd
 from causal_ssd.cli import (
@@ -26,8 +27,9 @@ from causal_ssd.cli import (
     main,
 )
 from causal_ssd.graph import PartiallyDirectedGraph
-from causal_ssd.numerics import RandomStream
-from causal_ssd.predictive import H1_BLOCK
+from causal_ssd.numerics import RandomStream, whole
+from causal_ssd.predictive import H1_BLOCK, MAX_DRAWS
+from causal_ssd.ssd import RunConfig
 
 from helpers import deadline, format_edge_list, g_of_n, linear_sem_data
 
@@ -94,6 +96,11 @@ def numpy_blas_name():
 
 
 FAST = ["--draws", "400", "--n-max", "150", "--k0", "3", "--k1", "3", "--zeta", "0.5"]
+
+
+def near_bounds(*bounds):
+    """Each integer within one of a bound."""
+    return st.sampled_from(sorted({b + d for b in bounds for d in (-1, 0, 1)}))
 
 
 def flags_of(command, argv, but=None):
@@ -632,6 +639,7 @@ class TestUsageAndErrors:
 
     def test_draws_above_memory_budget_is_usage_error(self, two_node_files, capsys, monkeypatch):
         import causal_ssd.cli as cli_mod
+        import causal_ssd.predictive as predictive_mod
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the usage check")
@@ -641,14 +649,46 @@ class TestUsageAndErrors:
         monkeypatch.setattr(cli_mod, "replicate_two_node_study", no_sampling)
         graph, data = two_node_files
         inputs = ["--graph", graph, "--data", data]
-        assert cli_mod.MAX_DRAWS * cli_mod.H1_BYTES_PER_DRAW <= cli_mod.H1_BUDGET_BYTES
-        for draws in (10**12, cli_mod.MAX_DRAWS + 1):
+        max_draws = predictive_mod.MAX_DRAWS
+        assert max_draws * predictive_mod.H1_BYTES_PER_DRAW <= predictive_mod.H1_BUDGET_BYTES
+        for draws in (10**12, max_draws + 1):
             flag = ["--draws", str(draws)]
             assert main(["plan", *inputs, *flag]) == EXIT_USAGE
             assert main(["simulate", *flag]) == EXIT_USAGE
             assert main(["predict-bf", *inputs, "--edge", "u,v", "--n", "10", *flag]) == EXIT_USAGE
             err = capsys.readouterr().err
             assert err.count("usage error: --draws") == 3, err
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(COMMAND_FLAGS)),
+        draws=near_bounds(1, MAX_DRAWS),
+        n_max=near_bounds(2),
+        workers=near_bounds(1),
+        seed=near_bounds(0),
+    )
+    def test_usage_error_exactly_when_the_library_rejects(
+        self, command, draws, n_max, workers, seed
+    ):
+        # the CLI has no size checks of its own: it exits 1 on these flags
+        # exactly when RunConfig, whole or RandomStream raises for them
+        import causal_ssd.cli as cli_mod
+
+        argv = ["--graph", "g", "--data", "d", "--edge", "u,v", "--n", "10",
+                "--draws", str(draws), "--n-max", str(n_max), "--workers", str(workers),
+                "--seed", str(seed)]
+        taken = COMMAND_FLAGS[command]
+        try:
+            RunConfig(draws=draws, n_max=n_max if "n_max" in taken else RunConfig.n_max)
+            whole("workers", workers if "workers" in taken else 1, 1)
+            RandomStream(seed)
+            want = EXIT_OK
+        except ValueError:
+            want = EXIT_USAGE
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("cmd_plan", "cmd_dce_curve", "cmd_predict_bf", "cmd_simulate"):
+                mp.setattr(cli_mod, name, lambda args: EXIT_OK)
+            assert main([command, *flags_of(command, argv)]) == want
 
     @pytest.mark.parametrize("mean, sd", [("1e100", "1e-100"), ("1e200", "1e-200")])
     def test_overflowing_noncentrality_is_usage_error(

@@ -11,7 +11,6 @@ from causal_ssd.harness import (
     STUDY_BETA,
     STUDY_N_OBS,
     CsvParseError,
-    TwoNodeStudyConfig,
     atomic_write_chunks,
     bf_samples_csv,
     dce_curve_csv,
@@ -28,12 +27,12 @@ from causal_ssd.predictive import (
     build_design_posterior,
     prob_bf_band_h0,
 )
-from causal_ssd.ssd import DceThresholds
+from causal_ssd.ssd import DceThresholds, RunConfig
 
 from helpers import dce_probabilities, g_of_n, linear_sem_data, whole_bf_samples_csv
 
 
-SMALL_STUDY = TwoNodeStudyConfig(draws=2000, n_max=200)
+SMALL_STUDY = RunConfig(draws=2000, n_max=200)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +136,7 @@ class TestTwoNodeStudy:
         )
         posterior = build_design_posterior(data, SMALL_STUDY.a_omega)
         assert small_report.observational["scatter"] == posterior.scatter.tolist()
-        f_u, draws = SMALL_STUDY.intervention, SMALL_STUDY.draws
+        f_u, draws = SMALL_STUDY.f_u, SMALL_STUDY.draws
         for k in (3.0, 6.0, 10.0):
             th = DceThresholds(k0=k, k1=k)
             rows = {row[0]: row for row in small_report.dce_curves[k]}
@@ -162,7 +161,7 @@ class TestTwoNodeStudy:
 
         for module in (harness_mod, ssd_mod):
             monkeypatch.setattr(module, "draw_h1_edge", counting)
-        replicate_two_node_study(TwoNodeStudyConfig(draws=200, n_max=30), RandomStream(8))
+        replicate_two_node_study(RunConfig(draws=200, n_max=30), RandomStream(8))
         assert drawn == [("u", "v")]
 
     @pytest.mark.parametrize("seed", [0, 1, 8, 14, 49])
@@ -171,7 +170,7 @@ class TestTwoNodeStudy:
         # child(0), as the test helper draws the model u -> v; seed 8 is the
         # acceptance tests' STUDY_SEED, and seed 14 has a sample slope near 0
         report = replicate_two_node_study(
-            TwoNodeStudyConfig(draws=50, n_max=10), RandomStream(seed)
+            RunConfig(draws=50, n_max=10), RandomStream(seed)
         )
         data = linear_sem_data(
             "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(seed).child(0)

@@ -13,6 +13,7 @@ from causal_ssd.numerics import (
     WishartParams,
     regularized_incomplete_beta,
     sample_wishart,
+    whole,
 )
 from causal_ssd.predictive import log_g_of_n
 from causal_ssd.ssd import DceThresholds, h0_band_probabilities
@@ -55,6 +56,52 @@ class TestRandomStream:
     def test_negative_path_rejected(self):
         with pytest.raises(ValueError):
             RandomStream(1, (-1,))
+
+    @pytest.mark.parametrize("seed", [True, False, -1, 1.5, 1.0, "1", None])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        # True was seed 1; -1 and 1.5 failed only once a generator was made
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            RandomStream(seed)
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, True])
+    def test_child_index_not_an_integer_rejected(self, index):
+        with pytest.raises(ValueError, match="stream path entry"):
+            RandomStream(1).child(index)
+
+    def test_numpy_integers_become_ints(self):
+        s = RandomStream(np.int64(7), (np.int32(1),)).child(np.uint8(2))
+        assert s == RandomStream(7, (1, 2))
+        assert type(s.seed) is int and all(type(p) is int for p in s.path)
+
+
+class TestWhole:
+    @pytest.mark.parametrize("value", [2, 5, np.int64(2), np.uint16(9)])
+    def test_integers_in_range_pass_as_int(self, value):
+        got = whole("k", value, 2, 9)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value, least, most, message",
+        [
+            (1, 2, None, "k must be an integer >= 2, got 1"),
+            (10, 2, 9, "k must be an integer in [2, 9], got 10"),
+            (True, 0, None, "k must be an integer >= 0, got True"),
+            (np.bool_(True), 0, None, "k must be an integer >= 0, got "),
+            (3.0, 2, None, "k must be an integer >= 2, got 3.0"),
+            (np.float64(3.0), 2, None, "k must be an integer >= 2, got "),
+            (None, 2, None, "k must be an integer >= 2, got None"),
+            ("3", 2, None, "k must be an integer >= 2, got '3'"),
+        ],
+    )
+    def test_anything_else_rejected(self, value, least, most, message):
+        with pytest.raises(ValueError) as info:
+            whole("k", value, least, most)
+        assert str(info.value).startswith(message)
+
+    def test_huge_integers_compared_exactly(self):
+        assert whole("k", 10**30, 0) == 10**30
+        with pytest.raises(ValueError):
+            whole("k", 2**63, 0, 2**63 - 1)
 
 
 class TestLogGOfN:

@@ -20,6 +20,7 @@ from causal_ssd.predictive import (
     InterventionDensity,
     build_design_posterior,
     draw_h1_edge,
+    log_g_of_n,
     pair_factor,
     prob_bf_band_h0,
     sample_bf_h0,
@@ -257,6 +258,12 @@ class TestSampleBfH0:
         b = sample_bf_h0(20, 1000, RandomStream(13))
         np.testing.assert_array_equal(a.draws, b.draws)
 
+    @pytest.mark.parametrize("draws", [200.5, 200.0, True, 0, -1])
+    def test_draws_not_a_positive_integer_rejected(self, draws):
+        # 200.5 was truncated to 200 draws
+        with pytest.raises(ValueError, match=r"^draws must be an integer >= 1, got "):
+            sample_bf_h0(10, draws, RandomStream(13))
+
 
 class TestProbBfBandH0:
     def test_zero_above_ceiling_exactly(self):
@@ -309,6 +316,20 @@ class TestProbBfBandH0:
             prob_bf_band_h0(3.0, 3.0, 10)
         with pytest.raises(ValueError):
             prob_bf_band_h0(-1.0, 3.0, 10)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, 1])
+    def test_n_not_an_integer_of_at_least_two_rejected(self, n):
+        # 10.5 was truncated to 10 by each of them
+        edge = draw_h1_edge(two_node_posterior(7), "u", "v", InterventionDensity(), 10,
+                            RandomStream(24))
+        for call in (
+            lambda: log_g_of_n(n),
+            lambda: prob_bf_band_h0(3.0, 10.0, n),
+            lambda: sample_bf_h0(n, 10, RandomStream(13)),
+            lambda: sample_bf_h1(edge, n),
+        ):
+            with pytest.raises(ValueError, match=r"^n must be an integer >= 2, got "):
+                call()
 
 
 class TestSampleBfH1:
@@ -498,6 +519,13 @@ class TestSampleBfH1:
         sample = sample_bf_h1(edge, 30)
         assert np.all(sample.draws > 0.0)
         assert np.all(sample.draws <= g_of_n(30))
+
+    @pytest.mark.parametrize("draws", [200.5, 200.0, True, 0])
+    def test_draws_not_a_positive_integer_rejected(self, draws):
+        # 200.5 was truncated to 200 draws, which a scan then compared with 200.5
+        with pytest.raises(ValueError, match=r"^draws must be an integer in \[1, "):
+            draw_h1_edge(two_node_posterior(7), "u", "v", InterventionDensity(), draws,
+                         RandomStream(24))
 
     def test_determinism_and_substream_independence(self):
         posterior = two_node_posterior(8)

@@ -15,6 +15,7 @@ from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
     H1_BLOCK,
     H1_BYTES_PER_DRAW,
+    MAX_DRAWS,
     BfPredictiveSample,
     DatasetMatrix,
     InsufficientDataError,
@@ -24,6 +25,7 @@ from causal_ssd.predictive import (
 )
 from causal_ssd.ssd import (
     DceThresholds,
+    RunConfig,
     assemble_dce,
     dce_curve,
     decisive_draws_needed,
@@ -107,7 +109,7 @@ class TestDceProbabilities:
         assert [h0_band_probabilities(th, n) for n in grid] == first
         assert calls == []
         # 16 bytes a grid point: p0_dc and p0_mis
-        table = ssd_mod._H0_BANDS[th]
+        table = ssd_mod._H0_BANDS[(th.k0, th.k1)]
         assert table.itemsize * len(table) == 16 * len(grid)
         # an n past the end of the table is computed and not stored
         far = h0_band_probabilities(th, 9000)
@@ -117,8 +119,32 @@ class TestDceProbabilities:
         # the oldest table goes first once H0_BAND_TABLES thresholds are held
         for k in range(ssd_mod.H0_BAND_TABLES):
             h0_band_probabilities(DceThresholds(k0=2.0 + k, k1=2.0 + k), 2)
-        assert th not in ssd_mod._H0_BANDS
+        assert (th.k0, th.k1) not in ssd_mod._H0_BANDS
         assert len(ssd_mod._H0_BANDS) == ssd_mod.H0_BAND_TABLES
+
+    def test_h0_band_memo_shared_by_every_zeta(self, monkeypatch):
+        # the bands depend on (k0, k1) and n, not on zeta: a sweep over zeta
+        # computes them once, and a zeta seen again finds them still held
+        import causal_ssd.ssd as ssd_mod
+
+        real = ssd_mod.prob_bf_band_h0
+        calls = []
+
+        def counting(lo, hi, n):
+            calls.append(n)
+            return real(lo, hi, n)
+
+        monkeypatch.setattr(ssd_mod, "_H0_BANDS", {})
+        monkeypatch.setattr(ssd_mod, "prob_bf_band_h0", counting)
+        grid = range(2, 301)
+        first = [h0_band_probabilities(DceThresholds(6.0, 6.0, 0.5), n) for n in grid]
+        assert len(calls) == 2 * len(grid)
+        calls.clear()
+        for zeta in (0.6, 0.7, 0.8, 0.9, 0.5):
+            th = DceThresholds(6.0, 6.0, zeta)
+            assert [h0_band_probabilities(th, n) for n in grid] == first
+        assert calls == []
+        assert len(ssd_mod._H0_BANDS) == 1
 
     def test_degenerate_prior_reduces_to_h0(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
@@ -209,7 +235,7 @@ class TestOptimalNEdge:
 
         th = DceThresholds(k0=k0, k1=k1, zeta=zeta)
         post = two_node_posterior()
-        args = ("u", "v", th, p_h0, post, F_U, n_max, draws, RandomStream(seed))
+        args = ("u", "v", th, p_h0, post, RunConfig(draws, n_max, F_U), RandomStream(seed))
         scanned, completed = [], []
         real_bands, real_sample = ssd_mod.h0_band_probabilities, ssd_mod.sample_bf_h1
 
@@ -260,8 +286,8 @@ class TestOptimalNEdge:
     def test_low_target_crosses_immediately(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.05)
         res = optimal_n_edge(
-            "u", "v", th, HALF, two_node_posterior(), F_U,
-            n_max=50, draws=1000, stream=RandomStream(6),
+            "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=1000, n_max=50),
+            RandomStream(6),
         )
         assert res.n_star == 2
         assert res.dce_at_n_star.overall_dc >= 0.05
@@ -269,8 +295,8 @@ class TestOptimalNEdge:
     def test_two_node_study_k3(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
         res = optimal_n_edge(
-            "u", "v", th, HALF, two_node_posterior(), F_U,
-            n_max=200, draws=2000, stream=RandomStream(7),
+            "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=2000, n_max=200),
+            RandomStream(7),
         )
         assert res.achieved
         assert 25 <= res.n_star <= 95
@@ -279,7 +305,7 @@ class TestOptimalNEdge:
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         post = two_node_posterior()
         stream = RandomStream(8)
-        res = optimal_n_edge("u", "v", th, HALF, post, F_U, n_max=60, draws=800, stream=stream)
+        res = optimal_n_edge("u", "v", th, HALF, post, RunConfig(draws=800, n_max=60), stream)
         crossing = None
         for n in range(2, 61):
             dce = dce_probabilities("u", "v", th, n, HALF, post, F_U, 800, stream)
@@ -302,7 +328,7 @@ class TestOptimalNEdge:
 
         monkeypatch.setattr(ssd_mod, "h0_band_probabilities", counting)
         res = optimal_n_edge(
-            "u", "v", th, HALF, post, F_U, n_max=60, draws=800, stream=RandomStream(8)
+            "u", "v", th, HALF, post, RunConfig(draws=800, n_max=60), RandomStream(8)
         )
         assert res.achieved
         assert scanned == list(range(2, res.n_star + 1))
@@ -330,7 +356,7 @@ class TestOptimalNEdge:
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         res = optimal_n_edge(
-            "u", "v", th, HALF, two_node_posterior(), F_U, n_max=60, draws=200,
+            "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=200, n_max=60),
             stream=RandomStream(8),
         )
         assert res.achieved and len(evaluated) > 5
@@ -354,7 +380,7 @@ class TestOptimalNEdge:
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         res = optimal_n_edge(
-            "u", "v", th, HALF, two_node_posterior(), F_U, n_max=60, draws=200,
+            "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=200, n_max=60),
             stream=RandomStream(8),
         )
         assert res.achieved and len(evaluated) > 5
@@ -363,14 +389,16 @@ class TestOptimalNEdge:
         drawn.clear()
         capped = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
         res = optimal_n_edge(
-            "u", "v", capped, HALF, two_node_posterior(), F_U, n_max=30, draws=200,
+            "u", "v", capped, HALF, two_node_posterior(), RunConfig(draws=200, n_max=30),
             stream=RandomStream(8),
         )
         assert not res.achieved and drawn == []
         # a plan draws once per edge task: every ordered edge of the triangle
         # {1, 2, 3} and of the pair {4, 5} of CHAIN5
         drawn.clear()
-        plans = plan_cpdag(CHAIN5, fig1_dataset(), th, F_U, RandomStream(22), n_max=100, draws=200)
+        plans = plan_cpdag(
+            CHAIN5, fig1_dataset(), th, RunConfig(draws=200, n_max=100), RandomStream(22)
+        )
         assert all(c.feasible for c in plans)
         assert sorted(drawn) == sorted(
             (u, v) for u, v in itertools.permutations("12345", 2)
@@ -380,8 +408,8 @@ class TestOptimalNEdge:
     def test_not_achievable_marker(self):
         th = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
         res = optimal_n_edge(
-            "u", "v", th, HALF, two_node_posterior(), F_U,
-            n_max=30, draws=500, stream=RandomStream(9),
+            "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=500, n_max=30),
+            RandomStream(9),
         )
         assert res.n_star is None
         assert res.dce_at_n_star is None
@@ -391,18 +419,15 @@ class TestOptimalNEdge:
     def test_prior_outside_unit_interval_rejected(self, p_h0):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         with pytest.raises(ValueError, match="p_h0"):
-            optimal_n_edge("u", "v", th, p_h0, two_node_posterior(), F_U, n_max=30, draws=200)
+            optimal_n_edge("u", "v", th, p_h0, two_node_posterior(), RunConfig(draws=200, n_max=30))
 
     @pytest.mark.parametrize("draws", [0, -5])
     def test_draws_below_one_rejected(self, draws):
-        # thresholds whose exact H0 bound lets no n through, so a scan would
-        # skip every n and never reach a check of draws in draw_h1_edge
-        capped = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
-        with pytest.raises(ValueError, match="draws must be at least 1"):
-            optimal_n_edge(
-                "u", "v", capped, HALF, two_node_posterior(), F_U, n_max=30, draws=draws,
-                stream=RandomStream(8),
-            )
+        # the scan takes its draws from a RunConfig, which rejects them at
+        # construction: even where the exact H0 bound lets no n through, and
+        # a scan would never reach draw_h1_edge, no scan sees them
+        with pytest.raises(ValueError, match=r"^draws must be an integer in \[1, "):
+            RunConfig(draws=draws, n_max=30)
 
     def test_monotone_in_zeta(self):
         post = two_node_posterior()
@@ -411,7 +436,7 @@ class TestOptimalNEdge:
         for zeta in (0.5, 0.7, 0.8):
             th = DceThresholds(k0=3.0, k1=3.0, zeta=zeta)
             sizes[zeta] = optimal_n_edge(
-                "u", "v", th, HALF, post, F_U, n_max=300, draws=2000, stream=stream
+                "u", "v", th, HALF, post, RunConfig(draws=2000, n_max=300), stream
             ).n_star
         assert sizes[0.5] <= sizes[0.7] <= sizes[0.8]
 
@@ -441,7 +466,7 @@ class TestPlanCpdag:
         data = fig1_dataset()
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         results = plan_cpdag(
-            CHAIN5, data, th, f_u=F_U, stream=RandomStream(15), n_max=300, draws=1200
+            CHAIN5, data, th, RunConfig(draws=1200, n_max=300), RandomStream(15)
         )
         assert [r.component for r in results] == [("1", "2", "3"), ("4", "5")]
         triangle = results[0]
@@ -464,7 +489,9 @@ class TestPlanCpdag:
     def test_two_node_single_target(self):
         cp = PartiallyDirectedGraph("uv", undirected=[("u", "v")])
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        (result,) = plan_cpdag(cp, two_node_dataset(), th, stream=RandomStream(11), n_max=150, draws=1500)
+        (result,) = plan_cpdag(
+            cp, two_node_dataset(), th, RunConfig(draws=1500, n_max=150), RandomStream(11)
+        )
         assert [p.sequence for p in result.plans] == [("u",), ("v",)]
         for plan, (u, v) in zip(result.plans, [("u", "v"), ("v", "u")]):
             (edge_result,) = plan.edge_results[u]
@@ -474,20 +501,33 @@ class TestPlanCpdag:
             assert plan.total_n == edge_result.n_star
 
     @pytest.mark.parametrize("a_omega", [math.nan, math.inf, -math.inf])
-    def test_non_finite_a_omega_raises_before_any_edge_task(self, a_omega, monkeypatch):
-        import causal_ssd.ssd as ssd_mod
-
-        def no_task(*args):
-            raise AssertionError("an edge task ran")
-
-        monkeypatch.setattr(ssd_mod, "fork_map", no_task)
-        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        with pytest.raises(ValueError, match="df must be finite") as info:
-            plan_cpdag(CHAIN5, fig1_dataset(), th, a_omega=a_omega, n_max=20, draws=100)
+    def test_non_finite_a_omega_raises_before_any_edge_task(self, a_omega):
+        # the plan's a_omega comes from a RunConfig, which rejects it before
+        # any plan starts, as a plain ValueError, not a data problem
+        with pytest.raises(ValueError, match="a_omega must be finite") as info:
+            RunConfig(draws=100, n_max=20, a_omega=a_omega)
         assert not isinstance(info.value, InsufficientDataError)
 
     @pytest.mark.parametrize("draws", [0, -5])
-    def test_draws_below_one_raises_before_any_component(self, draws, monkeypatch):
+    def test_draws_below_one_raises_before_any_component(self, draws):
+        with pytest.raises(ValueError, match=r"^draws must be an integer in \[1, "):
+            RunConfig(draws=draws, n_max=20)
+
+    @pytest.mark.parametrize("draws", [200.5, 200.0, True])
+    def test_non_integer_draws_rejected(self, draws):
+        # draws=200.5 planned every component infeasible where draws=200
+        # planned them all, and draws=True planned them from one draw an edge
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            plan_cpdag(CHAIN5, fig1_dataset(), th, RunConfig(draws=draws, n_max=100))
+
+    @pytest.mark.parametrize("n_max", [3.0, 2.5, True, 1, None])
+    def test_non_integer_or_small_n_max_rejected(self, n_max):
+        with pytest.raises(ValueError, match=r"^n_max must be an integer >= 2, got "):
+            RunConfig(draws=200, n_max=n_max)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, 2.0, True])
+    def test_bad_workers_raise_before_any_component(self, workers, monkeypatch):
         import causal_ssd.ssd as ssd_mod
 
         def no_component(*args):
@@ -495,13 +535,42 @@ class TestPlanCpdag:
 
         monkeypatch.setattr(ssd_mod, "chain_components", no_component)
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        with pytest.raises(ValueError, match="draws must be at least 1"):
-            plan_cpdag(CHAIN5, fig1_dataset(), th, n_max=20, draws=draws)
+        config = RunConfig(draws=200, n_max=20)
+        with pytest.raises(ValueError, match=r"^workers must be an integer >= 1, got "):
+            plan_cpdag(CHAIN5, fig1_dataset(), th, config, workers=workers)
+
+    def test_config_must_be_a_run_config(self):
+        # a call in the order of the old signature, f_u then stream, fails plainly
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        with pytest.raises(TypeError, match="RunConfig"):
+            plan_cpdag(CHAIN5, fig1_dataset(), th, F_U, RandomStream(1))
+
+    def test_draws_above_the_memory_budget_rejected_before_allocating(self, monkeypatch):
+        import causal_ssd.predictive as predictive_mod
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the draws were checked")
+
+        assert MAX_DRAWS * H1_BYTES_PER_DRAW <= predictive_mod.H1_BUDGET_BYTES
+        assert RunConfig(draws=MAX_DRAWS).draws == MAX_DRAWS
+        for draws in (MAX_DRAWS + 1, 10**12):
+            with pytest.raises(ValueError, match="the H1 sampler holds 32 bytes a draw"):
+                RunConfig(draws=draws)
+        post = two_node_posterior()
+        monkeypatch.setattr(predictive_mod.np, "empty", no_allocation)
+        with pytest.raises(ValueError, match=r"^draws must be an integer in \[1, "):
+            draw_h1_edge(post, "u", "v", F_U, MAX_DRAWS + 1, RandomStream(1))
+
+    def test_run_config_takes_numpy_integers_as_ints(self):
+        config = RunConfig(draws=np.int64(300), n_max=np.int32(40))
+        assert (config.draws, config.n_max) == (300, 40)
+        assert type(config.draws) is int and type(config.n_max) is int
+        assert RunConfig() == RunConfig(10_000, 1000, InterventionDensity(), None)
 
     def test_node_size_is_max_and_total_is_sum(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         results = plan_cpdag(
-            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(13), n_max=250, draws=1200
+            CHAIN5, fig1_dataset(), th, RunConfig(draws=1200, n_max=250), RandomStream(13)
         )
         subgraphs = {sub.nodes: sub for sub in chain_components(CHAIN5)}
         checked = 0
@@ -524,7 +593,7 @@ class TestPlanCpdag:
     def test_min_total_flagged(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         results = plan_cpdag(
-            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(13), n_max=250, draws=1200
+            CHAIN5, fig1_dataset(), th, RunConfig(draws=1200, n_max=250), RandomStream(13)
         )
         for r in results:
             assert r.feasible
@@ -535,7 +604,7 @@ class TestPlanCpdag:
     def test_no_plan_flagged_when_no_sequence_achieved(self):
         th = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
         results = plan_cpdag(
-            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(13), n_max=30, draws=200
+            CHAIN5, fig1_dataset(), th, RunConfig(draws=200, n_max=30), RandomStream(13)
         )
         assert results and all(r.error is None and r.plans for r in results)
         for r in results:
@@ -557,7 +626,7 @@ class TestPlanCpdag:
         rng = np.random.default_rng(18)
         data = DatasetMatrix(labels=("a", "b"), values=rng.standard_normal((40, 2)))
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.5)
-        results = plan_cpdag(cp, data, th, stream=RandomStream(19), n_max=150, draws=800)
+        results = plan_cpdag(cp, data, th, RunConfig(draws=800, n_max=150), RandomStream(19))
         by_comp = {r.component: r for r in results}
         assert by_comp[("c", "d")].error is not None
         assert by_comp[("c", "d")].error == "dataset is missing columns: ['c', 'd']"
@@ -573,7 +642,7 @@ class TestPlanCpdag:
         rng = np.random.default_rng(20)
         data = DatasetMatrix(labels=tuple(big + ["x", "y"]), values=rng.standard_normal((40, 15)))
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.5)
-        results = plan_cpdag(cp, data, th, stream=RandomStream(21), n_max=100, draws=500)
+        results = plan_cpdag(cp, data, th, RunConfig(draws=500, n_max=100), RandomStream(21))
         by_size = {len(r.component): r for r in results}
         assert by_size[13].error is not None
         assert by_size[2].error is None
@@ -605,7 +674,7 @@ class TestPlanCpdag:
         design_mod.orientation_counts.cache_clear()
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         results = plan_cpdag(
-            CHAIN5, fig1_dataset(), th, f_u=F_U, stream=RandomStream(15), n_max=150, draws=400
+            CHAIN5, fig1_dataset(), th, RunConfig(draws=400, n_max=150), RandomStream(15)
         )
         assert all(r.error is None for r in results)
         nodes = [f"n{i}" for i in range(5)]
@@ -613,7 +682,7 @@ class TestPlanCpdag:
         data = DatasetMatrix(
             labels=tuple(nodes), values=np.random.default_rng(16).standard_normal((60, 5))
         )
-        (result,) = plan_cpdag(clique, data, th, stream=RandomStream(17), n_max=20, draws=200)
+        (result,) = plan_cpdag(clique, data, th, RunConfig(draws=200, n_max=20), RandomStream(17))
         assert result.error is None and result.plans
         assert enumerated == []
         assert closures == []
@@ -634,7 +703,7 @@ class TestPlanCpdag:
         rng = np.random.default_rng(24)
         data = DatasetMatrix(labels=tuple(nodes), values=rng.standard_normal((60, 10)))
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        (result,) = plan_cpdag(cp, data, th, stream=RandomStream(25), n_max=20, draws=200)
+        (result,) = plan_cpdag(cp, data, th, RunConfig(draws=200, n_max=20), RandomStream(25))
         assert result.error is None
         priors = {
             r.edge: r.p_h0
@@ -660,7 +729,7 @@ class TestPlanCpdag:
             return BfPredictiveSample(hypothesis="H1", n=n, draws=bf)
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        kwargs = dict(f_u=F_U, stream=RandomStream(23), n_max=300, draws=2000)
+        kwargs = dict(config=RunConfig(draws=2000, n_max=300), stream=RandomStream(23))
         fast = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
         monkeypatch.setattr(ssd_mod, "draw_h1_edge", oracle_draw_h1_edge)
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", oracle_sample_bf_h1)
@@ -677,7 +746,7 @@ class TestPlanCpdag:
             return real_fork()
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=100, draws=200)
+        kwargs = dict(config=RunConfig(draws=200, n_max=100), stream=RandomStream(22))
         serial = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=1, **kwargs)
         monkeypatch.setattr(os, "fork", counting_fork)
         # the 8 tasks (every ordered edge of the triangle and of the pair) on
@@ -708,7 +777,7 @@ class TestPlanCpdag:
 
         data = fig1_dataset()
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=200, draws=600)
+        kwargs = dict(config=RunConfig(draws=600, n_max=200), stream=RandomStream(22))
         calls = []
         real = ssd_mod.prob_bf_band_h0
 
@@ -743,7 +812,7 @@ class TestPlanCpdag:
     def test_workers_do_not_change_results(self):
         data = fig1_dataset()
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        kwargs = dict(f_u=F_U, n_max=200, draws=600)
+        kwargs = dict(config=RunConfig(draws=600, n_max=200))
         serial = plan_cpdag(CHAIN5, data, th, stream=RandomStream(22), workers=1, **kwargs)
         parallel = plan_cpdag(CHAIN5, data, th, stream=RandomStream(22), workers=2, **kwargs)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
@@ -776,7 +845,7 @@ class TestForkMap:
             raise AssertionError("forked beyond the H1 budget")
 
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
-        kwargs = dict(f_u=F_U, stream=RandomStream(22), n_max=100, draws=200)
+        kwargs = dict(config=RunConfig(draws=200, n_max=100), stream=RandomStream(22))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         with deadline(120):
             plan = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=4, **kwargs)
