@@ -16,14 +16,14 @@ regression slope in units of the conditional sd, and only through |lam| in
 law.  |lam|, sorted ascending, and the normal of the cross term are drawn
 once per edge and shared by every n (``draw_h1_edge``); each n draws only
 the two chi-square sums of its n interventional pairs, in blocks of draws,
-and can stop as soon as a target is out of reach (``sample_bf_h1``).
+and can stop after any block (``sample_bf_h1``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -388,7 +388,7 @@ def draw_h1_edge(
 
 
 def sample_bf_h1(
-    edge: H1EdgeDraw, n: int, *, cut: float = math.inf, need: int = 0
+    edge: H1EdgeDraw, n: int, *, stop: Callable[[np.ndarray], bool] | None = None
 ) -> BfPredictiveSample:
     """Monte Carlo predictive draws of the Bayes factor under H1 at n.
 
@@ -405,11 +405,10 @@ def sample_bf_h1(
     each block draws its uu and then its residual.  1 - r^2 is clipped to
     [2^-53, 1], so the factor lies in [0, g(n)].
 
-    With ``need`` > 0 the sampler stops after the first block in which more
-    than ``draws - need`` draws lie above ``cut``: fewer than ``need`` of all
-    the draws can then lie at or below it.  It returns the draws made so
-    far, which are, bit for bit, the first ones of the full sample.  By
-    default it never stops.
+    With ``stop``, each block's Bayes factors are passed to ``stop`` in
+    order, and the sampler returns the draws made so far after the first
+    block for which it returns true; they are, bit for bit, the first ones
+    of the full sample.  Without it, the sampler returns every draw.
     """
     n = whole("n", n, 2)
     gen = edge.stream.child(n).generator()
@@ -419,15 +418,14 @@ def sample_bf_h1(
     # the draws that one pass of the arithmetic covers: a block when the
     # stop is checked, else all of them, which saves a dozen numpy calls a
     # block; the arithmetic is element-wise, so the numbers are the same
-    span = H1_BLOCK if need > 0 else draws
+    span = draws if stop is None else H1_BLOCK
     out = np.empty(draws)
     resid = np.empty(min(draws, span))
-    misses = 0
     for start in range(0, draws, span):
-        stop = min(start + span, draws)
-        w, r = out[start:stop], resid[: stop - start]
-        for lo in range(0, stop - start, H1_BLOCK):
-            hi = min(lo + H1_BLOCK, stop - start)
+        end = min(start + span, draws)
+        w, r = out[start:end], resid[: end - start]
+        for lo in range(0, end - start, H1_BLOCK):
+            hi = min(lo + H1_BLOCK, end - start)
             if f_u.mean == 0.0:
                 _chisquare(gen, n, w[lo:hi])
             else:
@@ -436,8 +434,8 @@ def sample_bf_h1(
         np.sqrt(w, out=w)
         with np.errstate(over="ignore"):  # an infinite w^2 is 1 - r^2 = 0, floored below
             w *= f_u.sd  # sqrt(uu)
-            w *= edge.lam[start:stop]
-            w += edge.z[start:stop]
+            w *= edge.lam[start:end]
+            w += edge.z[start:end]
             w *= w
         w += r
         np.divide(r, w, out=w)  # 1 - r^2
@@ -446,10 +444,8 @@ def sample_bf_h1(
         w *= 0.5 * (n - 1)
         w += log_g
         np.exp(w, out=w)
-        if need > 0:
-            misses += w.size - np.count_nonzero(w <= cut)
-            if misses > draws - need:
-                return BfPredictiveSample(hypothesis="H1", n=n, draws=out[:stop])
+        if stop is not None and stop(w):
+            return BfPredictiveSample(hypothesis="H1", n=n, draws=out[:end])
     return BfPredictiveSample(hypothesis="H1", n=n, draws=out)
 
 

@@ -7,9 +7,9 @@ probability of decisive-and-correct evidence mixes the conditional
 probabilities with the class-count orientation prior.  ``dce_curve`` builds
 it over the whole sample-size grid from one edge draw, and the optimal n is
 the first point where it reaches the target zeta; ``optimal_n_edge`` finds
-that point with its own scan, which skips or stops early the points that
-cannot reach zeta.  The best-size optimal sequence of a component is its
-achieved plan with the smallest total n.
+that point with its own scan, in which one test, ``reaches_zeta``, skips a
+point, stops its H1 sample early, or accepts it.  The best-size optimal
+sequence of a component is its achieved plan with the smallest total n.
 
 H0-side probabilities are exact (closed-form bands); H1-side ones are Monte
 Carlo from one substream per edge (the n-free variates) and one per (edge,
@@ -176,13 +176,15 @@ def h0_band_probabilities(thresholds: DceThresholds, n: int) -> tuple[float, flo
     return p0_dc, 1.0 - p0_dc - p0_mis, p0_mis
 
 
+def decisive_h1_count(values: np.ndarray, thresholds: DceThresholds) -> int:
+    """The H1 Bayes factors in ``values`` decisive and correct: at or below 1/k1."""
+    return int(np.count_nonzero(values <= 1.0 / thresholds.k1))
+
+
 def h1_band_counts(sample: BfPredictiveSample, thresholds: DceThresholds) -> tuple[int, int]:
     """The H1 draws decisive and correct (at or below 1/k1) and misleading (at or above k0)."""
     draws = sample.draws
-    return (
-        int(np.count_nonzero(draws <= 1.0 / thresholds.k1)),
-        int(np.count_nonzero(draws >= thresholds.k0)),
-    )
+    return decisive_h1_count(draws, thresholds), int(np.count_nonzero(draws >= thresholds.k0))
 
 
 def binomial_se(p: float, draws: int) -> float:
@@ -195,26 +197,17 @@ def _overall_dc(p_h0: float, p0_dc: float, p1_dc: float) -> float:
     return p_h0 * p0_dc + (1.0 - p_h0) * p1_dc
 
 
-def decisive_draws_needed(
-    h0_bands: tuple[float, float, float], thresholds: DceThresholds, p_h0: float, draws: int
-) -> int:
-    """The fewest of ``draws`` H1 draws at or below 1/k1 with which
-    ``assemble_dce`` gives overall_dc >= zeta, or ``draws + 1`` if none do.
+def reaches_zeta(
+    thresholds: DceThresholds, p_h0: float, p0_dc: float, hits: int, draws: int
+) -> bool:
+    """Whether ``hits`` decisive and correct H1 draws of ``draws`` give
+    overall_dc >= zeta, as ``assemble_dce`` computes it.
 
-    The mixture is nondecreasing in the count, so one evaluation at the
-    full count tells whether any count reaches zeta, and a binary search
-    over the same float expression finds the exact boundary.
+    The mixture never decreases as ``hits`` grows (a correctly rounded
+    division, a product with the nonnegative 1 - p_h0 and a sum are each
+    monotone), so the test fails exactly below the fewest hits that reach it.
     """
-    if _overall_dc(p_h0, h0_bands[0], 1.0) < thresholds.zeta:
-        return draws + 1
-    lo, hi = 0, draws
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _overall_dc(p_h0, h0_bands[0], mid / draws) >= thresholds.zeta:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _overall_dc(p_h0, p0_dc, hits / draws) >= thresholds.zeta
 
 
 def assemble_dce(
@@ -313,9 +306,10 @@ def dce_curve(
     Each n takes the full H1 sample of the edge draw ``h1`` at n, which every
     thresholds reads.  The points are evaluated with ``fork_map``, over as
     many processes as the CPUs and ``h1_process_cap`` allow, and yielded in
-    order of n; ``p_h0`` is the edge's prior p(H0).
+    order of n; ``p_h0`` is the edge's prior p(H0), and ``n_max`` an integer
+    of at least 2 (``numerics.whole``), as in ``RunConfig``.
     """
-    grid = range(2, n_max + 1)
+    grid = range(2, whole("n_max", n_max, 2) + 1)
     points = fork_map(_curve_point, [(h1, thresholds, n) for n in grid], h1_process_cap(h1.draws))
     for n, (bands, counts) in zip(grid, points):
         yield n, [
@@ -338,10 +332,11 @@ def optimal_n_edge(
     [0, 1]; p(H1) = 1 - p_h0.  ``config`` gives ``draws``, ``n_max`` and
     ``f_u``; its ``a_omega`` is already in ``posterior``.  The result is the
     first crossing of the ``dce_curve`` of
-    ``draw_h1_edge(posterior, u, v, f_u, draws, stream)``.  The scan skips an
-    n whose exact H0 side leaves zeta out of reach (``decisive_draws_needed``
-    above ``draws``) and stops an H1 sample once too few of its draws can lie
-    at or below 1/k1.  A stopped sample is, bit for bit, a prefix of the
+    ``draw_h1_edge(posterior, u, v, f_u, draws, stream)``.  One test,
+    ``reaches_zeta``, drives the scan: at each n it is asked with every draw
+    decisive (else n is skipped), after each H1 block with every draw not
+    yet seen above 1/k1 (else the sample stops), and with the full sample's
+    count (n is accepted).  A stopped sample is, bit for bit, a prefix of the
     curve's sample at n, so that point misses zeta too.  The edge draw is
     made at the first n not skipped, so a scan that skips every n makes none.
     """
@@ -351,16 +346,23 @@ def optimal_n_edge(
     h1 = None
     for n in range(2, n_max + 1):
         h0_bands = h0_band_probabilities(thresholds, n)
-        need = decisive_draws_needed(h0_bands, thresholds, p_h0, draws)
-        if need > draws:
+        if not reaches_zeta(thresholds, p_h0, h0_bands[0], draws, draws):
             continue
         if h1 is None:
             h1 = draw_h1_edge(posterior, u, v, config.f_u, draws, stream)
-        sample = sample_bf_h1(h1, n, cut=1.0 / thresholds.k1, need=need)
-        if sample.count < draws:  # stopped: fewer than need can lie at or below the cut
+        misses = 0
+
+        def stop(block: np.ndarray) -> bool:
+            nonlocal misses
+            misses += block.size - decisive_h1_count(block, thresholds)
+            return not reaches_zeta(thresholds, p_h0, h0_bands[0], draws - misses, draws)
+
+        sample = sample_bf_h1(h1, n, stop=stop)
+        if sample.count < draws:  # stopped: zeta out of reach
             continue
-        dce = assemble_dce(h0_bands, thresholds, p_h0, h1_band_counts(sample, thresholds), draws)
-        if dce.overall_dc >= thresholds.zeta:
+        counts = h1_band_counts(sample, thresholds)
+        if reaches_zeta(thresholds, p_h0, h0_bands[0], counts[0], draws):
+            dce = assemble_dce(h0_bands, thresholds, p_h0, counts, draws)
             return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
     return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 

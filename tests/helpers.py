@@ -3,10 +3,11 @@
 The reference implementations that only tests use live here: the Bayes
 factors and marginal likelihoods behind the closed form, an acyclicity check
 for oriented graphs, the DAG-to-CPDAG conversion, the definition of a
-sufficient sequence, the evidence probabilities at one n, the full-sample
-scan for an edge's optimal n, plans built from given edge sizes, the
-whole-text writer of the Bayes-factor sample CSV, data drawn from a
-linear structural equation model, and a deadline for tests that may block.
+sufficient sequence, the evidence probabilities at one n, the fewest
+decisive H1 draws that reach zeta, the full-sample scan for an edge's
+optimal n, plans built from given edge sizes, the whole-text writer of the
+Bayes-factor sample CSV, data drawn from a linear structural equation
+model, and a deadline for tests that may block.
 
 An oriented graph (a DAG) is a ``PartiallyDirectedGraph`` with directed
 edges only, the type of ``graph.enumerate_class``'s members.
@@ -421,6 +422,29 @@ def dce_probabilities(
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
     counts = h1_band_counts(sample, thresholds)
     return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, counts, draws)
+
+
+def decisive_draws_needed(
+    h0_bands: tuple[float, float, float], thresholds: DceThresholds, p_h0: float, draws: int
+) -> int:
+    """The fewest of ``draws`` H1 draws at or below 1/k1 with which
+    ``ssd.assemble_dce`` gives overall_dc >= zeta, or ``draws + 1`` if none
+    do: a binary search over the float expression of the mixture, which is
+    nondecreasing in the count.  The oracle of ``ssd.reaches_zeta``."""
+
+    def mixture(count: int) -> float:
+        return p_h0 * h0_bands[0] + (1.0 - p_h0) * (count / draws)
+
+    if mixture(draws) < thresholds.zeta:
+        return draws + 1
+    lo, hi = 0, draws
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mixture(mid) >= thresholds.zeta:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def linear_scan_optimal_n_edge(

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from causal_ssd.numerics import RandomStream, regularized_incomplete_beta, sample_wishart
 from causal_ssd.predictive import (
@@ -382,15 +382,55 @@ class TestSampleBfH1:
         counts = []
         # the fourth need allows exactly the misses of the first block
         for need in (1, hits, hits + 1, draws - int(misses[H1_BLOCK - 1]), draws):
-            got = sample_bf_h1(edge, n, cut=cut, need=need)
+            blocks = []
+
+            def stop(block, need=need):
+                # true once fewer than need draws can lie at or below the cut
+                blocks.append(block.copy())
+                return sum(np.count_nonzero(b > cut) for b in blocks) > draws - need
+
+            got = sample_bf_h1(edge, n, stop=stop)
             # it ends after the first block whose misses exceed draws - need
             want = next((end for end in ends if misses[end - 1] > draws - need), draws)
             assert got.count == want, need
             assert got.draws.tobytes() == full[:want].tobytes(), need
+            # stop saw each block once, in order, and nothing past the last
+            assert [b.size for b in blocks] == [min(H1_BLOCK, want - s) for s in
+                                                range(0, want, H1_BLOCK)], need
+            assert np.concatenate(blocks).tobytes() == got.draws.tobytes(), need
             counts.append(got.count)
         # need = hits + 1 stops after the last block that holds a miss: the
         # partial block at the end, with the largest |lam|, holds none
         assert counts == [draws, draws, 3 * H1_BLOCK, 2 * H1_BLOCK, H1_BLOCK]
+
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("lam, sd", [(0.1, 1.0), (0.3, 1.0), (0.5, 1.0), (0.15, 2.0)])
+    def test_band_fractions_at_fixed_lam_match_the_exact_series(self, lam, sd, n):
+        # at fixed lam and f_u = N(0, sd^2), w^2 given uu ~ chi-square(n) is
+        # noncentral chi-square(1, lam^2 sd^2 uu), so 1 - r^2 given uu is
+        # Beta((n-1)/2, 1/2 + K) with K ~ Poisson(lam^2 sd^2 uu / 2), and over
+        # uu, K ~ NB(n/2, 1 - rho^2) with rho^2 = lam^2 sd^2 / (1 + lam^2 sd^2).
+        # BF <= c iff 1 - r^2 <= (c / g(n))^(2/(n-1)).  Every n of one edge
+        # draw shares its z, so each cell draws its own
+        draws, k0, k1 = 200_000, 6.0, 6.0
+        cell = (int(lam * 100), int(sd), n)
+        z = np.random.default_rng(cell).standard_normal(draws)
+        edge = H1EdgeDraw(f_u=InterventionDensity(sd=sd), lam=np.full(draws, lam), z=z,
+                          stream=RandomStream(43, cell))
+        sample = sample_bf_h1(edge, n).draws
+        rho_sq = (lam * sd) ** 2 / (1.0 + (lam * sd) ** 2)
+        k = np.arange(4000)
+        weights = stats.nbinom.pmf(k, n / 2.0, 1.0 - rho_sq)
+        assert 1.0 - weights.sum() < 1e-12  # the series' tail is negligible
+
+        def exact_cdf(c):  # P(BF <= c); BF <= g(n), so t is at most 1
+            t = min((c / g_of_n(n)) ** (2.0 / (n - 1)), 1.0)
+            return float(np.sum(weights * special.betainc((n - 1) / 2.0, 0.5 + k, t)))
+
+        for got, want in ((np.mean(sample <= 1.0 / k1), exact_cdf(1.0 / k1)),
+                          (np.mean(sample >= k0), 1.0 - exact_cdf(k0))):
+            se = math.sqrt(want * (1.0 - want) / draws)
+            assert abs(got - want) <= 4.0 * se + 1e-12, (got, want)
 
     @pytest.mark.parametrize("mean", [0.0, 1.5])
     def test_edge_draw_holds_abs_lam_ascending(self, mean):

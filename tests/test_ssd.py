@@ -28,18 +28,19 @@ from causal_ssd.ssd import (
     RunConfig,
     assemble_dce,
     dce_curve,
-    decisive_draws_needed,
     fork_map,
     h0_band_probabilities,
     h1_band_counts,
     optimal_n_edge,
     plan_cpdag,
+    reaches_zeta,
 )
 
 from helpers import (
     CHAIN5,
     dce_probabilities,
     deadline,
+    decisive_draws_needed,
     linear_scan_optimal_n_edge,
     linear_sem_data,
     matmul_sample_wishart,
@@ -211,12 +212,24 @@ class TestDecisiveDrawsNeeded:
         bands = (p0_dc, 0.0, 1.0 - p0_dc)
         need = decisive_draws_needed(bands, th, p_h0, draws)
         assert 0 <= need <= draws + 1
+        # the one reach test of optimal_n_edge fails exactly below the oracle's count
+        reached = [reaches_zeta(th, p_h0, p0_dc, hits, draws) for hits in range(draws + 1)]
+        assert reached == [hits >= need for hits in range(draws + 1)]
         for count in range(max(need - 2, 0), min(need + 2, draws) + 1):
             # ``count`` draws on the cut itself, the rest inconclusive
             values = np.r_[np.full(count, 1.0 / th.k1), np.ones(draws - count)]
             sample = BfPredictiveSample(hypothesis="H1", n=2, draws=values)
             dce = assemble_dce(bands, th, p_h0, h1_band_counts(sample, th), draws)
             assert (dce.overall_dc >= zeta) == (count >= need), count
+
+
+class TestDceCurve:
+    @pytest.mark.parametrize("n_max", [1, 0, 3.0, 2.5, True, None])
+    def test_n_max_not_an_integer_of_at_least_two_rejected(self, n_max):
+        # as in RunConfig: before, 1 gave an empty curve and 3.0 a TypeError
+        h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, 200, RandomStream(9))
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 2"):
+            list(dce_curve(h1, [DceThresholds()], HALF, n_max))
 
 
 class TestOptimalNEdge:
@@ -313,6 +326,37 @@ class TestOptimalNEdge:
                 crossing = n
                 break
         assert res.n_star == crossing
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_stop_fires_only_once_zeta_is_out_of_reach(self, extra, monkeypatch):
+        # with p_h0 = 0 the mixture is hits / draws, so zeta = need / draws
+        # is reached by need hits and no fewer.  The first block misses
+        # draws - need + extra times and every later draw is a hit: at
+        # extra = 0 zeta is just in reach, so the sample runs to its end and
+        # crosses; one more miss puts it out of reach after the first block
+        import causal_ssd.ssd as ssd_mod
+
+        draws, need = 3 * H1_BLOCK, 5000
+        th = DceThresholds(k0=4.0, k1=4.0, zeta=need / draws)
+        misses = draws - need + extra
+        values = np.r_[np.ones(misses), np.full(draws - misses, 0.1)]  # 1 misses, 0.1 hits
+        counts = []
+
+        def blocks(edge, n, *, stop=None):  # sample_bf_h1's block protocol on fixed values
+            for end in range(H1_BLOCK, draws + H1_BLOCK, H1_BLOCK):
+                if stop is not None and stop(values[end - H1_BLOCK:end]):
+                    break
+            counts.append(end)
+            return BfPredictiveSample(hypothesis="H1", n=n, draws=values[:end])
+
+        monkeypatch.setattr(ssd_mod, "sample_bf_h1", blocks)
+        res = optimal_n_edge("u", "v", th, 0.0, two_node_posterior(),
+                             RunConfig(draws=draws, n_max=4), RandomStream(10))
+        if extra == 0:
+            assert res.n_star == 2 and counts == [draws]
+            assert res.dce_at_n_star.p1_dc == need / draws
+        else:
+            assert res.n_star is None and counts == [H1_BLOCK] * 3
 
     def test_h0_bands_computed_once_per_scanned_n(self, monkeypatch):
         import causal_ssd.ssd as ssd_mod

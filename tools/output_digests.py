@@ -1,0 +1,97 @@
+"""Run the CLI's reference command lines and print the sha256 of every output.
+
+Two trees write the same bytes when this script prints the same lines for
+both, so a before/after check is one ``diff``::
+
+    python3 tools/output_digests.py OLD/src /tmp/old > old.txt
+    python3 tools/output_digests.py NEW/src /tmp/new > new.txt
+    diff old.txt new.txt
+
+``SRC`` is the ``src`` directory of the tree under test; the commands run as
+``python -m causal_ssd.cli`` with ``PYTHONPATH=SRC``, from ``OUT``, with
+relative paths, because the outputs echo their paths.  ``OUT`` is created
+and must be empty.  The inputs of ``plan-late`` and ``plan-clique`` come from
+``bench/workloads.py`` at seed 3, imported from this checkout.  ``--pin``
+runs every command under ``taskset -c 0``, so a fork map finds one CPU.
+
+The commands are those the project's change log has checked since 0.6.4 (20
+files), and one ``plan`` on the ``plan-late`` inputs with thresholds at which
+the first-crossing scan stops H1 samples part-way (``plan_stop.json``).
+Output is one ``sha256  path`` line per file, paths relative to ``OUT``, in
+a fixed order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import PLANS, write_plan_inputs  # noqa: E402
+
+INPUT_SEED = 3
+SIM_FILES = ("report.json", "bf_samples.csv", "dce_curves.csv", "nstar_curves.csv")
+
+
+def commands() -> list[tuple[list[str], list[str]]]:
+    """(CLI arguments, the output files they write), in the order they run."""
+    runs = []
+    for w in ("plan-clique", "plan-late"):
+        inputs = ["--graph", f"{w}/graph.txt", "--data", f"{w}/data.csv", "--seed", "42"]
+        runs += [
+            (["plan", *inputs, "--out", f"{w}/plan.json"], [f"{w}/plan.json"]),
+            (["plan", *inputs, "--workers", "2", "--out", f"{w}/plan_w2.json"],
+             [f"{w}/plan_w2.json"]),
+            (["dce-curve", *inputs, "--edge", "0,1", "--n-max", "400", "--draws", "3000",
+              "--out", f"{w}/curve.csv"], [f"{w}/curve.csv"]),
+            (["predict-bf", *inputs, "--edge", "1,2", "--n", "30", "--draws", "3000",
+              "--out", f"{w}/bf.csv"], [f"{w}/bf.csv"]),
+        ]
+    inputs = ["--graph", "plan-late/graph.txt", "--data", "plan-late/data.csv", "--seed", "42"]
+    runs.append((["plan", *inputs, "--draws", "5000", "--k0", "3", "--k1", "3", "--zeta", "0.6",
+                  "--n-max", "400", "--out", "plan-late/plan_stop.json"],
+                 ["plan-late/plan_stop.json"]))
+    for out, flags in (("sim1", ["--seed", "1"]),
+                       ("sim5", ["--seed", "5", "--draws", "3000", "--n-max", "80"]),
+                       ("sim1100", ["--n-max", "1100"])):
+        runs.append((["simulate", *flags, "--out", out], [f"{out}/{name}" for name in SIM_FILES]))
+    return runs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="the src directory of the tree under test")
+    parser.add_argument("out", help="an empty or new directory for the inputs and outputs")
+    parser.add_argument("--pin", action="store_true", help="run every command on CPU 0")
+    args = parser.parse_args()
+    src, out = os.path.abspath(args.src), os.path.abspath(args.out)
+    if not os.path.isfile(os.path.join(src, "causal_ssd", "cli.py")):
+        parser.error(f"{src} holds no causal_ssd package")
+    os.makedirs(out, exist_ok=True)
+    if os.listdir(out):
+        parser.error(f"{out} is not empty")
+    for w, spec in PLANS.items():
+        os.makedirs(os.path.join(out, w))
+        write_plan_inputs(spec, INPUT_SEED, os.path.join(out, w, "graph.txt"),
+                          os.path.join(out, w, "data.csv"))
+    env = {**os.environ, "PYTHONPATH": src}
+    pin = ["taskset", "-c", "0"] if args.pin else []
+    for argv, files in commands():
+        done = subprocess.run([*pin, sys.executable, "-m", "causal_ssd.cli", *argv], cwd=out,
+                              env=env, stdout=subprocess.DEVNULL)
+        if done.returncode != 0:
+            print(f"exit {done.returncode}: {' '.join(argv)}", file=sys.stderr)
+            return 1
+        for path in files:
+            with open(os.path.join(out, path), "rb") as fh:
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
