@@ -24,7 +24,7 @@ what.
 
 from __future__ import annotations
 
-import array
+import functools
 import itertools
 import math
 import os
@@ -142,37 +142,26 @@ class DceProbabilities:
         }
 
 
-# the memo of h0_band_probabilities: per (k0, k1), the (p0_dc, p0_mis) of
-# n = 2, 3, ... in one float array, 16 bytes a grid point; at most
-# H0_BAND_TABLES pairs, the oldest table dropped first
-H0_BAND_TABLES = 4
-_H0_BANDS: dict[tuple[float, float], array.array] = {}
+# the memo of h0_band_probabilities: the (p0_dc, p0_mis) of at most this many
+# (k0, k1, n), about 290 bytes each, the least recently used dropped first
+H0_BAND_POINTS = 2**14
+
+
+@functools.lru_cache(maxsize=H0_BAND_POINTS)
+def _h0_bands(k0: float, k1: float, n: int) -> tuple[float, float]:
+    """P(BF >= k0 | H0) and P(BF <= 1/k1 | H0) at n, exact."""
+    return prob_bf_band_h0(k0, math.inf, n), prob_bf_band_h0(0.0, 1.0 / k1, n)
 
 
 def h0_band_probabilities(thresholds: DceThresholds, n: int) -> tuple[float, float, float]:
     """Exact (decisive, inconclusive, misleading) probabilities under H0.
 
     They depend on k0, k1 and n alone, not on zeta, so they are memoized per
-    (k0, k1): every edge of a plan scans the same n and reuses the bands,
-    and so does every zeta of a sweep.  The table of a (k0, k1) grows by one
-    point each time it is asked for the n just past its end, so it holds a
-    whole scan, whatever ``n_max``; any other n past its end is computed and
-    not stored.
+    (k0, k1, n), for the ``H0_BAND_POINTS`` most recently used: every edge of
+    a plan scans the same n and reuses the bands, and so does every zeta of a
+    sweep.
     """
-    key = (thresholds.k0, thresholds.k1)
-    table = _H0_BANDS.get(key)
-    if table is None:
-        if len(_H0_BANDS) >= H0_BAND_TABLES:
-            del _H0_BANDS[next(iter(_H0_BANDS))]
-        table = _H0_BANDS[key] = array.array("d")
-    i = 2 * (n - 2)
-    if 0 <= i < len(table):
-        p0_dc, p0_mis = table[i], table[i + 1]
-    else:
-        p0_dc = prob_bf_band_h0(thresholds.k0, math.inf, n)
-        p0_mis = prob_bf_band_h0(0.0, 1.0 / thresholds.k1, n)
-        if i == len(table):
-            table.extend((p0_dc, p0_mis))
+    p0_dc, p0_mis = _h0_bands(thresholds.k0, thresholds.k1, n)
     return p0_dc, 1.0 - p0_dc - p0_mis, p0_mis
 
 
@@ -301,20 +290,22 @@ def _curve_point(
 def dce_curve(
     h1: H1EdgeDraw, thresholds: Sequence[DceThresholds], p_h0: float, n_max: int
 ) -> Iterator[tuple[int, list[DceProbabilities]]]:
-    """Yield ``(n, [DceProbabilities for each thresholds])`` for n = 2, ..., n_max.
+    """``(n, [DceProbabilities for each thresholds])`` for n = 2, ..., n_max.
 
     Each n takes the full H1 sample of the edge draw ``h1`` at n, which every
-    thresholds reads.  The points are evaluated with ``fork_map``, over as
-    many processes as the CPUs and ``h1_process_cap`` allow, and yielded in
-    order of n; ``p_h0`` is the edge's prior p(H0), and ``n_max`` an integer
-    of at least 2 (``numerics.whole``), as in ``RunConfig``.
+    thresholds reads.  ``p_h0`` is the edge's prior p(H0), and ``n_max`` an
+    integer of at least 2 (``numerics.whole``), as in ``RunConfig``.  At the
+    call, ``n_max`` is checked and every point is evaluated with
+    ``fork_map``, over as many processes as the CPUs and ``h1_process_cap``
+    allow; the iterator returned then assembles the points in order of n as
+    they are read, so the whole curve of ``DceProbabilities`` is never held.
     """
     grid = range(2, whole("n_max", n_max, 2) + 1)
     points = fork_map(_curve_point, [(h1, thresholds, n) for n in grid], h1_process_cap(h1.draws))
-    for n, (bands, counts) in zip(grid, points):
-        yield n, [
-            assemble_dce(b, th, p_h0, c, h1.draws) for b, th, c in zip(bands, thresholds, counts)
-        ]
+    return (
+        (n, [assemble_dce(b, th, p_h0, c, h1.draws) for b, th, c in zip(bands, thresholds, counts)])
+        for n, (bands, counts) in zip(grid, points)
+    )
 
 
 def optimal_n_edge(

@@ -1204,7 +1204,7 @@ def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys, monk
     # two usable CPUs, so that the plan at --workers 2 and the full curves fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     design_mod.orientation_counts.cache_clear()
-    ssd_mod._H0_BANDS.clear()
+    ssd_mod._h0_bands.cache_clear()
     ran = set()
 
     def record(frame, event, arg):

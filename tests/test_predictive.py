@@ -432,6 +432,40 @@ class TestSampleBfH1:
             se = math.sqrt(want * (1.0 - want) / draws)
             assert abs(got - want) <= 4.0 * se + 1e-12, (got, want)
 
+    @pytest.mark.parametrize("seed, sd", [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 2.0)])
+    def test_band_fractions_match_the_exact_series_over_the_edge_draw(self, seed, sd):
+        # Rao-Blackwellised over lam: given the edge draw's lam but not its z,
+        # draw i falls at or below c with the probability p_i of the series
+        # above at lam_i, independently of the others, so the fraction has
+        # mean mean(p_i) and variance sum p_i (1 - p_i) / draws^2.  Every n
+        # of the edge shares its z, so the seeds vary, not n
+        draws, k0, k1 = 40_000, 6.0, 6.0
+        edge = draw_h1_edge(two_node_posterior(seed, beta=0.2), "u", "v",
+                            InterventionDensity(sd=sd), draws, RandomStream(50, (seed,)))
+        rho_sq = (edge.lam * sd) ** 2 / (1.0 + (edge.lam * sd) ** 2)
+        for n in (30, 80, 200):
+            # NB(n/2, 1 - rho^2) pmf by its ratio recursion, to far past the
+            # largest mean plus 40 sd
+            shape = n / 2.0
+            top = int(np.max(shape * rho_sq / (1.0 - rho_sq)
+                             + 40.0 * np.sqrt(shape * rho_sq) / (1.0 - rho_sq))) + 40
+            pmf, mass = (1.0 - rho_sq) ** shape, np.zeros(draws)
+            below = {c: np.zeros(draws) for c in (1.0 / k1, k0)}
+            terms = {c: special.betainc((n - 1) / 2.0, 0.5 + np.arange(top + 1),
+                                        min((c / g_of_n(n)) ** (2.0 / (n - 1)), 1.0))
+                     for c in below}
+            for k in range(top + 1):
+                mass += pmf
+                for c in below:
+                    below[c] += pmf * terms[c][k]
+                pmf = pmf * ((k + shape) / (k + 1)) * rho_sq
+            assert np.all(1.0 - mass < 1e-12)  # the series' tail is negligible
+            sample = sample_bf_h1(edge, n).draws
+            for got, p in ((np.mean(sample <= 1.0 / k1), below[1.0 / k1]),
+                           (np.mean(sample >= k0), 1.0 - below[k0])):
+                se = math.sqrt(np.sum(p * (1.0 - p))) / draws
+                assert abs(got - np.mean(p)) <= 4.0 * se, (n, got, np.mean(p))
+
     @pytest.mark.parametrize("mean", [0.0, 1.5])
     def test_edge_draw_holds_abs_lam_ascending(self, mean):
         edge = draw_h1_edge(two_node_posterior(7), "u", "v", InterventionDensity(mean=mean),

@@ -88,12 +88,11 @@ class TestDceProbabilities:
             assert p_dc + p_inc + p_mis == pytest.approx(1.0, abs=1e-15)
             assert min(p_dc, p_inc, p_mis) >= 0.0
 
-    def test_h0_band_memo_holds_a_whole_scan(self, monkeypatch):
-        # a memo of 4,096 entries would evict each n of a longer scan before
-        # the next edge asks for it
+    @staticmethod
+    def counted_bands(monkeypatch):
+        """An empty memo, and the n of every ``prob_bf_band_h0`` call it makes."""
         import causal_ssd.ssd as ssd_mod
 
-        th = DceThresholds(k0=5.0, k1=7.0, zeta=0.8)
         real = ssd_mod.prob_bf_band_h0
         calls = []
 
@@ -101,42 +100,34 @@ class TestDceProbabilities:
             calls.append(n)
             return real(lo, hi, n)
 
-        monkeypatch.setattr(ssd_mod, "_H0_BANDS", {})
+        ssd_mod._h0_bands.cache_clear()
         monkeypatch.setattr(ssd_mod, "prob_bf_band_h0", counting)
+        return calls
+
+    def test_h0_band_memo_holds_a_whole_scan(self, monkeypatch):
+        # a scan longer than a memo of 4,096 entries: each (k0, k1, n) is
+        # computed once, and a second scan finds every n still held
+        import causal_ssd.ssd as ssd_mod
+
+        th = DceThresholds(k0=5.0, k1=7.0, zeta=0.8)
+        calls = self.counted_bands(monkeypatch)
         grid = range(2, 6001)
         first = [h0_band_probabilities(th, n) for n in grid]
         assert calls == [n for n in grid for _ in range(2)]
         calls.clear()
         assert [h0_band_probabilities(th, n) for n in grid] == first
         assert calls == []
-        # 16 bytes a grid point: p0_dc and p0_mis
-        table = ssd_mod._H0_BANDS[(th.k0, th.k1)]
-        assert table.itemsize * len(table) == 16 * len(grid)
-        # an n past the end of the table is computed and not stored
-        far = h0_band_probabilities(th, 9000)
-        assert calls == [9000, 9000] and len(table) == 2 * len(grid)
-        p0_dc, p0_mis = real(th.k0, math.inf, 9000), real(0.0, 1.0 / th.k1, 9000)
-        assert far == (p0_dc, 1.0 - p0_dc - p0_mis, p0_mis)
-        # the oldest table goes first once H0_BAND_TABLES thresholds are held
-        for k in range(ssd_mod.H0_BAND_TABLES):
-            h0_band_probabilities(DceThresholds(k0=2.0 + k, k1=2.0 + k), 2)
-        assert (th.k0, th.k1) not in ssd_mod._H0_BANDS
-        assert len(ssd_mod._H0_BANDS) == ssd_mod.H0_BAND_TABLES
+        assert ssd_mod._h0_bands.cache_info().currsize == len(grid)
+        # other thresholds are other entries
+        h0_band_probabilities(DceThresholds(k0=7.0, k1=5.0, zeta=0.8), 2)
+        assert calls == [2, 2]
 
     def test_h0_band_memo_shared_by_every_zeta(self, monkeypatch):
         # the bands depend on (k0, k1) and n, not on zeta: a sweep over zeta
         # computes them once, and a zeta seen again finds them still held
         import causal_ssd.ssd as ssd_mod
 
-        real = ssd_mod.prob_bf_band_h0
-        calls = []
-
-        def counting(lo, hi, n):
-            calls.append(n)
-            return real(lo, hi, n)
-
-        monkeypatch.setattr(ssd_mod, "_H0_BANDS", {})
-        monkeypatch.setattr(ssd_mod, "prob_bf_band_h0", counting)
+        calls = self.counted_bands(monkeypatch)
         grid = range(2, 301)
         first = [h0_band_probabilities(DceThresholds(6.0, 6.0, 0.5), n) for n in grid]
         assert len(calls) == 2 * len(grid)
@@ -145,7 +136,31 @@ class TestDceProbabilities:
             th = DceThresholds(6.0, 6.0, zeta)
             assert [h0_band_probabilities(th, n) for n in grid] == first
         assert calls == []
-        assert len(ssd_mod._H0_BANDS) == 1
+        assert ssd_mod._h0_bands.cache_info().currsize == len(grid)
+
+    def test_h0_band_memo_bounded_past_its_cap(self, monkeypatch):
+        # a scan past H0_BAND_POINTS keeps the last H0_BAND_POINTS of its n,
+        # and its values are those of the unmemoized bands
+        import causal_ssd.ssd as ssd_mod
+
+        th = DceThresholds(k0=6.0, k1=6.0, zeta=0.8)
+        real = ssd_mod.prob_bf_band_h0
+        calls = self.counted_bands(monkeypatch)
+        cap = ssd_mod.H0_BAND_POINTS
+        grid = range(2, cap + 300)
+        scanned = [h0_band_probabilities(th, n) for n in grid]
+        assert ssd_mod._h0_bands.cache_info().currsize == cap
+        assert calls == [n for n in grid for _ in range(2)]
+        for n, bands in zip(grid, scanned):
+            p0_dc, p0_mis = real(th.k0, math.inf, n), real(0.0, 1.0 / th.k1, n)
+            assert bands == (p0_dc, 1.0 - p0_dc - p0_mis, p0_mis), n
+        # the least recently used went first: the scan's last n are held
+        calls.clear()
+        tail = grid[-cap:]
+        assert [h0_band_probabilities(th, n) for n in tail] == scanned[-cap:]
+        assert calls == []
+        assert h0_band_probabilities(th, 2) == scanned[0]
+        assert calls == [2, 2] and ssd_mod._h0_bands.cache_info().currsize == cap
 
     def test_degenerate_prior_reduces_to_h0(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
@@ -229,7 +244,28 @@ class TestDceCurve:
         # as in RunConfig: before, 1 gave an empty curve and 3.0 a TypeError
         h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, 200, RandomStream(9))
         with pytest.raises(ValueError, match="^n_max must be an integer >= 2"):
-            list(dce_curve(h1, [DceThresholds()], HALF, n_max))
+            dce_curve(h1, [DceThresholds()], HALF, n_max)
+
+    def test_points_evaluated_at_the_call_and_assembled_as_read(self, monkeypatch):
+        # every H1 sample is drawn before the call returns, and a point's
+        # DceProbabilities are made only when it is read, so the curve never
+        # holds all of them
+        import causal_ssd.ssd as ssd_mod
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        real_sample, real_assemble = ssd_mod.sample_bf_h1, ssd_mod.assemble_dce
+        sampled, assembled = [], []
+        monkeypatch.setattr(ssd_mod, "sample_bf_h1",
+                            lambda edge, n: sampled.append(n) or real_sample(edge, n))
+        monkeypatch.setattr(ssd_mod, "assemble_dce",
+                            lambda *args: assembled.append(args) or real_assemble(*args))
+        h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, 200, RandomStream(9))
+        thresholds = [DceThresholds(), DceThresholds(k0=3.0, k1=3.0)]
+        curve = dce_curve(h1, thresholds, HALF, 40)
+        assert sampled == list(range(2, 41)) and assembled == []
+        assert next(curve)[0] == 2 and len(assembled) == len(thresholds)
+        assert [n for n, _ in curve] == list(range(3, 41))
+        assert len(assembled) == len(thresholds) * 39
 
 
 class TestOptimalNEdge:
@@ -834,7 +870,7 @@ class TestPlanCpdag:
             p0_mis = counting(0.0, 1.0 / thresholds.k1, n)
             return p0_dc, 1.0 - p0_dc - p0_mis, p0_mis
 
-        ssd_mod._H0_BANDS.clear()
+        ssd_mod._h0_bands.cache_clear()
         monkeypatch.setattr(ssd_mod, "prob_bf_band_h0", counting)
         memoized = plan_cpdag(CHAIN5, data, th, **kwargs)
         edges = [
