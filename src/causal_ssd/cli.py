@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Iterable
 
@@ -111,6 +112,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # every negative int or float literal is a flag's value; argparse's
+        # own pattern, on Python 3.11 for one, takes -1e-3 for a flag
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?|\.\d(?:_?\d)*)(?:[eE][-+]?\d(?:_?\d)*)?$"
+        )
+
     # argparse exits with status 2 on usage errors; the contract wants 1
     def error(self, message):
         raise _UsageError(message)

@@ -25,7 +25,6 @@ what.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import pickle
@@ -439,12 +438,6 @@ class ComponentPlans:
         }
 
 
-# fork_map's task queue: the starts of at most this many runs of consecutive
-# tasks, 8 bytes each, so that all of them but the parent's fit one write of
-# at most PIPE_BUF (4,096) bytes, which any Linux pipe holds in full
-_MAX_RUNS = 512
-
-
 def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     """``[fn(*task) for task in tasks]``, spread over this process and up to
     ``size - 1`` children made with ``os.fork``.
@@ -454,17 +447,19 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     Linux, where ``os.fork`` and ``os.sched_getaffinity`` always exist,
     ``size`` is the least of ``workers``, the number of tasks and the CPUs
     this process may run on (its affinity mask, which taskset or a cpuset may
-    limit), and the map runs here alone when that is 1.  Otherwise the tasks
-    are cut into at most ``_MAX_RUNS`` runs of consecutive tasks.  This
-    process runs the first run, so every function ``fn`` calls runs here at
-    least once; the starts of the others are written to one pipe in a single
-    write, and its write end is closed, before the first fork.  Every process
-    then takes starts from that pipe until it is empty.  The children inherit
-    ``fn`` and the tasks, and each sends its pickled results, or the
-    exception a task raised, back through a pipe of its own.  A child's
-    exception is raised here, and a child that ends without sending its
-    results raises ``RuntimeError``.  Before the map returns or raises, every
-    child is killed (``SIGKILL``), so none outlives an error, and reaped.
+    limit), and the map runs here alone when that is 1.  Otherwise process r
+    of ``size`` runs the fixed share of tasks r, r + size, r + 2 * size, ...;
+    this process is r = 0, so task 0, and every function ``fn`` calls, runs
+    here.  No state is shared: the children inherit ``fn`` and the tasks,
+    and each sends the pickled results of its share, or the exception a task
+    raised, back through a pipe of its own.  A child's exception is raised
+    here, and a child that ends without sending its results raises
+    ``RuntimeError``.  Before the map returns or raises, every child is
+    killed (``SIGKILL``), so none outlives an error, and reaped; a failed
+    ``os.fork`` closes both ends of the pipe it was given.
+
+    The shares are fixed, not balanced by cost: the README gives the
+    measured balance on the benchmark's edge tasks and curves.
     """
     tasks = list(tasks)
     size = 1
@@ -472,28 +467,23 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
         size = min(workers, len(tasks), len(os.sched_getaffinity(0)))
     if size < 2:
         return [fn(*task) for task in tasks]
-    run = -(-len(tasks) // _MAX_RUNS)  # tasks per run, the last one maybe fewer
     results = [None] * len(tasks)
-    queue_r, queue_w = os.pipe()
-    os.write(queue_w, b"".join(s.to_bytes(8, "little") for s in range(run, len(tasks), run)))
-    os.close(queue_w)
-
-    def starts():  # the runs this process takes from the queue
-        while record := os.read(queue_r, 8):
-            yield int.from_bytes(record, "little")
-
-    children: dict[int, int] = {}  # pid: read end of the child's result pipe
+    children: dict[int, int] = {}  # pid: read end of the result pipe of child 1, 2, ...
     try:
-        for _ in range(size - 1):
+        for r in range(1, size):
             result_r, result_w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(result_r)
+                os.close(result_w)
+                raise
             if pid == 0:  # the child: leaves only through os._exit
                 try:
                     for fd in (result_r, *children.values()):
                         os.close(fd)
                     try:
-                        done = [(s, [fn(*task) for task in tasks[s:s + run]]) for s in starts()]
-                        payload = pickle.dumps((True, done))
+                        payload = pickle.dumps((True, [fn(*task) for task in tasks[r::size]]))
                     except BaseException as exc:
                         try:
                             payload = pickle.dumps((False, exc))
@@ -505,9 +495,8 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
                     os._exit(0)
             os.close(result_w)
             children[pid] = result_r
-        for s in itertools.chain([0], starts()):
-            results[s:s + run] = [fn(*task) for task in tasks[s:s + run]]
-        for pid, result_r in children.items():
+        results[0::size] = [fn(*task) for task in tasks[0::size]]
+        for r, (pid, result_r) in enumerate(children.items(), 1):
             chunks = []
             while chunk := os.read(result_r, 1 << 16):
                 chunks.append(chunk)
@@ -516,13 +505,11 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
             ok, value = pickle.loads(b"".join(chunks))
             if not ok:
                 raise value
-            for s, values in value:
-                results[s:s + run] = values
+            results[r::size] = value
         return results
     finally:
         # a child still at work after an error stops at once; on success
         # every child has sent its results and is on its way out
-        os.close(queue_r)
         for pid, result_r in children.items():
             os.close(result_r)
             os.kill(pid, signal.SIGKILL)

@@ -637,6 +637,25 @@ class TestUsageAndErrors:
         assert main(["plan", "--graph", graph, "--data", data, *FAST, *flag]) == EXIT_USAGE
         assert main(["simulate", "--draws", "10", "--n-max", "12", *flag]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, flag", [
+        ("plan", "--intervention-mean"),
+        ("simulate", "--a-omega"),
+    ])
+    def test_negative_value_in_scientific_notation_is_a_value(
+        self, command, flag, two_node_files, tmp_path, capsys, monkeypatch
+    ):
+        # argparse on Python 3.11 took -1e-3 for a flag: "expected one argument"
+        graph, data = two_node_files
+        monkeypatch.chdir(tmp_path)
+        argv = {"plan": ["--graph", graph, "--data", data, *FAST],
+                "simulate": ["--draws", "10", "--n-max", "12", "--out", "sim"]}[command]
+        runs = []
+        for value in ("-1e-3", "-0.001"):
+            code = main([command, *argv, flag, value])
+            files = {p.name: p.read_bytes() for p in (tmp_path / "sim").glob("*")}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+
     def test_draws_above_memory_budget_is_usage_error(self, two_node_files, capsys, monkeypatch):
         import causal_ssd.cli as cli_mod
         import causal_ssd.predictive as predictive_mod

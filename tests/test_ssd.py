@@ -909,7 +909,8 @@ class TestForkMap:
     @pytest.mark.parametrize("n_max", [2, 3, 150, 1100])
     def test_full_curve_same_on_any_cpu_count(self, n_max, monkeypatch):
         # n_max 3 has fewer grid points than the 3-CPU mask has CPUs, and 2
-        # one; the 1,099 points of n_max 1100 run 3 at a time, the last alone
+        # one; on 3 CPUs the 1,099 points of n_max 1100 give this process a
+        # share of 367 and each child one of 366
         curves = []
         for cpus in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -986,8 +987,36 @@ class TestForkMap:
     @pytest.mark.parametrize("n_tasks", [300, 1_025, 20_000])
     def test_results_in_task_order(self, n_tasks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        # the queue holds at most 512 runs: one task per run at 300 tasks,
-        # runs of 3 and a last one of 2 at 1,025, and of 40 at 20,000
+        # shares of 100 each at 300 tasks; 342, 342 and 341 at 1,025; and
+        # 6,667, 6,667 and 6,666 at 20,000
         tasks = [(i, i % 7) for i in range(n_tasks)]
         with deadline(60):
             assert fork_map(pow, tasks, 3) == [pow(*t) for t in tasks]
+
+    def test_each_process_runs_a_fixed_interleaved_share(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        with deadline(60):
+            pids = fork_map(os.getpid, [()] * 10, 3)
+        shares = [set(pids[r::3]) for r in range(3)]
+        assert all(len(share) == 1 for share in shares)
+        assert shares[0] == {os.getpid()}
+        assert len(set(pids)) == 3
+
+    def test_failed_fork_leaks_no_pipe_and_reaps_the_first_child(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("no second child")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with deadline(60):
+            with pytest.raises(BlockingIOError, match="no second child"):
+                fork_map(pow, [(i, 2) for i in range(9)], 3)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -11,7 +11,11 @@ both, so a before/after check is one ``diff``::
 ``python -m causal_ssd.cli`` with ``PYTHONPATH=SRC``, from ``OUT``, with
 relative paths, because the outputs echo their paths.  ``OUT`` is created
 and must be empty.  The inputs of ``plan-late`` and ``plan-clique`` come from
-``bench/workloads.py`` at seed 3, imported from this checkout.  ``--pin``
+``bench/workloads.py`` of this checkout at seed 3, run as a script with
+``OPENBLAS_CORETYPE`` unset: the generator's rotation goes through BLAS, so
+its ``data.csv`` depends on the BLAS kernel, which the CLI's bytes must not.
+So ``OPENBLAS_CORETYPE=Prescott python3 tools/output_digests.py ...`` runs
+the commands, and only they, under OpenBLAS's Prescott kernel.  ``--pin``
 runs every command under ``taskset -c 0``, so a fork map finds one CPU.
 
 The commands are those the project's change log has checked since 0.6.4 (20
@@ -30,10 +34,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "bench"))
-
-from workloads import PLANS, write_plan_inputs  # noqa: E402
-
+WORKLOADS = ("plan-clique", "plan-late")
 INPUT_SEED = 3
 SIM_FILES = ("report.json", "bf_samples.csv", "dce_curves.csv", "nstar_curves.csv")
 
@@ -41,7 +42,7 @@ SIM_FILES = ("report.json", "bf_samples.csv", "dce_curves.csv", "nstar_curves.cs
 def commands() -> list[tuple[list[str], list[str]]]:
     """(CLI arguments, the output files they write), in the order they run."""
     runs = []
-    for w in ("plan-clique", "plan-late"):
+    for w in WORKLOADS:
         inputs = ["--graph", f"{w}/graph.txt", "--data", f"{w}/data.csv", "--seed", "42"]
         runs += [
             (["plan", *inputs, "--out", f"{w}/plan.json"], [f"{w}/plan.json"]),
@@ -75,10 +76,11 @@ def main() -> int:
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):
         parser.error(f"{out} is not empty")
-    for w, spec in PLANS.items():
-        os.makedirs(os.path.join(out, w))
-        write_plan_inputs(spec, INPUT_SEED, os.path.join(out, w, "graph.txt"),
-                          os.path.join(out, w, "data.csv"))
+    generator_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    for w in WORKLOADS:
+        subprocess.run([sys.executable, os.path.join(ROOT, "bench", "workloads.py"),
+                        "--workload", w, "--seed", str(INPUT_SEED), "--out", os.path.join(out, w)],
+                       env=generator_env, check=True)
     env = {**os.environ, "PYTHONPATH": src}
     pin = ["taskset", "-c", "0"] if args.pin else []
     for argv, files in commands():
