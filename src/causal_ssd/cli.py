@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -186,14 +185,9 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.command == "simulate":
         n_top = max(n_top, *EXPORT_SIZES, *GRID_SIZES)
     try:
-        nonc = n_top * (f_u.mean / f_u.sd) ** 2
-    except OverflowError:
-        nonc = math.inf
-    if not math.isfinite(nonc):
-        raise _UsageError(
-            f"--intervention-mean {f_u.mean} and --intervention-sd {f_u.sd}: "
-            f"the noncentrality n (mean / sd)^2 at n = {n_top} is not a finite float"
-        )
+        f_u.noncentrality(n_top)
+    except ValueError as exc:
+        raise _UsageError(f"--intervention-mean and --intervention-sd: {exc}") from exc
 
 
 def _echo(args: argparse.Namespace) -> dict:

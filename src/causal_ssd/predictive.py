@@ -29,7 +29,6 @@ import numpy as np
 
 from causal_ssd.numerics import (
     RandomStream,
-    WishartParams,
     regularized_incomplete_beta,
     sample_wishart,  # noqa: F401  (no caller; bench/tracing.py wraps predictive.sample_wishart)
     whole,
@@ -136,28 +135,11 @@ class DesignPosterior:
         object.__setattr__(self, "df", float(self.df))
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
     def column_index(self, label: str) -> int:
         try:
             return self.labels.index(str(label))
         except ValueError:
             raise KeyError(f"no column {label!r} in design posterior") from None
-
-    def pair_precision_params(self, u: str, v: str) -> WishartParams:
-        """Wishart law of the 2x2 conditional precision of (u, v).
-
-        Degrees of freedom drop by T - 2 (the conditioned-out coordinates);
-        the rate is the (u, v) scatter block.  Ordering matters: v is the
-        regressed coordinate.
-        """
-        iu, iv = self.column_index(u), self.column_index(v)
-        if iu == iv:
-            raise ValueError("u and v must be distinct columns")
-        block = self.scatter[np.ix_((iu, iv), (iu, iv))]
-        return WishartParams(self.df - (self.dim - 2), block)
 
 
 def build_design_posterior(data: DatasetMatrix, a_omega: float | None = None) -> DesignPosterior:
@@ -203,6 +185,21 @@ class InterventionDensity:
                 "intervention sd must be positive: a point mass makes the "
                 "correlation statistic undefined"
             )
+
+    def noncentrality(self, n: int) -> float:
+        """n (mean / sd)^2, the noncentrality of the chi-square(n) sum of n
+        intervened values over sd^2; ``ValueError`` unless it is a finite
+        float.  It grows with n, so one check at the largest n covers a grid."""
+        try:
+            nonc = n * (self.mean / self.sd) ** 2
+        except OverflowError:  # the square of a finite ratio past the float range
+            nonc = math.inf
+        if not math.isfinite(nonc):
+            raise ValueError(
+                f"the noncentrality n (mean / sd)^2 of intervention mean {self.mean} "
+                f"and sd {self.sd} at n = {n} is not a finite float"
+            )
+        return nonc
 
 
 @dataclass(frozen=True)
@@ -316,24 +313,27 @@ class H1EdgeDraw:
         return self.z.size
 
 
-def pair_factor(
-    posterior: DesignPosterior, u: str, v: str
-) -> tuple[WishartParams, float, float]:
-    """The Wishart law of the (u, v) conditional precision, and the entries
-    f00 = 1 / sqrt(a) and f01 = -b / (a sqrt(c - b^2 / a)) of the upper
-    factor F = chol(U)^{-T} of its rate U = [[a, b], [b, c]].
-
-    Raises ``InsufficientDataError`` when the terms of f01 overflow or
-    underflow, though the scatter itself is finite and positive definite.
+def pair_factor(posterior: DesignPosterior, u: str, v: str) -> tuple[float, float, float]:
+    """The Wishart law of the (u, v) conditional precision, v regressed on u:
+    its degrees of freedom, the posterior's df less the T - 2
+    conditioned-out coordinates, and the entries f00 = 1 / sqrt(a) and
+    f01 = -b / (a sqrt(c - b^2 / a)) of the upper factor F = chol(U)^{-T} of
+    its rate, the scatter block U = [[a, b], [b, c]].  ``DesignPosterior``
+    has checked that the scatter is finite and positive definite and that
+    df - (T - 2) > 1; ``InsufficientDataError`` is raised when the terms of
+    f01 overflow or underflow all the same.
     """
-    params = posterior.pair_precision_params(u, v)
-    (a, b), (_, c) = params.rate.tolist()
+    iu, iv = posterior.column_index(u), posterior.column_index(v)
+    if iu == iv:
+        raise ValueError("u and v must be distinct columns")
+    scatter = posterior.scatter
+    a, b, c = scatter[iu, iu].item(), scatter[iu, iv].item(), scatter[iv, iv].item()
     f00 = 1.0 / math.sqrt(a)
     schur = c - b * b / a  # -inf when b * b overflows
     den = a * math.sqrt(schur) if schur > 0.0 else 0.0
     if not 0.0 < den < math.inf:
         raise InsufficientDataError(f"the ({u}, {v}) pair factor leaves the float range")
-    return params, f00, -b / den
+    return posterior.df - (len(posterior.labels) - 2), f00, -b / den
 
 
 def draw_h1_edge(
@@ -362,13 +362,13 @@ def draw_h1_edge(
     allocated.
     """
     draws = whole("draws", draws, 1, MAX_DRAWS)
-    params, f00, f01 = pair_factor(posterior, u, v)
+    df, f00, f01 = pair_factor(posterior, u, v)
     # three separate arrays, so that s is freed and only lam and z stay
     lam, s, z = np.empty(draws), np.empty(draws), np.empty(draws)
 
     gen = stream.child(0).generator()
-    np.sqrt(_chisquare(gen, params.df, lam), out=lam)  # b00
-    _chisquare(gen, params.df - 1.0, s)  # b11^2
+    np.sqrt(_chisquare(gen, df, lam), out=lam)  # b00
+    _chisquare(gen, df - 1.0, s)  # b11^2
     gen.standard_normal(out=z)  # b10
     lam *= z
     s += np.square(z, out=z)
@@ -393,17 +393,18 @@ def sample_bf_h1(
     """Monte Carlo predictive draws of the Bayes factor under H1 at n.
 
     Per draw of ``edge``, the sufficient statistic of the n interventional
-    pairs is drawn directly: uu = sum x_u^2 is a scaled (noncentral)
-    chi-square(n), and the residual sum of squares of v on u a chi-square
-    with n-1 degrees of freedom.  In units of the conditional sd, the
-    projection of x_v on x_u is w = z + lam sqrt(uu), so
-    1 - r^2 = resid / (w^2 + resid) without cancellation, and the closed-form
-    Bayes factor g(n) (1 - r^2)^((n-1)/2) follows.  This is exact in
-    distribution for the Gaussian interventional family at every n and costs
-    O(1) per draw instead of O(n).  Only uu and the residual depend on n;
-    both come from ``edge.stream.child(n)``, in blocks of ``H1_BLOCK`` draws:
-    each block draws its uu and then its residual.  1 - r^2 is clipped to
-    [2^-53, 1], so the factor lies in [0, g(n)].
+    pairs is drawn directly: uu = sum x_u^2 is a scaled chi-square(n) of
+    noncentrality ``f_u.noncentrality(n)`` (``ValueError`` if not finite),
+    and the residual sum of squares of v on u a chi-square with n-1 degrees
+    of freedom.  In units of the conditional sd, the projection of x_v on
+    x_u is w = z + lam sqrt(uu), so 1 - r^2 = resid / (w^2 + resid) without
+    cancellation, and the closed-form Bayes factor g(n) (1 - r^2)^((n-1)/2)
+    follows.  This is exact in distribution for the Gaussian interventional
+    family at every n and costs O(1) per draw instead of O(n).  Only uu and
+    the residual depend on n; both come from ``edge.stream.child(n)``, in
+    blocks of ``H1_BLOCK`` draws: each block draws its uu and then its
+    residual.  1 - r^2 is clipped to [2^-53, 1], so the factor lies in
+    [0, g(n)].
 
     With ``stop``, each block's Bayes factors are passed to ``stop`` in
     order, and the sampler returns the draws made so far after the first
@@ -414,7 +415,7 @@ def sample_bf_h1(
     gen = edge.stream.child(n).generator()
     f_u = edge.f_u
     draws = edge.draws
-    nonc, log_g = n * (f_u.mean / f_u.sd) ** 2, log_g_of_n(n)
+    nonc, log_g = f_u.noncentrality(n), log_g_of_n(n)
     # the draws that one pass of the arithmetic covers: a block when the
     # stop is checked, else all of them, which saves a dozen numpy calls a
     # block; the arithmetic is element-wise, so the numbers are the same

@@ -200,7 +200,6 @@ def reaches_zeta(
 
 def assemble_dce(
     h0_bands: tuple[float, float, float],
-    thresholds: DceThresholds,
     p_h0: float,
     h1_counts: tuple[int, int],
     draws: int,
@@ -294,15 +293,17 @@ def dce_curve(
     Each n takes the full H1 sample of the edge draw ``h1`` at n, which every
     thresholds reads.  ``p_h0`` is the edge's prior p(H0), and ``n_max`` an
     integer of at least 2 (``numerics.whole``), as in ``RunConfig``.  At the
-    call, ``n_max`` is checked and every point is evaluated with
-    ``fork_map``, over as many processes as the CPUs and ``h1_process_cap``
-    allow; the iterator returned then assembles the points in order of n as
-    they are read, so the whole curve of ``DceProbabilities`` is never held.
+    call, ``n_max`` and ``h1.f_u.noncentrality(n_max)`` are checked and
+    every point is evaluated with ``fork_map``, over as many processes as
+    the CPUs and ``h1_process_cap`` allow; the iterator returned then
+    assembles the points in order of n as they are read, so the whole curve
+    of ``DceProbabilities`` is never held.
     """
     grid = range(2, whole("n_max", n_max, 2) + 1)
+    h1.f_u.noncentrality(n_max)
     points = fork_map(_curve_point, [(h1, thresholds, n) for n in grid], h1_process_cap(h1.draws))
     return (
-        (n, [assemble_dce(b, th, p_h0, c, h1.draws) for b, th, c in zip(bands, thresholds, counts)])
+        (n, [assemble_dce(b, p_h0, c, h1.draws) for b, c in zip(bands, counts)])
         for n, (bands, counts) in zip(grid, points)
     )
 
@@ -352,7 +353,7 @@ def optimal_n_edge(
             continue
         counts = h1_band_counts(sample, thresholds)
         if reaches_zeta(thresholds, p_h0, h0_bands[0], counts[0], draws):
-            dce = assemble_dce(h0_bands, thresholds, p_h0, counts, draws)
+            dce = assemble_dce(h0_bands, p_h0, counts, draws)
             return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
     return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 
@@ -545,9 +546,10 @@ def plan_cpdag(
     component, an improper posterior, the ``pair_factor`` of one of its edge
     tasks out of the float range) are found before any edge task runs and
     are reported per component without aborting the others.  ``RunConfig``
-    has checked the run parameters, and ``workers`` must be an integer of at
-    least 1 (``numerics.whole``), or ``ValueError`` is raised before any
-    component.
+    has checked the run parameters.  ``workers`` must be an integer of at
+    least 1 (``numerics.whole``), and the noncentrality of ``config.f_u`` at
+    ``config.n_max`` a finite float (``InterventionDensity.noncentrality``),
+    or ``ValueError`` is raised before any component.
 
     ``workers`` > 1 runs the edge tasks with ``fork_map``, over at most
     ``workers`` processes, one per edge task and per CPU the process may use,
@@ -560,6 +562,7 @@ def plan_cpdag(
     if not isinstance(config, RunConfig):
         raise TypeError("config must be a RunConfig")
     workers = whole("workers", workers, 1)
+    config.f_u.noncentrality(config.n_max)
     out: list[ComponentPlans] = []
     searched = []  # (entry of out, index, subgraph, sequences) of the error-free components
     tasks: dict[tuple[int, str, str], tuple] = {}  # optimal_n_edge arguments per edge

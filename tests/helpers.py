@@ -162,12 +162,28 @@ def _bf_from_r2(r2: np.ndarray, n: int) -> np.ndarray:
     return np.exp(log_g_of_n(n) + 0.5 * (n - 1) * np.log1p(-r2))
 
 
+def pair_wishart_params(posterior: DesignPosterior, u: str, v: str) -> WishartParams:
+    """Oracle of the pair law in ``predictive.pair_factor``: the Wishart law
+    of the precision of (u, v), v the regressed coordinate, derived from the
+    posterior's fields alone.
+
+    The covariance Omega^{-1} of a Wishart(df, rate S) precision Omega on T
+    coordinates is inverse Wishart; its (u, v) block is inverse Wishart with
+    the degrees of freedom lowered by the T - 2 coordinates integrated out
+    and the (u, v) block of S, so the inverse of that block is
+    Wishart(df - (T - 2), rate S[(u, v), (u, v)]).
+    """
+    t = posterior.scatter.shape[0]
+    idx = [posterior.labels.index(u), posterior.labels.index(v)]
+    return WishartParams(posterior.df - (t - 2), posterior.scatter[np.ix_(idx, idx)])
+
+
 def _regression_draws(
     posterior: DesignPosterior, u: str, v: str, draws: int, stream: RandomStream, wishart
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-draw slope -Q_uv / Q_vv and conditional sd sqrt(1 / Q_vv) from
     full (draws, 2, 2) Wishart draws of the pair precision."""
-    q = wishart(stream, posterior.pair_precision_params(u, v), size=draws)
+    q = wishart(stream, pair_wishart_params(posterior, u, v), size=draws)
     return -q[:, 0, 1] / q[:, 1, 1], np.sqrt(1.0 / q[:, 1, 1])
 
 
@@ -218,7 +234,7 @@ def reference_sample_bf_h1(
     slope, cond_sd = _regression_draws(posterior, u, v, draws, edge, wishart)
     order = np.argsort(np.abs(slope / cond_sd))
     slope, cond_sd = np.abs(slope[order]), cond_sd[order]
-    df = posterior.pair_precision_params(u, v).df
+    df = pair_wishart_params(posterior, u, v).df
     gen = edge.generator()
     gen.chisquare(df, size=draws)
     gen.chisquare(df - 1.0, size=draws)
@@ -421,7 +437,7 @@ def dce_probabilities(
     """
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
     counts = h1_band_counts(sample, thresholds)
-    return assemble_dce(h0_band_probabilities(thresholds, n), thresholds, p_h0, counts, draws)
+    return assemble_dce(h0_band_probabilities(thresholds, n), p_h0, counts, draws)
 
 
 def decisive_draws_needed(
@@ -467,7 +483,7 @@ def linear_scan_optimal_n_edge(
         if h1 is None:
             h1 = draw_h1_edge(posterior, u, v, config.f_u, draws, stream)
         counts = h1_band_counts(sample_bf_h1(h1, n), thresholds)
-        dce = assemble_dce(h0_bands, thresholds, p_h0, counts, draws)
+        dce = assemble_dce(h0_bands, p_h0, counts, draws)
         if dce.overall_dc >= thresholds.zeta:
             return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
     return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import itertools
 import json
 import os
 import re
@@ -1158,6 +1159,10 @@ NOT_RUN_BY_A_COMMAND = {
     "graph.enumerate_class.<locals>.creates_v_structure": "inner function of enumerate_class",
     "graph.enumerate_class.<locals>.assign": "inner function of enumerate_class",
     "numerics.sample_wishart": "oracle of predictive.draw_h1_edge; bench/tracing.py wraps it",
+    "numerics.WishartParams.__post_init__": (
+        "parameter type of the oracle sample_wishart; predictive.pair_factor "
+        "reads the pair law off the checked DesignPosterior"
+    ),
     "graph.meek_closure": (
         "public API; oracle of design._rooted and of is_sufficient; "
         "bench/tracing.py wraps design.meek_closure"
@@ -1240,6 +1245,29 @@ def test_every_src_function_runs_in_a_command(fig1_files, tmp_path, capsys, monk
     assert codes == [code for _, code in runs]
     not_run = {name for key, name in defined.items() if key not in ran}
     assert not_run == set(NOT_RUN_BY_A_COMMAND)
+
+
+def test_readme_flag_table_matches_command_flags():
+    # the ✓ columns of README.md's "| flag | default | ..." table against
+    # cli.COMMAND_FLAGS, and its rows against cli.FLAGS
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| flag | default |"))
+    commands = [cell.strip().strip("`") for cell in lines[start].strip("|").split("|")[2:]]
+    assert sorted(commands) == sorted(COMMAND_FLAGS)
+    taken = {command: set() for command in commands}
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    for row in rows:
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert len(cells) == 2 + len(commands), row
+        names = [name.replace("-", "_") for name in re.findall(r"`--([a-z0-9-]+)", cells[0])]
+        assert names, row
+        for command, mark in zip(commands, cells[2:]):
+            assert mark in ("✓", ""), row
+            if mark:
+                taken[command].update(names)
+    assert taken == {command: set(flags) for command, flags in COMMAND_FLAGS.items()}
+    assert set().union(*taken.values()) == set(FLAGS)
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -33,6 +33,7 @@ from helpers import (
     g_of_n,
     h1_block_draws,
     matmul_sample_wishart,
+    pair_wishart_params,
     pairs_sample_bf_h1,
     reference_sample_bf_h1,
 )
@@ -55,7 +56,7 @@ def exact_lam_and_z(posterior, u, v, draws, stream):
     F = chol(rate)^{-T}, itself in 40 digits, and the Bartlett matrix, from
     the raw draws of ``stream.child(0)``: b00^2, b11^2, b10, then the
     cross-term normal ``z``, in the order drawn."""
-    params = posterior.pair_precision_params(u, v)
+    params = pair_wishart_params(posterior, u, v)
     gen = stream.child(0).generator()
     b00_sq = gen.chisquare(params.df, size=draws)
     b11_sq = gen.chisquare(params.df - 1.0, size=draws)
@@ -104,7 +105,7 @@ class TestBuildDesignPosterior:
         assert post.df == 51.0
         assert post.labels == ("u", "v")
         # 2x2 conditional-precision degrees: df - (T - 2) = 51
-        assert post.pair_precision_params("u", "v").df == 51.0
+        assert pair_factor(post, "u", "v")[0] == 51.0
 
     def test_a_omega_defaults_to_t_minus_one(self):
         z = np.random.default_rng(3).standard_normal((20, 3))
@@ -187,6 +188,23 @@ class TestInterventionDensity:
         with pytest.raises(ValueError):
             InterventionDensity(mean=math.nan)
 
+    def test_noncentrality_is_n_times_the_squared_ratio(self):
+        for mean, sd, n in ((0.0, 1.0, 2), (0.5, 2.0, 30), (-0.7, 1.3, 1000), (1e153, 1.0, 179)):
+            assert InterventionDensity(mean, sd).noncentrality(n) == n * (mean / sd) ** 2
+
+    @pytest.mark.parametrize("mean, sd, n", [
+        (1e200, 1.0, 2),  # the square overflows: an OverflowError before
+        (1e200, 1e-200, 2),  # the ratio is inf: an inf noncentrality before
+        (1e153, 1.0, 180),  # the product with n overflows to inf
+    ])
+    def test_noncentrality_not_a_finite_float_rejected(self, mean, sd, n):
+        f_u = InterventionDensity(mean, sd)
+        with pytest.raises(ValueError, match="noncentrality .* is not a finite float"):
+            f_u.noncentrality(n)
+        edge = draw_h1_edge(two_node_posterior(7), "u", "v", f_u, 10, RandomStream(11))
+        with pytest.raises(ValueError, match="noncentrality .* is not a finite float"):
+            sample_bf_h1(edge, n)
+
 
 class TestDeriveCholeskyPair:
     def test_identity(self):
@@ -228,7 +246,7 @@ class TestDeriveCholeskyPair:
         # as sqrt(1 / Q_vv) off a precision draw Q; the oracle derives them
         # from the covariance Q^{-1}
         post = two_node_posterior(2)
-        params = post.pair_precision_params("u", "v")
+        params = pair_wishart_params(post, "u", "v")
         for q in sample_wishart(RandomStream(4), params, size=20):
             slope, sd = -q[0, 1] / q[1, 1], math.sqrt(1.0 / q[1, 1])
             pair = derive_cholesky_pair(np.linalg.inv(q))

@@ -234,7 +234,7 @@ class TestDecisiveDrawsNeeded:
             # ``count`` draws on the cut itself, the rest inconclusive
             values = np.r_[np.full(count, 1.0 / th.k1), np.ones(draws - count)]
             sample = BfPredictiveSample(hypothesis="H1", n=2, draws=values)
-            dce = assemble_dce(bands, th, p_h0, h1_band_counts(sample, th), draws)
+            dce = assemble_dce(bands, p_h0, h1_band_counts(sample, th), draws)
             assert (dce.overall_dc >= zeta) == (count >= need), count
 
 
@@ -245,6 +245,21 @@ class TestDceCurve:
         h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, 200, RandomStream(9))
         with pytest.raises(ValueError, match="^n_max must be an integer >= 2"):
             dce_curve(h1, [DceThresholds()], HALF, n_max)
+
+    @pytest.mark.parametrize("mean, sd", [(1e200, 1.0), (1e200, 1e-200)])
+    def test_noncentrality_not_a_finite_float_rejected_at_the_call(self, mean, sd, monkeypatch):
+        # before, the first raised OverflowError from a point and the second
+        # gave nan points
+        import causal_ssd.ssd as ssd_mod
+
+        def no_point(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(ssd_mod, "fork_map", no_point)
+        f_u = InterventionDensity(mean, sd)
+        h1 = draw_h1_edge(two_node_posterior(), "u", "v", f_u, 200, RandomStream(9))
+        with pytest.raises(ValueError, match="noncentrality .* at n = 40 is not a finite float"):
+            dce_curve(h1, [DceThresholds()], HALF, 40)
 
     def test_points_evaluated_at_the_call_and_assembled_as_read(self, monkeypatch):
         # every H1 sample is drawn before the call returns, and a point's
@@ -422,17 +437,17 @@ class TestOptimalNEdge:
         import causal_ssd.ssd as ssd_mod
 
         built, evaluated = [], []
-        real_params, real_sample = predictive_mod.WishartParams, ssd_mod.sample_bf_h1
+        real_factor, real_sample = predictive_mod.pair_factor, ssd_mod.sample_bf_h1
 
-        def counting_params(df, rate):
-            built.append(df)
-            return real_params(df, rate)
+        def counting_factor(posterior, u, v):
+            built.append((u, v))
+            return real_factor(posterior, u, v)
 
         def counting_sample(edge, n, **stop):
             evaluated.append(n)
             return real_sample(edge, n, **stop)
 
-        monkeypatch.setattr(predictive_mod, "WishartParams", counting_params)
+        monkeypatch.setattr(predictive_mod, "pair_factor", counting_factor)
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", counting_sample)
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         res = optimal_n_edge(
@@ -618,6 +633,24 @@ class TestPlanCpdag:
         config = RunConfig(draws=200, n_max=20)
         with pytest.raises(ValueError, match=r"^workers must be an integer >= 1, got "):
             plan_cpdag(CHAIN5, fig1_dataset(), th, config, workers=workers)
+
+    @pytest.mark.parametrize("mean, sd", [(1e200, 1.0), (1e200, 1e-200), (1e153, 1.0)])
+    def test_noncentrality_not_a_finite_float_raises_before_any_component(
+        self, mean, sd, monkeypatch
+    ):
+        # before, the first raised OverflowError from an edge task and the
+        # second planned every edge achieved at n = 2; the third is finite up
+        # to n = 179 and infinite at n_max
+        import causal_ssd.ssd as ssd_mod
+
+        def no_component(*args):
+            raise AssertionError("a component was read")
+
+        monkeypatch.setattr(ssd_mod, "chain_components", no_component)
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        config = RunConfig(draws=100, n_max=300, f_u=InterventionDensity(mean, sd))
+        with pytest.raises(ValueError, match="noncentrality .* at n = 300 is not a finite float"):
+            plan_cpdag(CHAIN5, fig1_dataset(), th, config)
 
     def test_config_must_be_a_run_config(self):
         # a call in the order of the old signature, f_u then stream, fails plainly

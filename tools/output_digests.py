@@ -19,10 +19,12 @@ the commands, and only they, under OpenBLAS's Prescott kernel.  ``--pin``
 runs every command under ``taskset -c 0``, so a fork map finds one CPU.
 
 The commands are those the project's change log has checked since 0.6.4 (20
-files), and one ``plan`` on the ``plan-late`` inputs with thresholds at which
-the first-crossing scan stops H1 samples part-way (``plan_stop.json``).
-Output is one ``sha256  path`` line per file, paths relative to ``OUT``, in
-a fixed order.
+files); one ``plan`` on the ``plan-late`` inputs with thresholds at which
+the first-crossing scan stops H1 samples part-way (``plan_stop.json``); and,
+on the same inputs at intervention mean 0.5 and sd 2, one ``dce-curve`` and
+one ``predict-bf``, whose H1 sums are noncentral chi-squares
+(``curve_mean.csv``, ``bf_mean.csv``).  Output is one ``sha256  path`` line
+per file, 23 in all, paths relative to ``OUT``, in a fixed order.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ def commands() -> list[tuple[list[str], list[str]]]:
     runs.append((["plan", *inputs, "--draws", "5000", "--k0", "3", "--k1", "3", "--zeta", "0.6",
                   "--n-max", "400", "--out", "plan-late/plan_stop.json"],
                  ["plan-late/plan_stop.json"]))
+    density = ["--intervention-mean", "0.5", "--intervention-sd", "2"]
+    runs += [
+        (["dce-curve", *inputs, *density, "--edge", "0,1", "--n-max", "300", "--draws", "3000",
+          "--out", "plan-late/curve_mean.csv"], ["plan-late/curve_mean.csv"]),
+        (["predict-bf", *inputs, *density, "--edge", "1,2", "--n", "30", "--draws", "3000",
+          "--out", "plan-late/bf_mean.csv"], ["plan-late/bf_mean.csv"]),
+    ]
     for out, flags in (("sim1", ["--seed", "1"]),
                        ("sim5", ["--seed", "5", "--draws", "3000", "--n-max", "80"]),
                        ("sim1100", ["--n-max", "1100"])):
