@@ -39,7 +39,6 @@ from causal_ssd.harness import (
     atomic_write_text,
     bf_samples_csv,
     dce_curve_csv,
-    dce_curve_row,
     threshold_curves_csv,
     nstar_curve_csv,
     ingest_csv,
@@ -265,8 +264,7 @@ def _edge_inputs(args: argparse.Namespace):
 def cmd_dce_curve(args: argparse.Namespace) -> int:
     sub, posterior, stream = _edge_inputs(args)
     h1 = draw_h1_edge(posterior, *args.edge, args.config.f_u, args.config.draws, stream)
-    curve = dce_curve(h1, [args.thresholds], prior_h0(sub, *args.edge), args.config.n_max)
-    rows = [dce_curve_row(n, dce) for n, (dce,) in curve]
+    (rows,) = dce_curve(h1, [args.thresholds], prior_h0(sub, *args.edge), args.config.n_max)
     _emit(_config_comment(args) + dce_curve_csv(rows), args.out)
     return EXIT_OK
 

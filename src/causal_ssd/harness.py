@@ -40,7 +40,7 @@ from causal_ssd.predictive import (
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
-    DceProbabilities,
+    DCE_CURVE_COLUMNS,
     DceThresholds,
     RunConfig,
     binomial_se,
@@ -134,7 +134,7 @@ class TwoNodeStudyReport:
     bf_samples: list[BfPredictiveSample]
     evidence_grid: list[dict]
     evidence_note: str
-    dce_curves: dict[float, list[tuple]]  # dce_curve_row tuples per threshold k
+    dce_curves: dict[float, list[tuple]]  # the ssd.dce_curve rows per threshold k
     nstar_curves: dict[float, list[dict]]
 
     def to_json_dict(self) -> dict:
@@ -241,11 +241,7 @@ def replicate_two_node_study(config: RunConfig, stream: RandomStream) -> TwoNode
     # from the same edge draw; the H1 sample at each n is shared by all
     # thresholds
     thresholds = [DceThresholds(k0=k, k1=k, zeta=0.5) for k in K_VALUES]
-    curve = dce_curve(h1, thresholds, 0.5, config.n_max)
-    curves_by_k: dict[float, list[tuple]] = {k: [] for k in K_VALUES}
-    for n, dces in curve:
-        for k, dce in zip(K_VALUES, dces):
-            curves_by_k[k].append(dce_curve_row(n, dce))
+    curves_by_k = dict(zip(K_VALUES, dce_curve(h1, thresholds, 0.5, config.n_max)))
 
     # (d) optimal n as a function of the target probability: first crossing
     # of each zeta on the reproducible overall curve
@@ -349,14 +345,6 @@ def bf_samples_csv(samples: Iterable[BfPredictiveSample]) -> Iterator[str]:
             )
 
 
-DCE_CURVE_COLUMNS = ("n", "p0_dc", "p1_dc", "overall_dc", "se_overall")
-
-
-def dce_curve_row(n: int, dce: DceProbabilities) -> tuple:
-    """The ``DCE_CURVE_COLUMNS`` of the evidence probabilities at n."""
-    return (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
-
-
 def _numbers_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV with every cell written by ``format_float``."""
     buf = io.StringIO()
@@ -367,12 +355,12 @@ def _numbers_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def dce_curve_csv(rows: Iterable[tuple]) -> str:
-    """CSV of ``dce_curve_row`` rows: n, p0_dc, p1_dc, overall_dc, se_overall."""
+    """CSV of ``ssd.dce_curve`` rows: n, p0_dc, p1_dc, overall_dc, se_overall."""
     return _numbers_csv(DCE_CURVE_COLUMNS, rows)
 
 
 def threshold_curves_csv(curves_by_k: dict[float, list[tuple]]) -> str:
-    """Long-format CSV of the threshold curves: k, then the ``dce_curve_row`` columns."""
+    """Long-format CSV of the threshold curves: k, then the ``DCE_CURVE_COLUMNS``."""
     return _numbers_csv(
         ("k",) + DCE_CURVE_COLUMNS,
         ((k,) + row for k in sorted(curves_by_k) for row in curves_by_k[k]),

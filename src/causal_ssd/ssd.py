@@ -32,7 +32,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,9 +89,10 @@ class RunConfig:
     integer from 1 to ``predictive.MAX_DRAWS``, the most the H1 sampler's
     memory budget holds; ``n_max`` is the top of the sample-size grid
     {2, ..., n_max}, an integer of at least 2 (``numerics.whole``: a bool or
-    a float is not an integer).  ``f_u`` is the intervention density, and
-    ``a_omega`` the prior degrees of freedom of the design posterior: None
-    for T - 1 per chain component, or a finite number.
+    a float is not an integer).  ``f_u`` is the intervention density, an
+    ``InterventionDensity`` (else ``TypeError``), and ``a_omega`` the prior
+    degrees of freedom of the design posterior: None for T - 1 per chain
+    component, or a finite number, which a bool is not.
     """
 
     draws: int = 10_000
@@ -106,6 +107,10 @@ class RunConfig:
             raise ValueError(f"{exc}: the H1 sampler holds {H1_BYTES_PER_DRAW} bytes a draw, "
                              f"and its budget is {H1_BUDGET_BYTES} bytes") from None
         object.__setattr__(self, "n_max", whole("n_max", self.n_max, 2))
+        if not isinstance(self.f_u, InterventionDensity):
+            raise TypeError("f_u must be an InterventionDensity")
+        if isinstance(self.a_omega, bool):
+            raise ValueError(f"a_omega must be a number, not a bool, got {self.a_omega!r}")
         if self.a_omega is not None and not math.isfinite(self.a_omega):
             raise ValueError(f"a_omega must be finite, got {self.a_omega!r}")
 
@@ -272,40 +277,54 @@ def h1_process_cap(draws: int) -> int:
     return max(1, H1_BUDGET_BYTES // (draws * H1_BYTES_PER_DRAW))
 
 
+DCE_CURVE_COLUMNS = ("n", "p0_dc", "p1_dc", "overall_dc", "se_overall")
+
+
+def dce_curve_row(n: int, dce: DceProbabilities) -> tuple:
+    """The ``DCE_CURVE_COLUMNS`` of the evidence probabilities at n."""
+    return (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
+
+
+def _check_p_h0(p_h0: float) -> None:
+    if not 0.0 <= p_h0 <= 1.0:
+        raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
+
+
 def _curve_point(
-    h1: H1EdgeDraw, thresholds: Sequence[DceThresholds], n: int
-) -> tuple[list[tuple[float, float, float]], list[tuple[int, int]]]:
-    """The exact H0 bands and the ``h1_band_counts`` of the full H1 sample
-    at n, for each thresholds: the few numbers a point of a full curve sends
-    back from a worker."""
+    h1: H1EdgeDraw, thresholds: Sequence[DceThresholds], p_h0: float, n: int
+) -> list[tuple]:
+    """The ``dce_curve_row`` at n of each thresholds, all from the full H1
+    sample at n: the few numbers a point of a full curve sends back from a
+    worker."""
     sample = sample_bf_h1(h1, n)
-    return (
-        [h0_band_probabilities(th, n) for th in thresholds],
-        [h1_band_counts(sample, th) for th in thresholds],
-    )
+    return [
+        dce_curve_row(n, assemble_dce(h0_band_probabilities(th, n), p_h0,
+                                      h1_band_counts(sample, th), h1.draws))
+        for th in thresholds
+    ]
 
 
 def dce_curve(
     h1: H1EdgeDraw, thresholds: Sequence[DceThresholds], p_h0: float, n_max: int
-) -> Iterator[tuple[int, list[DceProbabilities]]]:
-    """``(n, [DceProbabilities for each thresholds])`` for n = 2, ..., n_max.
+) -> list[list[tuple]]:
+    """For each thresholds, the list of its ``dce_curve_row`` rows for
+    n = 2, ..., n_max.
 
     Each n takes the full H1 sample of the edge draw ``h1`` at n, which every
-    thresholds reads.  ``p_h0`` is the edge's prior p(H0), and ``n_max`` an
-    integer of at least 2 (``numerics.whole``), as in ``RunConfig``.  At the
-    call, ``n_max`` and ``h1.f_u.noncentrality(n_max)`` are checked and
+    thresholds reads.  ``p_h0`` is the edge's prior p(H0) and must lie in
+    [0, 1], as in ``optimal_n_edge``; ``n_max`` is an integer of at least 2
+    (``numerics.whole``), as in ``RunConfig``.  Both, and
+    ``h1.f_u.noncentrality(n_max)``, are checked before any point runs; then
     every point is evaluated with ``fork_map``, over as many processes as
-    the CPUs and ``h1_process_cap`` allow; the iterator returned then
-    assembles the points in order of n as they are read, so the whole curve
-    of ``DceProbabilities`` is never held.
+    the CPUs and ``h1_process_cap`` allow.
     """
+    _check_p_h0(p_h0)
     grid = range(2, whole("n_max", n_max, 2) + 1)
     h1.f_u.noncentrality(n_max)
-    points = fork_map(_curve_point, [(h1, thresholds, n) for n in grid], h1_process_cap(h1.draws))
-    return (
-        (n, [assemble_dce(b, p_h0, c, h1.draws) for b, c in zip(bands, counts)])
-        for n, (bands, counts) in zip(grid, points)
+    points = fork_map(
+        _curve_point, [(h1, thresholds, p_h0, n) for n in grid], h1_process_cap(h1.draws)
     )
+    return [list(rows) for rows in zip(*points)]
 
 
 def optimal_n_edge(
@@ -331,8 +350,7 @@ def optimal_n_edge(
     curve's sample at n, so that point misses zeta too.  The edge draw is
     made at the first n not skipped, so a scan that skips every n makes none.
     """
-    if not 0.0 <= p_h0 <= 1.0:
-        raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
+    _check_p_h0(p_h0)
     draws, n_max = config.draws, config.n_max
     h1 = None
     for n in range(2, n_max + 1):

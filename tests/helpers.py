@@ -3,7 +3,8 @@
 The reference implementations that only tests use live here: the Bayes
 factors and marginal likelihoods behind the closed form, an acyclicity check
 for oriented graphs, the DAG-to-CPDAG conversion, the definition of a
-sufficient sequence, the evidence probabilities at one n, the fewest
+sufficient sequence, the closed-form law of an edge draw's |lam|, the
+evidence probabilities at one n, the fewest
 decisive H1 draws that reach zeta, the full-sample scan for an edge's
 optimal n, plans built from given edge sizes, the whole-text writer of the
 Bayes-factor sample CSV, data drawn from a linear structural equation
@@ -22,6 +23,7 @@ import signal
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special, stats
 
 from causal_ssd.graph import (
     PartiallyDirectedGraph,
@@ -176,6 +178,28 @@ def pair_wishart_params(posterior: DesignPosterior, u: str, v: str) -> WishartPa
     t = posterior.scatter.shape[0]
     idx = [posterior.labels.index(u), posterior.labels.index(v)]
     return WishartParams(posterior.df - (t - 2), posterior.scatter[np.ix_(idx, idx)])
+
+
+def lam_cdf(x, df: float, a: float, b: float, c: float) -> np.ndarray:
+    """Oracle of the law of ``H1EdgeDraw.lam``: P(|lam| <= x), in closed
+    form, for the pair precision Q ~ Wishart(df, rate [[a, b], [b, c]]) of
+    ``pair_wishart_params``.
+
+    Q_vv is a / (a c - b^2) times a chi-square(df), and given Q_vv,
+    lam = -Q_uv / sqrt(Q_vv) is normal with mean sqrt(Q_vv) b / a and
+    variance 1 / a.  So a lam^2 is a noncentral chi-square(1) whose
+    noncentrality is delta = b^2 / (a c - b^2) times that chi-square(df),
+    and its Poisson index J is negative binomial:
+    P(J = j) = Gamma(r + j) / (Gamma(r) j!) q^j (1 - q)^r, with r = df / 2
+    and q = delta / (1 + delta).  Hence
+    F(x) = sum_j P(J = j) P(1/2 + j, a x^2 / 2), P the regularized lower
+    gamma; the sum runs to the negative binomial's 1 - 1e-15 quantile.
+    """
+    x = np.asarray(x, dtype=float)
+    delta = b * b / (a * c - b * b)
+    index = stats.nbinom(df / 2.0, 1.0 / (1.0 + delta))
+    j = np.arange(index.ppf(1.0 - 1e-15) + 1.0)
+    return index.pmf(j) @ special.gammainc(0.5 + j[:, None], a * x[None, :] ** 2 / 2.0)
 
 
 def _regression_draws(
@@ -431,9 +455,9 @@ def dce_probabilities(
 ) -> DceProbabilities:
     """Evidence probabilities at n for manipulating u and testing the edge u - v.
 
-    ``stream`` is the edge task's substream, so the result is, bit for bit,
-    the point at n of ``ssd.dce_curve`` of the edge draw from it; it costs
-    one edge draw and one n step.
+    ``stream`` is the edge task's substream, so the ``ssd.dce_curve_row``
+    of the result is, bit for bit, the row at n of ``ssd.dce_curve`` of the
+    edge draw from it; it costs one edge draw and one n step.
     """
     sample = sample_bf_h1(draw_h1_edge(posterior, u, v, f_u, draws, stream), n)
     counts = h1_band_counts(sample, thresholds)

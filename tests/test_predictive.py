@@ -32,6 +32,8 @@ from helpers import (
     derive_cholesky_pair,
     g_of_n,
     h1_block_draws,
+    lam_cdf,
+    linear_sem_data,
     matmul_sample_wishart,
     pair_wishart_params,
     pairs_sample_bf_h1,
@@ -483,6 +485,26 @@ class TestSampleBfH1:
                            (np.mean(sample >= k0), 1.0 - below[k0])):
                 se = math.sqrt(np.sum(p * (1.0 - p))) / draws
                 assert abs(got - np.mean(p)) <= 4.0 * se, (n, got, np.mean(p))
+
+    @pytest.mark.parametrize("component, u, v", [("uv", "u", "v"), ("12345", "2", "4")])
+    def test_abs_lam_follows_its_closed_form_law(self, component, u, v):
+        # the largest gap between the ECDF of |lam| and helpers.lam_cdf, at
+        # 199 quantiles, is below the 1 % Kolmogorov-Smirnov value; the law
+        # takes df and the pair block from pair_wishart_params.  At T = 5,
+        # the full posterior's df, or b * 1.1, gives a gap ten times that value
+        if component == "uv":
+            posterior = two_node_posterior(3)
+        else:
+            arrows = [("1", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("2", "5"), ("4", "5")]
+            data = linear_sem_data(component, {e: 0.6 for e in arrows}, 80, RandomStream(0))
+            posterior = build_design_posterior(data)
+        draws = 200_000
+        lam = draw_h1_edge(posterior, u, v, InterventionDensity(), draws, RandomStream(7)).lam
+        params = pair_wishart_params(posterior, u, v)
+        (a, b), c = params.rate[0], params.rate[1, 1]
+        at = np.arange(1, 200) * draws // 200  # lam is sorted, so lam[i] has i + 1 at or below
+        gap = np.max(np.abs((at + 1) / draws - lam_cdf(lam[at], params.df, a, b, c)))
+        assert gap < 1.63 / math.sqrt(draws)
 
     @pytest.mark.parametrize("mean", [0.0, 1.5])
     def test_edge_draw_holds_abs_lam_ascending(self, mean):

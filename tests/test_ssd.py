@@ -24,10 +24,12 @@ from causal_ssd.predictive import (
     draw_h1_edge,
 )
 from causal_ssd.ssd import (
+    DCE_CURVE_COLUMNS,
     DceThresholds,
     RunConfig,
     assemble_dce,
     dce_curve,
+    dce_curve_row,
     fork_map,
     h0_band_probabilities,
     h1_band_counts,
@@ -261,26 +263,34 @@ class TestDceCurve:
         with pytest.raises(ValueError, match="noncentrality .* at n = 40 is not a finite float"):
             dce_curve(h1, [DceThresholds()], HALF, 40)
 
-    def test_points_evaluated_at_the_call_and_assembled_as_read(self, monkeypatch):
-        # every H1 sample is drawn before the call returns, and a point's
-        # DceProbabilities are made only when it is read, so the curve never
-        # holds all of them
+    def test_points_evaluated_at_the_call(self, monkeypatch):
+        # every H1 sample is drawn once, in the call, and each thresholds
+        # gets its rows for n = 2, ..., n_max from it
         import causal_ssd.ssd as ssd_mod
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        real_sample, real_assemble = ssd_mod.sample_bf_h1, ssd_mod.assemble_dce
-        sampled, assembled = [], []
+        real_sample = ssd_mod.sample_bf_h1
+        sampled = []
         monkeypatch.setattr(ssd_mod, "sample_bf_h1",
                             lambda edge, n: sampled.append(n) or real_sample(edge, n))
-        monkeypatch.setattr(ssd_mod, "assemble_dce",
-                            lambda *args: assembled.append(args) or real_assemble(*args))
         h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, 200, RandomStream(9))
         thresholds = [DceThresholds(), DceThresholds(k0=3.0, k1=3.0)]
-        curve = dce_curve(h1, thresholds, HALF, 40)
-        assert sampled == list(range(2, 41)) and assembled == []
-        assert next(curve)[0] == 2 and len(assembled) == len(thresholds)
-        assert [n for n, _ in curve] == list(range(3, 41))
-        assert len(assembled) == len(thresholds) * 39
+        curves = dce_curve(h1, thresholds, HALF, 40)
+        assert sampled == list(range(2, 41))
+        assert [[row[0] for row in rows] for rows in curves] == [list(range(2, 41))] * 2
+
+    @pytest.mark.parametrize("p_h0", [2.0, -0.1, math.nan])
+    def test_p_h0_outside_the_unit_interval_rejected_at_the_call(self, p_h0, monkeypatch):
+        # as in optimal_n_edge: before, 2.0 gave overall_dc values below 0
+        import causal_ssd.ssd as ssd_mod
+
+        def no_point(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(ssd_mod, "fork_map", no_point)
+        h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, 200, RandomStream(9))
+        with pytest.raises(ValueError, match=r"^p_h0 must lie in \[0, 1\]"):
+            dce_curve(h1, [DceThresholds()], p_h0, 5)
 
 
 class TestOptimalNEdge:
@@ -323,29 +333,25 @@ class TestOptimalNEdge:
         h1 = draw_h1_edge(post, "u", "v", F_U, draws, RandomStream(seed))
 
         def curve(thresholds):
-            return list(dce_curve(h1, thresholds, p_h0, n_max))
+            return dce_curve(h1, thresholds, p_h0, n_max)
 
         # the full curve crosses first where optimal_n_edge says
-        full = {n: dce.to_dict() for n, (dce,) in curve([th])}
-        assert sorted(full) == list(range(2, n_max + 1))
-        crossing = next((n for n, d in full.items() if d["overall_dc"] >= zeta), None)
+        (rows,) = curve([th])
+        full = {row[0]: row for row in rows}
+        assert list(full) == list(range(2, n_max + 1))
+        crossing = next((n for n, _, _, dc, _ in rows if dc >= zeta), None)
         assert crossing == got.n_star
         if crossing is not None:
-            assert full[crossing] == got.dce_at_n_star.to_dict()
+            assert full[crossing] == dce_curve_row(crossing, got.dce_at_n_star)
         # the scan reads n = 2, 3, ... up to its crossing (or n_max), and
         # every n it skipped or stopped misses zeta on the full curve
         assert scanned == list(range(2, (got.n_star or n_max) + 1))
         for n in set(scanned) - set(completed):
-            assert full[n]["overall_dc"] < zeta
+            assert full[n][DCE_CURVE_COLUMNS.index("overall_dc")] < zeta
         # a curve for several thresholds is the single-threshold curves side by side
         others = [DceThresholds(k0=3.0, k1=3.0, zeta=0.5), DceThresholds(k0=k1, k1=k0, zeta=zeta)]
         joint = curve([th, *others])
-        assert [(n, dces[0].to_dict()) for n, dces in joint] == list(full.items())
-        for i, other in enumerate(others, 1):
-            single = curve([other])
-            assert [(n, dces[i].to_dict()) for n, dces in joint] == [
-                (n, dce.to_dict()) for n, (dce,) in single
-            ]
+        assert joint == [rows, *(curve([other])[0] for other in others)]
 
     def test_low_target_crosses_immediately(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.05)
@@ -658,6 +664,18 @@ class TestPlanCpdag:
         with pytest.raises(TypeError, match="RunConfig"):
             plan_cpdag(CHAIN5, fig1_dataset(), th, F_U, RandomStream(1))
 
+    @pytest.mark.parametrize("f_u", [None, (0.0, 1.0)])
+    def test_f_u_must_be_an_intervention_density(self, f_u):
+        # before, RunConfig took both, and plan_cpdag then raised AttributeError
+        with pytest.raises(TypeError, match="^f_u must be an InterventionDensity"):
+            RunConfig(draws=100, n_max=20, f_u=f_u)
+
+    @pytest.mark.parametrize("a_omega", [True, False])
+    def test_bool_a_omega_rejected(self, a_omega):
+        # a bool is not a number (numerics.whole); before, both were taken
+        with pytest.raises(ValueError, match="^a_omega must be a number, not a bool"):
+            RunConfig(draws=100, n_max=20, a_omega=a_omega)
+
     def test_draws_above_the_memory_budget_rejected_before_allocating(self, monkeypatch):
         import causal_ssd.predictive as predictive_mod
 
@@ -936,8 +954,7 @@ class TestForkMap:
         thresholds = [DceThresholds(k0=3.0, k1=3.0, zeta=0.6),
                       DceThresholds(k0=10.0, k1=10.0, zeta=0.6)]
         h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, draws, RandomStream(31))
-        curve = dce_curve(h1, thresholds, HALF, n_max)
-        return [(n, [d.to_dict() for d in dces]) for n, dces in curve]
+        return dce_curve(h1, thresholds, HALF, n_max)
 
     @pytest.mark.parametrize("n_max", [2, 3, 150, 1100])
     def test_full_curve_same_on_any_cpu_count(self, n_max, monkeypatch):
@@ -949,7 +966,7 @@ class TestForkMap:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             with deadline(120):
                 curves.append(self.full_curve(n_max))
-        assert [n for n, _ in curves[0]] == list(range(2, n_max + 1))
+        assert [[row[0] for row in rows] for rows in curves[0]] == [list(range(2, n_max + 1))] * 2
         assert curves[1] == curves[0] and curves[2] == curves[0]
 
     def test_processes_within_the_h1_budget(self, monkeypatch):
