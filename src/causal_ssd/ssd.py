@@ -31,7 +31,7 @@ import pickle
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,37 +115,6 @@ class RunConfig:
             raise ValueError(f"a_omega must be finite, got {self.a_omega!r}")
 
 
-@dataclass(frozen=True)
-class DceProbabilities:
-    """Decisive / inconclusive / misleading probabilities under both hypotheses.
-
-    The H0 triple is exact and sums to one by construction; the H1 triple is
-    Monte Carlo with binomial standard errors in ``mc_se``.  ``overall_dc``
-    is the prior-weighted mixture of the two decisive-and-correct entries.
-    """
-
-    p0_dc: float
-    p0_inc: float
-    p0_mis: float
-    p1_dc: float
-    p1_inc: float
-    p1_mis: float
-    overall_dc: float
-    mc_se: dict = field(compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "p0_dc": self.p0_dc,
-            "p0_inc": self.p0_inc,
-            "p0_mis": self.p0_mis,
-            "p1_dc": self.p1_dc,
-            "p1_inc": self.p1_inc,
-            "p1_mis": self.p1_mis,
-            "overall_dc": self.overall_dc,
-            "mc_se": dict(self.mc_se),
-        }
-
-
 # the memo of h0_band_probabilities: the (p0_dc, p0_mis) of at most this many
 # (k0, k1, n), about 290 bytes each, the least recently used dropped first
 H0_BAND_POINTS = 2**14
@@ -208,34 +177,37 @@ def assemble_dce(
     p_h0: float,
     h1_counts: tuple[int, int],
     draws: int,
-) -> DceProbabilities:
+) -> dict:
     """Mix the exact H0 triple with the H1 triple of ``h1_counts`` of ``draws``.
 
     ``h1_counts`` are the ``h1_band_counts`` of an H1 sample of ``draws``
-    draws; ``p_h0`` is the edge's prior p(H0) and p(H1) = 1 - p_h0.
+    draws; ``p_h0`` is the edge's prior p(H0) and p(H1) = 1 - p_h0.  The
+    result is the ``dce_at_n_star`` mapping of ``plan.json``: the
+    decisive / inconclusive / misleading probabilities under H0 (``p0_dc``,
+    ``p0_inc``, ``p0_mis``, exact, summing to one by construction) and under
+    H1 (``p1_*``, Monte Carlo), their prior-weighted decisive-and-correct
+    mixture ``overall_dc``, and in ``mc_se`` the binomial standard errors of
+    ``p1_dc``, ``p1_inc``, ``p1_mis`` and ``overall_dc``.
     """
     p0_dc, p0_inc, p0_mis = h0_bands
     p1_dc, p1_mis = h1_counts[0] / draws, h1_counts[1] / draws
     p1_inc = 1.0 - p1_dc - p1_mis
-    p_h1 = 1.0 - p_h0
-    overall = _overall_dc(p_h0, p0_dc, p1_dc)
     se_dc = binomial_se(p1_dc, draws)
-    mc_se = {
-        "p1_dc": se_dc,
-        "p1_inc": binomial_se(p1_inc, draws),
-        "p1_mis": binomial_se(p1_mis, draws),
-        "overall_dc": p_h1 * se_dc,
+    return {
+        "p0_dc": p0_dc,
+        "p0_inc": p0_inc,
+        "p0_mis": p0_mis,
+        "p1_dc": p1_dc,
+        "p1_inc": p1_inc,
+        "p1_mis": p1_mis,
+        "overall_dc": _overall_dc(p_h0, p0_dc, p1_dc),
+        "mc_se": {
+            "p1_dc": se_dc,
+            "p1_inc": binomial_se(p1_inc, draws),
+            "p1_mis": binomial_se(p1_mis, draws),
+            "overall_dc": (1.0 - p_h0) * se_dc,
+        },
     }
-    return DceProbabilities(
-        p0_dc=p0_dc,
-        p0_inc=p0_inc,
-        p0_mis=p0_mis,
-        p1_dc=p1_dc,
-        p1_inc=p1_inc,
-        p1_mis=p1_mis,
-        overall_dc=overall,
-        mc_se=mc_se,
-    )
 
 
 @dataclass(frozen=True)
@@ -244,12 +216,15 @@ class EdgeSsdResult:
 
     ``n_star`` is None when no n on the grid {2, ..., n_max} reaches the
     target probability (not achievable is a value, not an error).
+    ``dce_at_n_star`` is the ``assemble_dce`` mapping at ``n_star``, or None
+    when it is not achieved; as it is a dict, an achieved result is not
+    hashable.
     """
 
     edge: tuple[str, str]
     p_h0: float
     n_star: int | None
-    dce_at_n_star: DceProbabilities | None
+    dce_at_n_star: dict | None
     n_max: int
 
     @property
@@ -257,6 +232,8 @@ class EdgeSsdResult:
         return self.n_star is not None
 
     def to_dict(self) -> dict:
+        """The ``plan.json`` edge entry, sharing no container with the result."""
+        dce = self.dce_at_n_star
         return {
             "u": self.edge[0],
             "v": self.edge[1],
@@ -264,10 +241,8 @@ class EdgeSsdResult:
             "n_star": self.n_star,
             "achieved": self.achieved,
             "n_max": self.n_max,
-            "dce_at_n_star": None if self.dce_at_n_star is None else self.dce_at_n_star.to_dict(),
-            "se_overall": None
-            if self.dce_at_n_star is None
-            else self.dce_at_n_star.mc_se["overall_dc"],
+            "dce_at_n_star": None if dce is None else {**dce, "mc_se": dict(dce["mc_se"])},
+            "se_overall": None if dce is None else dce["mc_se"]["overall_dc"],
         }
 
 
@@ -280,9 +255,9 @@ def h1_process_cap(draws: int) -> int:
 DCE_CURVE_COLUMNS = ("n", "p0_dc", "p1_dc", "overall_dc", "se_overall")
 
 
-def dce_curve_row(n: int, dce: DceProbabilities) -> tuple:
-    """The ``DCE_CURVE_COLUMNS`` of the evidence probabilities at n."""
-    return (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
+def dce_curve_row(n: int, dce: dict) -> tuple:
+    """The ``DCE_CURVE_COLUMNS`` of the ``assemble_dce`` mapping at n."""
+    return (n, dce["p0_dc"], dce["p1_dc"], dce["overall_dc"], dce["mc_se"]["overall_dc"])
 
 
 def _check_p_h0(p_h0: float) -> None:

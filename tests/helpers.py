@@ -43,7 +43,6 @@ from causal_ssd.predictive import (
     sample_bf_h1,
 )
 from causal_ssd.ssd import (
-    DceProbabilities,
     DceThresholds,
     EdgeSsdResult,
     InterventionPlan,
@@ -452,8 +451,9 @@ def dce_probabilities(
     f_u: InterventionDensity,
     draws: int = RunConfig.draws,
     stream: RandomStream = RandomStream(0),
-) -> DceProbabilities:
-    """Evidence probabilities at n for manipulating u and testing the edge u - v.
+) -> dict:
+    """The ``ssd.assemble_dce`` mapping at n for manipulating u and testing
+    the edge u - v.
 
     ``stream`` is the edge task's substream, so the ``ssd.dce_curve_row``
     of the result is, bit for bit, the row at n of ``ssd.dce_curve`` of the
@@ -508,7 +508,7 @@ def linear_scan_optimal_n_edge(
             h1 = draw_h1_edge(posterior, u, v, config.f_u, draws, stream)
         counts = h1_band_counts(sample_bf_h1(h1, n), thresholds)
         dce = assemble_dce(h0_bands, p_h0, counts, draws)
-        if dce.overall_dc >= thresholds.zeta:
+        if dce["overall_dc"] >= thresholds.zeta:
             return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
     return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 

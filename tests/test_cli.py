@@ -127,6 +127,30 @@ class TestPlan:
             bos = [p for p in comp["plans"] if p["bos"]]
             assert len(bos) == 1
 
+    def test_edge_entry_schema(self, fig1_files, tmp_path):
+        # at n_max 30 edge 3 -> 1 is not achieved and the others are
+        graph, data = fig1_files
+        out = tmp_path / "plan.json"
+        argv = ["--n-max", "30", *flags_of("plan", FAST, but="--n-max")]
+        assert main(["plan", "--graph", graph, "--data", data, "--out", str(out), *argv]) == EXIT_OK
+        edges = [e for comp in json.loads(out.read_text())["components"]
+                 for plan in comp["plans"] for target in plan["targets"].values()
+                 for e in target["edges"]]
+        assert {e["achieved"] for e in edges} == {True, False}
+        for e in edges:
+            assert set(e) == {"u", "v", "p_h0", "n_star", "achieved", "n_max",
+                              "dce_at_n_star", "se_overall"}
+            dce = e["dce_at_n_star"]
+            if not e["achieved"]:
+                assert e["n_star"] is None and dce is None and e["se_overall"] is None
+                continue
+            assert set(dce) == {"p0_dc", "p0_inc", "p0_mis", "p1_dc", "p1_inc", "p1_mis",
+                                "overall_dc", "mc_se"}
+            assert set(dce["mc_se"]) == {"p1_dc", "p1_inc", "p1_mis", "overall_dc"}
+            assert e["se_overall"] == dce["mc_se"]["overall_dc"]
+            for h in ("p0", "p1"):
+                assert abs(dce[f"{h}_dc"] + dce[f"{h}_inc"] + dce[f"{h}_mis"] - 1.0) <= 1e-12
+
     def test_byte_identical_rerun_and_workers(self, fig1_files, tmp_path):
         graph, data = fig1_files
         out = tmp_path / "p.json"
@@ -1268,6 +1292,14 @@ def test_readme_flag_table_matches_command_flags():
                 taken[command].update(names)
     assert taken == {command: set(flags) for command, flags in COMMAND_FLAGS.items()}
     assert set().union(*taken.values()) == set(FLAGS)
+
+
+def test_version_matches_pyproject():
+    # tomllib is not in Python 3.10, so the version line is read with a regex
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"),
+              encoding="utf-8") as fh:
+        (version,) = re.findall(r'(?m)^version = "([^"]+)"$', fh.read())
+    assert causal_ssd.__version__ == version
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

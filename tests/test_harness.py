@@ -143,7 +143,8 @@ class TestTwoNodeStudy:
             for n in (2, 50, 57, 157, 200):
                 stream = RandomStream(8).child(2)
                 dce = dce_probabilities("u", "v", th, n, 0.5, posterior, f_u, draws, stream)
-                expected = (n, dce.p0_dc, dce.p1_dc, dce.overall_dc, dce.mc_se["overall_dc"])
+                expected = (n, dce["p0_dc"], dce["p1_dc"], dce["overall_dc"],
+                            dce["mc_se"]["overall_dc"])
                 assert rows[n] == expected
 
     def test_edge_drawn_once(self, monkeypatch):

@@ -190,6 +190,13 @@ class TestInterventionDensity:
         with pytest.raises(ValueError):
             InterventionDensity(mean=math.nan)
 
+    @pytest.mark.parametrize("kwargs", [{"mean": True}, {"sd": True}])
+    def test_bool_mean_or_sd_rejected(self, kwargs):
+        # a bool is an int to math.isfinite and to the arithmetic, and would
+        # be echoed as a bool into report.json
+        with pytest.raises(ValueError, match="not bools"):
+            InterventionDensity(**kwargs)
+
     def test_noncentrality_is_n_times_the_squared_ratio(self):
         for mean, sd, n in ((0.0, 1.0, 2), (0.5, 2.0, 30), (-0.7, 1.3, 1000), (1e153, 1.0, 179)):
             assert InterventionDensity(mean, sd).noncentrality(n) == n * (mean / sd) ** 2
@@ -534,6 +541,19 @@ class TestSampleBfH1:
             RandomStream(15).generator().standard_gamma(df / 2.0, out=got)
             got *= 2.0
             assert np.array_equal(got, want), df
+
+    @pytest.mark.parametrize("n", [2, 37, 1000])
+    def test_zero_noncentrality_is_the_in_place_chisquare(self, n):
+        # sample_bf_h1's zero-mean branch is a speed path only: from one
+        # generator state it makes the draws, and leaves the state, of
+        # noncentral_chisquare at noncentrality 0
+        import causal_ssd.predictive as predictive_mod
+
+        for k in (H1_BLOCK, H1_BLOCK // 3):
+            gen, ref = RandomStream(17).generator(), RandomStream(17).generator()
+            got = predictive_mod._chisquare(gen, n, np.empty(k))
+            assert got.tobytes() == ref.noncentral_chisquare(n, 0.0, size=k).tobytes(), k
+            assert gen.bit_generator.state == ref.bit_generator.state, k
 
     def test_matches_draws_from_matmul_oracle(self):
         post = two_node_posterior(11)

@@ -169,25 +169,25 @@ class TestDceProbabilities:
         dce = dce_probabilities(
             "u", "v", th, 50, 1.0, two_node_posterior(), F_U, draws=500, stream=RandomStream(1)
         )
-        assert dce.overall_dc == dce.p0_dc
+        assert dce["overall_dc"] == dce["p0_dc"]
 
     def test_band_above_ceiling_is_zero(self):
         th = DceThresholds(k0=10.0, k1=10.0, zeta=0.8)
         dce = dce_probabilities(
             "u", "v", th, 100, HALF, two_node_posterior(), F_U, draws=500, stream=RandomStream(2)
         )
-        assert dce.p0_dc == 0.0
+        assert dce["p0_dc"] == 0.0
 
     def test_mixture_bounds_and_h1_sums(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
         dce = dce_probabilities(
             "u", "v", th, 40, HALF, two_node_posterior(), F_U, draws=4000, stream=RandomStream(3)
         )
-        assert dce.p1_dc + dce.p1_inc + dce.p1_mis == pytest.approx(1.0, abs=1e-12)
-        lo, hi = sorted((dce.p0_dc, dce.p1_dc))
-        assert lo <= dce.overall_dc <= hi
-        assert dce.mc_se["overall_dc"] == pytest.approx(
-            0.5 * math.sqrt(dce.p1_dc * (1 - dce.p1_dc) / 4000)
+        assert dce["p1_dc"] + dce["p1_inc"] + dce["p1_mis"] == pytest.approx(1.0, abs=1e-12)
+        lo, hi = sorted((dce["p0_dc"], dce["p1_dc"]))
+        assert lo <= dce["overall_dc"] <= hi
+        assert dce["mc_se"]["overall_dc"] == pytest.approx(
+            0.5 * math.sqrt(dce["p1_dc"] * (1 - dce["p1_dc"]) / 4000)
         )
 
     def test_two_node_crossing_overall(self):
@@ -197,8 +197,8 @@ class TestDceProbabilities:
         post = two_node_posterior()
         at50 = dce_probabilities("u", "v", th, 50, HALF, post, F_U, 4000, RandomStream(4))
         at100 = dce_probabilities("u", "v", th, 100, HALF, post, F_U, 4000, RandomStream(5))
-        assert at50.overall_dc >= 0.70
-        assert at100.overall_dc >= 0.80
+        assert at50["overall_dc"] >= 0.70
+        assert at100["overall_dc"] >= 0.80
 
 
 # the prior p(H0) of an edge: the two degenerate ends and any value between
@@ -237,7 +237,7 @@ class TestDecisiveDrawsNeeded:
             values = np.r_[np.full(count, 1.0 / th.k1), np.ones(draws - count)]
             sample = BfPredictiveSample(hypothesis="H1", n=2, draws=values)
             dce = assemble_dce(bands, p_h0, h1_band_counts(sample, th), draws)
-            assert (dce.overall_dc >= zeta) == (count >= need), count
+            assert (dce["overall_dc"] >= zeta) == (count >= need), count
 
 
 class TestDceCurve:
@@ -360,7 +360,18 @@ class TestOptimalNEdge:
             RandomStream(6),
         )
         assert res.n_star == 2
-        assert res.dce_at_n_star.overall_dc >= 0.05
+        assert res.dce_at_n_star["overall_dc"] >= 0.05
+
+    def test_to_dict_shares_no_container_with_the_result(self):
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.05)
+        res = optimal_n_edge(
+            "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=1000, n_max=50),
+            RandomStream(6),
+        )
+        want, out = res.to_dict(), res.to_dict()
+        out["dce_at_n_star"]["p1_dc"] = -1.0
+        out["dce_at_n_star"]["mc_se"]["overall_dc"] = -1.0
+        assert res.to_dict() == want
 
     def test_two_node_study_k3(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
@@ -379,7 +390,7 @@ class TestOptimalNEdge:
         crossing = None
         for n in range(2, 61):
             dce = dce_probabilities("u", "v", th, n, HALF, post, F_U, 800, stream)
-            if dce.overall_dc >= th.zeta:
+            if dce["overall_dc"] >= th.zeta:
                 crossing = n
                 break
         assert res.n_star == crossing
@@ -411,7 +422,7 @@ class TestOptimalNEdge:
                              RunConfig(draws=draws, n_max=4), RandomStream(10))
         if extra == 0:
             assert res.n_star == 2 and counts == [draws]
-            assert res.dce_at_n_star.p1_dc == need / draws
+            assert res.dce_at_n_star["p1_dc"] == need / draws
         else:
             assert res.n_star is None and counts == [H1_BLOCK] * 3
 
@@ -436,7 +447,7 @@ class TestOptimalNEdge:
         monkeypatch.undo()
         # the reused bands give the same floats as a fresh assembly
         fresh = dce_probabilities("u", "v", th, res.n_star, HALF, post, F_U, 800, RandomStream(8))
-        assert res.dce_at_n_star.to_dict() == fresh.to_dict()
+        assert res.dce_at_n_star == fresh
 
     def test_pair_parameters_built_once_per_scan(self, monkeypatch):
         import causal_ssd.predictive as predictive_mod

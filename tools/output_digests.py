@@ -21,12 +21,13 @@ runs every command under ``taskset -c 0``, so a fork map finds one CPU.
 The commands are those the project's change log has checked since 0.6.4 (20
 files); one ``plan`` on the ``plan-late`` inputs with thresholds at which
 the first-crossing scan stops H1 samples part-way (``plan_stop.json``); and,
-on the same inputs at intervention mean 0.5 and sd 2, one ``dce-curve`` and
-one ``predict-bf``, whose H1 sums are noncentral chi-squares
-(``curve_mean.csv``, ``bf_mean.csv``); and one ``dce-curve`` at k0 = 3 and
-k1 = 10, the one run whose thresholds differ, so that k0 and k1 swapped
-anywhere on the curve's path change a byte (``curve_k3_10.csv``).  Output
-is one ``sha256  path`` line per file, 24 in all, paths relative to
+on the same inputs at intervention mean 0.5 and sd 2, one ``dce-curve``, one
+``predict-bf`` and one ``plan``, whose H1 sums are noncentral chi-squares
+(``curve_mean.csv``, ``bf_mean.csv``, and ``plan_mean.json``, where the
+first-crossing scan and its early stop draw them); and one ``dce-curve`` at
+k0 = 3 and k1 = 10, the one run whose thresholds differ, so that k0 and k1
+swapped anywhere on the curve's path change a byte (``curve_k3_10.csv``).
+Output is one ``sha256  path`` line per file, 25 in all, paths relative to
 ``OUT``, in a fixed order.
 """
 
@@ -68,6 +69,8 @@ def commands() -> list[tuple[list[str], list[str]]]:
           "--out", "plan-late/curve_mean.csv"], ["plan-late/curve_mean.csv"]),
         (["predict-bf", *inputs, *density, "--edge", "1,2", "--n", "30", "--draws", "3000",
           "--out", "plan-late/bf_mean.csv"], ["plan-late/bf_mean.csv"]),
+        (["plan", *inputs, *density, "--draws", "3000", "--out", "plan-late/plan_mean.json"],
+         ["plan-late/plan_mean.json"]),
         (["dce-curve", *inputs, "--edge", "0,1", "--k0", "3", "--k1", "10", "--n-max", "300",
           "--draws", "3000", "--out", "plan-late/curve_k3_10.csv"],
          ["plan-late/curve_k3_10.csv"]),
