@@ -225,23 +225,20 @@ def _load_inputs(args: argparse.Namespace):
 
 def cmd_plan(args: argparse.Namespace) -> int:
     graph, data = _load_inputs(args)
-    results = plan_cpdag(graph, data, args.thresholds, args.config, args.stream, args.workers)
-    document = {
-        "config": _echo(args),
-        "components": [r.to_dict() for r in results],
-    }
+    components = plan_cpdag(graph, data, args.thresholds, args.config, args.stream, args.workers)
+    document = {"config": _echo(args), "components": components}
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
-    if any(r.error is not None for r in results):
-        for r in results:
-            if r.error is not None:
-                print(f"component {list(r.component)}: {r.error}", file=sys.stderr)
+    if any(r["error"] is not None for r in components):
+        for r in components:
+            if r["error"] is not None:
+                print(f"component {r['component']}: {r['error']}", file=sys.stderr)
         return EXIT_CAPACITY
-    if any(not r.feasible for r in results):
-        for r in results:
-            if not r.feasible:
+    if any(not r["feasible"] for r in components):
+        for r in components:
+            if not r["feasible"]:
                 print(
-                    f"component {list(r.component)}: no sequence achieved the target "
+                    f"component {r['component']}: no sequence achieved the target "
                     f"probability within n <= {args.n_max}",
                     file=sys.stderr,
                 )

@@ -351,85 +351,43 @@ def optimal_n_edge(
     return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
 
 
-@dataclass
-class InterventionPlan:
-    """One candidate sequence and the edge results of each of its targets.
+def plan_entry(sequence: Sequence[str], edge_results: dict[str, Sequence[EdgeSsdResult]]) -> dict:
+    """The ``plan.json`` entry of one candidate sequence.
 
-    ``sequence`` is the sorted tuple of target labels from
-    ``optimal_sequences``.  The sizes are derived from ``edge_results``: a
-    target's size is the largest n* of its edges, and ``total_n`` is the sum
-    over the targets.  Either is None (not achievable) as soon as one n* it
-    depends on is None.  ``bos`` flags the plan ``best_size_plan`` picks.
+    ``sequence`` holds the target labels from ``optimal_sequences``, written
+    as a list, and ``edge_results`` holds each target's edge results.  Each
+    target gets its ``edges``, the ``EdgeSsdResult.to_dict`` of each, so no
+    two entries share a container, and ``n_star_node``, the largest n* of
+    its edges; ``total_n`` sums the targets.  Either is None (not
+    achievable) as soon as one n* it depends on is None, and ``achieved``
+    says whether ``total_n`` is.  ``bos`` starts false: ``plan_cpdag`` flags
+    the entry that ``best_size_plan`` picks.
     """
-
-    sequence: tuple[str, ...]
-    edge_results: dict[str, tuple[EdgeSsdResult, ...]]
-    bos: bool = False
-
-    @property
-    def node_sizes(self) -> dict[str, int | None]:
-        sizes = {}
-        for u in self.sequence:
-            stars = [r.n_star for r in self.edge_results[u]]
-            sizes[u] = None if None in stars else max(stars)
-        return sizes
-
-    @property
-    def total_n(self) -> int | None:
-        sizes = self.node_sizes.values()
-        return None if None in sizes else sum(sizes)
-
-    @property
-    def achieved(self) -> bool:
-        return self.total_n is not None
-
-    def to_dict(self) -> dict:
-        sizes = self.node_sizes
-        return {
-            "sequence": list(self.sequence),
-            "targets": {
-                u: {
-                    "edges": [r.to_dict() for r in self.edge_results[u]],
-                    "n_star_node": sizes[u],
-                }
-                for u in self.sequence
-            },
-            "total_n": self.total_n,
-            "achieved": self.achieved,
-            "bos": self.bos,
-        }
+    targets = {}
+    for u in sequence:
+        edges = [r.to_dict() for r in edge_results[u]]
+        stars = [e["n_star"] for e in edges]
+        targets[u] = {"edges": edges, "n_star_node": None if None in stars else max(stars)}
+    sizes = [t["n_star_node"] for t in targets.values()]
+    total_n = None if None in sizes else sum(sizes)
+    return {
+        "sequence": list(sequence),
+        "targets": targets,
+        "total_n": total_n,
+        "achieved": total_n is not None,
+        "bos": False,
+    }
 
 
-def best_size_plan(plans: list[InterventionPlan]) -> InterventionPlan | None:
-    """The achieved plan with the smallest ``(total_n, sequence)``, or None if none is achieved.
+def best_size_plan(plans: list[dict]) -> dict | None:
+    """The achieved ``plan_entry`` with the smallest ``(total_n, sequence)``,
+    or None if none is achieved.
 
     This is the best-size optimal sequence; ties in the total sample size
     break toward the lexicographically smallest sequence.
     """
-    achieved = [p for p in plans if p.achieved]
-    return min(achieved, key=lambda p: (p.total_n, p.sequence), default=None)
-
-
-@dataclass
-class ComponentPlans:
-    """Plans (or a setup-failure report) for one multi-node chain component."""
-
-    component: tuple[str, ...]
-    plans: list[InterventionPlan]
-    error: str | None = None
-
-    @property
-    def feasible(self) -> bool:
-        """True when some candidate sequence achieved every target size."""
-        return self.error is None and any(p.achieved for p in self.plans)
-
-    def to_dict(self) -> dict:
-        return {
-            "component": list(self.component),
-            "plans": [p.to_dict() for p in self.plans],
-            "feasible": self.feasible,
-            "error": self.error,
-        }
+    achieved = [p for p in plans if p["achieved"]]
+    return min(achieved, key=lambda p: (p["total_n"], p["sequence"]), default=None)
 
 
 def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
@@ -524,25 +482,31 @@ def plan_cpdag(
     config: RunConfig = RunConfig(),
     stream: RandomStream = RandomStream(0),
     workers: int = 1,
-) -> list[ComponentPlans]:
+) -> list[dict]:
     """Plans for every multi-node chain component of a CPDAG.
 
-    The result holds one ``ComponentPlans`` per component of two or more
-    nodes, in the order of ``chain_components``; singleton components have
-    no edges to orient and are skipped.  Each component gets its design
-    posterior from the observational columns matching its node labels
-    (``config.a_omega``, T - 1 per component when None) and all optimal
-    sequences; each edge task is ``optimal_n_edge`` under ``config``.
-    Once every edge task has run, it gets one plan per sequence, and the
-    plan ``best_size_plan`` picks is flagged ``bos``.  Failures (missing
-    data columns, a component above ``SUBSET_SCAN_CAP`` nodes, a non-chordal
-    component, an improper posterior, the ``pair_factor`` of one of its edge
-    tasks out of the float range) are found before any edge task runs and
-    are reported per component without aborting the others.  ``RunConfig``
-    has checked the run parameters.  ``workers`` must be an integer of at
-    least 1 (``numerics.whole``), and the noncentrality of ``config.f_u`` at
-    ``config.n_max`` a finite float (``InterventionDensity.noncentrality``),
-    or ``ValueError`` is raised before any component.
+    The result is the ``components`` list of ``plan.json``: one entry
+    ``{component, plans, feasible, error}`` per component of two or more
+    nodes, in the order of ``chain_components``, with ``component`` the list
+    of its labels; singleton components have no edges to orient and are
+    skipped.  Each component gets its design posterior from the
+    observational columns matching its node labels (``config.a_omega``,
+    T - 1 per component when None) and all optimal sequences; each edge
+    task is ``optimal_n_edge`` under ``config``.  Once every edge task has
+    run, ``plans`` holds one ``plan_entry`` per sequence, and the one
+    ``best_size_plan`` picks is flagged ``bos``; ``feasible`` says whether
+    there is one.  Failures (missing data columns, a component above
+    ``SUBSET_SCAN_CAP`` nodes, a non-chordal component, an improper
+    posterior, the ``pair_factor`` of one of its edge tasks out of the float
+    range) are found before any edge task runs and are reported per
+    component, as its ``error`` with ``plans`` empty, without aborting the
+    others.  ``RunConfig`` has checked the run parameters.  ``cpdag``,
+    ``data``, ``thresholds``, ``config`` and ``stream`` must be of their
+    annotated types, or ``TypeError`` is raised; ``workers`` must be an
+    integer of at least 1 (``numerics.whole``), and the noncentrality of
+    ``config.f_u`` at ``config.n_max`` a finite float
+    (``InterventionDensity.noncentrality``), or ``ValueError`` is raised.
+    Both are raised before any component is read.
 
     ``workers`` > 1 runs the edge tasks with ``fork_map``, over at most
     ``workers`` processes, one per edge task and per CPU the process may use,
@@ -550,20 +514,23 @@ def plan_cpdag(
     scan runs in one process.  Results do not depend on the number of
     processes because every edge owns a fixed substream (``edge_stream``).
     """
-    if not isinstance(data, DatasetMatrix):
-        raise TypeError("data must be a DatasetMatrix")
-    if not isinstance(config, RunConfig):
-        raise TypeError("config must be a RunConfig")
+    for name, value, kind in (("cpdag", cpdag, PartiallyDirectedGraph),
+                              ("data", data, DatasetMatrix),
+                              ("thresholds", thresholds, DceThresholds),
+                              ("config", config, RunConfig),
+                              ("stream", stream, RandomStream)):
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     workers = whole("workers", workers, 1)
     config.f_u.noncentrality(config.n_max)
-    out: list[ComponentPlans] = []
+    out: list[dict] = []
     searched = []  # (entry of out, index, subgraph, sequences) of the error-free components
     tasks: dict[tuple[int, str, str], tuple] = {}  # optimal_n_edge arguments per edge
     for ci, sub in enumerate(chain_components(cpdag)):
         comp = sub.nodes
         if len(comp) < 2:
             continue
-        entry = ComponentPlans(component=comp, plans=[])
+        entry = {"component": list(comp), "plans": [], "feasible": False, "error": None}
         out.append(entry)
         try:
             posterior = build_design_posterior(data.restrict(comp), config.a_omega)
@@ -575,7 +542,7 @@ def plan_cpdag(
                 pair_factor(posterior, u, v)
         except (CapacityError, NotDecomposableError, InsufficientDataError,
                 MissingColumnsError) as exc:
-            entry.error = str(exc)
+            entry["error"] = str(exc)
             continue
         for u, v in edges:
             tasks[(ci, u, v)] = (
@@ -592,15 +559,12 @@ def plan_cpdag(
     results = dict(zip(tasks, evaluated))
 
     for entry, ci, sub, sequences in searched:
-        entry.plans = [
-            InterventionPlan(
-                seq,
-                {u: tuple(results[(ci, u, v)] for v in sub.undirected_neighbors(u))
-                 for u in seq},
-            )
+        entry["plans"] = [
+            plan_entry(seq, {u: [results[(ci, u, v)] for v in sub.undirected_neighbors(u)]
+                             for u in seq})
             for seq in sequences
         ]
-        best = best_size_plan(entry.plans)
+        best = best_size_plan(entry["plans"])
         if best is not None:
-            best.bos = True
+            best["bos"] = entry["feasible"] = True
     return out

@@ -45,11 +45,11 @@ from causal_ssd.predictive import (
 from causal_ssd.ssd import (
     DceThresholds,
     EdgeSsdResult,
-    InterventionPlan,
     RunConfig,
     assemble_dce,
     h0_band_probabilities,
     h1_band_counts,
+    plan_entry,
 )
 
 _ONE_BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -525,20 +525,20 @@ def whole_bf_samples_csv(samples: list[BfPredictiveSample]) -> str:
     return buf.getvalue()
 
 
-def plan_from_stars(edge_stars: dict[str, list[int | None]]) -> InterventionPlan:
-    """A plan whose target u has one edge result per n* listed under u.
+def plan_from_stars(edge_stars: dict[str, list[int | None]]) -> dict:
+    """The ``plan_entry`` whose target u has one edge result per n* listed under u.
 
     The sequence is the keys of ``edge_stars`` in their order; None marks an
     edge whose n* was not achieved.
     """
     edge_results = {
-        u: tuple(
+        u: [
             EdgeSsdResult(edge=(u, f"w{i}"), p_h0=0.5, n_star=n_star, dce_at_n_star=None, n_max=100)
             for i, n_star in enumerate(stars)
-        )
+        ]
         for u, stars in edge_stars.items()
     }
-    return InterventionPlan(tuple(edge_stars), edge_results)
+    return plan_entry(list(edge_stars), edge_results)
 
 
 # ---------------------------------------------------------------------------

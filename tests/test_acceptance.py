@@ -251,12 +251,12 @@ def test_criterion_08_optimal_sequence_structure():
         plan_from_stars({u: [n] for u, n in zip(seq, sizes)})
         for seq, sizes in zip(seqs_g1, [[28, 88], [4, 86]])
     ]
-    bos = best_size_plan(plans).sequence
-    ok = seqs_g1 == [("2", "3"), ("3", "4")] and seqs_g2 == [("2",)] and bos == ("3", "4")
+    bos = best_size_plan(plans)["sequence"]
+    ok = seqs_g1 == [("2", "3"), ("3", "4")] and seqs_g2 == [("2",)] and bos == ["3", "4"]
     _report(8, ok, f"optimal sequences {seqs_g1} / {seqs_g2}, best-size sequence {bos}")
     assert seqs_g1 == [("2", "3"), ("3", "4")]
     assert seqs_g2 == [("2",)]
-    assert bos == ("3", "4")
+    assert bos == ["3", "4"]
 
 
 def test_criterion_09_orientation_prior_oracle():

@@ -133,7 +133,18 @@ class TestPlan:
         out = tmp_path / "plan.json"
         argv = ["--n-max", "30", *flags_of("plan", FAST, but="--n-max")]
         assert main(["plan", "--graph", graph, "--data", data, "--out", str(out), *argv]) == EXIT_OK
-        edges = [e for comp in json.loads(out.read_text())["components"]
+        document = json.loads(out.read_text())
+        assert set(document) == {"config", "components"}
+        for comp in document["components"]:
+            assert set(comp) == {"component", "plans", "feasible", "error"}
+            assert comp["feasible"] is True and comp["error"] is None
+            assert [plan["bos"] for plan in comp["plans"]].count(True) == 1
+            for plan in comp["plans"]:
+                assert set(plan) == {"sequence", "targets", "total_n", "achieved", "bos"}
+                assert list(plan["targets"]) == plan["sequence"]
+                for target in plan["targets"].values():
+                    assert set(target) == {"edges", "n_star_node"}
+        edges = [e for comp in document["components"]
                  for plan in comp["plans"] for target in plan["targets"].values()
                  for e in target["edges"]]
         assert {e["achieved"] for e in edges} == {True, False}
@@ -1313,4 +1324,4 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     write_dataset(tmp_path / "z.csv", data.labels, data.values)
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out == "('u', 'v') ('u',)\n"
+    assert capsys.readouterr().out == "['u', 'v'] ['u']\n"

@@ -279,18 +279,18 @@ class TestPriorH0:
 class TestBestSizeOptimalSequence:
     def test_known_sizes_pick_smaller_total(self):
         plans = [plan_from_stars({"2": [28], "3": [88]}), plan_from_stars({"3": [4], "4": [86]})]
-        assert best_size_plan(plans).sequence == ("3", "4")
+        assert best_size_plan(plans)["sequence"] == ["3", "4"]
 
     def test_single_candidate(self):
-        assert best_size_plan([plan_from_stars({"a": [5]})]).sequence == ("a",)
+        assert best_size_plan([plan_from_stars({"a": [5]})])["sequence"] == ["a"]
 
     def test_tie_breaks_lexicographically(self):
         plans = [plan_from_stars({"b": [10]}), plan_from_stars({"a": [10]})]
-        assert best_size_plan(plans).sequence == ("a",)
+        assert best_size_plan(plans)["sequence"] == ["a"]
 
     def test_unachievable_candidates_excluded(self):
         plans = [plan_from_stars({"a": [None]}), plan_from_stars({"b": [7]})]
-        assert best_size_plan(plans).sequence == ("b",)
+        assert best_size_plan(plans)["sequence"] == ["b"]
 
     def test_all_unachievable_gives_none(self):
         plans = [plan_from_stars({"a": [None]}), plan_from_stars({"b": [3], "c": [None]})]

@@ -12,6 +12,7 @@ from causal_ssd.numerics import RandomStream, regularized_incomplete_beta, sampl
 from causal_ssd.predictive import (
     H1_BLOCK,
     H1_BYTES_PER_DRAW,
+    MAX_DRAWS,
     BfPredictiveSample,
     DatasetMatrix,
     DesignPosterior,
@@ -288,7 +289,18 @@ class TestSampleBfH0:
     @pytest.mark.parametrize("draws", [200.5, 200.0, True, 0, -1])
     def test_draws_not_a_positive_integer_rejected(self, draws):
         # 200.5 was truncated to 200 draws
-        with pytest.raises(ValueError, match=r"^draws must be an integer >= 1, got "):
+        with pytest.raises(ValueError, match=r"^draws must be an integer in \[1, \d+\], got "):
+            sample_bf_h0(10, draws, RandomStream(13))
+
+    @pytest.mark.parametrize("draws", [MAX_DRAWS + 1, 10**12])
+    def test_draws_above_max_draws_rejected_before_drawing(self, draws, monkeypatch):
+        # MAX_DRAWS + 1 returned 8,388,609 draws, and a larger count
+        # allocated without limit
+        def no_generator(self):
+            raise AssertionError("drew before the draws were checked")
+
+        monkeypatch.setattr(RandomStream, "generator", no_generator)
+        with pytest.raises(ValueError, match=rf"^draws must be an integer in \[1, {MAX_DRAWS}\]"):
             sample_bf_h0(10, draws, RandomStream(13))
 
 

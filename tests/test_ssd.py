@@ -1,6 +1,8 @@
 """Tests for evidence probabilities, optimal sizes, and plan assembly."""
 
+import copy
 import itertools
+import json
 import math
 import os
 import threading
@@ -511,7 +513,7 @@ class TestOptimalNEdge:
         plans = plan_cpdag(
             CHAIN5, fig1_dataset(), th, RunConfig(draws=200, n_max=100), RandomStream(22)
         )
-        assert all(c.feasible for c in plans)
+        assert all(c["feasible"] for c in plans)
         assert sorted(drawn) == sorted(
             (u, v) for u, v in itertools.permutations("12345", 2)
             if {u, v} <= set("123") or {u, v} == set("45")
@@ -553,24 +555,29 @@ class TestOptimalNEdge:
         assert sizes[0.5] <= sizes[0.7] <= sizes[0.8]
 
 
+def node_sizes(plan):
+    """Each target's ``n_star_node`` in a ``plan_entry``."""
+    return {u: target["n_star_node"] for u, target in plan["targets"].items()}
+
+
 class TestOptimalNNode:
     """A target's size is the largest n* of its edges; the total sums the targets."""
 
     def test_single_neighbor(self):
-        assert plan_from_stars({"u": [17]}).node_sizes == {"u": 17}
+        assert node_sizes(plan_from_stars({"u": [17]})) == {"u": 17}
 
     def test_max_over_neighbors(self):
-        assert plan_from_stars({"u": [28, 88]}).node_sizes == {"u": 88}
+        assert node_sizes(plan_from_stars({"u": [28, 88]})) == {"u": 88}
 
     def test_not_achievable_propagates(self):
-        assert plan_from_stars({"u": [28, None]}).node_sizes == {"u": None}
+        assert node_sizes(plan_from_stars({"u": [28, None]})) == {"u": None}
 
     def test_total_not_achievable_when_one_target_is_not(self):
-        assert plan_from_stars({"u": [28, 88], "v": [5, 4]}).total_n == 93
+        assert plan_from_stars({"u": [28, 88], "v": [5, 4]})["total_n"] == 93
         plan = plan_from_stars({"u": [28, 88], "v": [5, None]})
-        assert plan.node_sizes == {"u": 88, "v": None}
-        assert plan.total_n is None
-        assert not plan.achieved
+        assert node_sizes(plan) == {"u": 88, "v": None}
+        assert plan["total_n"] is None
+        assert not plan["achieved"]
 
 
 class TestPlanCpdag:
@@ -580,22 +587,22 @@ class TestPlanCpdag:
         results = plan_cpdag(
             CHAIN5, data, th, RunConfig(draws=1200, n_max=300), RandomStream(15)
         )
-        assert [r.component for r in results] == [("1", "2", "3"), ("4", "5")]
+        assert [r["component"] for r in results] == [["1", "2", "3"], ["4", "5"]]
         triangle = results[0]
-        assert triangle.error is None
+        assert triangle["error"] is None
         # a triangle needs two targets; both optimal sequences are planned
-        assert [p.sequence for p in triangle.plans] == [
-            ("1", "2"), ("1", "3"), ("2", "3"),
+        assert [p["sequence"] for p in triangle["plans"]] == [
+            ["1", "2"], ["1", "3"], ["2", "3"],
         ]
         pair = results[1]
-        assert [p.sequence for p in pair.plans] == [("4",), ("5",)]
+        assert [p["sequence"] for p in pair["plans"]] == [["4"], ["5"]]
         for r in results:
-            flagged = [p for p in r.plans if p.bos]
-            if r.feasible:
+            flagged = [p for p in r["plans"] if p["bos"]]
+            if r["feasible"]:
                 assert len(flagged) == 1
                 best = flagged[0]
                 assert all(
-                    best.total_n <= p.total_n for p in r.plans if p.achieved
+                    best["total_n"] <= p["total_n"] for p in r["plans"] if p["achieved"]
                 )
 
     def test_two_node_single_target(self):
@@ -604,13 +611,13 @@ class TestPlanCpdag:
         (result,) = plan_cpdag(
             cp, two_node_dataset(), th, RunConfig(draws=1500, n_max=150), RandomStream(11)
         )
-        assert [p.sequence for p in result.plans] == [("u",), ("v",)]
-        for plan, (u, v) in zip(result.plans, [("u", "v"), ("v", "u")]):
-            (edge_result,) = plan.edge_results[u]
-            assert edge_result.edge == (u, v)
-            assert plan.achieved
-            assert plan.node_sizes[u] == edge_result.n_star
-            assert plan.total_n == edge_result.n_star
+        assert [p["sequence"] for p in result["plans"]] == [["u"], ["v"]]
+        for plan, (u, v) in zip(result["plans"], [("u", "v"), ("v", "u")]):
+            (edge_result,) = plan["targets"][u]["edges"]
+            assert (edge_result["u"], edge_result["v"]) == (u, v)
+            assert plan["achieved"]
+            assert plan["targets"][u]["n_star_node"] == edge_result["n_star"]
+            assert plan["total_n"] == edge_result["n_star"]
 
     @pytest.mark.parametrize("a_omega", [math.nan, math.inf, -math.inf])
     def test_non_finite_a_omega_raises_before_any_edge_task(self, a_omega):
@@ -675,6 +682,25 @@ class TestPlanCpdag:
         with pytest.raises(TypeError, match="RunConfig"):
             plan_cpdag(CHAIN5, fig1_dataset(), th, F_U, RandomStream(1))
 
+    @pytest.mark.parametrize("name, bad", [
+        ("cpdag", "1 -- 2\n"), ("thresholds", (3.0, 3.0, 0.6)), ("stream", 42),
+    ])
+    def test_input_types_checked_before_any_component(self, name, bad, monkeypatch):
+        # before, the tuple thresholds raised AttributeError from inside an
+        # edge task, after every posterior, cover and prior was built, and
+        # stream=42 raised AttributeError on its first substream
+        import causal_ssd.ssd as ssd_mod
+
+        def no_component(*args):
+            raise AssertionError("a component was read")
+
+        monkeypatch.setattr(ssd_mod, "chain_components", no_component)
+        args = dict(cpdag=CHAIN5, data=fig1_dataset(), thresholds=DceThresholds(),
+                    config=RunConfig(draws=100, n_max=20), stream=RandomStream(1))
+        args[name] = bad
+        with pytest.raises(TypeError, match=f"^{name} must be a "):
+            plan_cpdag(**args)
+
     @pytest.mark.parametrize("f_u", [None, (0.0, 1.0)])
     def test_f_u_must_be_an_intervention_density(self, f_u):
         # before, RunConfig took both, and plan_cpdag then raised AttributeError
@@ -717,19 +743,19 @@ class TestPlanCpdag:
         subgraphs = {sub.nodes: sub for sub in chain_components(CHAIN5)}
         checked = 0
         for r in results:
-            sub = subgraphs[r.component]
-            for plan in r.plans:
-                for u in plan.sequence:
-                    edge_results = plan.edge_results[u]
+            sub = subgraphs[tuple(r["component"])]
+            for plan in r["plans"]:
+                for u in plan["sequence"]:
+                    edge_results = plan["targets"][u]["edges"]
                     neighbors = sub.undirected_neighbors(u)
-                    assert [e.edge for e in edge_results] == [(u, v) for v in neighbors]
-                    if all(e.achieved for e in edge_results):
-                        assert plan.node_sizes[u] == max(e.n_star for e in edge_results)
+                    assert [(e["u"], e["v"]) for e in edge_results] == [(u, v) for v in neighbors]
+                    if all(e["achieved"] for e in edge_results):
+                        assert node_sizes(plan)[u] == max(e["n_star"] for e in edge_results)
                         checked += 1
                     else:
-                        assert plan.node_sizes[u] is None
-                if plan.achieved:
-                    assert plan.total_n == sum(plan.node_sizes.values())
+                        assert node_sizes(plan)[u] is None
+                if plan["achieved"]:
+                    assert plan["total_n"] == sum(node_sizes(plan).values())
         assert checked > 0
 
     def test_min_total_flagged(self):
@@ -738,20 +764,39 @@ class TestPlanCpdag:
             CHAIN5, fig1_dataset(), th, RunConfig(draws=1200, n_max=250), RandomStream(13)
         )
         for r in results:
-            assert r.feasible
-            achieved = [p for p in r.plans if p.achieved]
-            best = min(achieved, key=lambda p: (p.total_n, p.sequence))
-            assert [p.bos for p in r.plans] == [p is best for p in r.plans]
+            assert r["feasible"]
+            achieved = [p for p in r["plans"] if p["achieved"]]
+            best = min(achieved, key=lambda p: (p["total_n"], p["sequence"]))
+            assert [p["bos"] for p in r["plans"]] == [p is best for p in r["plans"]]
 
     def test_no_plan_flagged_when_no_sequence_achieved(self):
         th = DceThresholds(k0=10.0, k1=10.0, zeta=0.99)
         results = plan_cpdag(
             CHAIN5, fig1_dataset(), th, RunConfig(draws=200, n_max=30), RandomStream(13)
         )
-        assert results and all(r.error is None and r.plans for r in results)
+        assert results and all(r["error"] is None and r["plans"] for r in results)
         for r in results:
-            assert not r.feasible
-            assert not any(p.achieved or p.bos for p in r.plans)
+            assert not r["feasible"]
+            assert not any(p["achieved"] or p["bos"] for p in r["plans"])
+
+    def test_result_round_trips_through_json_and_shares_no_edge_entry(self):
+        th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
+        results = plan_cpdag(
+            CHAIN5, fig1_dataset(), th, RunConfig(draws=400, n_max=150), RandomStream(15)
+        )
+        assert json.loads(json.dumps(results)) == results
+        # target 1 is in two plans of the triangle, and its edges in both
+        plans = [p for r in results for p in r["plans"]]
+        before = copy.deepcopy(plans)
+        assert sum("1" in p["targets"] for p in plans) == 2
+        for i, plan in enumerate(plans):
+            for target in plan["targets"].values():
+                for e in target["edges"]:
+                    e["n_star"] = -1
+                    if e["dce_at_n_star"] is not None:
+                        e["dce_at_n_star"]["p1_dc"] = -1.0
+                        e["dce_at_n_star"]["mc_se"]["overall_dc"] = -1.0
+            assert plans[i + 1:] == before[i + 1:]
 
     def test_all_singletons_empty(self):
         cp = PartiallyDirectedGraph("abc", directed=[("a", "b"), ("b", "c")])
@@ -769,11 +814,14 @@ class TestPlanCpdag:
         data = DatasetMatrix(labels=("a", "b"), values=rng.standard_normal((40, 2)))
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.5)
         results = plan_cpdag(cp, data, th, RunConfig(draws=800, n_max=150), RandomStream(19))
-        by_comp = {r.component: r for r in results}
-        assert by_comp[("c", "d")].error is not None
-        assert by_comp[("c", "d")].error == "dataset is missing columns: ['c', 'd']"
-        assert by_comp[("a", "b")].error is None
-        assert by_comp[("a", "b")].plans
+        by_comp = {tuple(r["component"]): r for r in results}
+        assert by_comp[("c", "d")]["error"] is not None
+        assert by_comp[("c", "d")]["error"] == "dataset is missing columns: ['c', 'd']"
+        assert by_comp[("c", "d")]["plans"] == []
+        assert by_comp[("c", "d")]["feasible"] is False
+        assert json.loads(json.dumps(results)) == results
+        assert by_comp[("a", "b")]["error"] is None
+        assert by_comp[("a", "b")]["plans"]
 
     def test_capacity_error_reported_per_component(self):
         big = [f"n{i}" for i in range(13)]
@@ -785,9 +833,9 @@ class TestPlanCpdag:
         data = DatasetMatrix(labels=tuple(big + ["x", "y"]), values=rng.standard_normal((40, 15)))
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.5)
         results = plan_cpdag(cp, data, th, RunConfig(draws=500, n_max=100), RandomStream(21))
-        by_size = {len(r.component): r for r in results}
-        assert by_size[13].error is not None
-        assert by_size[2].error is None
+        by_size = {len(r["component"]): r for r in results}
+        assert by_size[13]["error"] is not None
+        assert by_size[2]["error"] is None
 
     def test_class_never_enumerated_and_search_runs_no_closure(self, monkeypatch):
         import causal_ssd.design as design_mod
@@ -818,14 +866,14 @@ class TestPlanCpdag:
         results = plan_cpdag(
             CHAIN5, fig1_dataset(), th, RunConfig(draws=400, n_max=150), RandomStream(15)
         )
-        assert all(r.error is None for r in results)
+        assert all(r["error"] is None for r in results)
         nodes = [f"n{i}" for i in range(5)]
         clique = PartiallyDirectedGraph(nodes, undirected=itertools.combinations(nodes, 2))
         data = DatasetMatrix(
             labels=tuple(nodes), values=np.random.default_rng(16).standard_normal((60, 5))
         )
         (result,) = plan_cpdag(clique, data, th, RunConfig(draws=200, n_max=20), RandomStream(17))
-        assert result.error is None and result.plans
+        assert result["error"] is None and result["plans"]
         assert enumerated == []
         assert closures == []
 
@@ -846,12 +894,12 @@ class TestPlanCpdag:
         data = DatasetMatrix(labels=tuple(nodes), values=rng.standard_normal((60, 10)))
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         (result,) = plan_cpdag(cp, data, th, RunConfig(draws=200, n_max=20), RandomStream(25))
-        assert result.error is None
+        assert result["error"] is None
         priors = {
-            r.edge: r.p_h0
-            for plan in result.plans
-            for edge_results in plan.edge_results.values()
-            for r in edge_results
+            (r["u"], r["v"]): r["p_h0"]
+            for plan in result["plans"]
+            for target in plan["targets"].values()
+            for r in target["edges"]
         }
         assert len(priors) == 90
         assert set(priors.values()) == {0.5}
@@ -876,8 +924,8 @@ class TestPlanCpdag:
         monkeypatch.setattr(ssd_mod, "draw_h1_edge", oracle_draw_h1_edge)
         monkeypatch.setattr(ssd_mod, "sample_bf_h1", oracle_sample_bf_h1)
         oracle = plan_cpdag(CHAIN5, fig1_dataset(), th, **kwargs)
-        assert all(r.error is None and r.feasible for r in fast)
-        assert [r.to_dict() for r in fast] == [r.to_dict() for r in oracle]
+        assert all(r["error"] is None and r["feasible"] for r in fast)
+        assert fast == oracle
 
     def test_pool_capped_by_tasks_and_cpus(self, monkeypatch):
         forks = []
@@ -912,7 +960,7 @@ class TestPlanCpdag:
                     other.join(30)
             assert other is None or not other.is_alive()
             assert len(forks) == want
-            assert [r.to_dict() for r in capped] == [r.to_dict() for r in serial]
+            assert capped == serial
 
     def test_h0_bands_memoized_across_edges(self, monkeypatch):
         import causal_ssd.ssd as ssd_mod
@@ -938,18 +986,18 @@ class TestPlanCpdag:
         edges = [
             r
             for comp in memoized
-            for plan in comp.plans
-            for results in plan.edge_results.values()
-            for r in results
+            for plan in comp["plans"]
+            for target in plan["targets"].values()
+            for r in target["edges"]
         ]
-        assert len({r.edge for r in edges}) > 1
+        assert len({(r["u"], r["v"]) for r in edges}) > 1
         # every edge scans n = 2, 3, ... up to its crossing (or n_max)
-        last = max(r.n_star if r.achieved else r.n_max for r in edges)
+        last = max(r["n_star"] if r["achieved"] else r["n_max"] for r in edges)
         assert sorted(calls) == sorted(2 * list(range(2, last + 1)))
         monkeypatch.setattr(ssd_mod, "h0_band_probabilities", unmemoized)
         bypassed = plan_cpdag(CHAIN5, data, th, **kwargs)
         assert len(calls) > 2 * (last - 1)
-        assert [c.to_dict() for c in memoized] == [c.to_dict() for c in bypassed]
+        assert memoized == bypassed
 
     def test_workers_do_not_change_results(self):
         data = fig1_dataset()
@@ -957,7 +1005,7 @@ class TestPlanCpdag:
         kwargs = dict(config=RunConfig(draws=600, n_max=200))
         serial = plan_cpdag(CHAIN5, data, th, stream=RandomStream(22), workers=1, **kwargs)
         parallel = plan_cpdag(CHAIN5, data, th, stream=RandomStream(22), workers=2, **kwargs)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+        assert serial == parallel
 
 
 class TestForkMap:
@@ -996,7 +1044,7 @@ class TestForkMap:
         monkeypatch.setattr(ssd_mod, "H1_BUDGET_BYTES", 2 * 200 * H1_BYTES_PER_DRAW - 1)
         monkeypatch.setattr(os, "fork", no_fork)
         capped = plan_cpdag(CHAIN5, fig1_dataset(), th, workers=4, **kwargs)
-        assert [r.to_dict() for r in capped] == [r.to_dict() for r in plan]
+        assert capped == plan
         assert self.full_curve(100, draws=200) == curve
 
     @pytest.mark.parametrize("ending, error, message", [

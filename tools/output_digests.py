@@ -27,7 +27,13 @@ on the same inputs at intervention mean 0.5 and sd 2, one ``dce-curve``, one
 first-crossing scan and its early stop draw them); and one ``dce-curve`` at
 k0 = 3 and k1 = 10, the one run whose thresholds differ, so that k0 and k1
 swapped anywhere on the curve's path change a byte (``curve_k3_10.csv``).
-Output is one ``sha256  path`` line per file, 25 in all, paths relative to
+Two ``plan`` runs on the ``plan-late`` inputs cover the two exits that still
+write ``plan.json``: at ``--n-max 150`` some edges have a null n* and no plan
+is achieved (``plan_short.json``, exit 4), and on the graph plus a component
+``x -- y`` that the data lack, written here as ``graph_xy.txt``, one
+component is planned and the other carries its error (``plan_error.json``,
+exit 3).  Every other command exits 0, and any other exit fails the script.
+Output is one ``sha256  path`` line per file, 27 in all, paths relative to
 ``OUT``, in a fixed order.
 """
 
@@ -43,10 +49,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("plan-clique", "plan-late")
 INPUT_SEED = 3
 SIM_FILES = ("report.json", "bf_samples.csv", "dce_curves.csv", "nstar_curves.csv")
+EXTRA_COMPONENT = "x -- y\n"  # appended to the plan-late graph as graph_xy.txt
 
 
-def commands() -> list[tuple[list[str], list[str]]]:
-    """(CLI arguments, the output files they write), in the order they run."""
+def commands() -> list[tuple[list[str], list[str], int]]:
+    """(CLI arguments, the output files they write, their exit status), in
+    the order they run."""
     runs = []
     for w in WORKLOADS:
         inputs = ["--graph", f"{w}/graph.txt", "--data", f"{w}/data.csv", "--seed", "42"]
@@ -79,6 +87,14 @@ def commands() -> list[tuple[list[str], list[str]]]:
                        ("sim5", ["--seed", "5", "--draws", "3000", "--n-max", "80"]),
                        ("sim1100", ["--n-max", "1100"])):
         runs.append((["simulate", *flags, "--out", out], [f"{out}/{name}" for name in SIM_FILES]))
+    runs = [(argv, files, 0) for argv, files in runs]
+    runs += [
+        (["plan", *inputs, "--n-max", "150", "--out", "plan-late/plan_short.json"],
+         ["plan-late/plan_short.json"], 4),
+        (["plan", "--graph", "plan-late/graph_xy.txt", "--data", "plan-late/data.csv",
+          "--seed", "42", "--draws", "3000", "--out", "plan-late/plan_error.json"],
+         ["plan-late/plan_error.json"], 3),
+    ]
     return runs
 
 
@@ -99,13 +115,19 @@ def main() -> int:
         subprocess.run([sys.executable, os.path.join(ROOT, "bench", "workloads.py"),
                         "--workload", w, "--seed", str(INPUT_SEED), "--out", os.path.join(out, w)],
                        env=generator_env, check=True)
+    with open(os.path.join(out, "plan-late", "graph.txt"), encoding="utf-8") as fh:
+        graph = fh.read()
+    with open(os.path.join(out, "plan-late", "graph_xy.txt"), "w", encoding="utf-8") as fh:
+        fh.write(graph + ("" if graph.endswith("\n") else "\n") + EXTRA_COMPONENT)
     env = {**os.environ, "PYTHONPATH": src}
     pin = ["taskset", "-c", "0"] if args.pin else []
-    for argv, files in commands():
+    for argv, files, expected in commands():
         done = subprocess.run([*pin, sys.executable, "-m", "causal_ssd.cli", *argv], cwd=out,
-                              env=env, stdout=subprocess.DEVNULL)
-        if done.returncode != 0:
-            print(f"exit {done.returncode}: {' '.join(argv)}", file=sys.stderr)
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if done.returncode != expected:
+            sys.stderr.write(done.stderr)
+            print(f"exit {done.returncode}, expected {expected}: {' '.join(argv)}",
+                  file=sys.stderr)
             return 1
         for path in files:
             with open(os.path.join(out, path), "rb") as fh:
