@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from causal_ssd.numerics import RandomStream
+from causal_ssd.numerics import RandomStream, instance
 from causal_ssd.predictive import (
     BfPredictiveSample,
     DatasetMatrix,
@@ -174,8 +174,11 @@ def replicate_two_node_study(config: RunConfig, stream: RandomStream) -> TwoNode
     ``STUDY_NOISE_SD``.  The prior probabilities are p(H0) = p(H1) = 1/2 (the
     two-member class).  H0-side table cells are computed twice, exactly and
     by Monte Carlo; H1-side cells are Monte Carlo under the design posterior
-    of the drawn data.
+    of the drawn data.  ``config`` must be a ``RunConfig`` and ``stream`` a
+    ``RandomStream`` (``numerics.instance``, else ``TypeError``).
     """
+    instance("config", config, RunConfig)
+    instance("stream", stream, RandomStream)
     u, v = TWO_NODE_LABELS
     gen = stream.child(0).generator()
     x_u = STUDY_NOISE_SD * gen.standard_normal(STUDY_N_OBS)

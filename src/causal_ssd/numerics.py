@@ -38,6 +38,15 @@ def whole(name: str, value, least: int, most: int | None = None) -> int:
     return int(value)
 
 
+def instance(name: str, value, kind: type):
+    """``value`` if it is a ``kind``, else ``TypeError`` with a message that
+    starts with ``name must be a`` (or ``an``) and names both types."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0].lower() in "aeiou" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _require_finite_positive(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:

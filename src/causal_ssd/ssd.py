@@ -24,6 +24,7 @@ what.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import os
@@ -44,7 +45,7 @@ from causal_ssd.graph import (
     chain_components,
     enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps ssd.enumerate_class)
 )
-from causal_ssd.numerics import RandomStream, whole
+from causal_ssd.numerics import RandomStream, instance, whole
 from causal_ssd.predictive import (
     H1_BUDGET_BYTES,
     H1_BYTES_PER_DRAW,
@@ -107,8 +108,7 @@ class RunConfig:
             raise ValueError(f"{exc}: the H1 sampler holds {H1_BYTES_PER_DRAW} bytes a draw, "
                              f"and its budget is {H1_BUDGET_BYTES} bytes") from None
         object.__setattr__(self, "n_max", whole("n_max", self.n_max, 2))
-        if not isinstance(self.f_u, InterventionDensity):
-            raise TypeError("f_u must be an InterventionDensity")
+        instance("f_u", self.f_u, InterventionDensity)
         if isinstance(self.a_omega, bool):
             raise ValueError(f"a_omega must be a number, not a bool, got {self.a_omega!r}")
         if self.a_omega is not None and not math.isfinite(self.a_omega):
@@ -210,42 +210,6 @@ def assemble_dce(
     }
 
 
-@dataclass(frozen=True)
-class EdgeSsdResult:
-    """Optimal sample size for one (target, neighbor) pair.
-
-    ``n_star`` is None when no n on the grid {2, ..., n_max} reaches the
-    target probability (not achievable is a value, not an error).
-    ``dce_at_n_star`` is the ``assemble_dce`` mapping at ``n_star``, or None
-    when it is not achieved; as it is a dict, an achieved result is not
-    hashable.
-    """
-
-    edge: tuple[str, str]
-    p_h0: float
-    n_star: int | None
-    dce_at_n_star: dict | None
-    n_max: int
-
-    @property
-    def achieved(self) -> bool:
-        return self.n_star is not None
-
-    def to_dict(self) -> dict:
-        """The ``plan.json`` edge entry, sharing no container with the result."""
-        dce = self.dce_at_n_star
-        return {
-            "u": self.edge[0],
-            "v": self.edge[1],
-            "p_h0": self.p_h0,
-            "n_star": self.n_star,
-            "achieved": self.achieved,
-            "n_max": self.n_max,
-            "dce_at_n_star": None if dce is None else {**dce, "mc_se": dict(dce["mc_se"])},
-            "se_overall": None if dce is None else dce["mc_se"]["overall_dc"],
-        }
-
-
 def h1_process_cap(draws: int) -> int:
     """The most processes whose H1 evaluations of ``draws`` draws fit
     together in ``H1_BUDGET_BYTES``, and at least one."""
@@ -261,6 +225,8 @@ def dce_curve_row(n: int, dce: dict) -> tuple:
 
 
 def _check_p_h0(p_h0: float) -> None:
+    if isinstance(p_h0, bool):
+        raise ValueError(f"p_h0 must be a number, not a bool, got {p_h0!r}")
     if not 0.0 <= p_h0 <= 1.0:
         raise ValueError(f"p_h0 must lie in [0, 1], got {p_h0!r}")
 
@@ -286,13 +252,18 @@ def dce_curve(
     n = 2, ..., n_max.
 
     Each n takes the full H1 sample of the edge draw ``h1`` at n, which every
-    thresholds reads.  ``p_h0`` is the edge's prior p(H0) and must lie in
-    [0, 1], as in ``optimal_n_edge``; ``n_max`` is an integer of at least 2
-    (``numerics.whole``), as in ``RunConfig``.  Both, and
+    thresholds reads.  ``h1`` must be an ``H1EdgeDraw`` and each thresholds
+    a ``DceThresholds`` (``numerics.instance``, else ``TypeError``).
+    ``p_h0`` is the edge's prior p(H0), a number in [0, 1], as in
+    ``optimal_n_edge``; ``n_max`` is an integer of at least 2
+    (``numerics.whole``), as in ``RunConfig``.  All of these, and
     ``h1.f_u.noncentrality(n_max)``, are checked before any point runs; then
     every point is evaluated with ``fork_map``, over as many processes as
     the CPUs and ``h1_process_cap`` allow.
     """
+    instance("h1", h1, H1EdgeDraw)
+    thresholds = [instance(f"thresholds[{i}]", th, DceThresholds)
+                  for i, th in enumerate(thresholds)]
     _check_p_h0(p_h0)
     grid = range(2, whole("n_max", n_max, 2) + 1)
     h1.f_u.noncentrality(n_max)
@@ -310,14 +281,25 @@ def optimal_n_edge(
     posterior: DesignPosterior,
     config: RunConfig = RunConfig(),
     stream: RandomStream = RandomStream(0),
-) -> EdgeSsdResult:
+) -> dict:
     """Smallest n on {2, ..., config.n_max} whose overall DCE probability reaches zeta.
 
-    ``p_h0`` is the prior p(H0) of u <- v (``prior_h0``) and must lie in
-    [0, 1]; p(H1) = 1 - p_h0.  ``config`` gives ``draws``, ``n_max`` and
-    ``f_u``; its ``a_omega`` is already in ``posterior``.  The result is the
-    first crossing of the ``dce_curve`` of
-    ``draw_h1_edge(posterior, u, v, f_u, draws, stream)``.  One test,
+    ``p_h0`` is the prior p(H0) of u <- v (``prior_h0``), a number (not a
+    bool) in [0, 1]; p(H1) = 1 - p_h0.  ``config`` gives ``draws``,
+    ``n_max`` and ``f_u``; its ``a_omega`` is already in ``posterior``.
+    ``thresholds``, ``posterior``, ``config`` and ``stream`` must be of
+    their annotated types (``numerics.instance``, else ``TypeError``), and
+    u and v two distinct columns of ``posterior`` (else ``KeyError`` or
+    ``ValueError``), all checked before the scan.
+
+    The result is the ``plan.json`` edge entry ``{u, v, p_h0, n_star,
+    achieved, n_max, dce_at_n_star, se_overall}``: ``n_star`` is the first
+    crossing of the ``dce_curve`` of
+    ``draw_h1_edge(posterior, u, v, f_u, draws, stream)``, ``dce_at_n_star``
+    the ``assemble_dce`` mapping there and ``se_overall`` its
+    ``mc_se["overall_dc"]``; ``n_max`` is ``config.n_max``.  When no n on the
+    grid reaches zeta (not achievable is a value, not an error), ``achieved``
+    is false and those three are None.  One test,
     ``reaches_zeta``, drives the scan: at each n it is asked with every draw
     decisive (else n is skipped), after each H1 block with every draw not
     yet seen above 1/k1 (else the sample stops), and with the full sample's
@@ -325,9 +307,15 @@ def optimal_n_edge(
     curve's sample at n, so that point misses zeta too.  The edge draw is
     made at the first n not skipped, so a scan that skips every n makes none.
     """
+    instance("thresholds", thresholds, DceThresholds)
     _check_p_h0(p_h0)
+    instance("posterior", posterior, DesignPosterior)
+    instance("config", config, RunConfig)
+    instance("stream", stream, RandomStream)
+    if posterior.column_index(u) == posterior.column_index(v):
+        raise ValueError("u and v must be distinct columns")
     draws, n_max = config.draws, config.n_max
-    h1 = None
+    h1 = n_star = dce = None
     for n in range(2, n_max + 1):
         h0_bands = h0_band_probabilities(thresholds, n)
         if not reaches_zeta(thresholds, p_h0, h0_bands[0], draws, draws):
@@ -346,18 +334,27 @@ def optimal_n_edge(
             continue
         counts = h1_band_counts(sample, thresholds)
         if reaches_zeta(thresholds, p_h0, h0_bands[0], counts[0], draws):
-            dce = assemble_dce(h0_bands, p_h0, counts, draws)
-            return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
-    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
+            n_star, dce = n, assemble_dce(h0_bands, p_h0, counts, draws)
+            break
+    return {
+        "u": u,
+        "v": v,
+        "p_h0": p_h0,
+        "n_star": n_star,
+        "achieved": n_star is not None,
+        "n_max": n_max,
+        "dce_at_n_star": dce,
+        "se_overall": None if dce is None else dce["mc_se"]["overall_dc"],
+    }
 
 
-def plan_entry(sequence: Sequence[str], edge_results: dict[str, Sequence[EdgeSsdResult]]) -> dict:
+def plan_entry(sequence: Sequence[str], edge_results: dict[str, Sequence[dict]]) -> dict:
     """The ``plan.json`` entry of one candidate sequence.
 
     ``sequence`` holds the target labels from ``optimal_sequences``, written
-    as a list, and ``edge_results`` holds each target's edge results.  Each
-    target gets its ``edges``, the ``EdgeSsdResult.to_dict`` of each, so no
-    two entries share a container, and ``n_star_node``, the largest n* of
+    as a list, and ``edge_results`` holds each target's ``optimal_n_edge``
+    entries.  Each target gets its ``edges``, a deep copy of those entries,
+    so no two plans share a container, and ``n_star_node``, the largest n* of
     its edges; ``total_n`` sums the targets.  Either is None (not
     achievable) as soon as one n* it depends on is None, and ``achieved``
     says whether ``total_n`` is.  ``bos`` starts false: ``plan_cpdag`` flags
@@ -365,7 +362,7 @@ def plan_entry(sequence: Sequence[str], edge_results: dict[str, Sequence[EdgeSsd
     """
     targets = {}
     for u in sequence:
-        edges = [r.to_dict() for r in edge_results[u]]
+        edges = copy.deepcopy(list(edge_results[u]))
         stars = [e["n_star"] for e in edges]
         targets[u] = {"edges": edges, "n_star_node": None if None in stars else max(stars)}
     sizes = [t["n_star_node"] for t in targets.values()]
@@ -514,13 +511,11 @@ def plan_cpdag(
     scan runs in one process.  Results do not depend on the number of
     processes because every edge owns a fixed substream (``edge_stream``).
     """
-    for name, value, kind in (("cpdag", cpdag, PartiallyDirectedGraph),
-                              ("data", data, DatasetMatrix),
-                              ("thresholds", thresholds, DceThresholds),
-                              ("config", config, RunConfig),
-                              ("stream", stream, RandomStream)):
-        if not isinstance(value, kind):
-            raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    instance("cpdag", cpdag, PartiallyDirectedGraph)
+    instance("data", data, DatasetMatrix)
+    instance("thresholds", thresholds, DceThresholds)
+    instance("config", config, RunConfig)
+    instance("stream", stream, RandomStream)
     workers = whole("workers", workers, 1)
     config.f_u.noncentrality(config.n_max)
     out: list[dict] = []

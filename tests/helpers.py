@@ -44,7 +44,6 @@ from causal_ssd.predictive import (
 )
 from causal_ssd.ssd import (
     DceThresholds,
-    EdgeSsdResult,
     RunConfig,
     assemble_dce,
     h0_band_probabilities,
@@ -487,6 +486,23 @@ def decisive_draws_needed(
     return lo
 
 
+def edge_entry(
+    u: str, v: str, p_h0: float, n_star: int | None, dce: dict | None, n_max: int
+) -> dict:
+    """The ``plan.json`` edge entry, its keys written out here and not read
+    from ``src``, so that it is also the schema's oracle."""
+    return {
+        "u": u,
+        "v": v,
+        "p_h0": p_h0,
+        "n_star": n_star,
+        "achieved": n_star is not None,
+        "n_max": n_max,
+        "dce_at_n_star": dce,
+        "se_overall": None if dce is None else dce["mc_se"]["overall_dc"],
+    }
+
+
 def linear_scan_optimal_n_edge(
     u: str,
     v: str,
@@ -495,7 +511,7 @@ def linear_scan_optimal_n_edge(
     posterior: DesignPosterior,
     config: RunConfig,
     stream: RandomStream,
-) -> EdgeSsdResult:
+) -> dict:
     """Oracle of ``ssd.optimal_n_edge``: the scan with a full sample at every
     n that the exact H0 side lets through, and no early stop."""
     draws, n_max = config.draws, config.n_max
@@ -509,8 +525,8 @@ def linear_scan_optimal_n_edge(
         counts = h1_band_counts(sample_bf_h1(h1, n), thresholds)
         dce = assemble_dce(h0_bands, p_h0, counts, draws)
         if dce["overall_dc"] >= thresholds.zeta:
-            return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=n, dce_at_n_star=dce, n_max=n_max)
-    return EdgeSsdResult(edge=(u, v), p_h0=p_h0, n_star=None, dce_at_n_star=None, n_max=n_max)
+            return edge_entry(u, v, p_h0, n, dce, n_max)
+    return edge_entry(u, v, p_h0, None, None, n_max)
 
 
 def whole_bf_samples_csv(samples: list[BfPredictiveSample]) -> str:
@@ -532,10 +548,7 @@ def plan_from_stars(edge_stars: dict[str, list[int | None]]) -> dict:
     edge whose n* was not achieved.
     """
     edge_results = {
-        u: [
-            EdgeSsdResult(edge=(u, f"w{i}"), p_h0=0.5, n_star=n_star, dce_at_n_star=None, n_max=100)
-            for i, n_star in enumerate(stars)
-        ]
+        u: [edge_entry(u, f"w{i}", 0.5, n_star, None, 100) for i, n_star in enumerate(stars)]
         for u, stars in edge_stars.items()
     }
     return plan_entry(list(edge_stars), edge_results)

@@ -93,6 +93,14 @@ class TestIngestCsv:
 
 
 class TestTwoNodeStudy:
+    @pytest.mark.parametrize("name", ["config", "stream"])
+    def test_input_types_checked_at_the_call(self, name):
+        # before, None for config and 42 for stream raised AttributeError
+        args = dict(config=RunConfig(draws=200, n_max=30), stream=RandomStream(1))
+        args[name] = {"config": None, "stream": 42}[name]
+        with pytest.raises(TypeError, match=f"^{name} must be a "):
+            replicate_two_node_study(**args)
+
     def test_h0_cells_are_the_exact_bands(self, small_report):
         for row in small_report.evidence_grid:
             if row["hypothesis"] == "H0":

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from causal_ssd.numerics import (
     RandomStream,
     WishartParams,
+    instance,
     regularized_incomplete_beta,
     sample_wishart,
     whole,
@@ -97,6 +98,23 @@ class TestWhole:
         with pytest.raises(ValueError) as info:
             whole("k", value, least, most)
         assert str(info.value).startswith(message)
+
+
+class TestInstance:
+    def test_an_instance_is_returned_as_it_is(self):
+        stream = RandomStream(1)
+        assert instance("stream", stream, RandomStream) is stream
+        assert instance("k", True, int) is True  # a bool is an int to isinstance
+
+    @pytest.mark.parametrize("value, kind, message", [
+        (42, RandomStream, "stream must be a RandomStream, got int"),
+        (None, int, "stream must be an int, got NoneType"),
+        ((6.0, 6.0, 0.8), DceThresholds, "stream must be a DceThresholds, got tuple"),
+    ])
+    def test_anything_else_rejected_with_both_type_names(self, value, kind, message):
+        with pytest.raises(TypeError) as info:
+            instance("stream", value, kind)
+        assert str(info.value) == message
 
     def test_huge_integers_compared_exactly(self):
         assert whole("k", 10**30, 0) == 10**30

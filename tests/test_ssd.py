@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import threading
 import time
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from causal_ssd.design import prior_h0
 from causal_ssd.graph import PartiallyDirectedGraph, chain_components
 from causal_ssd.numerics import RandomStream
 from causal_ssd.predictive import (
@@ -32,11 +34,13 @@ from causal_ssd.ssd import (
     assemble_dce,
     dce_curve,
     dce_curve_row,
+    edge_stream,
     fork_map,
     h0_band_probabilities,
     h1_band_counts,
     optimal_n_edge,
     plan_cpdag,
+    plan_entry,
     reaches_zeta,
 )
 
@@ -65,6 +69,23 @@ def two_node_dataset(seed=3, n_rows=50, beta=0.5):
 
 def two_node_posterior(seed=3, n_rows=50, beta=0.5):
     return build_design_posterior(two_node_dataset(seed, n_rows, beta), 1.0)
+
+
+def readme_edge_keys():
+    """The keys of the per-edge results that README.md lists for ``plan.json``."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        (keys,) = re.findall(r"per-edge results `\{([^}]*)\}`", " ".join(fh.read().split()))
+    return {key.strip() for key in keys.split(",")}
+
+
+def check_edge_entry(e):
+    """An ``optimal_n_edge`` result is the printed edge entry."""
+    assert set(e) == readme_edge_keys() and len(e) == 8
+    assert json.loads(json.dumps(e)) == e
+    if e["achieved"]:
+        assert e["se_overall"] == e["dce_at_n_star"]["mc_se"]["overall_dc"]
+    else:
+        assert e["n_star"] is e["dce_at_n_star"] is e["se_overall"] is None
 
 
 def fig1_dataset(seed=0, n_rows=80):
@@ -281,6 +302,28 @@ class TestDceCurve:
         assert sampled == list(range(2, 41))
         assert [[row[0] for row in rows] for rows in curves] == [list(range(2, 41))] * 2
 
+    @pytest.mark.parametrize("name, bad, error, pattern", [
+        ("h1", None, TypeError, "^h1 must be a "),
+        ("thresholds", [DceThresholds(), (6.0, 6.0, 0.8)], TypeError,
+         r"^thresholds\[1\] must be a "),
+        ("p_h0", True, ValueError, "^p_h0 must be a number, not a bool"),
+    ])
+    def test_inputs_checked_at_the_call(self, name, bad, error, pattern, monkeypatch):
+        # before, h1=None raised AttributeError at h1.f_u, a tuple thresholds
+        # AttributeError from inside every point, and the bool True was
+        # taken as p_h0 = 1
+        import causal_ssd.ssd as ssd_mod
+
+        def no_point(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(ssd_mod, "fork_map", no_point)
+        h1 = draw_h1_edge(two_node_posterior(), "u", "v", F_U, 200, RandomStream(9))
+        args = dict(h1=h1, thresholds=[DceThresholds()], p_h0=HALF, n_max=5)
+        args[name] = bad
+        with pytest.raises(error, match=pattern):
+            dce_curve(**args)
+
     @pytest.mark.parametrize("p_h0", [2.0, -0.1, math.nan])
     def test_p_h0_outside_the_unit_interval_rejected_at_the_call(self, p_h0, monkeypatch):
         # as in optimal_n_edge: before, 2.0 gave overall_dc values below 0
@@ -330,7 +373,7 @@ class TestOptimalNEdge:
             mp.setattr(ssd_mod, "sample_bf_h1", spy_sample)
             got = optimal_n_edge(*args)
         want = linear_scan_optimal_n_edge(*args)
-        assert got.to_dict() == want.to_dict()
+        assert got == want
 
         h1 = draw_h1_edge(post, "u", "v", F_U, draws, RandomStream(seed))
 
@@ -342,12 +385,12 @@ class TestOptimalNEdge:
         full = {row[0]: row for row in rows}
         assert list(full) == list(range(2, n_max + 1))
         crossing = next((n for n, _, _, dc, _ in rows if dc >= zeta), None)
-        assert crossing == got.n_star
+        assert crossing == got["n_star"]
         if crossing is not None:
-            assert full[crossing] == dce_curve_row(crossing, got.dce_at_n_star)
+            assert full[crossing] == dce_curve_row(crossing, got["dce_at_n_star"])
         # the scan reads n = 2, 3, ... up to its crossing (or n_max), and
         # every n it skipped or stopped misses zeta on the full curve
-        assert scanned == list(range(2, (got.n_star or n_max) + 1))
+        assert scanned == list(range(2, (got["n_star"] or n_max) + 1))
         for n in set(scanned) - set(completed):
             assert full[n][DCE_CURVE_COLUMNS.index("overall_dc")] < zeta
         # a curve for several thresholds is the single-threshold curves side by side
@@ -361,19 +404,22 @@ class TestOptimalNEdge:
             "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=1000, n_max=50),
             RandomStream(6),
         )
-        assert res.n_star == 2
-        assert res.dce_at_n_star["overall_dc"] >= 0.05
+        assert res["n_star"] == 2
+        assert res["dce_at_n_star"]["overall_dc"] >= 0.05
+        check_edge_entry(res)
 
-    def test_to_dict_shares_no_container_with_the_result(self):
+    def test_plan_entry_shares_no_container_with_the_result(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.05)
         res = optimal_n_edge(
             "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=1000, n_max=50),
             RandomStream(6),
         )
-        want, out = res.to_dict(), res.to_dict()
+        want = copy.deepcopy(res)
+        (out,) = plan_entry(["u"], {"u": [res]})["targets"]["u"]["edges"]
+        assert out == res
         out["dce_at_n_star"]["p1_dc"] = -1.0
         out["dce_at_n_star"]["mc_se"]["overall_dc"] = -1.0
-        assert res.to_dict() == want
+        assert res == want
 
     def test_two_node_study_k3(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.8)
@@ -381,8 +427,8 @@ class TestOptimalNEdge:
             "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=2000, n_max=200),
             RandomStream(7),
         )
-        assert res.achieved
-        assert 25 <= res.n_star <= 95
+        assert res["achieved"]
+        assert 25 <= res["n_star"] <= 95
 
     def test_matches_first_crossing_of_reproducible_curve(self):
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
@@ -395,7 +441,7 @@ class TestOptimalNEdge:
             if dce["overall_dc"] >= th.zeta:
                 crossing = n
                 break
-        assert res.n_star == crossing
+        assert res["n_star"] == crossing
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_stop_fires_only_once_zeta_is_out_of_reach(self, extra, monkeypatch):
@@ -423,10 +469,10 @@ class TestOptimalNEdge:
         res = optimal_n_edge("u", "v", th, 0.0, two_node_posterior(),
                              RunConfig(draws=draws, n_max=4), RandomStream(10))
         if extra == 0:
-            assert res.n_star == 2 and counts == [draws]
-            assert res.dce_at_n_star["p1_dc"] == need / draws
+            assert res["n_star"] == 2 and counts == [draws]
+            assert res["dce_at_n_star"]["p1_dc"] == need / draws
         else:
-            assert res.n_star is None and counts == [H1_BLOCK] * 3
+            assert res["n_star"] is None and counts == [H1_BLOCK] * 3
 
     def test_h0_bands_computed_once_per_scanned_n(self, monkeypatch):
         import causal_ssd.ssd as ssd_mod
@@ -444,12 +490,14 @@ class TestOptimalNEdge:
         res = optimal_n_edge(
             "u", "v", th, HALF, post, RunConfig(draws=800, n_max=60), RandomStream(8)
         )
-        assert res.achieved
-        assert scanned == list(range(2, res.n_star + 1))
+        assert res["achieved"]
+        assert scanned == list(range(2, res["n_star"] + 1))
         monkeypatch.undo()
         # the reused bands give the same floats as a fresh assembly
-        fresh = dce_probabilities("u", "v", th, res.n_star, HALF, post, F_U, 800, RandomStream(8))
-        assert res.dce_at_n_star == fresh
+        fresh = dce_probabilities(
+            "u", "v", th, res["n_star"], HALF, post, F_U, 800, RandomStream(8)
+        )
+        assert res["dce_at_n_star"] == fresh
 
     def test_pair_parameters_built_once_per_scan(self, monkeypatch):
         import causal_ssd.predictive as predictive_mod
@@ -473,7 +521,7 @@ class TestOptimalNEdge:
             "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=200, n_max=60),
             stream=RandomStream(8),
         )
-        assert res.achieved and len(evaluated) > 5
+        assert res["achieved"] and len(evaluated) > 5
         assert len(built) == 1
 
     def test_edge_draw_made_once_per_edge_task(self, monkeypatch):
@@ -497,7 +545,7 @@ class TestOptimalNEdge:
             "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=200, n_max=60),
             stream=RandomStream(8),
         )
-        assert res.achieved and len(evaluated) > 5
+        assert res["achieved"] and len(evaluated) > 5
         assert drawn == [("u", "v")]
         # no draw when the exact H0 bound lets no n through
         drawn.clear()
@@ -506,7 +554,7 @@ class TestOptimalNEdge:
             "u", "v", capped, HALF, two_node_posterior(), RunConfig(draws=200, n_max=30),
             stream=RandomStream(8),
         )
-        assert not res.achieved and drawn == []
+        assert not res["achieved"] and drawn == []
         # a plan draws once per edge task: every ordered edge of the triangle
         # {1, 2, 3} and of the pair {4, 5} of CHAIN5
         drawn.clear()
@@ -525,15 +573,37 @@ class TestOptimalNEdge:
             "u", "v", th, HALF, two_node_posterior(), RunConfig(draws=500, n_max=30),
             RandomStream(9),
         )
-        assert res.n_star is None
-        assert res.dce_at_n_star is None
-        assert not res.achieved
+        assert res["n_star"] is None
+        assert res["dce_at_n_star"] is None
+        assert not res["achieved"]
+        check_edge_entry(res)
 
-    @pytest.mark.parametrize("p_h0", [-0.1, 1.1, math.nan])
+    @pytest.mark.parametrize("p_h0", [-0.1, 1.1, math.nan, True])
     def test_prior_outside_unit_interval_rejected(self, p_h0):
+        # before, the bool True was taken as 1
         th = DceThresholds(k0=3.0, k1=3.0, zeta=0.6)
         with pytest.raises(ValueError, match="p_h0"):
             optimal_n_edge("u", "v", th, p_h0, two_node_posterior(), RunConfig(draws=200, n_max=30))
+
+    @pytest.mark.parametrize("name, bad, error, pattern", [
+        ("thresholds", (6.0, 6.0, 0.8), TypeError, "^thresholds must be a "),
+        ("posterior", None, TypeError, "^posterior must be a "),
+        ("config", None, TypeError, "^config must be a "),
+        ("stream", 42, TypeError, "^stream must be a "),
+        ("u", "x", KeyError, "no column 'x' in design posterior"),
+        ("v", "u", ValueError, "^u and v must be distinct columns"),
+    ])
+    def test_inputs_checked_before_the_scan(self, name, bad, error, pattern):
+        # at these thresholds the exact H0 bound lets no n <= 30 through, so
+        # before, the tuple thresholds and config=None raised AttributeError,
+        # and the other four returned a not-achieved result without reading
+        # the input
+        args = dict(u="u", v="v", thresholds=DceThresholds(), p_h0=HALF,
+                    posterior=two_node_posterior(), config=RunConfig(draws=200, n_max=30),
+                    stream=RandomStream(1))
+        args[name] = bad
+        with pytest.raises(error, match=pattern):
+            optimal_n_edge(**args)
 
     @pytest.mark.parametrize("draws", [0, -5])
     def test_draws_below_one_rejected(self, draws):
@@ -551,7 +621,7 @@ class TestOptimalNEdge:
             th = DceThresholds(k0=3.0, k1=3.0, zeta=zeta)
             sizes[zeta] = optimal_n_edge(
                 "u", "v", th, HALF, post, RunConfig(draws=2000, n_max=300), stream
-            ).n_star
+            )["n_star"]
         assert sizes[0.5] <= sizes[0.7] <= sizes[0.8]
 
 
@@ -998,6 +1068,37 @@ class TestPlanCpdag:
         bypassed = plan_cpdag(CHAIN5, data, th, **kwargs)
         assert len(calls) > 2 * (last - 1)
         assert memoized == bypassed
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_edge_entries_are_the_optimal_n_edge_results(self, workers, monkeypatch):
+        # every edge entry of every plan is the direct library call, at one
+        # process and at two
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        data, stream = fig1_dataset(), RandomStream(15)
+        th, config = DceThresholds(k0=3.0, k1=3.0, zeta=0.6), RunConfig(draws=400, n_max=30)
+        results = plan_cpdag(CHAIN5, data, th, config, stream, workers)
+        by_comp = {tuple(r["component"]): r for r in results}
+        direct = {}
+        for ci, sub in enumerate(chain_components(CHAIN5)):
+            comp = sub.nodes
+            if len(comp) < 2:
+                continue
+            posterior = build_design_posterior(data.restrict(comp), None)
+            for plan in by_comp.pop(comp)["plans"]:
+                for u, target in plan["targets"].items():
+                    for e in target["edges"]:
+                        v = e["v"]
+                        if (ci, u, v) not in direct:
+                            direct[(ci, u, v)] = optimal_n_edge(
+                                u, v, th, prior_h0(sub, u, v), posterior, config,
+                                edge_stream(stream, ci, comp, u, v),
+                            )
+                        assert e == direct[(ci, u, v)]
+                        check_edge_entry(e)
+        assert by_comp == {}
+        assert len(direct) == 8  # the 6 ordered edges of the triangle and 2 of the pair
+        # at n_max 30 the edge 3 -> 1 (n* 35 at a larger n_max) is not achieved
+        assert {e["achieved"] for e in direct.values()} == {True, False}
 
     def test_workers_do_not_change_results(self):
         data = fig1_dataset()

@@ -26,14 +26,16 @@ on the same inputs at intervention mean 0.5 and sd 2, one ``dce-curve``, one
 (``curve_mean.csv``, ``bf_mean.csv``, and ``plan_mean.json``, where the
 first-crossing scan and its early stop draw them); and one ``dce-curve`` at
 k0 = 3 and k1 = 10, the one run whose thresholds differ, so that k0 and k1
-swapped anywhere on the curve's path change a byte (``curve_k3_10.csv``).
+swapped anywhere on the curve's path change a byte (``curve_k3_10.csv``);
+and one ``plan`` at ``--a-omega 20``, the one run whose design posterior
+takes a prior df other than T - 1 (``plan_a_omega.json``).
 Two ``plan`` runs on the ``plan-late`` inputs cover the two exits that still
 write ``plan.json``: at ``--n-max 150`` some edges have a null n* and no plan
 is achieved (``plan_short.json``, exit 4), and on the graph plus a component
 ``x -- y`` that the data lack, written here as ``graph_xy.txt``, one
 component is planned and the other carries its error (``plan_error.json``,
 exit 3).  Every other command exits 0, and any other exit fails the script.
-Output is one ``sha256  path`` line per file, 27 in all, paths relative to
+Output is one ``sha256  path`` line per file, 28 in all, paths relative to
 ``OUT``, in a fixed order.
 """
 
@@ -82,6 +84,8 @@ def commands() -> list[tuple[list[str], list[str], int]]:
         (["dce-curve", *inputs, "--edge", "0,1", "--k0", "3", "--k1", "10", "--n-max", "300",
           "--draws", "3000", "--out", "plan-late/curve_k3_10.csv"],
          ["plan-late/curve_k3_10.csv"]),
+        (["plan", *inputs, "--a-omega", "20", "--draws", "3000",
+          "--out", "plan-late/plan_a_omega.json"], ["plan-late/plan_a_omega.json"]),
     ]
     for out, flags in (("sim1", ["--seed", "1"]),
                        ("sim5", ["--seed", "5", "--draws", "3000", "--n-max", "80"]),
