@@ -276,19 +276,18 @@ def cmd_predict_bf(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    report = replicate_two_node_study(args.config, args.stream)
+    report, bf_samples, dce_curves = replicate_two_node_study(args.config, args.stream)
     out_dir = args.out if args.out is not None else "causal_ssd_simulation"
     os.makedirs(out_dir, exist_ok=True)
-    doc = report.to_json_dict()
-    doc["config"]["cli"] = _echo(args)
-    write_json(doc, os.path.join(out_dir, "report.json"))
+    report["config"]["cli"] = _echo(args)
+    write_json(report, os.path.join(out_dir, "report.json"))
     comment = _config_comment(args)
-    _emit(comment, os.path.join(out_dir, "bf_samples.csv"), bf_samples_csv(report.bf_samples))
+    _emit(comment, os.path.join(out_dir, "bf_samples.csv"), bf_samples_csv(bf_samples))
     atomic_write_text(
-        os.path.join(out_dir, "dce_curves.csv"), comment + threshold_curves_csv(report.dce_curves)
+        os.path.join(out_dir, "dce_curves.csv"), comment + threshold_curves_csv(dce_curves)
     )
     atomic_write_text(
-        os.path.join(out_dir, "nstar_curves.csv"), comment + nstar_curve_csv(report.nstar_curves)
+        os.path.join(out_dir, "nstar_curves.csv"), comment + nstar_curve_csv(report["nstar_curves"])
     )
     return EXIT_OK
 

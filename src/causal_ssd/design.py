@@ -59,6 +59,7 @@ from causal_ssd.graph import (
     enumerate_class,  # noqa: F401  (no caller; bench/tracing.py wraps design.enumerate_class)
     meek_closure,  # noqa: F401  (no caller; bench/tracing.py wraps design.meek_closure)
 )
+from causal_ssd.numerics import instance
 
 
 def optimal_sequences(g: PartiallyDirectedGraph) -> list[tuple[str, ...]]:
@@ -74,8 +75,10 @@ def optimal_sequences(g: PartiallyDirectedGraph) -> list[tuple[str, ...]]:
     intervention: the empty set covers it, and the result is ``[()]``.  A
     directed edge raises ``ValueError``, components above
     ``SUBSET_SCAN_CAP`` nodes ``CapacityError`` and non-chordal ones
-    ``NotDecomposableError``.
+    ``NotDecomposableError``, and a ``g`` that is not a
+    ``PartiallyDirectedGraph`` ``TypeError`` (``numerics.instance``).
     """
+    instance("g", g, PartiallyDirectedGraph)
     check_subset_scan(g, "the vertex-cover search over its 2^nodes subsets")
     edges = g.undirected_edges()
     nodes = g.nodes
@@ -166,8 +169,11 @@ def prior_h0(g: PartiallyDirectedGraph, u: str, v: str) -> float:
     p(H0) is the fraction of perfect directed versions of ``g`` containing
     u <- v, and p(H1) = 1 - p(H0) that of u -> v: every member orients the
     edge one way.  It is the exact integer ratio of ``orientation_counts``,
-    so it equals the count over an enumerated class to the last bit.
+    so it equals the count over an enumerated class to the last bit.  A
+    ``g`` that is not a ``PartiallyDirectedGraph`` raises ``TypeError``
+    (``numerics.instance``).
     """
+    instance("g", g, PartiallyDirectedGraph)
     u, v = str(u), str(v)
     if not g.has_undirected_edge(u, v):
         raise ValueError(f"{u}-{v} is not an undirected edge of the component")

@@ -9,8 +9,11 @@ model u -> v with Gaussian noise, then produces (a) predictive Bayes-factor
 samples under both hypotheses, (b) an evidence-category probability grid,
 (c) decisive-and-correct evidence curves over the sample-size grid for
 several thresholds, and (d) optimal-sample-size curves over a grid of target
-probabilities.  The whole report is a pure function of (config, seed): curve
-files and the JSON report are byte-identical across reruns.
+probabilities.  ``replicate_two_node_study`` builds the mapping that
+``report.json`` prints once and returns it with the samples and curve rows
+that the CSV writers below print; the module defines no output record.  All
+of it is a pure function of (config, seed): curve files and the JSON report
+are byte-identical across reruns.
 
 All CSV numbers are written with 17 significant digits; JSON floats use
 Python's shortest round-trip representation, which is also lossless.
@@ -24,7 +27,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -124,34 +126,6 @@ K_VALUES = (3.0, 6.0, 10.0)
 ZETA_GRID = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
-@dataclass
-class TwoNodeStudyReport:
-    """All outputs of the two-node study; a pure function of (config, seed)."""
-
-    config: dict
-    seed: int
-    observational: dict
-    bf_samples: list[BfPredictiveSample]
-    evidence_grid: list[dict]
-    evidence_note: str
-    dce_curves: dict[float, list[tuple]]  # the ssd.dce_curve rows per threshold k
-    nstar_curves: dict[float, list[dict]]
-
-    def to_json_dict(self) -> dict:
-        # curve and sample arrays are exported as CSV, not embedded here
-        return {
-            "config": dict(self.config),
-            "seed": self.seed,
-            "observational": dict(self.observational),
-            "evidence_grid": [dict(row) for row in self.evidence_grid],
-            "evidence_note": self.evidence_note,
-            "nstar_curves": {
-                format_float(k): [dict(p) for p in points]
-                for k, points in sorted(self.nstar_curves.items())
-            },
-        }
-
-
 _STRONG_NOTE = (
     "BF under H0 is bounded above by g(n), and g(n) < 10 for every n <= 156; "
     "strong-to-extreme evidence for H0 therefore has probability exactly 0 at "
@@ -161,8 +135,18 @@ _STRONG_NOTE = (
 )
 
 
-def replicate_two_node_study(config: RunConfig, stream: RandomStream) -> TwoNodeStudyReport:
+def replicate_two_node_study(
+    config: RunConfig, stream: RandomStream
+) -> tuple[dict, list[BfPredictiveSample], dict[float, list[tuple]]]:
     """Run the two-node chain-component study end to end.
+
+    Returns ``(report, bf_samples, dce_curves)``.  ``report`` is the
+    mapping that ``report.json`` prints, less the CLI's ``config["cli"]``:
+    ``config``, ``seed``, ``observational``, ``evidence_grid``,
+    ``evidence_note`` and ``nstar_curves``, whose keys are the
+    ``format_float`` text of each k.  ``bf_samples`` are the samples that
+    ``bf_samples.csv`` prints, and ``dce_curves`` the ``ssd.dce_curve``
+    rows of ``dce_curves.csv`` per float k.
 
     ``config`` gives the draws, the top of the n grid, the intervention
     density and a_omega (None for T - 1 = 1); the generating model, the
@@ -247,17 +231,17 @@ def replicate_two_node_study(config: RunConfig, stream: RandomStream) -> TwoNode
     curves_by_k = dict(zip(K_VALUES, dce_curve(h1, thresholds, 0.5, config.n_max)))
 
     # (d) optimal n as a function of the target probability: first crossing
-    # of each zeta on the reproducible overall curve
-    nstar_by_k = {
-        k: [
+    # of each zeta on the reproducible overall curve, keyed by the text of k
+    nstar_curves = {
+        format_float(k): [
             {"zeta": zeta, "n_star": next((n for n, _, _, dc, _ in rows if dc >= zeta), None)}
             for zeta in ZETA_GRID
         ]
         for k, rows in curves_by_k.items()
     }
 
-    return TwoNodeStudyReport(
-        config={
+    report = {
+        "config": {
             "n_obs": STUDY_N_OBS,
             "beta": STUDY_BETA,
             "noise_sd": STUDY_NOISE_SD,
@@ -271,14 +255,13 @@ def replicate_two_node_study(config: RunConfig, stream: RandomStream) -> TwoNode
             "intervention_sd": config.f_u.sd,
             "a_omega": 1.0 if config.a_omega is None else config.a_omega,
         },
-        seed=stream.seed,
-        observational=observational,
-        bf_samples=bf_samples,
-        evidence_grid=evidence_grid,
-        evidence_note=_STRONG_NOTE,
-        dce_curves=curves_by_k,
-        nstar_curves=nstar_by_k,
-    )
+        "seed": stream.seed,
+        "observational": observational,
+        "evidence_grid": evidence_grid,
+        "evidence_note": _STRONG_NOTE,
+        "nstar_curves": nstar_curves,
+    }
+    return report, bf_samples, curves_by_k
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +353,14 @@ def threshold_curves_csv(curves_by_k: dict[float, list[tuple]]) -> str:
     )
 
 
-def nstar_curve_csv(nstar_by_k: dict[float, list[dict]]) -> str:
-    """CSV of optimal n against the target probability: k, zeta, n_star."""
+def nstar_curve_csv(nstar_by_k: dict[str, list[dict]]) -> str:
+    """CSV of optimal n against the target probability: k, zeta, n_star.
+
+    ``nstar_by_k`` is the report's ``nstar_curves``; its k keys are
+    written in numeric order.
+    """
     return _numbers_csv(
         ("k", "zeta", "n_star"),
-        ((k, p["zeta"], p["n_star"]) for k in sorted(nstar_by_k) for p in nstar_by_k[k]),
+        ((k, p["zeta"], p["n_star"]) for k in sorted(nstar_by_k, key=float)
+         for p in nstar_by_k[k]),
     )

@@ -29,6 +29,7 @@ import numpy as np
 
 from causal_ssd.numerics import (
     RandomStream,
+    instance,
     regularized_incomplete_beta,
     sample_wishart,  # noqa: F401  (no caller; bench/tracing.py wraps predictive.sample_wishart)
     whole,
@@ -238,9 +239,11 @@ def sample_bf_h0(n: int, draws: int, stream: RandomStream) -> BfPredictiveSample
     neither the design posterior nor the interventional density (r^2 is
     ancillary), so no data enter.  ``draws`` must be an integer from 1 to
     ``MAX_DRAWS`` (``numerics.whole``), as in ``draw_h1_edge``, and is
-    checked before anything is allocated.
+    checked before anything is allocated; ``stream`` must be a
+    ``RandomStream`` (``numerics.instance``, else ``TypeError``).
     """
     n, draws = whole("n", n, 2), whole("draws", draws, 1, MAX_DRAWS)
+    instance("stream", stream, RandomStream)
     b = stream.generator().beta((n - 1) / 2.0, 0.5, size=draws)
     b = np.clip(b, np.nextafter(0.0, 1.0), 1.0)
     bf = np.exp(log_g_of_n(n) + 0.5 * (n - 1) * np.log(b))
@@ -363,8 +366,13 @@ def draw_h1_edge(
     chi-square(k) draw is taken as twice a standard gamma(k / 2) draw, which
     is how numpy computes it.  ``draws`` must be an integer from 1 to
     ``MAX_DRAWS`` (``numerics.whole``), and is checked before anything is
-    allocated.
+    allocated, after ``posterior``, ``f_u`` and ``stream``, which must be a
+    ``DesignPosterior``, an ``InterventionDensity`` and a ``RandomStream``
+    (``numerics.instance``, else ``TypeError``).
     """
+    instance("posterior", posterior, DesignPosterior)
+    instance("f_u", f_u, InterventionDensity)
+    instance("stream", stream, RandomStream)
     draws = whole("draws", draws, 1, MAX_DRAWS)
     df, f00, f01 = pair_factor(posterior, u, v)
     # three separate arrays, so that s is freed and only lam and z stay
@@ -414,7 +422,10 @@ def sample_bf_h1(
     order, and the sampler returns the draws made so far after the first
     block for which it returns true; they are, bit for bit, the first ones
     of the full sample.  Without it, the sampler returns every draw.
+    ``edge`` must be an ``H1EdgeDraw`` (``numerics.instance``, else
+    ``TypeError``).
     """
+    instance("edge", edge, H1EdgeDraw)
     n = whole("n", n, 2)
     gen = edge.stream.child(n).generator()
     f_u = edge.f_u

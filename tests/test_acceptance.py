@@ -53,7 +53,8 @@ STUDY_SEED = 8
 @pytest.fixture(scope="module")
 def study_report():
     config = RunConfig(n_max=450)
-    return replicate_two_node_study(config, RandomStream(STUDY_SEED))
+    report, _, _ = replicate_two_node_study(config, RandomStream(STUDY_SEED))
+    return report
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -177,7 +178,7 @@ def test_criterion_04_elbow_bound():
 
 def test_criterion_05_h1_evidence_cells(study_report):
     cells = {
-        (r["hypothesis"], r["n"]): r["strong_to_extreme"] for r in study_report.evidence_grid
+        (r["hypothesis"], r["n"]): r["strong_to_extreme"] for r in study_report["evidence_grid"]
     }
     p50 = cells[("H1", 50)]
     p100 = cells[("H1", 100)]
@@ -187,7 +188,7 @@ def test_criterion_05_h1_evidence_cells(study_report):
         ok,
         f"P(BF<1/10|H1): n=50 {p50:.4f} (target 0.829+/-0.10), "
         f"n=100 {p100:.4f} (target 0.962+/-0.05); sample slope "
-        f"{study_report.observational['sample_slope']:.3f}",
+        f"{study_report['observational']['sample_slope']:.3f}",
     )
     assert abs(p50 - 0.829) <= 0.10
     assert abs(p100 - 0.962) <= 0.05
@@ -196,18 +197,18 @@ def test_criterion_05_h1_evidence_cells(study_report):
 def test_criterion_06_figure4_points(study_report):
     nstar = {
         k: next(p["n_star"] for p in points if p["zeta"] == 0.8)
-        for k, points in study_report.nstar_curves.items()
+        for k, points in study_report["nstar_curves"].items()
     }
-    ok = nstar[3.0] is not None and 30 <= nstar[3.0] <= 80
-    ok = ok and nstar[10.0] is not None and 220 <= nstar[10.0] <= 400
+    ok = nstar["3"] is not None and 30 <= nstar["3"] <= 80
+    ok = ok and nstar["10"] is not None and 220 <= nstar["10"] <= 400
     _report(
         6,
         ok,
-        f"zeta=0.8 optimal n: k=3 -> {nstar[3.0]} (target [30, 80]), "
-        f"k=10 -> {nstar[10.0]} (target [220, 400])",
+        f"zeta=0.8 optimal n: k=3 -> {nstar['3']} (target [30, 80]), "
+        f"k=10 -> {nstar['10']} (target [220, 400])",
     )
-    assert nstar[3.0] is not None and 30 <= nstar[3.0] <= 80
-    assert nstar[10.0] is not None and 220 <= nstar[10.0] <= 400
+    assert nstar["3"] is not None and 30 <= nstar["3"] <= 80
+    assert nstar["10"] is not None and 220 <= nstar["10"] <= 400
 
 
 def test_criterion_07_graph_oracles():

@@ -28,8 +28,9 @@ from causal_ssd.cli import (
     main,
 )
 from causal_ssd.graph import PartiallyDirectedGraph
+from causal_ssd.harness import replicate_two_node_study
 from causal_ssd.numerics import RandomStream, whole
-from causal_ssd.predictive import H1_BLOCK, MAX_DRAWS
+from causal_ssd.predictive import H1_BLOCK, MAX_DRAWS, InterventionDensity
 from causal_ssd.ssd import RunConfig
 
 from helpers import deadline, format_edge_list, g_of_n, linear_sem_data
@@ -403,7 +404,35 @@ class TestEdgeCommandsReproducePlan:
             assert np.count_nonzero(h1 <= 1.0 / k1) / h1.size == dce["p1_dc"]
 
 
+def readme_report_keys():
+    """The top-level and ``config`` keys that README.md lists for ``report.json``."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    (top,) = re.findall(r"`report\.json` has the top-level keys `\{([^}]*)\}`", text)
+    (config,) = re.findall(r"configuration echo `config` has the keys `\{([^}]*)\}`", text)
+    return tuple({key.strip() for key in keys.split(",")} for keys in (top, config))
+
+
 class TestSimulate:
+    def test_report_json_is_the_returned_mapping_and_its_cli_echo(self, tmp_path):
+        # off the default a_omega and intervention density, so the echo of
+        # each is read from the run
+        out = tmp_path / "sim"
+        argv = ["simulate", "--seed", "7", "--draws", "200", "--n-max", "60", "--a-omega", "3",
+                "--intervention-mean", "0.5", "--intervention-sd", "2", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        written = json.loads((out / "report.json").read_text())
+        config = RunConfig(draws=200, n_max=60, a_omega=3.0, f_u=InterventionDensity(0.5, 2.0))
+        report, _, _ = replicate_two_node_study(config, RandomStream(7))
+        top_keys, config_keys = readme_report_keys()
+        assert set(report) == top_keys and len(top_keys) == 6
+        assert set(report["config"]) == config_keys - {"cli"} and len(config_keys) == 13
+        assert list(report["nstar_curves"]) == ["3", "6", "10"]
+        assert json.loads(json.dumps(report)) == report
+        echo = written["config"].pop("cli")
+        assert written == report
+        assert echo["seed"] == 7 and echo["a_omega"] == 3.0 and echo["intervention_sd"] == 2.0
+
     def test_writes_artifacts_and_reproduces(self, tmp_path):
         out1 = tmp_path / "s1"
         args = ["simulate", "--draws", "500", "--n-max", "160", "--out", str(out1)]

@@ -276,6 +276,19 @@ class TestPriorH0:
             prior_h0(c4, "a", "b")
 
 
+class TestInputTypes:
+    @pytest.mark.parametrize("function", ["optimal_sequences", "prior_h0"])
+    @pytest.mark.parametrize("g", [None, nx.Graph([("u", "v")])], ids=["None", "nx.Graph"])
+    def test_graph_checked_at_the_call(self, function, g):
+        # before, each raised AttributeError
+        call, args = {
+            "optimal_sequences": (optimal_sequences, ()),
+            "prior_h0": (prior_h0, ("u", "v")),
+        }[function]
+        with pytest.raises(TypeError, match="^g must be a PartiallyDirectedGraph, got "):
+            call(g, *args)
+
+
 class TestBestSizeOptimalSequence:
     def test_known_sizes_pick_smaller_total(self):
         plans = [plan_from_stars({"2": [28], "3": [88]}), plan_from_stars({"3": [4], "4": [86]})]

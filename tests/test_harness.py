@@ -36,8 +36,14 @@ SMALL_STUDY = RunConfig(draws=2000, n_max=200)
 
 
 @pytest.fixture(scope="module")
-def small_report():
+def small_study():
+    # (report, bf_samples, dce_curves)
     return replicate_two_node_study(SMALL_STUDY, RandomStream(8))
+
+
+@pytest.fixture(scope="module")
+def small_report(small_study):
+    return small_study[0]
 
 
 class TestDatasetMatrix:
@@ -102,31 +108,33 @@ class TestTwoNodeStudy:
             replicate_two_node_study(**args)
 
     def test_h0_cells_are_the_exact_bands(self, small_report):
-        for row in small_report.evidence_grid:
+        for row in small_report["evidence_grid"]:
             if row["hypothesis"] == "H0":
                 n = row["n"]
                 assert row["moderate"] == prob_bf_band_h0(3.0, 10.0, n)
                 assert row["strong_to_extreme"] == prob_bf_band_h0(10.0, math.inf, n)
 
     def test_h0_exact_and_monte_carlo_agree(self, small_report):
-        for row in small_report.evidence_grid:
+        for row in small_report["evidence_grid"]:
             if row["hypothesis"] == "H0":
                 exact = row["moderate"]
                 se = math.sqrt(max(exact * (1 - exact), 1e-12) / SMALL_STUDY.draws)
                 assert abs(row["moderate_mc"] - exact) <= max(3 * se, 1e-9)
 
     def test_discrepancy_note_present(self, small_report):
-        note = small_report.evidence_note
+        note = small_report["evidence_note"]
         assert "g(n)" in note and "exactly 0" in note and "156" in note
 
-    def test_k10_curve_elbow(self, small_report):
-        by_n = {row[0]: row[1] for row in small_report.dce_curves[10.0]}
+    def test_k10_curve_elbow(self, small_study):
+        by_n = {row[0]: row[1] for row in small_study[2][10.0]}
         assert all(by_n[n] == 0.0 for n in range(2, 151))
         assert all(by_n[n] > 0.0 for n in range(157, 201))
 
-    def test_nstar_nondecreasing_and_consistent_with_curve(self, small_report):
-        for k, points in small_report.nstar_curves.items():
-            rows = small_report.dce_curves[k]
+    def test_nstar_nondecreasing_and_consistent_with_curve(self, small_study):
+        report, _, curves = small_study
+        assert list(report["nstar_curves"]) == [format_float(k) for k in curves]
+        for k, points in report["nstar_curves"].items():
+            rows = curves[float(k)]
             reachable = [p["n_star"] for p in points if p["n_star"] is not None]
             assert reachable == sorted(reachable)
             for p in points:
@@ -136,18 +144,18 @@ class TestTwoNodeStudy:
                 )
                 assert p["n_star"] == expected
 
-    def test_curves_are_the_planner_evidence(self, small_report):
+    def test_curves_are_the_planner_evidence(self, small_study):
         # the study's curve row at (k, n) is dce_probabilities on the study's
         # posterior with the H1 edge substream child(2), to the last bit
         data = linear_sem_data(
             "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(8).child(0)
         )
         posterior = build_design_posterior(data, SMALL_STUDY.a_omega)
-        assert small_report.observational["scatter"] == posterior.scatter.tolist()
+        assert small_study[0]["observational"]["scatter"] == posterior.scatter.tolist()
         f_u, draws = SMALL_STUDY.f_u, SMALL_STUDY.draws
         for k in (3.0, 6.0, 10.0):
             th = DceThresholds(k0=k, k1=k)
-            rows = {row[0]: row for row in small_report.dce_curves[k]}
+            rows = {row[0]: row for row in small_study[2][k]}
             for n in (2, 50, 57, 157, 200):
                 stream = RandomStream(8).child(2)
                 dce = dce_probabilities("u", "v", th, n, 0.5, posterior, f_u, draws, stream)
@@ -178,37 +186,36 @@ class TestTwoNodeStudy:
         # the study draws its u column and then v = beta * u + noise from
         # child(0), as the test helper draws the model u -> v; seed 8 is the
         # acceptance tests' STUDY_SEED, and seed 14 has a sample slope near 0
-        report = replicate_two_node_study(
+        report, _, _ = replicate_two_node_study(
             RunConfig(draws=50, n_max=10), RandomStream(seed)
         )
         data = linear_sem_data(
             "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(seed).child(0)
         )
         posterior = build_design_posterior(data)
-        assert report.observational["labels"] == list(data.labels)
-        assert report.observational["scatter"] == posterior.scatter.tolist()
+        assert report["observational"]["labels"] == list(data.labels)
+        assert report["observational"]["scatter"] == posterior.scatter.tolist()
 
-    def test_exported_samples_shape(self, small_report):
-        tags = [(s.hypothesis, s.n) for s in small_report.bf_samples]
+    def test_exported_samples_shape(self, small_study):
+        samples = small_study[1]
+        tags = [(s.hypothesis, s.n) for s in samples]
         assert tags == [("H0", 10), ("H0", 50), ("H1", 10), ("H1", 50)]
-        assert all(s.count == SMALL_STUDY.draws for s in small_report.bf_samples)
+        assert all(s.count == SMALL_STUDY.draws for s in samples)
 
     def test_report_is_pure_function_of_seed(self):
-        a = replicate_two_node_study(SMALL_STUDY, RandomStream(8))
-        b = replicate_two_node_study(SMALL_STUDY, RandomStream(8))
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
-        )
-        assert threshold_curves_csv(a.dce_curves) == threshold_curves_csv(b.dce_curves)
-        assert "".join(bf_samples_csv(a.bf_samples)) == "".join(bf_samples_csv(b.bf_samples))
+        a_report, a_samples, a_curves = replicate_two_node_study(SMALL_STUDY, RandomStream(8))
+        b_report, b_samples, b_curves = replicate_two_node_study(SMALL_STUDY, RandomStream(8))
+        assert json.dumps(a_report, sort_keys=True) == json.dumps(b_report, sort_keys=True)
+        assert threshold_curves_csv(a_curves) == threshold_curves_csv(b_curves)
+        assert "".join(bf_samples_csv(a_samples)) == "".join(bf_samples_csv(b_samples))
 
     def test_h0_cells_invariant_to_seed_h1_cells_not(self, small_report):
-        other = replicate_two_node_study(SMALL_STUDY, RandomStream(9))
-        for row_a, row_b in zip(small_report.evidence_grid, other.evidence_grid):
+        other, _, _ = replicate_two_node_study(SMALL_STUDY, RandomStream(9))
+        for row_a, row_b in zip(small_report["evidence_grid"], other["evidence_grid"]):
             if row_a["hypothesis"] == "H0":
                 assert row_a["moderate"] == row_b["moderate"]
-        a_h1 = [r for r in small_report.evidence_grid if r["hypothesis"] == "H1"]
-        b_h1 = [r for r in other.evidence_grid if r["hypothesis"] == "H1"]
+        a_h1 = [r for r in small_report["evidence_grid"] if r["hypothesis"] == "H1"]
+        b_h1 = [r for r in other["evidence_grid"] if r["hypothesis"] == "H1"]
         assert any(x["strong_to_extreme"] != y["strong_to_extreme"] for x, y in zip(a_h1, b_h1))
 
 
@@ -220,8 +227,8 @@ class TestSerialization:
         assert format_float(None) == ""
         assert format_float(7) == "7"
 
-    def test_bf_samples_csv_layout(self, small_report):
-        text = "".join(bf_samples_csv(small_report.bf_samples[:1]))
+    def test_bf_samples_csv_layout(self, small_study):
+        text = "".join(bf_samples_csv(small_study[1][:1]))
         lines = text.strip().split("\n")
         assert lines[0] == "hypothesis,n,draw_index,bf"
         assert len(lines) == 1 + SMALL_STUDY.draws

@@ -304,6 +304,36 @@ class TestSampleBfH0:
             sample_bf_h0(10, draws, RandomStream(13))
 
 
+class TestInputTypes:
+    @pytest.mark.parametrize("function, name", [
+        ("draw_h1_edge", "posterior"),
+        ("draw_h1_edge", "f_u"),
+        ("draw_h1_edge", "stream"),
+        ("sample_bf_h0", "stream"),
+        ("sample_bf_h1", "edge"),
+    ])
+    def test_checked_before_any_draw(self, function, name, monkeypatch):
+        # before, f_u=None returned a draw on which sample_bf_h1 raised
+        # AttributeError, and the other four raised AttributeError
+        posterior = two_node_posterior(3)
+        edge = draw_h1_edge(posterior, "u", "v", InterventionDensity(), 200, RandomStream(1))
+        call, args = {
+            "draw_h1_edge": (draw_h1_edge, dict(posterior=posterior, u="u", v="v",
+                                                f_u=InterventionDensity(), draws=200,
+                                                stream=RandomStream(1))),
+            "sample_bf_h0": (sample_bf_h0, dict(n=10, draws=200, stream=RandomStream(1))),
+            "sample_bf_h1": (sample_bf_h1, dict(edge=edge, n=10)),
+        }[function]
+        args[name] = 42 if name == "stream" else None
+
+        def no_generator(self):
+            raise AssertionError("drew before the types were checked")
+
+        monkeypatch.setattr(RandomStream, "generator", no_generator)
+        with pytest.raises(TypeError, match=f"^{name} must be an? "):
+            call(**args)
+
+
 class TestProbBfBandH0:
     def test_zero_above_ceiling_exactly(self):
         for n in range(2, 151):

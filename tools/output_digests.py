@@ -28,14 +28,18 @@ first-crossing scan and its early stop draw them); and one ``dce-curve`` at
 k0 = 3 and k1 = 10, the one run whose thresholds differ, so that k0 and k1
 swapped anywhere on the curve's path change a byte (``curve_k3_10.csv``);
 and one ``plan`` at ``--a-omega 20``, the one run whose design posterior
-takes a prior df other than T - 1 (``plan_a_omega.json``).
+takes a prior df other than T - 1 (``plan_a_omega.json``); and one
+``simulate`` at ``--a-omega 3`` and intervention mean 0.5 and sd 2, the one
+study off the default a_omega and intervention density, whose n* points are
+null for some k and zeta and not for others (``sim_config/``, 4 files), so
+that it pins the configuration echo and the n* mapping of ``report.json``.
 Two ``plan`` runs on the ``plan-late`` inputs cover the two exits that still
 write ``plan.json``: at ``--n-max 150`` some edges have a null n* and no plan
 is achieved (``plan_short.json``, exit 4), and on the graph plus a component
 ``x -- y`` that the data lack, written here as ``graph_xy.txt``, one
 component is planned and the other carries its error (``plan_error.json``,
 exit 3).  Every other command exits 0, and any other exit fails the script.
-Output is one ``sha256  path`` line per file, 28 in all, paths relative to
+Output is one ``sha256  path`` line per file, 32 in all, paths relative to
 ``OUT``, in a fixed order.
 """
 
@@ -89,7 +93,9 @@ def commands() -> list[tuple[list[str], list[str], int]]:
     ]
     for out, flags in (("sim1", ["--seed", "1"]),
                        ("sim5", ["--seed", "5", "--draws", "3000", "--n-max", "80"]),
-                       ("sim1100", ["--n-max", "1100"])):
+                       ("sim1100", ["--n-max", "1100"]),
+                       ("sim_config", ["--seed", "7", "--draws", "500", "--n-max", "60",
+                                       "--a-omega", "3", *density])):
         runs.append((["simulate", *flags, "--out", out], [f"{out}/{name}" for name in SIM_FILES]))
     runs = [(argv, files, 0) for argv, files in runs]
     runs += [
