@@ -51,4 +51,4 @@ __all__ = [
     "sample_bf_h1",
 ]
 
-__version__ = "0.6.15"
+__version__ = "0.6.16"

@@ -42,6 +42,7 @@ from causal_ssd.harness import (
     threshold_curves_csv,
     nstar_curve_csv,
     ingest_csv,
+    json_text,
     replicate_two_node_study,
     write_json,
 )
@@ -226,9 +227,7 @@ def _load_inputs(args: argparse.Namespace):
 def cmd_plan(args: argparse.Namespace) -> int:
     graph, data = _load_inputs(args)
     components = plan_cpdag(graph, data, args.thresholds, args.config, args.stream, args.workers)
-    document = {"config": _echo(args), "components": components}
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    _emit(json_text({"config": _echo(args), "components": components}), args.out)
     if any(r["error"] is not None for r in components):
         for r in components:
             if r["error"] is not None:
@@ -253,9 +252,9 @@ def _edge_inputs(args: argparse.Namespace):
     u, v = args.edge
     if not graph.has_undirected_edge(u, v):
         raise GraphFormatError(f"edge {u}-{v} is not an undirected edge of the graph")
-    ci, sub = next((ci, sub) for ci, sub in enumerate(chain_components(graph)) if u in sub.nodes)
+    sub = next(sub for sub in chain_components(graph) if u in sub.nodes)
     posterior = build_design_posterior(data.restrict(sub.nodes), args.config.a_omega)
-    return sub, posterior, edge_stream(args.stream, ci, sub.nodes, u, v)
+    return sub, posterior, edge_stream(args.stream, u, v)
 
 
 def cmd_dce_curve(args: argparse.Namespace) -> int:
@@ -270,7 +269,7 @@ def cmd_predict_bf(args: argparse.Namespace) -> int:
     _, posterior, stream = _edge_inputs(args)
     config = args.config
     h1 = sample_bf_h1(draw_h1_edge(posterior, *args.edge, config.f_u, config.draws, stream), args.n)
-    h0 = sample_bf_h0(args.n, config.draws, stream.child(args.n, 3))
+    h0 = sample_bf_h0(args.n, config.draws, stream)
     _emit(_config_comment(args), args.out, bf_samples_csv([h0, h1]))
     return EXIT_OK
 

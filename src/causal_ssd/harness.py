@@ -47,6 +47,7 @@ from causal_ssd.ssd import (
     RunConfig,
     binomial_se,
     dce_curve,
+    edge_stream,
     h0_band_probabilities,  # noqa: F401  (no caller; bench/tracing.py wraps harness.h0_band_probabilities)
 )
 
@@ -158,8 +159,9 @@ def replicate_two_node_study(
     ``STUDY_NOISE_SD``.  The prior probabilities are p(H0) = p(H1) = 1/2 (the
     two-member class).  H0-side table cells are computed twice, exactly and
     by Monte Carlo; H1-side cells are Monte Carlo under the design posterior
-    of the drawn data.  ``config`` must be a ``RunConfig`` and ``stream`` a
-    ``RandomStream`` (``numerics.instance``, else ``TypeError``).
+    of the drawn data; all from ``edge_stream(stream, "u", "v")``.
+    ``config`` must be a ``RunConfig`` and ``stream`` a ``RandomStream``
+    (``numerics.instance``, else ``TypeError``).
     """
     instance("config", config, RunConfig)
     instance("stream", stream, RandomStream)
@@ -179,11 +181,12 @@ def replicate_two_node_study(
     }
 
     # the few fixed sizes of the exported samples and the evidence grid are
-    # drawn once.  Every H1 sample, here and on the curves, comes from the
-    # edge draw on the H1 stream child(2)
+    # drawn once.  Every sample, here and on the curves, comes from the edge
+    # task's substream, as in plan, dce-curve and predict-bf
     fixed_sizes = sorted(set(EXPORT_SIZES) | set(GRID_SIZES))
-    h0_samples = {n: sample_bf_h0(n, config.draws, stream.child(1, n)) for n in fixed_sizes}
-    h1 = draw_h1_edge(posterior, u, v, config.f_u, config.draws, stream.child(2))
+    edge = edge_stream(stream, u, v)
+    h0_samples = {n: sample_bf_h0(n, config.draws, edge) for n in fixed_sizes}
+    h1 = draw_h1_edge(posterior, u, v, config.f_u, config.draws, edge)
     h1_samples = {n: sample_bf_h1(h1, n) for n in fixed_sizes}
 
     # (a) predictive samples for external histogramming
@@ -306,8 +309,14 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_chunks(path, (text,))
 
 
+def json_text(obj: dict) -> str:
+    """The text of every JSON artifact: keys sorted, an indent of 2, and a
+    final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(obj: dict, path: str) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(obj))
 
 
 # rows of bf_samples.csv formatted at a time: about 130 kB of text

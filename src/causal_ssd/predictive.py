@@ -233,18 +233,19 @@ class BfPredictiveSample:
 
 
 def sample_bf_h0(n: int, draws: int, stream: RandomStream) -> BfPredictiveSample:
-    """Exact predictive draws of the Bayes factor under H0.
+    """Exact predictive draws of the Bayes factor under H0 at n.
 
     BF = g(n) * b^((n-1)/2) with b ~ Beta((n-1)/2, 1/2); the law depends on
     neither the design posterior nor the interventional density (r^2 is
-    ancillary), so no data enter.  ``draws`` must be an integer from 1 to
-    ``MAX_DRAWS`` (``numerics.whole``), as in ``draw_h1_edge``, and is
-    checked before anything is allocated; ``stream`` must be a
-    ``RandomStream`` (``numerics.instance``, else ``TypeError``).
+    ancillary), so no data enter.  The draws come from ``E.child(n, 3)`` of
+    the edge task's substream E = ``stream``, a ``RandomStream``
+    (``numerics.instance``, else ``TypeError``).  ``draws`` must be an
+    integer from 1 to ``MAX_DRAWS`` (``numerics.whole``), as in
+    ``draw_h1_edge``, and is checked before anything is allocated.
     """
     n, draws = whole("n", n, 2), whole("draws", draws, 1, MAX_DRAWS)
     instance("stream", stream, RandomStream)
-    b = stream.generator().beta((n - 1) / 2.0, 0.5, size=draws)
+    b = stream.child(n, 3).generator().beta((n - 1) / 2.0, 0.5, size=draws)
     b = np.clip(b, np.nextafter(0.0, 1.0), 1.0)
     bf = np.exp(log_g_of_n(n) + 0.5 * (n - 1) * np.log(b))
     return BfPredictiveSample(hypothesis="H0", n=n, draws=bf)

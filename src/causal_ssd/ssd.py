@@ -465,11 +465,16 @@ def fork_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def edge_stream(
-    stream: RandomStream, component_index: int, component: tuple[str, ...], u: str, v: str
-) -> RandomStream:
-    """The fixed substream of the edge u - v of the chain component at ``component_index``."""
-    return stream.child(component_index, component.index(u), component.index(v))
+def edge_stream(stream: RandomStream, u: str, v: str) -> RandomStream:
+    """The fixed substream of the edge task u - v: the child of ``stream``
+    keyed by the first 8 bytes, as two big-endian 32-bit words, of the
+    SHA-256 of u and v, each UTF-8 encoded after its 4-byte big-endian
+    length.  It depends on the seed and the two labels alone."""
+    import hashlib  # here, not at the top: it would cost import causal_ssd.cli 3 ms
+
+    key = b"".join(len(b).to_bytes(4, "big") + b for b in (u.encode(), v.encode()))
+    digest = hashlib.sha256(key).digest()
+    return stream.child(int.from_bytes(digest[:4], "big"), int.from_bytes(digest[4:8], "big"))
 
 
 def plan_cpdag(
@@ -519,9 +524,9 @@ def plan_cpdag(
     workers = whole("workers", workers, 1)
     config.f_u.noncentrality(config.n_max)
     out: list[dict] = []
-    searched = []  # (entry of out, index, subgraph, sequences) of the error-free components
-    tasks: dict[tuple[int, str, str], tuple] = {}  # optimal_n_edge arguments per edge
-    for ci, sub in enumerate(chain_components(cpdag)):
+    searched = []  # (entry of out, subgraph, sequences) of the error-free components
+    tasks: dict[tuple[str, str], tuple] = {}  # optimal_n_edge arguments per edge
+    for sub in chain_components(cpdag):
         comp = sub.nodes
         if len(comp) < 2:
             continue
@@ -540,11 +545,9 @@ def plan_cpdag(
             entry["error"] = str(exc)
             continue
         for u, v in edges:
-            tasks[(ci, u, v)] = (
-                u, v, thresholds, prior_h0(sub, u, v), posterior, config,
-                edge_stream(stream, ci, comp, u, v),
-            )
-        searched.append((entry, ci, sub, sequences))
+            tasks[(u, v)] = (u, v, thresholds, prior_h0(sub, u, v), posterior, config,
+                             edge_stream(stream, u, v))
+        searched.append((entry, sub, sequences))
 
     # optimal_n_edge is looked up at call time, so a wrapper bound to the
     # module attribute is the function the workers run
@@ -553,9 +556,9 @@ def plan_cpdag(
     )
     results = dict(zip(tasks, evaluated))
 
-    for entry, ci, sub, sequences in searched:
+    for entry, sub, sequences in searched:
         entry["plans"] = [
-            plan_entry(seq, {u: [results[(ci, u, v)] for v in sub.undirected_neighbors(u)]
+            plan_entry(seq, {u: [results[(u, v)] for v in sub.undirected_neighbors(u)]
                              for u in seq})
             for seq in sequences
         ]

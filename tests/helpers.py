@@ -282,9 +282,11 @@ def pairs_sample_bf_h1(
 ) -> np.ndarray:
     """Oracle: H1 Bayes-factor draws from n explicitly simulated pairs per
     draw (x_u from ``f_u``, x_v Gaussian around slope * x_u), equal in
-    distribution to ``predictive.sample_bf_h1``."""
+    distribution to ``predictive.sample_bf_h1``.  ``stream`` is the edge's
+    substream, laid out as the sampler lays it out: the precision from
+    ``stream.child(0)`` and the pairs of n from ``stream.child(n)``."""
     slope, cond_sd = _regression_draws(posterior, u, v, draws, stream.child(0), sample_wishart)
-    gen = stream.child(2).generator()
+    gen = stream.child(n).generator()
     x_u = f_u.mean + f_u.sd * gen.standard_normal(size=(draws, n))
     x_v = slope[:, None] * x_u + cond_sd[:, None] * gen.standard_normal(size=(draws, n))
     uu = np.einsum("ij,ij->i", x_u, x_u)

@@ -909,6 +909,21 @@ class TestUsageAndErrors:
         assert proc.returncode == EXIT_NOT_ACHIEVABLE, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_design_posterior_propriety_boundary(self, two_node_files, tmp_path, capsys):
+        # 50 rows of u -- v give df = a_omega + 50, and a proper posterior
+        # needs df - (T - 2) > 1: -49 sits on the bound, -48.999 just inside
+        graph, data = two_node_files
+        inputs = ["--graph", graph, "--data", data, "--draws", "200", "--n-max", "50"]
+        out = tmp_path / "plan.json"
+        assert main(["plan", *inputs, "--a-omega", "-49", "--out", str(out)]) == EXIT_CAPACITY
+        assert "design posterior improper" in capsys.readouterr().err
+        (component,) = json.loads(out.read_text())["components"]
+        assert component["error"].startswith("design posterior improper")
+        assert main(["plan", *inputs, "--a-omega", "-48.999", "--out", str(out)]) != EXIT_CAPACITY
+        assert "design posterior improper" not in capsys.readouterr().err
+        (component,) = json.loads(out.read_text())["components"]
+        assert component["error"] is None
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["plan", "--nope"]) == EXIT_USAGE
 
@@ -1054,6 +1069,52 @@ class TestCommandFlags:
         assert main([command, *flags_of(command, inputs), "--out", ""]) == EXIT_USAGE
         assert "usage error: --out must not be empty" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+
+# the header of each CSV artifact
+CSV_HEADERS = {
+    "bf_samples.csv": "hypothesis,n,draw_index,bf",
+    "dce_curves.csv": "k,n,p0_dc,p1_dc,overall_dc,se_overall",
+    "nstar_curves.csv": "k,zeta,n_star",
+    "curve.csv": "n,p0_dc,p1_dc,overall_dc,se_overall",
+    "bf.csv": "hypothesis,n,draw_index,bf",
+}
+
+
+class TestArtifactText:
+    """Every artifact's bytes are its canonical text, written out here apart
+    from the package."""
+
+    def test_json_artifacts_are_canonical(self, two_node_files, tmp_path):
+        graph, data = two_node_files
+        plan = tmp_path / "plan.json"
+        assert main(["plan", "--graph", graph, "--data", data, *FAST, "--out", str(plan)]) == 0
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--draws", "200", "--n-max", "30", "--out", str(sim)]) == 0
+        for path in (plan, sim / "report.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+    def test_csv_artifacts_are_canonical(self, two_node_files, tmp_path):
+        # a config comment, the header, and every number with 17
+        # significant digits (an integer without a point, a null empty)
+        graph, data = two_node_files
+        inputs = ["--graph", graph, "--data", data, "--edge", "u,v", "--draws", "200"]
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--draws", "200", "--n-max", "30", "--out", str(sim)]) == 0
+        curve, bf = tmp_path / "curve.csv", tmp_path / "bf.csv"
+        assert main(["dce-curve", *inputs, "--n-max", "30", "--out", str(curve)]) == 0
+        assert main(["predict-bf", *inputs, "--n", "10", "--out", str(bf)]) == 0
+        paths = [sim / name for name in ("bf_samples.csv", "dce_curves.csv", "nstar_curves.csv")]
+        for path in [*paths, curve, bf]:
+            comment, header, *rows = path.read_text().split("\n")
+            assert comment.startswith("# config {") and json.loads(comment[len("# config "):])
+            assert header == CSV_HEADERS[path.name]
+            assert rows[-1] == "" and len(rows) > 1, path
+            for row in rows[:-1]:
+                for cell in row.split(","):
+                    if cell not in ("H0", "H1", ""):
+                        assert cell == format(float(cell), ".17g"), (path, row)
 
 
 def third_party_packages_loaded_by(statement):

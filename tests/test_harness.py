@@ -27,7 +27,7 @@ from causal_ssd.predictive import (
     build_design_posterior,
     prob_bf_band_h0,
 )
-from causal_ssd.ssd import DceThresholds, RunConfig
+from causal_ssd.ssd import DceThresholds, RunConfig, edge_stream
 
 from helpers import dce_probabilities, g_of_n, linear_sem_data, whole_bf_samples_csv
 
@@ -146,7 +146,8 @@ class TestTwoNodeStudy:
 
     def test_curves_are_the_planner_evidence(self, small_study):
         # the study's curve row at (k, n) is dce_probabilities on the study's
-        # posterior with the H1 edge substream child(2), to the last bit
+        # posterior with the edge substream edge_stream(stream, "u", "v"),
+        # to the last bit
         data = linear_sem_data(
             "uv", {("u", "v"): STUDY_BETA}, STUDY_N_OBS, RandomStream(8).child(0)
         )
@@ -157,7 +158,7 @@ class TestTwoNodeStudy:
             th = DceThresholds(k0=k, k1=k)
             rows = {row[0]: row for row in small_study[2][k]}
             for n in (2, 50, 57, 157, 200):
-                stream = RandomStream(8).child(2)
+                stream = edge_stream(RandomStream(8), "u", "v")
                 dce = dce_probabilities("u", "v", th, n, 0.5, posterior, f_u, draws, stream)
                 expected = (n, dce["p0_dc"], dce["p1_dc"], dce["overall_dc"],
                             dce["mc_se"]["overall_dc"])

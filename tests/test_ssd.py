@@ -1079,7 +1079,7 @@ class TestPlanCpdag:
         results = plan_cpdag(CHAIN5, data, th, config, stream, workers)
         by_comp = {tuple(r["component"]): r for r in results}
         direct = {}
-        for ci, sub in enumerate(chain_components(CHAIN5)):
+        for sub in chain_components(CHAIN5):
             comp = sub.nodes
             if len(comp) < 2:
                 continue
@@ -1088,12 +1088,12 @@ class TestPlanCpdag:
                 for u, target in plan["targets"].items():
                     for e in target["edges"]:
                         v = e["v"]
-                        if (ci, u, v) not in direct:
-                            direct[(ci, u, v)] = optimal_n_edge(
+                        if (u, v) not in direct:
+                            direct[(u, v)] = optimal_n_edge(
                                 u, v, th, prior_h0(sub, u, v), posterior, config,
-                                edge_stream(stream, ci, comp, u, v),
+                                edge_stream(stream, u, v),
                             )
-                        assert e == direct[(ci, u, v)]
+                        assert e == direct[(u, v)]
                         check_edge_entry(e)
         assert by_comp == {}
         assert len(direct) == 8  # the 6 ordered edges of the triangle and 2 of the pair

@@ -11,11 +11,14 @@ both, so a before/after check is one ``diff``::
 ``python -m causal_ssd.cli`` with ``PYTHONPATH=SRC``, from ``OUT``, with
 relative paths, because the outputs echo their paths.  ``OUT`` is created
 and must be empty.  The inputs of ``plan-late`` and ``plan-clique`` come from
-``bench/workloads.py`` of this checkout at seed 3, run as a script with
-``OPENBLAS_CORETYPE`` unset: the generator's rotation goes through BLAS, so
-its ``data.csv`` depends on the BLAS kernel, which the CLI's bytes must not.
-So ``OPENBLAS_CORETYPE=Prescott python3 tools/output_digests.py ...`` runs
-the commands, and only they, under OpenBLAS's Prescott kernel.  ``--pin``
+``bench/workloads.py`` of this checkout at seed 3, run as a script under
+OpenBLAS's Prescott kernel on one thread, whatever the caller's
+environment: the generator's rotation goes through BLAS, and its
+``data.csv`` differs between the SkylakeX, Haswell (or Zen) and Prescott
+kernels that OpenBLAS picks by CPU, where the Prescott kernel is the same
+code on every x86-64 host.  The CLI's bytes must not depend on the kernel,
+so ``OPENBLAS_CORETYPE=Haswell python3 tools/output_digests.py ...`` runs
+the commands, and only they, under the kernel it names.  ``--pin``
 runs every command under ``taskset -c 0``, so a fork map finds one CPU.
 
 The commands are those the project's change log has checked since 0.6.4 (20
@@ -41,6 +44,20 @@ component is planned and the other carries its error (``plan_error.json``,
 exit 3).  Every other command exits 0, and any other exit fails the script.
 Output is one ``sha256  path`` line per file, 32 in all, paths relative to
 ``OUT``, in a fixed order.
+
+``tools/output_digests.txt`` holds the listing of this checkout's ``src``
+under a header line ``# numpy VERSION``, the numpy it was written under
+(numpy promises no ``Generator`` stream across versions).  A change that
+moves a digest shows as a ``diff`` against it::
+
+    python3 tools/output_digests.py src /tmp/out | diff <(grep -v '^#' tools/output_digests.txt) -
+
+The listing was written on an AVX-512 host.  Seven of its files, those
+whose paths hold ``/bf`` (``bf.csv``, ``bf_mean.csv`` and the four
+``bf_samples.csv``), export Bayes-factor draws whose last bits move when
+numpy's AVX-512 kernels are switched off (``NPY_DISABLE_CPU_FEATURES="X86_V4
+AVX512_ICL AVX512_SPR"``), so on a host without AVX-512 they may differ;
+the other 25 did not move.
 """
 
 from __future__ import annotations
@@ -120,7 +137,7 @@ def main() -> int:
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):
         parser.error(f"{out} is not empty")
-    generator_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    generator_env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
     for w in WORKLOADS:
         subprocess.run([sys.executable, os.path.join(ROOT, "bench", "workloads.py"),
                         "--workload", w, "--seed", str(INPUT_SEED), "--out", os.path.join(out, w)],
